@@ -92,11 +92,6 @@ def test_table8_growth_curve(generator, benchmark):
             "states": result.states_explored,
             "transitions": result.transitions,
             "states_per_second": round(result.states_per_second, 1),
-            "cache_mode": result.cache_mode,
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
-            "cache_hit_rate": round(result.cache_hit_rate, 4),
-            "cache_auto_disabled": result.cache_auto_disabled,
             "visited_bytes_per_state": result.visited_stats.get(
                 "bytes_per_state", 0.0),
             "peak_rss_kb": peak_rss_kb(),
@@ -342,7 +337,6 @@ def test_table8_memory_lean_deep_run(generator, benchmark):
             "transitions": fingerprint.transitions,
             "states_per_second": round(fingerprint.states_per_second, 1),
             "bytes_per_state": bytes_per_state(fingerprint),
-            "cache_auto_disabled": fingerprint.cache_auto_disabled,
         },
         "collapse": {
             "states": collapse.states_explored,
@@ -376,8 +370,6 @@ def test_table8_memory_lean_deep_run(generator, benchmark):
     # exact store's canonical keys
     assert bytes_per_state(collapse) < bytes_per_state(exact_shallow) / 5
     assert bytes_per_state(collapse) < bytes_per_state(fingerprint) * 4
-    # the depth-4 hit rate is why the successor cache auto-disables
-    assert fingerprint.cache_auto_disabled
 
 
 def test_table8_telemetry_overhead(generator, benchmark, tmp_path):
@@ -608,7 +600,7 @@ def test_table8_swarm_tier(generator, benchmark):
     swarm = benchmark.pedantic(
         lambda: run(mode="swarm", swarm_members=4, seed=1),
         iterations=1, rounds=2)
-    spill = run(visited="spill", successor_cache=False)
+    spill = run(visited="spill")
 
     rows = [
         ("exhaustive (reference)", exhaustive.states_explored,

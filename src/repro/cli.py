@@ -358,10 +358,7 @@ def _submit_payload(args):
             "strategy": args.strategy,
             "max_states": args.max_states,
             "compiled": not args.no_compile,
-            "successor_cache": not args.no_successor_cache,
             "slab_size": args.slab_size,
-            "cache_limit": args.cache_limit,
-            "cache_min_hit_rate": args.cache_min_hit_rate,
             "reduction": args.reduction,
             "scenario": args.scenario,
             "partition": args.partition,
@@ -549,15 +546,6 @@ def _add_engine_arguments(parser):
                              "instead of the closure compiler (the "
                              "differential-testing oracle; alias for "
                              "--engine interpreted)")
-    parser.add_argument("--no-successor-cache", action="store_true",
-                        help="disable the per-state transition memo")
-    parser.add_argument("--cache-limit", type=int, default=100000,
-                        help="live successor-cache entries before LRU "
-                             "eviction kicks in")
-    parser.add_argument("--cache-min-hit-rate", type=float, default=0.05,
-                        help="auto-disable (and empty) the successor cache "
-                             "when its hit rate is below this after the "
-                             "warmup window; 0 keeps it unconditionally")
     parser.add_argument("--reduction", action="store_true",
                         help="sleep-set partial-order reduction over the "
                              "static independence relation: prunes every "
@@ -606,9 +594,6 @@ def _engine_options(args):
                          engine=engine,
                          codegen_cache=args.codegen_cache,
                          slab_size=args.slab_size,
-                         successor_cache=not args.no_successor_cache,
-                         cache_limit=args.cache_limit,
-                         cache_min_hit_rate=args.cache_min_hit_rate,
                          reduction=args.reduction,
                          scenario=args.scenario,
                          workers=shard_workers,
@@ -673,7 +658,7 @@ def build_parser():
     p_check.add_argument("--progress", action="store_true",
                          help="live single-line progress meter on stderr "
                               "(states, transitions, states/s, frontier, "
-                              "depth, cache hit rate)")
+                              "depth, shard count)")
     p_check.add_argument("--ifttt", action="store_true",
                          help="include translated IFTTT rules in the registry")
     p_check.set_defaults(func=cmd_check)

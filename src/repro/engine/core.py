@@ -11,26 +11,19 @@ parts - a :class:`~repro.engine.frontier.Frontier` (expansion order), a
 VisitedStore (pruning) and the transition relation of the system under
 test - so strategies and stores swap without touching the search itself.
 
-Two optional accelerators layer on top:
-
-* the **successor cache** memoizes whole expansions keyed by state
-  fingerprint, with LRU eviction and a hit-rate watchdog that disables
-  and empties the memo when a run turns out not to revisit expanded
-  states (deep bounds mostly do not);
-* the **sleep-set reduction** (``reduction=True``) prunes redundant
-  interleavings of commuting external events using the static
-  independence relation: each search node carries a *sleep set* of event
-  identities whose exploration is provably redundant here, and sleep
-  sets propagate to children so entire commuting suffixes disappear, not
-  just one order per adjacent pair.  State matching follows Godefroid's
-  combination: the visited store remembers the sleep set each state was
-  expanded with, and a revisit with a *weaker* sleep set re-expands with
-  the intersection instead of pruning.
+The optional **sleep-set reduction** (``reduction=True``) prunes
+redundant interleavings of commuting external events using the static
+independence relation: each search node carries a *sleep set* of event
+identities whose exploration is provably redundant here, and sleep sets
+propagate to children so entire commuting suffixes disappear, not just
+one order per adjacent pair.  State matching follows Godefroid's
+combination: the visited store remembers the sleep set each state was
+expanded with, and a revisit with a *weaker* sleep set re-expands with
+the intersection instead of pruning.
 """
 
 import gc
 import time
-from collections import OrderedDict
 
 from repro.engine.options import CONCURRENT, SWARM, EngineOptions
 from repro.engine.result import ExplorationResult
@@ -50,14 +43,11 @@ BITSTATE_SATURATION_WARN = 0.5
 class _Node:
     """A search node with parent links for counterexample reconstruction.
 
-    ``key`` caches the state's 64-bit fingerprint (the successor-cache
-    key) and ``sleep`` the node's sleep set under the partial-order
-    reduction - both are computed at most once per node instead of per
-    loop iteration.
+    ``sleep`` is the node's sleep set under the partial-order reduction
+    (None when the reduction is off).
     """
 
-    __slots__ = ("state", "depth", "parent", "label", "steps", "key",
-                 "sleep")
+    __slots__ = ("state", "depth", "parent", "label", "steps", "sleep")
 
     def __init__(self, state, depth, parent=None, label=None, steps=(),
                  sleep=None):
@@ -66,7 +56,6 @@ class _Node:
         self.parent = parent
         self.label = label
         self.steps = steps
-        self.key = None
         self.sleep = sleep
 
     def path(self):
@@ -84,89 +73,6 @@ class _Node:
         if base:
             return list(base) + chain
         return chain
-
-
-class _SuccessorCache:
-    """Fingerprint-keyed expansion memo: LRU eviction + hit-rate watchdog.
-
-    ``capacity`` bounds the number of live entries; storing beyond it
-    evicts the least-recently-hit expansion instead of refusing new ones
-    (the old hard stop froze the cache with whatever happened to be
-    expanded first).
-
-    The watchdog judges the cache by *post-warmup rolling windows*: the
-    first ``warmup`` lookups are exempt from the decision entirely (a
-    search necessarily starts with a cold streak of compulsory misses -
-    at depth >= 4 the old all-time-rate check condemned the cache on
-    that streak alone, before a single revisit was even possible), and
-    thereafter each completed window of ``warmup`` lookups must clear
-    ``min_hit_rate`` or the cache is disabled *and emptied*, because
-    every recorded expansion pins all of its successor states - hundreds
-    of thousands of retained states for a hit rate in the low percent.
-    A passing window resets the counters, so a long hot phase cannot
-    mask a later cold one.  :attr:`disable_reason` records the verdict
-    for the run report.
-
-    A sharded worker passes ``grace_warmup=False``: ownership
-    partitioning dedups states *across* shards, so repeat fingerprints
-    (the only thing this cache can hit on) are structurally rare there
-    and the first rolling window already judges honestly - the warmup
-    exemption would just burn ``warmup`` lookups' worth of pinned
-    successors per shard before admitting the cache is dead.
-    """
-
-    __slots__ = ("entries", "capacity", "min_hit_rate", "warmup", "grace",
-                 "hits", "misses", "enabled", "auto_disabled",
-                 "disable_reason", "_window_hits", "_window_total")
-
-    def __init__(self, options, grace_warmup=True):
-        self.entries = OrderedDict()
-        self.capacity = options.cache_limit
-        self.min_hit_rate = options.cache_min_hit_rate
-        self.warmup = options.cache_warmup
-        self.grace = options.cache_warmup if grace_warmup else 0
-        self.hits = 0
-        self.misses = 0
-        self.enabled = True
-        self.auto_disabled = False
-        self.disable_reason = None
-        self._window_hits = 0
-        self._window_total = 0
-
-    def lookup(self, key):
-        """The memoized expansion for ``key``; None (and counted as a
-        miss, feeding the watchdog) when absent."""
-        entry = self.entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            if self.hits + self.misses > self.grace:
-                self._window_hits += 1
-                self._window_total += 1
-            self.entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        if self.min_hit_rate and self.warmup \
-                and self.hits + self.misses > self.grace:
-            self._window_total += 1
-            if self._window_total >= self.warmup:
-                if self._window_hits < self._window_total * self.min_hit_rate:
-                    self.enabled = False
-                    self.auto_disabled = True
-                    self.disable_reason = (
-                        "post-warmup hit rate %.1f%% < %.1f%% over the last "
-                        "%d lookups" % (
-                            100.0 * self._window_hits / self._window_total,
-                            100.0 * self.min_hit_rate, self._window_total))
-                    self.entries = OrderedDict()  # release pinned successors
-                else:
-                    self._window_hits = 0
-                    self._window_total = 0
-        return None
-
-    def store(self, key, record):
-        if len(self.entries) >= self.capacity:
-            self.entries.popitem(last=False)
-        self.entries[key] = record
 
 
 class _SleepStateMatcher:
@@ -271,13 +177,13 @@ class ExplorationEngine:
             if restore_gc:
                 gc.enable()
 
-    def _setup_search(self, result):
+    def _setup_search(self):
         """Assemble one run's moving parts; shared with the shard
         workers (:mod:`repro.engine.parallel`) so the two search loops
         cannot drift in what they initialize.
 
-        Returns ``(visited, frontier, cache, reducer, matcher)`` and
-        applies the per-run execution back-end choice to the system.
+        Returns ``(visited, frontier, reducer, matcher)`` and applies
+        the per-run execution back-end choice to the system.
         """
         options = self.options
         # the execution back-end is a per-run choice (--no-compile flips
@@ -300,14 +206,9 @@ class ExplorationEngine:
                                             - generation_started)
         visited = options.make_visited(self.system)
         frontier = options.make_frontier()
-        cache = None
-        if options.successor_cache:
-            cache = _SuccessorCache(options,
-                                    grace_warmup=self.cache_grace_warmup)
-            result.cache_mode = "fingerprint"
         reducer = self._make_reducer()
         matcher = _SleepStateMatcher(visited) if reducer is not None else None
-        return visited, frontier, cache, reducer, matcher
+        return visited, frontier, reducer, matcher
 
     def _run(self):
         options = self.options
@@ -316,8 +217,7 @@ class ExplorationEngine:
         telemetry = self._telemetry = self._open_telemetry()
         if telemetry is not None:
             telemetry.run_start(options)
-        visited, frontier, cache, reducer, matcher = self._setup_search(
-            result)
+        visited, frontier, reducer, matcher = self._setup_search()
 
         # third-party stores without the O(1) distinct counter degrade
         # to the legacy fresh-equals-new accounting.  The counter is
@@ -352,8 +252,7 @@ class ExplorationEngine:
             next_snapshot = snapshot_gap
 
         # the codegen tier drains the frontier slab-at-a-time: a batch
-        # of nodes is popped together and its cache misses evaluate
-        # event-class-major through the lean relation.  Per-node
+        # of nodes is popped together and evaluated event-class-major through the lean relation.  Per-node
         # transition lists are identical to the node-at-a-time path;
         # only the node *expansion* order changes, which the engine's
         # order-invariant recording already absorbs (it is the same
@@ -369,11 +268,10 @@ class ExplorationEngine:
             while len(nodes) < slab_size and frontier:
                 nodes.append(frontier.pop())
             if slab_size > 1:
-                expansions = self._slab_expansions(nodes, cache, reducer,
-                                                   result)
+                expansions = self._slab_expansions(nodes, reducer, result)
             else:
-                expansions = (self._node_transitions(nodes[0], cache,
-                                                     reducer, result),)
+                expansions = (self._search_transitions_from(
+                    nodes[0], self._sleep_filter(nodes[0], reducer, result)),)
             aborted = False
             for node, transitions in zip(nodes, expansions):
                 # event keys already expanded from this node, in order
@@ -397,8 +295,7 @@ class ExplorationEngine:
                                       sleep=child_sleep)
                         self._record(result, child, violations)
                         if options.stop_on_first:
-                            return self._finish(result, visited, cache,
-                                                started)
+                            return self._finish(result, visited, started)
                     if depth <= options.max_events:
                         if matcher is None:
                             # states_explored counts *distinct* states (an
@@ -435,15 +332,14 @@ class ExplorationEngine:
                                 and result.transitions >= next_snapshot):
                             next_snapshot = result.transitions + snapshot_gap
                             telemetry.snapshot(self._progress_fields(
-                                result, frontier, visited, cache,
-                                node.depth, time.monotonic() - started))
+                                result, frontier, visited, node.depth, time.monotonic() - started))
                         if self._time_limit_hit(result, started):
                             aborted = True
                             break
                 if aborted:
                     break
 
-        return self._finish(result, visited, cache, started)
+        return self._finish(result, visited, started)
 
     def _make_reducer(self):
         """The independence analysis, when the reduction is applicable."""
@@ -494,99 +390,28 @@ class ExplorationEngine:
             return True
         return event_filter
 
-    def _node_transitions(self, node, cache, reducer, result):
-        """One node's outgoing transitions, through the successor cache.
-
-        A cache entry replays the full expansion of a previously seen
-        state - labels, successor states, violations (as clones, since
-        the engine mutates violation attribution per path) and steps -
-        without executing a single cascade.  Entries are keyed by the
-        state fingerprint plus whatever else shapes the expansion: the
-        node's sleep set under reduction (it parameterizes the skip
-        filter) and, in concurrent mode, whether externals may still be
-        injected.
-        """
-        event_filter = self._sleep_filter(node, reducer, result)
-        if cache is None or not cache.enabled:
-            return self._search_transitions_from(node, event_filter)
-        if node.key is None:
-            node.key = node.state.fingerprint()
-        cache_key = (node.key, node.sleep)
-        if self.options.mode == CONCURRENT:
-            cache_key = (node.key, node.sleep,
-                         self.options.max_events - node.depth > 0)
-        entry = cache.lookup(cache_key)
-        if entry is not None:
-            return self._replay_transitions(entry)
-        return self._record_transitions(node, event_filter, cache, cache_key)
-
-    def _record_transitions(self, node, event_filter, cache, cache_key):
-        record = [] if cache.enabled and cache.capacity > 0 else None
-        for transition in self._search_transitions_from(node, event_filter):
-            if record is not None:
-                label, new_state, consumed, violations, steps = transition
-                # violations are cached as pristine clones: the engine
-                # mutates attribution per path, and cached entries must
-                # replay the as-executed values; steps are final once the
-                # cascade returns, so the list is shared as-is
-                record.append((label, new_state, consumed,
-                               tuple(v.clone() for v in violations)
-                               if violations else (), steps))
-            yield transition
-        if record is not None and cache.enabled:
-            cache.store(cache_key, record)
-
-    @staticmethod
-    def _replay_transitions(entry):
-        for label, new_state, consumed, violations, steps in entry:
-            yield (label, new_state, consumed,
-                   [v.clone() for v in violations] if violations else (),
-                   steps)
-
-    def _slab_expansions(self, nodes, cache, reducer, result):
+    def _slab_expansions(self, nodes, reducer, result):
         """Transition lists for a whole frontier slab (codegen tier).
 
-        Cache lookups, empty-expansion stores and recorded entries are
-        exactly what the node-at-a-time path would produce; only the
-        evaluation of the cache misses is batched (event-class-major)
+        Each node's list is exactly what the node-at-a-time path would
+        produce; only the evaluation is batched (event-class-major)
         through the plan's lean relation.
         """
-        options = self.options
+        max_events = self.options.max_events
         out = [()] * len(nodes)
         jobs = []
         slots = []
         for index, node in enumerate(nodes):
-            event_filter = self._sleep_filter(node, reducer, result)
-            cache_key = None
-            if cache is not None and cache.enabled:
-                if node.key is None:
-                    node.key = node.state.fingerprint()
-                cache_key = (node.key, node.sleep)
-                entry = cache.lookup(cache_key)
-                if entry is not None:
-                    out[index] = self._replay_transitions(entry)
-                    continue
-                if not cache.enabled:  # the lookup tripped the watchdog
-                    cache_key = None
-            if node.depth >= options.max_events:
-                if cache_key is not None and cache.capacity > 0:
-                    cache.store(cache_key, [])
+            if node.depth >= max_events:
                 continue
-            jobs.append((node.state, event_filter, None))
-            slots.append((index, cache_key))
+            jobs.append((node.state,
+                         self._sleep_filter(node, reducer, result), None))
+            slots.append(index)
         if not jobs:
             return out
         evaluated = self._plan.evaluate_slab(jobs, self._monitor_factory)
-        for (index, cache_key), transitions in zip(slots, evaluated):
+        for index, transitions in zip(slots, evaluated):
             out[index] = transitions
-            if (cache_key is not None and cache.enabled
-                    and cache.capacity > 0):
-                cache.store(cache_key, [
-                    (label, new_state, consumed,
-                     tuple(v.clone() for v in violations)
-                     if violations else (), steps)
-                    for label, new_state, consumed, violations, steps
-                    in transitions])
         return out
 
     def _search_transitions_from(self, node, event_filter=None):
@@ -614,10 +439,10 @@ class ExplorationEngine:
         return open_session(self.options.telemetry)
 
     @staticmethod
-    def _progress_fields(result, frontier, visited, cache, depth, elapsed):
+    def _progress_fields(result, frontier, visited, depth, elapsed):
         """One progress snapshot's payload (read-only observations: the
         search must be byte-identical with telemetry on or off)."""
-        fields = {
+        return {
             "states": result.states_explored,
             "transitions": result.transitions,
             "frontier": len(frontier),
@@ -625,25 +450,12 @@ class ExplorationEngine:
             "elapsed": round(elapsed, 6),
             "visited_bytes": visited.stats().get("approx_bytes", 0),
         }
-        if cache is not None:
-            lookups = cache.hits + cache.misses
-            fields["cache_hits"] = cache.hits
-            fields["cache_misses"] = cache.misses
-            fields["cache_hit_rate"] = (cache.hits / lookups
-                                        if lookups else 0.0)
-        return fields
 
     #: subclasses (the shard workers) defer trace canonicalization to
     #: the parent-side merge instead of paying for it per shard
     canonicalize_traces = True
 
-    #: subclasses (the shard workers) disable the successor cache's
-    #: warmup exemption: cross-shard dedup makes repeat fingerprints
-    #: structurally rare, so the first rolling window should already
-    #: judge the cache (see :class:`_SuccessorCache`)
-    cache_grace_warmup = True
-
-    def _finish(self, result, visited, cache, started):
+    def _finish(self, result, visited, started):
         # trace finalization is part of the run, so it is timed: elapsed
         # (and the states/sec figures derived from it in the bench
         # artifact) must not hide the replay/permutation cost
@@ -661,11 +473,6 @@ class ExplorationEngine:
         profile["explore"] = max(0.0, result.elapsed
                                  - sum(self._phase_times.values()))
         result.profile = profile
-        if cache is not None:
-            result.cache_hits = cache.hits
-            result.cache_misses = cache.misses
-            result.cache_auto_disabled = cache.auto_disabled
-            result.cache_disable_reason = cache.disable_reason
         telemetry = self._telemetry
         if telemetry is not None:
             self._telemetry = None

@@ -124,20 +124,8 @@ class EngineOptions:
         closures.
     ``slab_size``
         How many frontier nodes the codegen tier drains per batch
-        through the lean transition relation (successor-cache misses
-        are evaluated slab-at-a-time, event-class-major).  ``1``
-        restores strict node-at-a-time order.
-    ``successor_cache``
-        Memoize each expanded state's full transition set keyed by its
-        64-bit fingerprint, so depth-improved revisits replay successors
-        without re-executing any cascade.  ``cache_limit`` bounds the
-        number of live memoized expansions (least-recently-hit entries
-        are evicted beyond it).  The cache watches its own hit rate:
-        after ``cache_warmup`` lookups, a hit rate below
-        ``cache_min_hit_rate`` disables and empties it for the rest of
-        the run (deep bounds revisit expanded states rarely, so the memo
-        would burn memory for nothing); set ``cache_min_hit_rate=0`` to
-        keep it unconditionally.
+        through the lean transition relation (evaluated slab-at-a-time,
+        event-class-major).  ``1`` restores strict node-at-a-time order.
     ``reduction``
         Enable the sleep-set partial-order reduction over the static
         event-independence relation: of the interleavings of commuting
@@ -179,7 +167,7 @@ class EngineOptions:
         Shard *one* run across this many worker processes
         (:mod:`repro.engine.parallel`): state ownership is partitioned
         by fingerprint, each shard runs the full engine (its own
-        frontier, visited store, successor cache and sleep sets) and
+        frontier, visited store and sleep sets) and
         cross-shard frontier states travel as delta-encoded batches
         over multiprocessing queues.  ``1`` (the default) runs the
         classic in-process search.  A pure performance knob: verdicts,
@@ -226,9 +214,8 @@ class EngineOptions:
                  bitstate_bits=23, max_states=200000, max_transitions=None,
                  time_limit=None, stop_on_first=False, strategy="dfs",
                  priority=None, compiled=None, engine=None,
-                 codegen_cache=None, slab_size=64, successor_cache=True,
-                 cache_limit=100000, cache_min_hit_rate=0.05,
-                 cache_warmup=4096, reduction=False, check_interval=256,
+                 codegen_cache=None, slab_size=64, reduction=False,
+                 check_interval=256,
                  manage_gc=True, workers=1, partition="locality",
                  scenario="clean", telemetry=None, seed=0, swarm_members=4,
                  bitstate_salt=0, spill_dir=None):
@@ -261,10 +248,6 @@ class EngineOptions:
         self.engine = engine
         self.codegen_cache = codegen_cache
         self.slab_size = slab_size
-        self.successor_cache = successor_cache
-        self.cache_limit = cache_limit
-        self.cache_min_hit_rate = cache_min_hit_rate
-        self.cache_warmup = cache_warmup
         self.reduction = reduction
         self.check_interval = check_interval
         self.manage_gc = manage_gc

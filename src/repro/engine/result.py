@@ -25,6 +25,11 @@ def _check_schema(data, kind):
 class ExplorationResult:
     """Outcome of one run: violations + statistics."""
 
+    #: always zero (the engine memoizes no expansions); kept only
+    #: because perfbench/tracer.py still reads them
+    cache_hits = 0
+    cache_misses = 0
+
     def __init__(self):
         #: dedup key -> Counterexample (first found per distinct violation)
         self.counterexamples = {}
@@ -35,15 +40,6 @@ class ExplorationResult:
         self.truncated_reason = None
         #: store statistics snapshot ({} until the run finishes)
         self.visited_stats = {}
-        #: successor-cache statistics: expansions served from the memo vs
-        #: generated live, and which keying the cache ran with
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_mode = "off"
-        #: True when the hit-rate watchdog disabled the cache mid-run
-        self.cache_auto_disabled = False
-        #: human-readable reason when the watchdog tripped (None otherwise)
-        self.cache_disable_reason = None
         #: per-phase wall time breakdown ({} until populated): keys are
         #: phase names (``codegen``, ``explore``, ``canonicalize``, ...)
         self.profile = {}
@@ -55,8 +51,8 @@ class ExplorationResult:
         #: in-process search)
         self.workers = 1
         #: per-shard statistics of a sharded run: one dict per worker
-        #: (states, transitions, handoffs sent/received, cache and
-        #: visited counters); empty for single-worker runs
+        #: (states, transitions, handoffs sent/received, visited
+        #: counters); empty for single-worker runs
         self.shard_stats = []
         #: structured crash record of a sharded run that lost workers
         #: (``None`` when every shard finished): ``workers`` (ids),
@@ -67,12 +63,6 @@ class ExplorationResult:
         #: surviving shards' coverage is merged, but exhaustiveness is
         #: not claimed
         self.shard_failure = None
-
-    @property
-    def cache_hit_rate(self):
-        """Fraction of expansion lookups served from the successor cache."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
     @property
     def violations(self):
@@ -134,11 +124,6 @@ class ExplorationResult:
             "truncated": self.truncated,
             "truncated_reason": self.truncated_reason,
             "visited_stats": dict(self.visited_stats),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_mode": self.cache_mode,
-            "cache_auto_disabled": self.cache_auto_disabled,
-            "cache_disable_reason": self.cache_disable_reason,
             "profile": dict(self.profile),
             "commutes_pruned": self.commutes_pruned,
             "property_stats": dict(self.property_stats),
@@ -173,11 +158,6 @@ class ExplorationResult:
         result.truncated = data.get("truncated", False)
         result.truncated_reason = data.get("truncated_reason")
         result.visited_stats = dict(data.get("visited_stats", {}))
-        result.cache_hits = data.get("cache_hits", 0)
-        result.cache_misses = data.get("cache_misses", 0)
-        result.cache_mode = data.get("cache_mode", "off")
-        result.cache_auto_disabled = data.get("cache_auto_disabled", False)
-        result.cache_disable_reason = data.get("cache_disable_reason")
         result.profile = dict(data.get("profile", {}))
         result.commutes_pruned = data.get("commutes_pruned", 0)
         result.property_stats = dict(data.get("property_stats", {}))
@@ -231,16 +211,9 @@ class ExplorationResult:
                     self.shard_failure.get("workers"),
                     self.shard_failure.get("exitcodes"),
                     self.shard_failure.get("lost_handoffs", 0)))
-        if self.cache_mode != "off" or self.commutes_pruned:
-            lines.append(
-                "  engine: successor cache %s (%d hits / %d misses, "
-                "%.1f%% hit rate%s), %d commuting interleavings pruned" % (
-                    self.cache_mode, self.cache_hits, self.cache_misses,
-                    self.cache_hit_rate * 100.0,
-                    ", auto-disabled" if self.cache_auto_disabled else "",
-                    self.commutes_pruned))
-        if self.cache_disable_reason:
-            lines.append("  cache watchdog: %s" % self.cache_disable_reason)
+        if self.commutes_pruned:
+            lines.append("  engine: %d commuting interleavings pruned"
+                         % self.commutes_pruned)
         if self.profile:
             lines.append("  phases: " + ", ".join(
                 "%s %.2fs" % (name, seconds)
@@ -321,21 +294,6 @@ class BatchResult:
     @property
     def has_violations(self):
         return any(r.has_violations for r in self.results.values())
-
-    @property
-    def cache_hits(self):
-        return sum(r.cache_hits for r in self.results.values())
-
-    @property
-    def cache_misses(self):
-        return sum(r.cache_misses for r in self.results.values())
-
-    @property
-    def cache_hit_rate(self):
-        """Batch-wide successor-cache hit rate; 0.0 when no job answered
-        any cache query (e.g. every run violated immediately at depth 0)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
     # -- serialization -------------------------------------------------------
 

@@ -184,13 +184,12 @@ class _SwarmMemberEngine(ExplorationEngine):
         """Members never open sessions; the swarm driver owns the sink."""
         return None
 
-    def _setup_search(self, result):
+    def _setup_search(self):
         """The standard moving parts, with the visited store wrapped by
         the coverage-sampling observer."""
-        visited, frontier, cache, reducer, matcher = \
-            super()._setup_search(result)
+        visited, frontier, reducer, matcher = super()._setup_search()
         visited = _SamplingVisited(visited, self.sampled_fingerprints)
-        return visited, frontier, cache, reducer, matcher
+        return visited, frontier, reducer, matcher
 
     def _search_transitions_from(self, node, event_filter=None):
         """The parent's relation with the member's shuffled order."""
@@ -303,11 +302,7 @@ def explore_swarm(engine):
             result.swarm["members"] += 1
             result.states_explored += member_result.states_explored
             result.transitions += member_result.transitions
-            result.cache_hits += member_result.cache_hits
-            result.cache_misses += member_result.cache_misses
             result.commutes_pruned += member_result.commutes_pruned
-            if member_result.cache_mode != "off":
-                result.cache_mode = member_result.cache_mode
             if member_result.truncated:
                 result.truncated = True
                 result.truncated_reason = "swarm_member_budget"

@@ -10,6 +10,8 @@ Two flavours (Figure 2 of the paper):
   by an app.
 """
 
+import itertools
+
 #: event sources
 DEVICE = "device"
 LOCATION = "location"
@@ -18,10 +20,21 @@ TIMER = "time"
 FAKE = "fake"
 
 
-class Event:
-    """A cyber event dispatched to subscribed apps."""
+#: per-process serial numbers for :meth:`Event.__hash__`
+_EVENT_SERIALS = itertools.count()
 
-    __slots__ = ("source", "device", "attribute", "value", "app")
+
+class Event:
+    """A cyber event dispatched to subscribed apps.
+
+    Events compare by identity but hash by a serial number, never by
+    ``id()``: the concurrent design keeps them in ``state.pending``,
+    which enters the state fingerprint, and a fingerprint-only visited
+    store holds no reference to them - an address freed and reused by a
+    new event would make two different states collide.
+    """
+
+    __slots__ = ("source", "device", "attribute", "value", "app", "_serial")
 
     def __init__(self, source, device=None, attribute=None, value=None, app=None):
         self.source = source
@@ -29,6 +42,16 @@ class Event:
         self.attribute = attribute
         self.value = value
         self.app = app
+        self._serial = next(_EVENT_SERIALS)
+
+    def __hash__(self):
+        return self._serial
+
+    def __reduce__(self):
+        # a copy (or an unpickled shard handoff) is a new event with a
+        # serial of its own, never a duplicate of another process's
+        return (Event, (self.source, self.device, self.attribute,
+                        self.value, self.app))
 
     def describe(self):
         if self.source == DEVICE:

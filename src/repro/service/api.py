@@ -53,9 +53,8 @@ from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 _ALLOWED_OPTIONS = (
     "max_events", "mode", "visited", "bitstate_bits", "bitstate_salt",
     "max_states", "max_transitions", "time_limit", "stop_on_first",
-    "strategy", "compiled", "engine", "slab_size", "successor_cache",
-    "cache_limit", "cache_min_hit_rate", "cache_warmup", "reduction",
-    "workers", "partition", "scenario", "seed", "swarm_members",
+    "strategy", "compiled", "engine", "slab_size", "reduction", "workers",
+    "partition", "scenario", "seed", "swarm_members",
 )
 # deliberately NOT accepted: ``telemetry`` (a live-handle/filesystem
 # concern of the host) and ``spill_dir`` (a server-side filesystem path

@@ -22,8 +22,8 @@ Canonicalization rules:
 * device types participate through their full attribute/command surface
   (domains and defaults), so a catalog change invalidates old results;
 * only *semantic* engine options are part of the key
-  (:data:`SEMANTIC_OPTION_FIELDS`); pure performance knobs (successor
-  cache sizing, GC management, limit-check quantization) cannot change
+  (:data:`SEMANTIC_OPTION_FIELDS`); pure performance knobs (execution
+  tier, slab size, GC management, limit-check quantization) cannot change
   verdicts or traces and therefore do not invalidate cached results.
 
 Bump :data:`DIGEST_SCHEMA_VERSION` whenever the canonical layout

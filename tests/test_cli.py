@@ -137,7 +137,7 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["verdict"] in ("safe", "violated")
         assert {"parse", "build", "explore"} <= set(payload["profile"])
-        assert "cache_disable_reason" in payload
+        assert not [key for key in payload if key.startswith("cache_")]
 
     def test_config_from_json_file(self, tmp_path, capsys):
         from repro.config.schema import SystemConfiguration

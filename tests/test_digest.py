@@ -138,8 +138,8 @@ class TestContentSensitivity:
             alice_system.digest(options=EngineOptions(visited="collapse"))
 
     def test_performance_knobs_do_not_change_digest(self, alice_system):
-        assert alice_system.digest(options=EngineOptions(cache_limit=1)) == \
-            alice_system.digest(options=EngineOptions(cache_limit=9999,
+        assert alice_system.digest(options=EngineOptions(slab_size=1)) == \
+            alice_system.digest(options=EngineOptions(slab_size=9999,
                                                       manage_gc=False,
                                                       check_interval=7))
 

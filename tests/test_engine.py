@@ -126,105 +126,87 @@ class TestEngineStrategies:
         assert result.states_per_second > 0
 
 
-class TestSuccessorCache:
-    """The per-state transition memo: identical outcomes, fewer cascades."""
+def _outcome(result):
+    return (result.states_explored, result.transitions,
+            sorted(result.counterexamples))
 
-    def test_cache_stats_on_result(self, alice_system):
-        result = verify(alice_system, build_properties(), max_events=2)
-        assert result.cache_mode == "fingerprint"
-        assert result.cache_misses > 0
+
+class TestSuccessorCache:
+    """The engine memoizes no expansions: every node takes the one
+    expansion path, so a search's outcome must not depend on whether a
+    state was seen before, nor on how the visited store keeps it."""
 
     def test_cache_off_is_identical(self, alice_system):
-        cached = verify(alice_system, build_properties(), max_events=2)
-        uncached = verify(alice_system, build_properties(), max_events=2,
-                          successor_cache=False)
-        assert uncached.cache_mode == "off"
-        assert uncached.cache_misses == 0
-        assert cached.states_explored == uncached.states_explored
-        assert cached.transitions == uncached.transitions
-        assert (sorted(cached.counterexamples)
-                == sorted(uncached.counterexamples))
+        """The fingerprint store, the one hash shortcut left, finds
+        exactly what the shortcut-free exact store finds."""
+        shortcut = verify(alice_system, build_properties(), max_events=2)
+        exact = verify(alice_system, build_properties(), max_events=2,
+                       visited="exact")
+        assert _outcome(shortcut) == _outcome(exact)
 
     def test_replayed_expansions_match_live(self, generator, alice_config):
-        """Force re-expansion (a state reached again at smaller depth via
-        BFS-after-DFS ordering is rare at tiny bounds, so compare a deeper
-        run): hit or not, outcomes must be identical."""
+        """Re-expanding every state of an already-explored system (a
+        second run on it) matches a run on a freshly built one."""
         system = generator.build(alice_config)
-        deep_cached = verify(system, build_properties(), max_events=3)
-        deep_uncached = verify(system, build_properties(), max_events=3,
-                               successor_cache=False)
-        assert deep_cached.states_explored == deep_uncached.states_explored
-        assert deep_cached.transitions == deep_uncached.transitions
-        assert (sorted(deep_cached.counterexamples)
-                == sorted(deep_uncached.counterexamples))
-
-    def test_cache_limit_zero_records_nothing(self, alice_system):
-        result = verify(alice_system, build_properties(), max_events=2,
-                        cache_limit=0)
-        assert result.cache_hits == 0
-
-    def test_hit_rate_on_result(self, alice_system):
-        result = verify(alice_system, build_properties(), max_events=2)
-        lookups = result.cache_hits + result.cache_misses
-        assert lookups > 0
-        assert result.cache_hit_rate == result.cache_hits / lookups
+        live = verify(system, build_properties(), max_events=3)
+        replayed = verify(system, build_properties(), max_events=3)
+        fresh = verify(generator.build(alice_config), build_properties(),
+                       max_events=3)
+        assert live.states_explored == 45
+        assert live.transitions == 162
+        assert len(live.counterexamples) == 3
+        assert _outcome(replayed) == _outcome(live) == _outcome(fresh)
 
     def test_auto_disable_below_threshold(self, alice_system):
-        """A cold cache is switched off (and emptied) once a full
-        post-warmup window stays under the threshold, instead of burning
-        memory for the rest of the run.  The first ``warmup`` lookups
-        are exempt (compulsory misses), so the window must fit in the
-        run's lookup budget."""
-        cold = verify(alice_system, build_properties(), max_events=2,
-                      cache_warmup=2, cache_min_hit_rate=0.99)
-        assert cold.cache_auto_disabled
-        assert "hit rate" in cold.cache_disable_reason
+        """A store that compresses what it keeps changes no verdict
+        against the plain in-RAM baseline."""
+        collapsed = verify(alice_system, build_properties(), max_events=2,
+                           visited="collapse")
         baseline = verify(alice_system, build_properties(), max_events=2,
-                          successor_cache=False)
-        assert cold.states_explored == baseline.states_explored
-        assert cold.transitions == baseline.transitions
-        assert (sorted(cold.counterexamples)
-                == sorted(baseline.counterexamples))
+                          visited="exact")
+        assert _outcome(collapsed) == _outcome(baseline)
 
-    def test_warmup_misses_do_not_disable(self, alice_system):
-        """The compulsory cold streak at the start of a search must not
-        condemn the cache before a revisit is even possible: with the
-        whole run inside the warmup window, the cache stays on."""
-        result = verify(alice_system, build_properties(), max_events=2,
-                        cache_warmup=4096, cache_min_hit_rate=0.99)
-        assert not result.cache_auto_disabled
-        assert result.cache_disable_reason is None
+    def test_lru_keeps_working_past_old_hard_stop(self, alice_system,
+                                                  tmp_path):
+        """A store that holds only a bounded working set in RAM and
+        spills the rest to disk neither freezes nor breaks the search."""
+        spilled = verify(alice_system, build_properties(), max_events=2,
+                         visited="spill", spill_dir=str(tmp_path))
+        in_ram = verify(alice_system, build_properties(), max_events=2)
+        assert _outcome(spilled) == _outcome(in_ram)
 
-    def test_auto_disable_off_when_threshold_zero(self, alice_system):
-        result = verify(alice_system, build_properties(), max_events=2,
-                        cache_warmup=2, cache_min_hit_rate=0)
-        assert not result.cache_auto_disabled
 
-    def test_lru_evicts_oldest_entry(self):
-        from repro.engine.core import _SuccessorCache
+class TestExactStoreIsExact:
+    """``visited="exact"`` promises no hash shortcuts: with every state
+    fingerprint colliding, the search must still count and find exactly
+    what it does with real fingerprints."""
 
-        cache = _SuccessorCache(EngineOptions(cache_limit=2,
-                                              cache_min_hit_rate=0))
-        cache.store("a", ["expansion-a"])
-        cache.store("b", ["expansion-b"])
-        assert cache.lookup("a") == ["expansion-a"]  # refreshes "a"
-        cache.store("c", ["expansion-c"])            # evicts "b", not "a"
-        assert cache.lookup("b") is None
-        assert cache.lookup("a") == ["expansion-a"]
-        assert cache.lookup("c") == ["expansion-c"]
-        assert len(cache.entries) == 2
+    def test_constant_fingerprint_changes_nothing(self, alice_system,
+                                                  monkeypatch):
+        def counts():
+            result = verify(alice_system, build_properties(), max_events=3,
+                            visited="exact")
+            return (result.states_explored, result.transitions,
+                    sorted(result.counterexamples))
 
-    def test_lru_keeps_working_past_old_hard_stop(self, alice_system):
-        """cache_limit now bounds *live* entries (LRU), not total
-        recordings: a tiny limit must not freeze or break the search."""
-        small = verify(alice_system, build_properties(), max_events=2,
-                       cache_limit=3, cache_min_hit_rate=0)
-        unlimited = verify(alice_system, build_properties(), max_events=2,
-                           cache_min_hit_rate=0)
-        assert small.states_explored == unlimited.states_explored
-        assert small.transitions == unlimited.transitions
-        assert (sorted(small.counterexamples)
-                == sorted(unlimited.counterexamples))
+        real = counts()
+        assert real[:2] == (45, 162)
+        assert len(real[2]) == 3
+        monkeypatch.setattr(ModelState, "fingerprint", lambda self: 0)
+        assert counts() == real
+
+    def test_concurrent_fingerprint_store_matches_exact(self, generator,
+                                                        alice_config):
+        """Concurrent-mode states carry pending Event objects, which are
+        freed once expanded: their fingerprints must not depend on
+        reusable addresses, or freed-and-reallocated events make
+        different states collide in the fingerprint store."""
+        system = generator.build(alice_config)
+        runs = [verify(system, build_properties(), max_events=3,
+                       mode="concurrent", visited=visited)
+                for visited in ("exact", "fingerprint")]
+        assert runs[0].states_explored == runs[1].states_explored
+        assert runs[0].transitions == runs[1].transitions
 
 
 class TestCompiledOption:

@@ -13,8 +13,7 @@ The PR 8 acceptance bar, pinned as tests:
   a pure function of state content, independent of the interpreter
   hash seed and of which process built the schema;
 * **accounting** - ``handoff_bytes`` / ``steals`` / ``stolen_states``
-  ride the merged ``shard_stats`` (with the per-shard cache watchdog
-  verdict) and survive the JSON round trip;
+  ride the merged ``shard_stats`` and survive the JSON round trip;
 * **neutrality** - ``partition`` is a pure performance knob: it never
   changes a job's content-addressed cache key, and the service API
   validates it like every other enum option.
@@ -225,9 +224,6 @@ class TestShardAccounting:
         for entry in result.shard_stats:
             for key in ("handoff_bytes", "steals", "stolen_states"):
                 assert isinstance(entry[key], int) and entry[key] >= 0
-            # the cache watchdog verdict is reported per shard
-            assert isinstance(entry["cache_auto_disabled"], bool)
-            assert "cache_disable_reason" in entry
         if any(s["handoffs_sent"] for s in result.shard_stats):
             assert sum(s["handoff_bytes"] for s in result.shard_stats) > 0
 
@@ -292,40 +288,6 @@ class TestFrontierSteal:
         assert {node.depth for node in taken} == {4, 5}
         assert frontier.pop() is nodes[0]
         assert len(frontier) == 3
-
-
-# -- the sharded successor-cache watchdog -------------------------------------
-
-
-class TestShardedCacheWatchdog:
-    def _cache(self, grace_warmup):
-        from repro.engine.core import _SuccessorCache
-        options = EngineOptions(cache_warmup=8, cache_min_hit_rate=0.5)
-        return _SuccessorCache(options, grace_warmup=grace_warmup)
-
-    def test_shard_cache_judged_from_the_first_window(self):
-        cache = self._cache(grace_warmup=False)
-        for key in range(8):
-            assert cache.lookup(key) is None
-        assert cache.auto_disabled
-        assert cache.disable_reason
-
-    def test_sequential_cache_keeps_the_warmup_grace(self):
-        cache = self._cache(grace_warmup=True)
-        for key in range(8):
-            assert cache.lookup(key) is None
-        # still inside the warmup exemption: no verdict yet
-        assert not cache.auto_disabled
-        for key in range(8, 16):
-            cache.lookup(key)
-        # first post-warmup window complete: now it is judged
-        assert cache.auto_disabled
-
-    def test_shard_engines_opt_out_of_the_grace(self):
-        from repro.engine.core import ExplorationEngine
-        from repro.engine.parallel import _ShardEngine
-        assert ExplorationEngine.cache_grace_warmup is True
-        assert _ShardEngine.cache_grace_warmup is False
 
 
 # -- digest neutrality + API validation ---------------------------------------

@@ -112,39 +112,19 @@ class TestBatchResultRoundTrip:
 
 
 class TestCacheHitRateRegression:
-    """``cache_hit_rate`` must be 0.0, never a ZeroDivisionError, when a
-    run answers zero cache queries (e.g. a depth-0 run that never expands
-    a state)."""
+    """The engine memoizes no expansions, yet results still answer
+    ``cache_hits``/``cache_misses`` with zero (external benchmark tracers
+    derive a hit rate from them) while serializing no cache fields."""
 
     def test_zero_lookup_run(self, alice_system):
         properties = select_relevant(alice_system, build_properties())
         result = ExplorationEngine(
-            alice_system, properties,
-            EngineOptions(max_events=0, successor_cache=False)).run()
+            alice_system, properties, EngineOptions(max_events=0)).run()
         assert result.cache_hits == 0 and result.cache_misses == 0
-        assert result.cache_hit_rate == 0.0
+        assert not [key for key in result.to_dict() if "cache" in key]
         result.summary()  # the formatted report must not raise either
 
     def test_fresh_result_object(self):
-        assert ExplorationResult().cache_hit_rate == 0.0
-
-    def test_empty_batch(self):
-        batch = BatchResult()
-        assert batch.cache_hits == 0
-        assert batch.cache_hit_rate == 0.0
-
-    def test_batch_of_zero_lookup_jobs(self):
-        batch = BatchResult()
-        batch.add("a", ExplorationResult())
-        batch.add("b", ExplorationResult())
-        assert batch.cache_hit_rate == 0.0
-
-    def test_batch_aggregates_hits(self):
-        batch = BatchResult()
-        first, second = ExplorationResult(), ExplorationResult()
-        first.cache_hits, first.cache_misses = 3, 1
-        second.cache_hits, second.cache_misses = 1, 3
-        batch.add("a", first)
-        batch.add("b", second)
-        assert batch.cache_hits == 4 and batch.cache_misses == 4
-        assert batch.cache_hit_rate == 0.5
+        result = ExplorationResult()
+        assert result.cache_hits == 0 and result.cache_misses == 0
+        assert "cache" not in result.summary()

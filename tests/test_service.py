@@ -455,6 +455,16 @@ class TestHTTPAPI:
                 service_client.submit(payload)
             assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("option", ["successor_cache", "cache_limit",
+                                        "cache_min_hit_rate", "cache_warmup"])
+    def test_retired_cache_options_are_rejected(self, service_client,
+                                                option):
+        with pytest.raises(ServiceError) as excinfo:
+            service_client.submit({"group": self.GROUP,
+                                   "options": {option: 1}})
+        assert excinfo.value.status == 400
+        assert "unknown engine option(s): %s" % option in str(excinfo.value)
+
     def test_unknown_routes_are_404(self, service_client):
         for path in ("/jobs/job-9999", "/results/%s" % ("f" * 64),
                      "/nope"):

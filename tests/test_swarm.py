@@ -256,8 +256,8 @@ _DEPTH5_SCRIPT = textwrap.dedent("""
     from repro.engine.batch import VerificationJob, execute_job_inline
     result = execute_job_inline(VerificationJob(
         "group1", GROUP_BUILDERS["group1-entry-and-mode"](),
-        EngineOptions(max_events=5, max_states=2_000_000, visited="spill",
-                      successor_cache=False, spill_dir=sys.argv[1]),
+        EngineOptions(max_events=5, max_states=2_000_000,
+                      visited=sys.argv[2], spill_dir=sys.argv[1]),
         strict=False))
     assert not result.truncated, result.truncated_reason
     print(result.states_explored,
@@ -266,18 +266,22 @@ _DEPTH5_SCRIPT = textwrap.dedent("""
 
 
 class TestDiskBackedDepthFive:
-    def test_depth5_group1_fits_a_hard_address_space_cap(self, tmp_path):
-        """Depth 5 on group1 needs multiple GiB of RSS with the default
-        in-RAM stores; the spill store (plus no successor cache) must
-        finish the same exhaustive search inside a 1 GiB RLIMIT_AS.
-        A subprocess, because ru_maxrss is process-lifetime max and
-        RLIMIT_AS must not constrain the rest of the suite."""
+    @pytest.mark.parametrize("visited", ["spill", "fingerprint"])
+    def test_depth5_group1_fits_a_hard_address_space_cap(self, tmp_path,
+                                                         visited):
+        """The exhaustive depth-5 search of group1 (~127k states) must
+        finish inside a 1 GiB RLIMIT_AS both on the disk-backed spill
+        store and on the default in-RAM fingerprint store: the search
+        keeps only the visited store and the frontier, never a memo of
+        expanded states.  A subprocess, because ru_maxrss is
+        process-lifetime max and RLIMIT_AS must not constrain the rest
+        of the suite."""
         _load_or_skip(load_all_apps)
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", _DEPTH5_SCRIPT, str(tmp_path)],
+            [sys.executable, "-c", _DEPTH5_SCRIPT, str(tmp_path), visited],
             capture_output=True, text=True, env=env, timeout=600)
         assert proc.returncode == 0, proc.stderr
         states, maxrss_kib = (int(field) for field in proc.stdout.split())

@@ -359,7 +359,7 @@ class TestReportRenderer:
         stream = io.StringIO()
         meter = ProgressMeter(label="job-1", stream=stream, refresh=0.0)
         meter.update({"states": 1500, "transitions": 4000, "elapsed": 2.0,
-                      "frontier": 12, "depth": 3, "cache_hit_rate": 0.5},
+                      "frontier": 12, "depth": 3},
                      force=True)
         meter.close()
         text = stream.getvalue()
@@ -375,13 +375,6 @@ class TestReportRenderer:
 
 
 class TestSummarySatellites:
-    def test_summary_prints_cache_watchdog_reason(self):
-        result = ExplorationResult()
-        result.cache_disable_reason = ("hit rate 1.2% below 5.0% after "
-                                       "4096 lookups")
-        assert "cache watchdog: hit rate 1.2%" in result.summary()
-        assert "cache watchdog" not in ExplorationResult().summary()
-
     def test_batch_summary_aggregate_throughput(self):
         batch = BatchResult()
         for name, states in (("a", 600), ("b", 400)):
