@@ -38,13 +38,15 @@ class SafetyMonitor:
     the monitor partitions and evaluates from scratch (the exact path).
     """
 
-    __slots__ = ("system", "violations", "_compiled", "_by_kind",
+    __slots__ = ("system", "violations", "_keys", "_compiled", "_by_kind",
                  "_invariants", "_commands", "_dropped", "_notified",
                  "_actors")
 
     def __init__(self, system, properties, compiled=None):
         self.system = system
         self.violations = []
+        # dedup keys of ``violations`` (a cascade reports each once)
+        self._keys = set()
         self._compiled = compiled
         if compiled is not None:
             self._by_kind = compiled.by_kind
@@ -204,5 +206,7 @@ class SafetyMonitor:
 
     def _report(self, prop, message, apps=()):
         violation = Violation(prop, message, apps=apps)
-        if violation.dedup_key() not in {v.dedup_key() for v in self.violations}:
+        key = violation.dedup_key()
+        if key not in self._keys:
+            self._keys.add(key)
             self.violations.append(violation)

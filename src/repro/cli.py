@@ -357,8 +357,6 @@ def _submit_payload(args):
             "visited": args.visited,
             "strategy": args.strategy,
             "max_states": args.max_states,
-            "compiled": not args.no_compile,
-            "slab_size": args.slab_size,
             "reduction": args.reduction,
             "scenario": args.scenario,
             "partition": args.partition,
@@ -371,8 +369,9 @@ def _submit_payload(args):
         # sending them on exhaustive submissions would be noise
         payload["options"]["seed"] = args.seed
         payload["options"]["swarm_members"] = args.swarm_members
-    if args.engine:
-        payload["options"]["engine"] = args.engine
+    engine = _engine_choice(args)
+    if engine:
+        payload["options"]["engine"] = engine
     if args.shard_workers:
         payload["options"]["workers"] = args.shard_workers
     if args.config in GROUP_BUILDERS:
@@ -530,20 +529,17 @@ def _add_engine_arguments(parser):
     parser.add_argument("--engine", choices=list(ENGINE_MODES), default=None,
                         help="execution tier for the transition relation: "
                              "interpreted (tree-walking oracle), compiled "
-                             "(closure compiler; the default) or codegen "
-                             "(per-app generated Python modules with slab "
-                             "evaluation - the fastest tier).  Verdicts and "
-                             "traces are identical across tiers")
+                             "(closure compiler) or codegen (per-app "
+                             "generated Python modules - the fastest tier; "
+                             "the default).  Verdicts and traces are "
+                             "identical across tiers")
     parser.add_argument("--codegen-cache", default=None, metavar="DIR",
                         help="directory for digest-keyed generated modules "
                              "(default: $REPRO_CODEGEN_CACHE or "
                              "~/.cache/repro/codegen)")
-    parser.add_argument("--slab-size", type=int, default=64,
-                        help="frontier nodes drained per batch by the "
-                             "codegen tier (1 = node-at-a-time)")
     parser.add_argument("--no-compile", action="store_true",
                         help="run handlers through the tree interpreter "
-                             "instead of the closure compiler (the "
+                             "instead of generated code (the "
                              "differential-testing oracle; alias for "
                              "--engine interpreted)")
     parser.add_argument("--reduction", action="store_true",
@@ -577,6 +573,11 @@ def _add_engine_arguments(parser):
                         help="property ids or categories to verify")
 
 
+def _engine_choice(args):
+    """The requested execution tier (None: the EngineOptions default)."""
+    return args.engine or ("interpreted" if args.no_compile else None)
+
+
 def _engine_options(args):
     """Build :class:`EngineOptions` from the shared CLI arguments.
 
@@ -586,14 +587,11 @@ def _engine_options(args):
     """
     shard_workers = (getattr(args, "shard_workers", None)
                      or getattr(args, "engine_workers", None) or 1)
-    engine = args.engine or ("interpreted" if args.no_compile
-                             else "compiled")
     return EngineOptions(max_events=args.max_events, mode=args.mode,
                          visited=args.visited, strategy=args.strategy,
                          max_states=args.max_states,
-                         engine=engine,
+                         engine=_engine_choice(args),
                          codegen_cache=args.codegen_cache,
-                         slab_size=args.slab_size,
                          reduction=args.reduction,
                          scenario=args.scenario,
                          workers=shard_workers,

@@ -251,93 +251,69 @@ class ExplorationEngine:
             snapshot_gap = telemetry.config.snapshot_gap(check_interval)
             next_snapshot = snapshot_gap
 
-        # the codegen tier drains the frontier slab-at-a-time: a batch
-        # of nodes is popped together and evaluated event-class-major through the lean relation.  Per-node
-        # transition lists are identical to the node-at-a-time path;
-        # only the node *expansion* order changes, which the engine's
-        # order-invariant recording already absorbs (it is the same
-        # freedom a frontier strategy or a sharded run exercises).
-        slab_size = 1
-        if self._plan is not None and options.mode != CONCURRENT:
-            slab_size = max(1, options.slab_size)
-
         while frontier:
             if self._limits_hit(result, started):
                 break
-            nodes = [frontier.pop()]
-            while len(nodes) < slab_size and frontier:
-                nodes.append(frontier.pop())
-            if slab_size > 1:
-                expansions = self._slab_expansions(nodes, reducer, result)
-            else:
-                expansions = (self._search_transitions_from(
-                    nodes[0], self._sleep_filter(nodes[0], reducer, result)),)
-            aborted = False
-            for node, transitions in zip(nodes, expansions):
-                # event keys already expanded from this node, in order
-                # (the sleep sets of later siblings absorb the
-                # independent ones)
-                expanded_keys = [] if reducer is not None else None
-                for transition in transitions:
-                    label, new_state, consumed, violations, steps = transition
-                    result.transitions += 1
-                    depth = node.depth + (1 if consumed else 0)
-                    child_sleep = None
-                    if reducer is not None:
-                        child_sleep = self._child_sleep(node, reducer, label,
-                                                        expanded_keys)
-                    # nodes exist for path reconstruction; duplicates that
-                    # neither violate nor get expanded never need one
-                    child = None
-                    if violations:
-                        child = _Node(new_state, depth, parent=node,
-                                      label=label, steps=steps,
-                                      sleep=child_sleep)
-                        self._record(result, child, violations)
-                        if options.stop_on_first:
-                            return self._finish(result, visited, started)
-                    if depth <= options.max_events:
-                        if matcher is None:
-                            # states_explored counts *distinct* states (an
-                            # order-independent metric: depth-improved
-                            # revisits re-expand but do not re-count), so a
-                            # sharded run sums to the single-worker number
-                            fresh = not visited.seen_state(new_state, depth)
-                            if fresh and count_distinct is not None:
-                                now = count_distinct()
-                                is_new = now > last_distinct
-                                last_distinct = now
-                            else:
-                                is_new = fresh
+            node = frontier.pop()
+            # event keys already expanded from this node, in order (the
+            # sleep sets of later siblings absorb the independent ones)
+            expanded_keys = [] if reducer is not None else None
+            for transition in self._search_transitions_from(
+                    node, self._sleep_filter(node, reducer, result)):
+                label, new_state, consumed, violations, steps = transition
+                result.transitions += 1
+                depth = node.depth + (1 if consumed else 0)
+                child_sleep = None
+                if reducer is not None:
+                    child_sleep = self._child_sleep(node, reducer, label,
+                                                    expanded_keys)
+                # nodes exist for path reconstruction; duplicates that
+                # neither violate nor get expanded never need one
+                child = None
+                if violations:
+                    child = _Node(new_state, depth, parent=node, label=label,
+                                  steps=steps, sleep=child_sleep)
+                    self._record(result, child, violations)
+                    if options.stop_on_first:
+                        return self._finish(result, visited, started)
+                if depth <= options.max_events:
+                    if matcher is None:
+                        # states_explored counts *distinct* states (an
+                        # order-independent metric: depth-improved
+                        # revisits re-expand but do not re-count), so a
+                        # sharded run sums to the single-worker number
+                        fresh = not visited.seen_state(new_state, depth)
+                        if fresh and count_distinct is not None:
+                            now = count_distinct()
+                            is_new = now > last_distinct
+                            last_distinct = now
                         else:
-                            pruned, child_sleep, is_new = matcher.seen_state(
-                                new_state, depth, child_sleep)
-                            fresh = not pruned
-                        if fresh:
-                            if is_new:
-                                result.states_explored += 1
-                            if depth < options.max_events or new_state.pending:
-                                if child is None:
-                                    child = _Node(new_state, depth,
-                                                  parent=node, label=label,
-                                                  steps=steps)
-                                child.sleep = child_sleep
-                                frontier.push(child)
-                    if self._cheap_limits_hit(result):
-                        aborted = True
-                        break
-                    if result.transitions >= next_time_check:
-                        next_time_check = result.transitions + check_interval
-                        if (telemetry is not None
-                                and result.transitions >= next_snapshot):
-                            next_snapshot = result.transitions + snapshot_gap
-                            telemetry.snapshot(self._progress_fields(
-                                result, frontier, visited, node.depth, time.monotonic() - started))
-                        if self._time_limit_hit(result, started):
-                            aborted = True
-                            break
-                if aborted:
-                    break
+                            is_new = fresh
+                    else:
+                        pruned, child_sleep, is_new = matcher.seen_state(
+                            new_state, depth, child_sleep)
+                        fresh = not pruned
+                    if fresh:
+                        if is_new:
+                            result.states_explored += 1
+                        if depth < options.max_events or new_state.pending:
+                            if child is None:
+                                child = _Node(new_state, depth, parent=node,
+                                              label=label, steps=steps)
+                            child.sleep = child_sleep
+                            frontier.push(child)
+                if self._cheap_limits_hit(result):
+                    return self._finish(result, visited, started)
+                if result.transitions >= next_time_check:
+                    next_time_check = result.transitions + check_interval
+                    if (telemetry is not None
+                            and result.transitions >= next_snapshot):
+                        next_snapshot = result.transitions + snapshot_gap
+                        telemetry.snapshot(self._progress_fields(
+                            result, frontier, visited, node.depth,
+                            time.monotonic() - started))
+                    if self._time_limit_hit(result, started):
+                        return self._finish(result, visited, started)
 
         return self._finish(result, visited, started)
 
@@ -390,30 +366,6 @@ class ExplorationEngine:
             return True
         return event_filter
 
-    def _slab_expansions(self, nodes, reducer, result):
-        """Transition lists for a whole frontier slab (codegen tier).
-
-        Each node's list is exactly what the node-at-a-time path would
-        produce; only the evaluation is batched (event-class-major)
-        through the plan's lean relation.
-        """
-        max_events = self.options.max_events
-        out = [()] * len(nodes)
-        jobs = []
-        slots = []
-        for index, node in enumerate(nodes):
-            if node.depth >= max_events:
-                continue
-            jobs.append((node.state,
-                         self._sleep_filter(node, reducer, result), None))
-            slots.append(index)
-        if not jobs:
-            return out
-        evaluated = self._plan.evaluate_slab(jobs, self._monitor_factory)
-        for index, transitions in zip(slots, evaluated):
-            out[index] = transitions
-        return out
-
     def _search_transitions_from(self, node, event_filter=None):
         """The relation the search loop expands: the codegen plan's
         lean (skeleton-trace) relation when active, the traced relation
@@ -464,6 +416,8 @@ class ExplorationEngine:
             self._rehydrate_lean_traces(result)
         if self.canonicalize_traces:
             self._canonicalize_traces(result)
+        if self._plan is not None:
+            self._plan.release()
         self._phase_times["canonicalize"] = (time.monotonic()
                                              - finalize_started)
         result.elapsed = time.monotonic() - started
@@ -651,12 +605,18 @@ def replay_path(engine, labels):
     successful replay regenerates the exact cascade steps - this is how
     the trace canonicalization and the sharded parent rebuild rendered
     counterexamples without trusting any recorded path.
+
+    A transition's label is its external event's label plus an optional
+    failure-scenario suffix, so only the externals whose label starts
+    the wanted one run their cascades; the exact label comparison still
+    decides the match.
     """
     node = _Node(engine.system.initial_state(), 0)
     violations = []
     for label in labels:
         matched = None
-        for transition in engine._transitions_from(node):
+        for transition in engine._transitions_from(
+                node, lambda ext: label.startswith(ext.label())):
             if transition[0] == label:
                 matched = transition
                 break

@@ -101,31 +101,26 @@ class EngineOptions:
         Which execution tier evaluates the transition relation:
         ``interpreted`` walks the handler IR through the tree
         interpreter (the differential oracle, ``--no-compile``),
-        ``compiled`` (the default) runs the closure compiler
-        (:mod:`repro.model.compiler`), and ``codegen`` generates one
-        real Python module per app from the lowered IR
+        ``compiled`` runs the closure compiler
+        (:mod:`repro.model.compiler`), and ``codegen`` (the default)
+        generates one real Python module per app from the lowered IR
         (:mod:`repro.model.codegen`), ``compile()``/``exec``'s it, and
-        additionally evaluates successors through a traceless lean
-        cascade with pooled executors and slab-drained frontier
-        batches.  A pure performance knob: all three tiers produce
-        byte-identical verdicts, violation sets and canonical traces
-        (proven corpus-wide by the differential suites), so the choice
-        is excluded from the vetting service's semantic digests.
+        expands each search node through a traceless lean cascade with
+        pooled executors.  A pure performance knob: all three tiers
+        produce byte-identical verdicts, violation sets and canonical
+        traces (proven corpus-wide by the differential suites), so the
+        choice is excluded from the vetting service's semantic digests.
     ``compiled``
         Legacy boolean view of ``engine`` kept for callers predating
         the three-tier split: reading it asks "anything faster than the
-        interpreter?"; assigning ``True``/``False`` selects
+        interpreter?"; passing or assigning ``True``/``False`` selects
         ``compiled``/``interpreted``.
     ``codegen_cache``
         Directory for generated per-app modules, keyed by the system's
         semantic digest (``None``: ``$REPRO_CODEGEN_CACHE`` or
-        ``~/.cache/repro/codegen``).  Sharded workers regenerate their
-        executors from this cache by digest instead of pickling
-        closures.
-    ``slab_size``
-        How many frontier nodes the codegen tier drains per batch
-        through the lean transition relation (evaluated slab-at-a-time,
-        event-class-major).  ``1`` restores strict node-at-a-time order.
+        ``~/.cache/repro/codegen``).  Runs at the default ``engine``
+        write there.  Sharded workers regenerate their executors from
+        this cache by digest instead of pickling closures.
     ``reduction``
         Enable the sleep-set partial-order reduction over the static
         event-independence relation: of the interleavings of commuting
@@ -214,8 +209,7 @@ class EngineOptions:
                  bitstate_bits=23, max_states=200000, max_transitions=None,
                  time_limit=None, stop_on_first=False, strategy="dfs",
                  priority=None, compiled=None, engine=None,
-                 codegen_cache=None, slab_size=64, reduction=False,
-                 check_interval=256,
+                 codegen_cache=None, reduction=False, check_interval=256,
                  manage_gc=True, workers=1, partition="locality",
                  scenario="clean", telemetry=None, seed=0, swarm_members=4,
                  bitstate_salt=0, spill_dir=None):
@@ -240,14 +234,13 @@ class EngineOptions:
         self.strategy = strategy
         self.priority = priority
         if engine is None:
-            engine = "compiled" if (compiled is None or compiled) \
-                else "interpreted"
+            engine = ("codegen" if compiled is None
+                      else "compiled" if compiled else "interpreted")
         if engine not in ENGINE_MODES:
             raise ValueError("unknown engine %r (known: %s)"
                              % (engine, ", ".join(ENGINE_MODES)))
         self.engine = engine
         self.codegen_cache = codegen_cache
-        self.slab_size = slab_size
         self.reduction = reduction
         self.check_interval = check_interval
         self.manage_gc = manage_gc

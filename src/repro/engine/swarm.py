@@ -205,8 +205,8 @@ def _member_options(options, member):
 
     Members run the classic sequential in-process search (``mode``,
     ``workers`` and ``telemetry`` are driver concerns), without the
-    sleep-set reduction or slab draining - both reorder or prune
-    expansions in ways that would fight the deliberate shuffling - and,
+    sleep-set reduction - it prunes expansions in ways that would fight
+    the deliberate shuffling - and,
     when a bitstate store was requested, with a per-member salt derived
     from ``(seed, member)`` so every member misses a *different* set of
     colliding states.  The state/transition/time budgets apply per
@@ -217,7 +217,6 @@ def _member_options(options, member):
     member_options.workers = 1
     member_options.telemetry = None
     member_options.reduction = False
-    member_options.slab_size = 1
     if options.visited in ("bitstate", "bitstate-k"):
         member_options.visited = "bitstate-k"
         member_options.bitstate_salt = (

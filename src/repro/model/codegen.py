@@ -46,6 +46,7 @@ import hashlib
 import io
 import os
 import tempfile
+import threading
 
 from repro.checker.violations import TraceStep
 from repro.groovy import ast
@@ -65,7 +66,7 @@ from repro.model.compiler import (
     CompiledMethod,
     CompiledProgram,
 )
-from repro.model.events import APP, DEVICE, LOCATION, Event, ExternalEvent
+from repro.model.events import APP, DEVICE, LOCATION, Event
 from repro.model.handles import DeviceHandle, EventHandle
 from repro.model.interpreter import (
     DEFAULT_OP_BUDGET,
@@ -80,7 +81,6 @@ from repro.model.interpreter import (
     get_property_value,
     index_value,
 )
-from repro.model.schema import ABSENT
 from repro.translator.builtins import is_groovy_truthy, to_groovy_string
 
 __all__ = [
@@ -846,6 +846,14 @@ def _exec_module(source, path, app_name):
     return GeneratedProgram(namespace["METHODS"], app_name, source_path=path)
 
 
+#: most programs the in-process memo of :func:`load_program` keeps,
+#: oldest evicted first: repeat runs of one system reuse them, while a
+#: process that checks system after system (a batch sweep, the vetting
+#: service) stays bounded
+MEMO_LIMIT = 64
+_MEMO_LOCK = threading.Lock()
+
+
 def load_program(app_instance, digest, cache_dir=None, _memory_cache={}):
     """The generated program for one app under one system digest.
 
@@ -878,10 +886,12 @@ def load_program(app_instance, digest, cache_dir=None, _memory_cache={}):
                     path = None  # cache dir unwritable: stay in-memory
         program = _exec_module(source, path, app_instance.name)
     except Exception:
-        _memory_cache[key] = False
-        return None
-    _memory_cache[key] = program
-    return program
+        program = False
+    with _MEMO_LOCK:
+        _memory_cache[key] = program
+        if len(_memory_cache) > MEMO_LIMIT:
+            del _memory_cache[next(iter(_memory_cache))]
+    return program or None
 
 
 # ----------------------------------------------------------------------
@@ -1126,9 +1136,10 @@ class CodegenPlan:
 
     Installed by the engine when ``options.engine == "codegen"``: the
     plan's :meth:`executor_factory` hooks :meth:`Cascade._executor` (so
-    traced replays run generated code too), and :meth:`transitions` /
-    :meth:`evaluate_slab` replace :meth:`IoTSystem.transitions` on the
-    search path with traceless lean cascades over pooled executors.
+    traced replays run generated code too), and :meth:`transitions`
+    replaces :meth:`IoTSystem.transitions` on the search path with
+    traceless lean cascades over pooled executors.  :meth:`release`
+    ends a run.
     """
 
     def __init__(self, system, cache_dir=None, digest=None):
@@ -1139,7 +1150,7 @@ class CodegenPlan:
         self.generated = 0
         self.fallbacks = []
         self._pool = {}
-        pool_ctx = _PoolContext(system)
+        self._pool_ctx = _PoolContext(system)
         for app in system.apps:
             program = load_program(app, self.digest, cache_dir=cache_dir)
             self.programs[app.name] = program
@@ -1147,29 +1158,27 @@ class CodegenPlan:
                 self.fallbacks.append(app.name)
             else:
                 self.generated += 1
-                self._pool[app.name] = GeneratedExecutor(app, pool_ctx,
+                self._pool[app.name] = GeneratedExecutor(app, self._pool_ctx,
                                                          program)
-        # schema slots for the sensor event classes, resolved once at
-        # plan build (generation) time.  Subscriptions are static per
-        # system, so each concrete (device, attribute, value) event also
-        # resolves *here* whether any handler would run: subscriber-less
-        # events take a cascade-free fast path in :meth:`evaluate_slab`
-        # (the dominant case on sensor-rich systems - most sensor
-        # readings interest no installed app).
-        schema = system.state_schema()
-        self._sensor_table = []
-        for device, attribute, events in system._sensor_events():
-            resolved = []
-            for value, ext in events:
-                subscribed = any(
-                    value_filter is None or str(value) == str(value_filter)
-                    for _app, _handler, value_filter in system.subscribers_for(
-                        Event(DEVICE, device=device, attribute=attribute,
-                              value=value)))
-                resolved.append((value, ext, ext.label(), subscribed))
-            self._sensor_table.append(
-                (device, attribute, schema.slot_index(device, attribute),
-                 resolved))
+        # Subscriptions are static per system, so whether any handler
+        # would run for a concrete (device, attribute, value) sensor
+        # event is decided here, once.  Those no installed app hears
+        # take a cascade-free path in :meth:`transitions` (the dominant
+        # case on sensor-rich systems); it replicates exactly one lean
+        # cascade shape - single NO_FAILURE scenario, one sensor update,
+        # nothing dispatched - so failure enumeration or a faulted
+        # profile sends every event through the full cascade
+        self._quiet = set()
+        if not system.enable_failures and system.scenario_profile.is_clean:
+            for device, attribute, events in system._sensor_events():
+                for value, ext in events:
+                    event = Event(DEVICE, device=device, attribute=attribute,
+                                  value=value)
+                    if not any(value_filter is None
+                               or str(value) == str(value_filter)
+                               for _app, _handler, value_filter
+                               in system.subscribers_for(event)):
+                        self._quiet.add(ext)
 
     # -- executors -----------------------------------------------------
 
@@ -1194,107 +1203,51 @@ class CodegenPlan:
                 return CompiledExecutor(app_instance, ctx, program)
         return Interpreter(app_instance, ctx)
 
+    def release(self):
+        """End of run: uninstall the traced-cascade hook and re-point
+        every pooled executor at the construction context.
+
+        The hook is a bound method of this plan, and a pooled executor
+        keeps the last lean cascade it ran under, which points back at
+        the plan: left alone, both cycles keep the whole system alive
+        until a full collection."""
+        self.system.executor_factory = None
+        for pooled in self._pool.values():
+            pooled.rebind(self._pool_ctx)
+
     # -- the lean relation ---------------------------------------------
 
     def transitions(self, state, monitor_factory, event_filter=None):
         """Traceless mirror of :meth:`IoTSystem.transitions` (labels,
-        successor states, violations identical; ``steps`` empty)."""
+        successor states, violations identical; ``steps`` a skeleton)."""
         out = []
-        system = self.system
-        for ext in system.external_choices(state):
+        quiet = self._quiet
+        probe = None
+        for ext in self.system.external_choices(state):
             if event_filter is not None and not event_filter(ext):
                 continue
-            self._run_event(out, state, ext, monitor_factory)
+            if ext not in quiet:
+                self._run_event(out, state, ext, monitor_factory)
+                continue
+            # cascade-free: time quantum, the sensor write, the event
+            # record, the final invariant check - byte-identical to a
+            # lean cascade with an empty dispatch.  Such a cascade
+            # reports exactly its invariant failures, so the (memoized)
+            # compiled-invariant probe decides whether a monitor is
+            # needed at all; when it is, the monitor re-checks through
+            # the ordinary path and yields the identical violation list
+            if probe is None:
+                probe = monitor_factory()._compiled.failed_invariants
+            new_state = state.copy()
+            new_state.cascade_commands = ()
+            new_state.time += TIME_QUANTUM_MS
+            new_state.set_attribute(ext.device, ext.attribute, ext.value)
+            new_state.record_event(ext.device, ext.attribute, ext.value)
+            violations = (monitor_factory().finish(new_state)
+                          if probe(new_state) else [])
+            new_state.seal()
+            out.append((ext.label(), new_state, True, violations, []))
         return out
-
-    def evaluate_slab(self, jobs, monitor_factory):
-        """Successor lists for a slab of states, event-class-major.
-
-        ``jobs`` is ``[(state, event_filter-or-None, packed-or-None),
-        ...]``; one pass per external event class covers the whole
-        slab, so per-class work (the shared event objects, the schema
-        slot, the value list) is touched once per slab instead of once
-        per state.  When a job carries the state's *packed* tuple (the
-        exact store's canonical key), sensor enabledness reads one slot
-        straight out of the device block through the schema indices
-        resolved at plan-build time; otherwise it falls back to the
-        state's attribute walk.  Each state's transition list comes out
-        in exactly the order :meth:`transitions` would produce, so a
-        slab of one is indistinguishable from the classic path.
-        """
-        system = self.system
-        results = [[] for _ in jobs]
-        # the fast path below replicates exactly one lean cascade shape:
-        # single NO_FAILURE scenario, one sensor update, no subscribed
-        # handler, nothing else on the queue - any failure enumeration
-        # or subscriber sends the event through the full cascade.  A
-        # handler-less cascade reports exactly its invariant failures,
-        # so the (memoized) compiled-invariant probe decides whether a
-        # monitor needs to be built at all; when it does, the monitor
-        # re-checks through the ordinary path and produces the
-        # identical violation list
-        fast_ok = (not system.enable_failures
-                   and system.scenario_profile.is_clean)
-        invariant_probe = getattr(monitor_factory(), "_compiled", None)
-        probe_failed = (invariant_probe.failed_invariants
-                        if invariant_probe is not None else None)
-        for device, attribute, slot, events in self._sensor_table:
-            for index, (state, filt, packed) in enumerate(jobs):
-                if packed is not None and slot is not None:
-                    block = packed[0][slot[0]]
-                    current = (block[0][slot[1]] if block is not ABSENT
-                               else ABSENT)
-                    if current is ABSENT:
-                        current = None
-                else:
-                    current = state.attribute(device, attribute)
-                out = results[index]
-                for value, ext, label, subscribed in events:
-                    if value == current:
-                        continue
-                    if filt is not None and not filt(ext):
-                        continue
-                    if fast_ok and not subscribed:
-                        # cascade-free: time quantum, the sensor write,
-                        # the event record, the final invariant check -
-                        # byte-identical to what a lean cascade with an
-                        # empty dispatch would produce
-                        new_state = state.copy()
-                        new_state.cascade_commands = ()
-                        new_state.time += TIME_QUANTUM_MS
-                        new_state.set_attribute(device, attribute, value)
-                        new_state.record_event(device, attribute, value)
-                        if probe_failed is not None:
-                            violations = (
-                                monitor_factory().finish(new_state)
-                                if probe_failed(new_state) else [])
-                        else:
-                            violations = monitor_factory().finish(new_state)
-                        new_state.seal()
-                        out.append((label, new_state, True, violations, []))
-                        continue
-                    self._run_event(out, state, ext, monitor_factory)
-        for ext in system._state_independent_choices():
-            for index, (state, filt, _packed) in enumerate(jobs):
-                if filt is not None and not filt(ext):
-                    continue
-                self._run_event(results[index], state, ext, monitor_factory)
-        for index, (state, filt, _packed) in enumerate(jobs):
-            for app_name, handler, _periodic in state.schedules:
-                ext = ExternalEvent("timer", app=app_name, handler=handler)
-                if filt is not None and not filt(ext):
-                    continue
-                self._run_event(results[index], state, ext, monitor_factory)
-            if system.user_mode_events:
-                for mode in system.modes:
-                    if mode == state.mode:
-                        continue
-                    ext = ExternalEvent("mode", value=mode)
-                    if filt is not None and not filt(ext):
-                        continue
-                    self._run_event(results[index], state, ext,
-                                    monitor_factory)
-        return results
 
     def _run_event(self, out, state, ext, monitor_factory):
         """One external event's cascades (all failure scenarios)."""

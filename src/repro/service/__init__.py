@@ -15,42 +15,46 @@ the exploration engine in a service layer:
   process-pool batch runner;
 * :mod:`repro.service.api` - the ``repro serve`` JSON API plus the
   urllib client the ``repro submit``/``results``/``gc`` CLI verbs use.
+
+The exports below load on first access (PEP 562): the engine imports
+:mod:`repro.service.digest` for every system digest, and that must not
+pull in the HTTP server, urllib, ssl and sqlite3 stacks the other
+submodules need.
 """
 
-from repro.service.api import (
-    DEFAULT_PORT,
-    ServiceClient,
-    ServiceError,
-    SubmissionError,
-    VettingHTTPServer,
-    VettingService,
-    create_server,
-)
-from repro.service.digest import (
-    DIGEST_SCHEMA_VERSION,
-    job_cache_key,
-    job_config_digest,
-    system_digest,
-)
-from repro.service.scheduler import ScheduledJob, Scheduler, estimate_cost
-from repro.service.store import STORE_SCHEMA_VERSION, ResultStore, StoredResult
+import importlib
 
-__all__ = [
-    "DEFAULT_PORT",
-    "DIGEST_SCHEMA_VERSION",
-    "STORE_SCHEMA_VERSION",
-    "ResultStore",
-    "StoredResult",
-    "ScheduledJob",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceError",
-    "SubmissionError",
-    "VettingHTTPServer",
-    "VettingService",
-    "create_server",
-    "estimate_cost",
-    "job_cache_key",
-    "job_config_digest",
-    "system_digest",
-]
+#: export name -> defining submodule
+_EXPORTS = {
+    "DEFAULT_PORT": "api",
+    "ServiceClient": "api",
+    "ServiceError": "api",
+    "SubmissionError": "api",
+    "VettingHTTPServer": "api",
+    "VettingService": "api",
+    "create_server": "api",
+    "DIGEST_SCHEMA_VERSION": "digest",
+    "job_cache_key": "digest",
+    "job_config_digest": "digest",
+    "system_digest": "digest",
+    "ScheduledJob": "scheduler",
+    "Scheduler": "scheduler",
+    "estimate_cost": "scheduler",
+    "STORE_SCHEMA_VERSION": "store",
+    "ResultStore": "store",
+    "StoredResult": "store",
+}
+
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import an export's submodule on first access (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("repro.service." + module), name)
+    globals()[name] = value
+    return value

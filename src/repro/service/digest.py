@@ -23,8 +23,8 @@ Canonicalization rules:
   (domains and defaults), so a catalog change invalidates old results;
 * only *semantic* engine options are part of the key
   (:data:`SEMANTIC_OPTION_FIELDS`); pure performance knobs (execution
-  tier, slab size, GC management, limit-check quantization) cannot change
-  verdicts or traces and therefore do not invalidate cached results.
+  tier, GC management, limit-check quantization) cannot change verdicts
+  or traces and therefore do not invalidate cached results.
 
 Bump :data:`DIGEST_SCHEMA_VERSION` whenever the canonical layout
 changes; the version is hashed into every digest, so old store entries

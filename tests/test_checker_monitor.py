@@ -142,3 +142,22 @@ class TestInvariantChecking:
         monitor.check_invariants(state)
         assert not any(v.property.id in ("P01", "P02", "P03")
                        for v in monitor.violations)
+
+
+class TestReportOrder:
+    def test_repeated_commands_report_each_violation_once(self, alice_system,
+                                                         monitor):
+        """Every distinct violation is reported once, in the order it was
+        first reported, however often the cascade repeats it."""
+        lock = effect_of(alice_system, "doorLock", "lock")
+        unlock = effect_of(alice_system, "doorLock", "unlock")
+        for app in ("A", "B", "A", "B"):
+            monitor.on_command("doorLock", "unlock", (), app, unlock)
+        monitor.on_command("doorLock", "lock", (), "C", lock)
+        repeated = "doorLock received repeated 'unlock' commands (from %s)"
+        conflicting = ("doorLock received conflicting commands 'unlock' and "
+                       "'lock' (from %s)")
+        assert [v.message for v in monitor.violations] == [
+            repeated % "A and B", repeated % "A and A",
+            repeated % "B and A", repeated % "B and B",
+            conflicting % "A and C", conflicting % "B and C"]

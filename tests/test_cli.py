@@ -107,9 +107,10 @@ class TestCheck:
 
     def test_engine_codegen_matches_default(self, tmp_path, capsys):
         """`--engine codegen` (with a private source cache) must render
-        the identical violation log as the default compiled engine."""
+        the identical violation log as the closure compiler."""
         code, out = run_cli("check", "group1-entry-and-mode",
-                            "--max-events", "2", "--trace", capsys=capsys)
+                            "--max-events", "2", "--trace",
+                            "--engine", "compiled", capsys=capsys)
         code2, out2 = run_cli("check", "group1-entry-and-mode",
                               "--max-events", "2", "--trace",
                               "--engine", "codegen",

@@ -19,6 +19,7 @@ from repro.config.schema import SystemConfiguration
 from repro.corpus import load_all_apps
 from repro.model.codegen import (
     CODEGEN_SCHEMA_VERSION,
+    MEMO_LIMIT,
     CodegenPlan,
     default_cache_dir,
     generate_source,
@@ -134,6 +135,18 @@ class TestCacheReuse:
             second = handle.read()
         assert first == second
         assert digest in first  # the header pins the generating digest
+
+    def test_memo_keeps_the_latest_programs_only(self, registry):
+        """A process that checks many systems must not keep every
+        program it ever loaded: the memo evicts its oldest entries."""
+        app = ModelGenerator(registry).build(_alice_config()).apps[0]
+        memo = {}
+        digests = ["%064x" % index for index in range(MEMO_LIMIT + 5)]
+        for digest in digests:
+            load_program(app, digest, cache_dir=False, _memory_cache=memo)
+        assert len(memo) == MEMO_LIMIT
+        assert (False, digests[-1], app.name) in memo
+        assert (False, digests[0], app.name) not in memo
 
     def test_disk_cache_disabled_still_generates(self, registry):
         system = ModelGenerator(registry).build(_alice_config())

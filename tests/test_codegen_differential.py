@@ -2,7 +2,8 @@
 
 The codegen tier (:mod:`repro.model.codegen`) is a pure performance
 knob: per-app Python source generation, pooled executors, a lean
-traceless cascade and slab-drained successor evaluation.  None of that
+traceless cascade and a cascade-free path for sensor events no app
+hears.  None of that
 may move a single observable - these suites prove verdicts, violation
 sets, per-counterexample event paths and rendered traces byte-identical
 to the interpreted oracle across the whole bundled corpus, every
@@ -10,9 +11,14 @@ visited store, the sleep-set reduction, failure enumeration and the
 sharded multi-process search.
 """
 
+import gc
+import json
+import weakref
+
 import pytest
 
 from repro.attribution.enumerator import ConfigurationEnumerator
+from repro.cli import main as cli_main
 from repro.config.schema import SystemConfiguration
 from repro.corpus import load_all_apps, load_discovery_apps
 from repro.corpus.groups import GROUP_BUILDERS
@@ -132,13 +138,7 @@ class TestPerAppDifferential:
             codegen, interpreted = _verify_both(
                 system, properties, codegen_cache,
                 max_events=2, max_states=300)
-            if codegen.truncated or interpreted.truncated:
-                # slab draining changes the DFS pop order, so a
-                # truncated space need not cut off at the same frontier;
-                # the verdict must still agree
-                assert (codegen.verdict == interpreted.verdict), name
-            else:
-                _assert_equivalent(codegen, interpreted, "app %r" % name)
+            _assert_equivalent(codegen, interpreted, "app %r" % name)
             checked += 1
         # the bundled corpus is 57 market + 9 malicious + 4 discovery
         # apps; virtually all of them must be installable in the zoo
@@ -181,7 +181,7 @@ class TestGroupDifferential:
 
     @pytest.mark.parametrize("visited", ["exact", "collapse"])
     def test_group1_every_exact_store(self, visited, codegen_cache):
-        """The slab path consults the visited store through the same
+        """The lean path consults the visited store through the same
         engine hooks; the exact stores must agree state-for-state."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
@@ -219,7 +219,7 @@ class TestGroupDifferential:
         assert codegen.commutes_pruned == interpreted.commutes_pruned
 
     def test_group1_with_failures_and_concurrent(self, codegen_cache):
-        """Failure enumeration disables the slab fast path and the
+        """Failure enumeration disables the quiet-sensor path and the
         concurrent design bypasses the lean relation entirely; both
         must stay back-end independent."""
         registry = _load_or_skip(load_all_apps)
@@ -237,23 +237,6 @@ class TestGroupDifferential:
             system, properties, codegen_cache, max_events=2,
             max_states=2000, mode="concurrent")
         _assert_equivalent(codegen, interpreted, "group1+concurrent")
-
-    def test_group1_slab_of_one_matches_default_slab(self, codegen_cache):
-        """slab_size=1 restores strict node-at-a-time draining; on an
-        exhaustive (untruncated) space both orders must converge on the
-        same states, transitions and canonical traces."""
-        registry = _load_or_skip(load_all_apps)
-        system = ModelGenerator(registry).build(
-            GROUP_BUILDERS["group1-entry-and-mode"]())
-        properties = select_relevant(system, build_properties())
-        results = []
-        for slab_size in (1, 64):
-            options = EngineOptions(engine="codegen", slab_size=slab_size,
-                                    codegen_cache=codegen_cache,
-                                    max_events=2, max_states=5000)
-            results.append(
-                ExplorationEngine(system, properties, options).run())
-        _assert_equivalent(results[0], results[1], "slab 1 vs 64")
 
 
 class TestShardedCodegen:
@@ -274,10 +257,64 @@ class TestShardedCodegen:
             workers=2)
         single = explore_sharded(
             VerificationJob("compiled-x1", config,
-                            options=EngineOptions(max_events=2)),
+                            options=EngineOptions(max_events=2,
+                                                  engine="compiled")),
             workers=1)
         assert sharded.states_explored == single.states_explored
         assert sharded.transitions == single.transitions
         assert (sorted(sharded.counterexamples)
                 == sorted(single.counterexamples))
         assert _trace_view(sharded) == _trace_view(single)
+
+
+#: result-JSON fields that measure the run rather than the answer
+_TIMING_FIELDS = ("elapsed", "profile", "visited_stats", "property_stats")
+
+
+def _without_timing(value):
+    if isinstance(value, dict):
+        return {key: _without_timing(item) for key, item in value.items()
+                if key not in _TIMING_FIELDS}
+    if isinstance(value, list):
+        return [_without_timing(item) for item in value]
+    return value
+
+
+class TestTierAgreement:
+    @pytest.mark.parametrize("group_name", sorted(GROUP_BUILDERS))
+    def test_check_json_identical_on_every_tier(self, group_name, capsys):
+        """`repro check --json` at its defaults prints the same answer,
+        counterexample order included, on the interpreted oracle, the
+        closure compiler and the default tier."""
+        outputs = []
+        for tier in (["--engine", "interpreted"], ["--engine", "compiled"],
+                     []):
+            cli_main(["check", group_name, "--json"] + tier)
+            outputs.append(json.dumps(_without_timing(
+                json.loads(capsys.readouterr().out))))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestRunLeavesNoCycle:
+    def test_system_dies_with_engine_and_result(self, codegen_cache):
+        """A codegen run must not leave the system in a reference cycle:
+        with the cyclic collector off, dropping the engine and the result
+        frees it (the pooled executors let go of their last cascade)."""
+        registry = _load_or_skip(load_all_apps)
+        system = ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]())
+        properties = select_relevant(system, build_properties())
+        engine = ExplorationEngine(
+            system, properties,
+            EngineOptions(max_events=2, codegen_cache=codegen_cache))
+        assert engine.options.engine == "codegen"
+        gc.collect()
+        gc.disable()
+        try:
+            result = engine.run()
+            assert result.counterexamples
+            system_ref = weakref.ref(system)
+            del engine, result, system
+            assert system_ref() is None
+        finally:
+            gc.enable()

@@ -138,10 +138,9 @@ class TestContentSensitivity:
             alice_system.digest(options=EngineOptions(visited="collapse"))
 
     def test_performance_knobs_do_not_change_digest(self, alice_system):
-        assert alice_system.digest(options=EngineOptions(slab_size=1)) == \
-            alice_system.digest(options=EngineOptions(slab_size=9999,
-                                                      manage_gc=False,
-                                                      check_interval=7))
+        assert alice_system.digest(options=EngineOptions(check_interval=1)) \
+            == alice_system.digest(options=EngineOptions(check_interval=7,
+                                                         manage_gc=False))
 
     def test_engine_tier_does_not_change_digest(self, alice_system):
         """All execution tiers are proven observationally identical, so
@@ -149,7 +148,7 @@ class TestContentSensitivity:
         stay valid across tiers."""
         digests = {
             alice_system.digest(options=EngineOptions(engine=engine,
-                                                      slab_size=8))
+                                                      check_interval=8))
             for engine in ("interpreted", "compiled", "codegen")}
         assert len(digests) == 1
         assert digests == {alice_system.digest(options=EngineOptions())}

@@ -1,6 +1,10 @@
 """The continuous vetting service: store, scheduler, HTTP API, CLI verbs."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
@@ -478,6 +482,36 @@ class TestHTTPAPI:
         answer = service_client.gc(keep=0)
         assert answer["removed"] >= 1
         assert answer["store"]["entries"] == 0
+
+
+_ENGINE_ONLY_SCRIPT = textwrap.dedent("""
+    import sys
+    from repro.corpus.groups import GROUP_BUILDERS
+    from repro.engine import EngineOptions, VerificationJob
+    from repro.engine.batch import execute_job
+
+    result = execute_job(VerificationJob(
+        "group2", GROUP_BUILDERS["group2-lighting"](),
+        EngineOptions(max_events=1, engine="codegen")))
+    assert result.states_explored > 1
+    print(" ".join(name for name in
+                   ("http.server", "urllib.request", "ssl", "sqlite3")
+                   if name in sys.modules))
+""")
+
+
+def test_engine_run_does_not_import_the_service_stacks():
+    """Every codegen plan digests its system through
+    :mod:`repro.service.digest`; importing that must not load the HTTP,
+    urllib, ssl and sqlite3 stacks the rest of the package needs.  A
+    subprocess, because this process has long imported all of them."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENGINE_ONLY_SCRIPT], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 # ---------------------------------------------------------------------------
