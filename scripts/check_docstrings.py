@@ -7,8 +7,8 @@ with the standard library's ``ast`` only, so the plain test environment
 
     python scripts/check_docstrings.py
 
-Scope (the ISSUE's list): ``repro/engine``, ``repro/service``,
-``repro/model/schema.py`` and ``repro/model/compiler.py``.  Required:
+Scope: ``repro/engine``, ``repro/service``, ``repro/model/schema.py``
+and ``repro/model/codegen.py``.  Required:
 
 * a module docstring per file;
 * a docstring on every *public* class and every public function/method
@@ -29,7 +29,7 @@ TARGETS = (
     "src/repro/engine",
     "src/repro/service",
     "src/repro/model/schema.py",
-    "src/repro/model/compiler.py",
+    "src/repro/model/codegen.py",
 )
 
 

@@ -369,9 +369,8 @@ def _submit_payload(args):
         # sending them on exhaustive submissions would be noise
         payload["options"]["seed"] = args.seed
         payload["options"]["swarm_members"] = args.swarm_members
-    engine = _engine_choice(args)
-    if engine:
-        payload["options"]["engine"] = engine
+    if args.engine:
+        payload["options"]["engine"] = args.engine
     if args.shard_workers:
         payload["options"]["workers"] = args.shard_workers
     if args.config in GROUP_BUILDERS:
@@ -528,20 +527,14 @@ def _add_engine_arguments(parser):
     parser.add_argument("--max-states", type=int, default=200000)
     parser.add_argument("--engine", choices=list(ENGINE_MODES), default=None,
                         help="execution tier for the transition relation: "
-                             "interpreted (tree-walking oracle), compiled "
-                             "(closure compiler) or codegen (per-app "
-                             "generated Python modules - the fastest tier; "
-                             "the default).  Verdicts and traces are "
-                             "identical across tiers")
+                             "interpreted (tree-walking oracle) or codegen "
+                             "(per-app generated Python modules - the "
+                             "fastest tier; the default).  Verdicts and "
+                             "traces are identical across tiers")
     parser.add_argument("--codegen-cache", default=None, metavar="DIR",
                         help="directory for digest-keyed generated modules "
                              "(default: $REPRO_CODEGEN_CACHE or "
                              "~/.cache/repro/codegen)")
-    parser.add_argument("--no-compile", action="store_true",
-                        help="run handlers through the tree interpreter "
-                             "instead of generated code (the "
-                             "differential-testing oracle; alias for "
-                             "--engine interpreted)")
     parser.add_argument("--reduction", action="store_true",
                         help="sleep-set partial-order reduction over the "
                              "static independence relation: prunes every "
@@ -573,11 +566,6 @@ def _add_engine_arguments(parser):
                         help="property ids or categories to verify")
 
 
-def _engine_choice(args):
-    """The requested execution tier (None: the EngineOptions default)."""
-    return args.engine or ("interpreted" if args.no_compile else None)
-
-
 def _engine_options(args):
     """Build :class:`EngineOptions` from the shared CLI arguments.
 
@@ -590,7 +578,7 @@ def _engine_options(args):
     return EngineOptions(max_events=args.max_events, mode=args.mode,
                          visited=args.visited, strategy=args.strategy,
                          max_states=args.max_states,
-                         engine=_engine_choice(args),
+                         engine=args.engine or "codegen",
                          codegen_cache=args.codegen_cache,
                          reduction=args.reduction,
                          scenario=args.scenario,

@@ -186,9 +186,8 @@ class ExplorationEngine:
         the per-run execution back-end choice to the system.
         """
         options = self.options
-        # the execution back-end is a per-run choice (--no-compile flips
-        # the same system back to the tree-interpreter oracle)
-        self.system.use_compiled = options.compiled
+        # the execution back-end is a per-run choice: without a codegen
+        # plan the same system runs on the tree-interpreter oracle
         self.system.executor_factory = None
         self._plan = None
         if options.engine == "codegen":

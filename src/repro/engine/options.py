@@ -10,7 +10,7 @@ SWARM = "swarm"
 EXPLORATION_MODES = (SEQUENTIAL, CONCURRENT, SWARM)
 
 #: execution tiers for the transition relation, slowest to fastest
-ENGINE_MODES = ("interpreted", "compiled", "codegen")
+ENGINE_MODES = ("interpreted", "codegen")
 
 
 # Store constructors import lazily: repro.checker re-exports the engine
@@ -95,26 +95,21 @@ class EngineOptions:
     exhaustive coverage with peak RSS bounded by its caches instead of
     the state count; see ``spill_dir``).
 
-    The compiled-transition-relation knobs:
+    The execution-tier knobs:
 
     ``engine``
         Which execution tier evaluates the transition relation:
         ``interpreted`` walks the handler IR through the tree
-        interpreter (the differential oracle, ``--no-compile``),
-        ``compiled`` runs the closure compiler
-        (:mod:`repro.model.compiler`), and ``codegen`` (the default)
-        generates one real Python module per app from the lowered IR
-        (:mod:`repro.model.codegen`), ``compile()``/``exec``'s it, and
-        expands each search node through a traceless lean cascade with
-        pooled executors.  A pure performance knob: all three tiers
-        produce byte-identical verdicts, violation sets and canonical
-        traces (proven corpus-wide by the differential suites), so the
-        choice is excluded from the vetting service's semantic digests.
-    ``compiled``
-        Legacy boolean view of ``engine`` kept for callers predating
-        the three-tier split: reading it asks "anything faster than the
-        interpreter?"; passing or assigning ``True``/``False`` selects
-        ``compiled``/``interpreted``.
+        interpreter (the differential oracle), and ``codegen`` (the
+        default) generates one real Python module per app from the
+        lowered IR (:mod:`repro.model.codegen`), ``compile()``/
+        ``exec``'s it, and expands each search node through a traceless
+        lean cascade with pooled executors; an app the emitter cannot
+        handle runs on the interpreter.  A pure performance knob: both
+        tiers produce byte-identical verdicts, violation sets and
+        canonical traces (proven on the corpus and on generated handler
+        programs by the differential suite), so the choice is excluded
+        from the vetting service's semantic digests.
     ``codegen_cache``
         Directory for generated per-app modules, keyed by the system's
         semantic digest (``None``: ``$REPRO_CODEGEN_CACHE`` or
@@ -208,7 +203,7 @@ class EngineOptions:
     def __init__(self, max_events=3, mode=SEQUENTIAL, visited="fingerprint",
                  bitstate_bits=23, max_states=200000, max_transitions=None,
                  time_limit=None, stop_on_first=False, strategy="dfs",
-                 priority=None, compiled=None, engine=None,
+                 priority=None, engine="codegen",
                  codegen_cache=None, reduction=False, check_interval=256,
                  manage_gc=True, workers=1, partition="locality",
                  scenario="clean", telemetry=None, seed=0, swarm_members=4,
@@ -233,9 +228,6 @@ class EngineOptions:
         self.stop_on_first = stop_on_first
         self.strategy = strategy
         self.priority = priority
-        if engine is None:
-            engine = ("codegen" if compiled is None
-                      else "compiled" if compiled else "interpreted")
         if engine not in ENGINE_MODES:
             raise ValueError("unknown engine %r (known: %s)"
                              % (engine, ", ".join(ENGINE_MODES)))
@@ -262,14 +254,6 @@ class EngineOptions:
         # the telemetry request is declarative data, never a live handle
         from repro.obs.telemetry import resolve_telemetry
         self.telemetry = resolve_telemetry(telemetry)
-
-    @property
-    def compiled(self):
-        return self.engine != "interpreted"
-
-    @compiled.setter
-    def compiled(self, value):
-        self.engine = "compiled" if value else "interpreted"
 
     def make_visited(self, system=None):
         """Build the selected visited store (some stores need the

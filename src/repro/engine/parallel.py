@@ -1148,7 +1148,7 @@ def _rebuild_counterexamples(job, merged, candidates):
 
     system, properties = build_job_context(job)
     engine = ExplorationEngine(system, properties, job.options)
-    engine.system.use_compiled = job.options.compiled
+    plan = None
     if job.options.engine == "codegen":
         # replay through the same generated executors the shards ran
         # (regenerated from the digest-keyed source cache, not pickled)
@@ -1157,21 +1157,27 @@ def _rebuild_counterexamples(job, merged, candidates):
         plan = CodegenPlan(engine.system,
                            cache_dir=job.options.codegen_cache)
         engine.system.executor_factory = plan.executor_factory
-    paths = {}
-    for candidate in candidates:
-        paths.setdefault(tuple(candidate.event_labels()), candidate)
-    for labels in sorted(paths, key=lambda L: (len(L), L)):
-        replayed = replay_path(engine, labels)
-        if replayed is None:
-            _fallback_record(merged, paths[labels])
-            continue
-        node, violations = replayed
-        engine._record(merged, node, violations)
-    # safety net: a replay must never *lose* a violation a shard proved
-    for candidate in candidates:
-        if candidate.violation.dedup_key() not in merged.counterexamples:
-            _fallback_record(merged, candidate)
-    engine._canonicalize_traces(merged)
+    try:
+        paths = {}
+        for candidate in candidates:
+            paths.setdefault(tuple(candidate.event_labels()), candidate)
+        for labels in sorted(paths, key=lambda L: (len(L), L)):
+            replayed = replay_path(engine, labels)
+            if replayed is None:
+                _fallback_record(merged, paths[labels])
+                continue
+            node, violations = replayed
+            engine._record(merged, node, violations)
+        # safety net: a replay must never *lose* a shard-proved violation
+        for candidate in candidates:
+            if candidate.violation.dedup_key() not in merged.counterexamples:
+                _fallback_record(merged, candidate)
+        engine._canonicalize_traces(merged)
+    finally:
+        if plan is not None:
+            # uninstall the hook and break the pooled-executor cycle,
+            # so the returned replay system dies by reference counting
+            plan.release()
     return system
 
 

@@ -235,7 +235,6 @@ def _oracle_engine(engine):
     oracle_options.reduction = False
     oracle = ExplorationEngine(engine.system, engine.properties,
                                oracle_options)
-    oracle.system.use_compiled = False
     oracle.system.executor_factory = None
     return oracle
 

@@ -14,7 +14,6 @@ app, an actuator may be either online or offline."
 """
 
 from repro.checker.violations import TraceStep
-from repro.model.compiler import CompiledExecutor
 from repro.model.events import (APP, DEVICE, FAKE, LOCATION, TIMER, Event,
                                 FailureScenario, NO_FAILURE)
 from repro.model.handles import DeviceHandle, EventHandle
@@ -37,13 +36,11 @@ class Cascade:
     """Executes one external event against a mutable model state."""
 
     def __init__(self, system, state, monitor, scenario=NO_FAILURE,
-                 defer_dispatch=False, use_compiled=None):
+                 defer_dispatch=False):
         self.system = system
         self.state = state
         self.monitor = monitor
         self.scenario = scenario
-        self.use_compiled = (getattr(system, "use_compiled", True)
-                             if use_compiled is None else use_compiled)
         self.steps = []
         #: when True (concurrent design) generated events are parked in
         #: ``state.pending`` instead of being dispatched run-to-completion
@@ -255,19 +252,14 @@ class Cascade:
 
     def _executor(self, app_instance):
         """The execution back-end for one handler run: the system's
-        installed executor factory (the codegen tier), else compiled
-        closures when the system allows it and the app compiled, else
-        the tree interpreter (``--no-compile`` path and per-app
+        installed executor factory (the codegen tier), else the tree
+        interpreter (``--engine interpreted`` and codegen's per-app
         fallback)."""
         factory = getattr(self.system, "executor_factory", None)
         if factory is not None:
             executor = factory(app_instance, self)
             if executor is not None:
                 return executor
-        if self.use_compiled:
-            program = app_instance.compiled_program()
-            if program is not None:
-                return CompiledExecutor(app_instance, self, program)
         return Interpreter(app_instance, self)
 
     def _step(self, kind, text, app=None, line=None):

@@ -1,35 +1,46 @@
 """Source-level code generation of the transition relation.
 
-The closure compiler (:mod:`repro.model.compiler`) removed AST dispatch
-but still interprets Python *objects* per event.  This module goes one
-tier further, in the spirit of SPIN generating a C ``pan`` verifier from
-the model: it emits one real Python **module** per app from the lowered
-handler IR - straight-line functions specialized against the concrete
+The tree interpreter (:mod:`repro.model.interpreter`) re-walks the
+lowered Groovy AST on every handler invocation.  In the spirit of SPIN
+generating a C ``pan`` verifier from the model, this module instead
+emits one real Python **module** per app from the lowered handler IR -
+straight-line functions specialized against the concrete
 :class:`~repro.model.system.IoTSystem` - then ``compile()``/``exec``'s
 the source so handlers execute as ordinary CPython bytecode.
 
 Three cooperating layers:
 
-* :class:`SourceEmitter` mirrors the closure compiler node-for-node and
-  emits deterministic Python source.  Control flow (``if``/``while``/
-  ``for``/``switch``/``try``) becomes native Python control flow; known
-  intra-app calls dispatch **statically** (the callee is resolved to its
-  generated function at generation time); scope chains, platform APIs
-  and Groovy operator semantics route through the same
-  :class:`~repro.model.interpreter.Interpreter` helpers both other tiers
-  use, keeping the interpreter a meaningful differential oracle.
-* :class:`GeneratedExecutor` subclasses :class:`CompiledExecutor`, so
-  entry points and semantic helpers are shared; it adds the small
-  ``_g_*`` runtime surface the generated code calls and - unlike the
-  per-handler-run construction of the other tiers - supports
-  :meth:`~GeneratedExecutor.rebind` pooling: the environment is built
-  once and re-armed per handler run with two dict copies.
+* :class:`SourceEmitter` mirrors the interpreter construct-for-construct
+  and emits deterministic Python source.  Control flow (``if``/
+  ``while``/``for``/``switch``/``try``) becomes native Python control
+  flow; known intra-app calls dispatch **statically** (the callee is
+  resolved to its generated function at generation time); scope chains,
+  platform APIs and Groovy operator semantics route through the same
+  :class:`~repro.model.interpreter.Interpreter` helpers the interpreter
+  uses, keeping it a meaningful differential oracle.
+* :class:`GeneratedExecutor` subclasses :class:`Interpreter`, so every
+  semantic helper is shared; it replaces the entry points that would
+  walk the AST, adds the small ``_g_*`` runtime surface the generated
+  code calls and - unlike the per-handler-run construction of the
+  interpreter - supports :meth:`~GeneratedExecutor.rebind` pooling: the
+  environment is built once and re-armed per handler run with two dict
+  copies.
 * :class:`CodegenPlan` owns a system's generated programs, the executor
   pool, the digest-keyed on-disk source cache, and the **lean**
   transition relation: a traceless :class:`Cascade` subclass that skips
   all ``TraceStep`` recording and label formatting during search
   (violating paths are replayed through the traced relation by the
-  engine, so reported traces are byte-identical to the other tiers).
+  engine, so reported traces are byte-identical to the interpreter's).
+
+Divergences from the interpreter, by design:
+
+* the operation budget ticks once per *statement* and per loop
+  iteration instead of per AST node, so generated code spends the
+  50k-op budget more slowly; runaway loops still trip it;
+* a construct the emitter cannot handle raises :class:`CodegenError`
+  at generation time and the whole app falls back to the tree
+  interpreter (ticking the budget per AST node again), whereas the
+  interpreter would fail only if the node were actually executed.
 
 Generated sources are cached under ``~/.cache/repro/codegen/<digest>/``
 (override with ``EngineOptions.codegen_cache`` or the
@@ -38,8 +49,9 @@ semantic digest: generation is pay-once-per-corpus, and sharded workers
 regenerate executors from the cache by digest instead of pickling
 closures.  Emission is deterministic - a fixed digest maps to
 byte-identical module text - so cached modules can be linted and
-diffed.  Apps whose IR defeats the emitter fall back to the closure
-compiler (or the interpreter) exactly like :meth:`Cascade._executor`.
+diffed.  Apps whose IR defeats the emitter are listed in
+:attr:`CodegenPlan.fallbacks` and run on the :class:`Interpreter`, in
+the lean relation and in :meth:`Cascade._executor` alike.
 """
 
 import hashlib
@@ -60,12 +72,6 @@ from repro.model.cascade import (
     _coerce_attribute_value,
     _freeze_arg,
 )
-from repro.model.compiler import (
-    CompiledClosure,
-    CompiledExecutor,
-    CompiledMethod,
-    CompiledProgram,
-)
 from repro.model.events import APP, DEVICE, LOCATION, Event
 from repro.model.handles import DeviceHandle, EventHandle
 from repro.model.interpreter import (
@@ -76,6 +82,7 @@ from repro.model.interpreter import (
     _Break,
     _Continue,
     _GroovyThrow,
+    _Return,
     assign_index_value,
     assign_property_value,
     get_property_value,
@@ -87,6 +94,7 @@ __all__ = [
     "CODEGEN_SCHEMA_VERSION",
     "CodegenError",
     "CodegenPlan",
+    "GenClosure",
     "GeneratedExecutor",
     "GeneratedProgram",
     "GenMethod",
@@ -98,12 +106,14 @@ __all__ = [
 
 #: bumped whenever emitted-source semantics change; part of the cache
 #: directory name so stale modules from an older emitter never load
-CODEGEN_SCHEMA_VERSION = 1
+#: (v2: closures build :class:`GenClosure`, not the retired
+#: ``CompiledClosure``)
+CODEGEN_SCHEMA_VERSION = 2
 
 
 class CodegenError(Exception):
     """Raised when an app's IR contains a construct we cannot emit
-    (callers fall back to the closure compiler / interpreter)."""
+    (callers fall back to the interpreter)."""
 
 
 class _Pos:
@@ -122,8 +132,7 @@ class _Pos:
 
 class GenParam:
     """A generated method/closure parameter (name only: default thunks
-    live in the method's ``defaults`` tuple, exactly like the closure
-    compiler's :class:`CompiledMethod`)."""
+    live in the method's ``defaults`` tuple)."""
 
     __slots__ = ("name",)
 
@@ -134,18 +143,46 @@ class GenParam:
         return "GenParam(%r)" % (self.name,)
 
 
-#: generated methods reuse the compiled-method record: ``(name, params,
-#: defaults, body)`` with ``body`` a module-level generated function
-GenMethod = CompiledMethod
+class GenMethod:
+    """One generated method: parameters, default thunks, body function.
+
+    ``defaults`` holds one ``fn(rt, scopes)`` per parameter (``None``
+    for parameters without a default) and ``body`` is the module-level
+    generated ``fn(rt, s0)``.
+    """
+
+    __slots__ = ("name", "params", "defaults", "body")
+
+    def __init__(self, name, params, defaults, body):
+        self.name = name
+        self.params = params
+        self.defaults = defaults
+        self.body = body
+
+    def __repr__(self):
+        return "GenMethod(%r)" % (self.name,)
 
 
-class GeneratedProgram(CompiledProgram):
+class GenClosure(ClosureValue):
+    """A closure literal whose body is a generated function.
+
+    Subclasses :class:`ClosureValue` so every ``isinstance`` check in the
+    shared interpreter machinery (``_invoke_on``, ``_handler_arg``, the
+    local-closure call path) treats it like an ordinary closure value;
+    ``body`` holds the generated ``fn(rt, scopes)`` instead of an AST
+    block.
+    """
+
+    __slots__ = ()
+
+
+class GeneratedProgram:
     """All generated methods of one app, plus cache provenance."""
 
-    __slots__ = ("app_name", "source_path")
+    __slots__ = ("methods", "app_name", "source_path")
 
     def __init__(self, methods, app_name, source_path=None):
-        super().__init__(methods)
+        self.methods = methods
         self.app_name = app_name
         self.source_path = source_path
 
@@ -193,17 +230,18 @@ class _Writer:
 class SourceEmitter:
     """Emits one deterministic Python module from an app's lowered IR.
 
-    Mirrors :class:`repro.model.compiler._Compiler` construct-for-
-    construct; every semantic decision below cites the closure compiler
-    behaviour it reproduces.  Statement emission returns ``True`` when
-    the emitted code definitely left the function (``return``/``raise``/
-    ``break``/``continue`` on every path we emit), which is how tail
-    blocks decide whether a trailing ``return None`` is needed.
+    Mirrors :class:`~repro.model.interpreter.Interpreter`
+    construct-for-construct; every semantic decision below cites the
+    interpreter behaviour it reproduces.  Statement emission returns
+    ``True`` when the emitted code definitely left the function
+    (``return``/``raise``/``break``/``continue`` on every path we
+    emit), which is how tail blocks decide whether a trailing
+    ``return None`` is needed.
     """
 
     def __init__(self, program):
         self.program = program
-        # later definitions win, exactly like ``compile_program``'s dict
+        # later definitions win, exactly like ``AppInstance.method``
         self.methods_by_name = {m.name: m for m in program.methods}
         self.functions = []       # finished function line-lists, in order
         self.positions = {}       # (line, col) -> "_P<n>"
@@ -237,6 +275,9 @@ class SourceEmitter:
     # -- module --------------------------------------------------------
 
     def emit_module(self, app_name, digest):
+        """The whole module text: header, runtime imports, position
+        constants, one function per method, default and closure, and
+        the ``METHODS`` table of :class:`GenMethod` records."""
         methods = self.program.methods
         for index, method in enumerate(methods):
             self._fn_name(method.name, index)  # pre-bind: static call targets
@@ -295,7 +336,7 @@ class SourceEmitter:
 
     def _emit_function(self, fn, block):
         """One ``def fn(rt, s0)`` whose body is the block in tail
-        position (mirrors ``_call_compiled``/``invoke_closure`` calling
+        position (mirrors ``_call_generated``/``invoke_closure`` calling
         ``body(self, [scope])`` and returning its value)."""
         w = _Writer()
         w.lines.append("def %s(rt, s0):" % fn)
@@ -466,7 +507,7 @@ class SourceEmitter:
             w.emit("break")
         else:
             # nearest handler is a switch arm (or the function boundary):
-            # raise, as both other tiers do
+            # raise, as the interpreter does
             self.used.add("_Break")
             w.emit("raise _Break()")
         return True
@@ -566,7 +607,7 @@ class SourceEmitter:
         return True
 
     def _stmt_MethodDef(self, w, stmt, sv, hctx, tail):
-        w.emit("pass")  # nested defs are ignored, as in both other tiers
+        w.emit("pass")  # nested defs are ignored, as interpreted
         return False
 
     # -- expressions ---------------------------------------------------
@@ -614,7 +655,7 @@ class SourceEmitter:
                                         self._expr(w, expr.hi, sv))
 
     def _expr_Property(self, w, expr, sv):
-        # null-tolerant whether safe or not, matching both other tiers
+        # null-tolerant whether safe or not, matching the interpreter
         self.used.add("get_property_value")
         tmp = self._tmp("o")
         return ("(get_property_value(%s, %r) if (%s := %s) is not None "
@@ -627,14 +668,14 @@ class SourceEmitter:
                                         self._expr(w, expr.index, sv))
 
     def _expr_Closure(self, w, expr, sv):
-        self.used.add("CompiledClosure")
+        self.used.add("GenClosure")
         fn = self._tmp("c")
         self._emit_function(fn, expr.body)
         params = ", ".join("GenParam(%r)" % p.name for p in expr.params)
         if params:
             self.used.add("GenParam")
             params += ","
-        return "CompiledClosure((%s), %s, list(%s))" % (params, fn, sv)
+        return "GenClosure((%s), %s, list(%s))" % (params, fn, sv)
 
     def _expr_Unary(self, w, expr, sv):
         op = expr.op
@@ -731,7 +772,7 @@ class SourceEmitter:
 
     def _call_pieces(self, w, expr, sv):
         """(args, named, closure) expression strings, evaluated in the
-        same order every tier uses: positional, then named, then the
+        same order both tiers use: positional, then named, then the
         trailing closure."""
         args = "[%s]" % ", ".join(self._expr(w, a, sv) for a in expr.args)
         named_entries = ", ".join(
@@ -753,7 +794,7 @@ class SourceEmitter:
     def _known_call(self, w, expr, sv):
         """An intra-app call whose callee is statically known: dispatch
         straight to the generated function when the shapes line up,
-        else through ``_g_call_known`` (the compiled-call rules)."""
+        else through ``_g_call_known`` (the generated-call rules)."""
         method = self.methods_by_name[expr.name]
         named_entries = [e for e in expr.named if isinstance(e.key, str)]
         simple = (not named_entries and expr.closure is None
@@ -782,7 +823,7 @@ class SourceEmitter:
             invoke = "rt._invoke_on(%s, %r, %s, %s, %s, %s)" % (
                 tmp, expr.name, args, named, closure, self._pos(expr))
         # the object evaluates first; None short-circuits before the
-        # arguments run, safe-call or not, matching both other tiers
+        # arguments run, safe-call or not, matching the interpreter
         return "(None if (%s := %s) is None else %s)" % (tmp, obj, invoke)
 
 
@@ -790,7 +831,7 @@ def generate_source(app_instance, digest=""):
     """Deterministic module text for one app's lowered IR.
 
     Raises :class:`CodegenError` when the IR defeats the emitter (the
-    caller falls back to the closure compiler for this app).
+    caller falls back to the interpreter for this app).
     """
     emitter = SourceEmitter(app_instance._ir)
     return emitter.emit_module(app_instance.name, digest)
@@ -909,15 +950,18 @@ class _PoolContext:
         self.system = system
 
 
-class GeneratedExecutor(CompiledExecutor):
+class GeneratedExecutor(Interpreter):
     """Runs one app's *generated* methods.
 
-    Entry points (``run_handler``/``call_method``/``invoke_closure``)
-    and every semantic helper are inherited from the compiled tier; the
-    ``_g_*`` methods below are the compact runtime surface the emitted
-    source calls for the operations that must stay dynamic.
+    Construction, environment building, lookup/assignment rules, the
+    platform-API surface and the built-in dispatch are all inherited
+    from :class:`Interpreter`; only the entry points that would walk the
+    AST (``run_handler``/``call_method``/``invoke_closure``) are
+    replaced by calls into the generated functions, and the ``_g_*``
+    methods below are the compact runtime surface the emitted source
+    calls for the operations that must stay dynamic.
 
-    Unlike the other tiers - which build a fresh executor (and
+    Unlike the interpreter - which builds a fresh executor (and
     environment) per handler run - a pooled instance is re-armed with
     :meth:`rebind`: the pristine environment is snapshotted once and a
     run costs two dict copies plus re-pointing the handles at the new
@@ -926,9 +970,56 @@ class GeneratedExecutor(CompiledExecutor):
 
     def __init__(self, app_instance, ctx, program,
                  op_budget=DEFAULT_OP_BUDGET):
-        super().__init__(app_instance, ctx, program, op_budget)
+        super().__init__(app_instance, ctx, op_budget)
+        self._program = program
         self._op_budget = op_budget
         self._pristine = None
+
+    # -- entry points --------------------------------------------------
+
+    def run_handler(self, handler_name, event_handle):
+        """Run one subscribed handler through its generated function
+        (missing handlers log a warning, exactly like the interpreter)."""
+        method = self._program.methods.get(handler_name)
+        if method is None:
+            self.ctx.log(self.app.name, "warn",
+                         "handler %s not found" % handler_name)
+            return None
+        args = []
+        if method.params:
+            args = [event_handle] + [None] * (len(method.params) - 1)
+        return self._call_generated(method, args)
+
+    def call_method(self, method, args, named=None):
+        """AST-level entry used by shared machinery (``_invoke_on``)."""
+        generated = self._program.methods.get(method.name)
+        if generated is None:
+            return super().call_method(method, args, named)
+        return self._call_generated(generated, args)
+
+    def _call_generated(self, method, args):
+        scope = {}
+        for index, param in enumerate(method.params):
+            if index < len(args):
+                scope[param.name] = args[index]
+            else:
+                default_t = method.defaults[index]
+                scope[param.name] = (default_t(self, [scope])
+                                     if default_t is not None else None)
+        try:
+            return method.body(self, [scope])
+        except _Return as ret:
+            return ret.value
+
+    def invoke_closure(self, closure, args):
+        """Call a closure value: AST closures go to the interpreter,
+        generated ones run their function with a fresh scope."""
+        if not isinstance(closure, GenClosure):
+            return super().invoke_closure(closure, args)
+        try:
+            return closure.body(self, self._closure_scopes(closure, args))
+        except _Return as ret:
+            return ret.value
 
     # -- pooling -------------------------------------------------------
 
@@ -977,7 +1068,7 @@ class GeneratedExecutor(CompiledExecutor):
             args = [named]
         if closure is not None:
             args.append(closure)
-        return self._call_compiled(method, args)
+        return self._call_generated(method, args)
 
     def _g_incr(self, scopes, name, value, delta):
         new = (self._to_number(value) or 0) + delta
@@ -1024,6 +1115,9 @@ class _LeanCascade(Cascade):
         self._plan = plan
 
     def run_external(self, ext):
+        """:meth:`Cascade.run_external`, run to completion, without the
+        external, failure and mode trace steps; returns the violations
+        found."""
         self.state.time += TIME_QUANTUM_MS
         if ext.kind == "sensor":
             if self.scenario.drops_report(ext.device):
@@ -1060,6 +1154,7 @@ class _LeanCascade(Cascade):
         return self.monitor.finish(self.state)
 
     def sensor_state_update(self, device_name, attribute, value):
+        """:meth:`Cascade.sensor_state_update` without its trace step."""
         if self.state.attribute(device_name, attribute) == value:
             return
         self.state.set_attribute(device_name, attribute, value)
@@ -1068,6 +1163,8 @@ class _LeanCascade(Cascade):
                             value=value))
 
     def actuator_command(self, device_name, command, args, app_name):
+        """:meth:`Cascade.actuator_command` keeping only the skeleton
+        ``command`` step that violation attribution reads."""
         instance = self.system.devices.get(device_name)
         effect = instance.command(command) if instance is not None else None
         payload = tuple(_freeze_arg(a) for a in args)
@@ -1098,6 +1195,9 @@ class _LeanCascade(Cascade):
                             attribute=effect.attribute, value=value))
 
     def dispatch_event(self, event):
+        """:meth:`Cascade.dispatch_event` without the notify and
+        budget-exhausted trace steps, running handlers on executors
+        from the plan."""
         self._dispatched += 1
         if self._dispatched > MAX_INTERNAL_EVENTS:
             return
@@ -1184,7 +1284,9 @@ class CodegenPlan:
 
     def executor_factory(self, app_instance, ctx):
         """:attr:`IoTSystem.executor_factory` hook for traced cascades
-        (fresh executor per handler run, like the other tiers)."""
+        (fresh executor per handler run, like the interpreter; ``None``
+        for a fallback app, which :meth:`Cascade._executor` then runs
+        on the :class:`Interpreter`)."""
         program = self.programs.get(app_instance.name)
         if program is None:
             return None
@@ -1192,15 +1294,12 @@ class CodegenPlan:
 
     def acquire(self, app_instance, ctx):
         """A run-ready executor for one lean handler run: pooled and
-        rebound when the app generated, per-run fallback otherwise."""
+        rebound when the app generated, else a per-run
+        :class:`Interpreter` (the app is on :attr:`fallbacks`)."""
         pooled = self._pool.get(app_instance.name)
         if pooled is not None:
             pooled.rebind(ctx)
             return pooled
-        if self.system.use_compiled:
-            program = app_instance.compiled_program()
-            if program is not None:
-                return CompiledExecutor(app_instance, ctx, program)
         return Interpreter(app_instance, ctx)
 
     def release(self):

@@ -77,7 +77,7 @@ DEFAULT_OP_BUDGET = 50000
 # shared value semantics
 #
 # Pure value-level operations used identically by the tree interpreter and
-# by the closure compiler (:mod:`repro.model.compiler`).  Keeping them as
+# by generated handler code (:mod:`repro.model.codegen`).  Keeping them as
 # module functions means both execution back-ends share one definition of
 # the semantics, which is what makes differential testing meaningful.
 # ---------------------------------------------------------------------------
@@ -208,6 +208,15 @@ class Interpreter:
 
     def invoke_closure(self, closure, args):
         """Invoke a closure value (used by built-ins like ``each``)."""
+        try:
+            return self.exec_block(closure.body,
+                                   self._closure_scopes(closure, args))
+        except _Return as ret:
+            return ret.value
+
+    def _closure_scopes(self, closure, args):
+        """The scope chain one closure call runs in: the captured scopes
+        plus a fresh scope binding ``it`` or the declared parameters."""
         scope = {}
         params = closure.params
         if not params:
@@ -220,11 +229,7 @@ class Interpreter:
                     args = [entry.name, entry.value]
             for index, param in enumerate(params):
                 scope[param.name] = args[index] if index < len(args) else None
-        scopes = list(closure.scopes) + [scope]
-        try:
-            return self.exec_block(closure.body, scopes)
-        except _Return as ret:
-            return ret.value
+        return list(closure.scopes) + [scope]
 
     # ------------------------------------------------------------------
     # environment

@@ -15,10 +15,6 @@ from repro.model.state import ModelState
 from repro.translator.lowering import lower_program
 
 
-#: "compilation not yet attempted" marker for AppInstance._compiled
-_UNCOMPILED = object()
-
-
 class AppInstance:
     """One installed app: parsed definition + lowered IR + input bindings."""
 
@@ -29,26 +25,10 @@ class AppInstance:
         self._ir = lower_program(smart_app.program)
         self._methods = {m.name: m for m in self._ir.methods}
         self._input_decls = {i.name: i for i in smart_app.inputs}
-        self._compiled = _UNCOMPILED
         self._binding_plan = None
 
     def method(self, name):
         return self._methods.get(name)
-
-    def compiled_program(self):
-        """The app's handlers compiled to closures (once per instance).
-
-        Returns ``None`` when compilation failed; callers fall back to the
-        tree interpreter for this app (the failure is memoized, so the
-        compile is attempted at most once).
-        """
-        if self._compiled is _UNCOMPILED:
-            from repro.model.compiler import CompileError, compile_program
-            try:
-                self._compiled = compile_program(self._ir)
-            except CompileError:
-                self._compiled = None
-        return self._compiled
 
     def binding_names(self):
         return list(self.bindings.keys())
@@ -137,17 +117,12 @@ class IoTSystem:
 
     def __init__(self, devices, apps, contacts=(), modes=("Home", "Away", "Night"),
                  initial_mode="Home", association=None, http_allowed=(),
-                 enable_failures=False, user_mode_events=False,
-                 use_compiled=True):
+                 enable_failures=False, user_mode_events=False):
         #: name -> DeviceInstance
         self.devices = dict(devices)
-        #: execute handlers through the closure compiler (the tree
-        #: interpreter remains available as the ``--no-compile`` fallback
-        #: and differential-testing oracle)
-        self.use_compiled = use_compiled
         #: optional ``(app_instance, ctx) -> executor-or-None`` hook; the
         #: codegen tier installs one so cascades run generated modules
-        #: (``None`` from the hook falls back to the tiers below)
+        #: (without it, or on ``None``, handlers run on the interpreter)
         self.executor_factory = None
         #: installed apps in install order
         self.apps = list(apps)

@@ -53,7 +53,7 @@ from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 _ALLOWED_OPTIONS = (
     "max_events", "mode", "visited", "bitstate_bits", "bitstate_salt",
     "max_states", "max_transitions", "time_limit", "stop_on_first",
-    "strategy", "compiled", "engine", "reduction", "workers", "partition",
+    "strategy", "engine", "reduction", "workers", "partition",
     "scenario", "seed", "swarm_members",
 )
 # deliberately NOT accepted: ``telemetry`` (a live-handle/filesystem

@@ -143,13 +143,13 @@ class TestContentSensitivity:
                                                          manage_gc=False))
 
     def test_engine_tier_does_not_change_digest(self, alice_system):
-        """All execution tiers are proven observationally identical, so
+        """Both execution tiers are proven observationally identical, so
         the engine choice is a pure performance knob: stored verdicts
         stay valid across tiers."""
         digests = {
             alice_system.digest(options=EngineOptions(engine=engine,
                                                       check_interval=8))
-            for engine in ("interpreted", "compiled", "codegen")}
+            for engine in ("interpreted", "codegen")}
         assert len(digests) == 1
         assert digests == {alice_system.digest(options=EngineOptions())}
 

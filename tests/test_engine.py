@@ -209,20 +209,14 @@ class TestExactStoreIsExact:
         assert runs[0].transitions == runs[1].transitions
 
 
-class TestCompiledOption:
-    def test_no_compile_flag_switches_backend(self, alice_system):
-        compiled = verify(alice_system, build_properties(), max_events=2)
+class TestEngineOption:
+    def test_interpreted_engine_matches_default(self, alice_system):
+        default = verify(alice_system, build_properties(), max_events=2)
         interpreted = verify(alice_system, build_properties(), max_events=2,
-                             compiled=False)
-        assert compiled.states_explored == interpreted.states_explored
-        assert (sorted(compiled.counterexamples)
+                             engine="interpreted")
+        assert default.states_explored == interpreted.states_explored
+        assert (sorted(default.counterexamples)
                 == sorted(interpreted.counterexamples))
-
-    def test_engine_toggles_system_backend(self, alice_system):
-        verify(alice_system, build_properties(), max_events=1, compiled=False)
-        assert alice_system.use_compiled is False
-        verify(alice_system, build_properties(), max_events=1)
-        assert alice_system.use_compiled is True
 
 
 class TestReplayPath:

@@ -460,7 +460,8 @@ class TestHTTPAPI:
             assert excinfo.value.status == 400
 
     @pytest.mark.parametrize("option", ["successor_cache", "cache_limit",
-                                        "cache_min_hit_rate", "cache_warmup"])
+                                        "cache_min_hit_rate", "cache_warmup",
+                                        "compiled"])
     def test_retired_cache_options_are_rejected(self, service_client,
                                                 option):
         with pytest.raises(ServiceError) as excinfo:
@@ -468,6 +469,13 @@ class TestHTTPAPI:
                                    "options": {option: 1}})
         assert excinfo.value.status == 400
         assert "unknown engine option(s): %s" % option in str(excinfo.value)
+
+    def test_retired_compiled_tier_is_rejected(self, service_client):
+        with pytest.raises(ServiceError) as excinfo:
+            service_client.submit({"group": self.GROUP,
+                                   "options": {"engine": "compiled"}})
+        assert excinfo.value.status == 400
+        assert "bad 'engine' option 'compiled'" in str(excinfo.value)
 
     def test_unknown_routes_are_404(self, service_client):
         for path in ("/jobs/job-9999", "/results/%s" % ("f" * 64),
