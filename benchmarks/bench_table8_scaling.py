@@ -431,131 +431,6 @@ def test_table8_telemetry_overhead(generator, benchmark, tmp_path):
         % (overhead * 100.0, off.states_per_second, on.states_per_second))
 
 
-#: the PR 5 fingerprint-scatter sharded run at depth 4: full-pickle
-#: handoffs for 138,018 states.  The locality acceptance bar is an
-#: order of magnitude under this committed figure
-PR5_BASELINE_HANDOFFS = 364596
-
-#: the same committed run's wire cost per state, measured by replaying
-#: the depth-4 workload through the PR 5 sharded engine with its
-#: ``_flush_peer`` instrumented: batch-pickling the old
-#: ``(state, depth, sleep, full TraceStep path)`` units cost
-#: 195,155,296 bytes for 138,018 states (~572 bytes per handoff).  The
-#: delta-wire acceptance bar is >= 5x under this per-state figure
-PR5_BASELINE_WIRE_BYTES_PER_STATE = 1414.0
-
-
-def test_table8_sharded_workers(benchmark):
-    """The swarm axis: one deep run sharded across worker processes.
-
-    State ownership is partitioned per ``--partition``: ``fingerprint``
-    scatters states evenly but ships most edges across shards;
-    ``locality`` (the default) owns states by a stable projection of
-    the packed slot grid, keeping successor chains shard-local.  Both
-    rows are recorded in ``BENCH_table8.json`` (``workers.partitioners``
-    section) with their handoff counts and wire bytes.  Verdicts and
-    the distinct-state count must match the single-worker run exactly;
-    the handoff reductions are asserted on any machine, the >= 1.5x
-    speedup only where real cores exist - single-core CI records the
-    numbers without judging them.
-    """
-    from repro.engine.batch import execute_job_inline
-    from repro.engine.parallel import explore_sharded
-
-    config = five_app_config()
-    depth = 4
-    cores = os.cpu_count() or 1
-
-    def job(workers, partition):
-        return VerificationJob(
-            "sharded", config, EngineOptions(max_events=depth,
-                                             max_states=3000000,
-                                             workers=workers,
-                                             partition=partition))
-
-    single = execute_job_inline(job(1, "locality"))
-    sharded = {"fingerprint": explore_sharded(job(2, "fingerprint")),
-               "locality": benchmark.pedantic(
-                   explore_sharded, args=(job(2, "locality"),),
-                   iterations=1, rounds=1)}
-
-    def wire(result):
-        handoffs = sum(s["handoffs_sent"] for s in result.shard_stats)
-        return (handoffs,
-                sum(s["handoff_bytes"] for s in result.shard_stats),
-                sum(s["steals"] for s in result.shard_stats),
-                sum(s["stolen_states"] for s in result.shard_stats))
-
-    rows = [("1 worker", single.states_explored, "-", "-",
-             "%.2fs" % single.elapsed,
-             "%.0f" % single.states_per_second)]
-    partitioners = {}
-    for partition, result in sharded.items():
-        handoffs, handoff_bytes, steals, stolen = wire(result)
-        rows.append(("2 workers (%s)" % partition, result.states_explored,
-                     handoffs, "%.1f KiB" % (handoff_bytes / 1024.0),
-                     "%.2fs" % result.elapsed,
-                     "%.0f" % result.states_per_second))
-        partitioners[partition] = {
-            "states": result.states_explored,
-            "seconds": round(result.elapsed, 4),
-            "states_per_second": round(result.states_per_second, 1),
-            "speedup": round(single.elapsed / result.elapsed, 3)
-            if result.elapsed else 0.0,
-            "handoffs": handoffs,
-            "handoffs_per_state": round(
-                handoffs / result.states_explored, 4)
-            if result.states_explored else 0.0,
-            "handoff_bytes": handoff_bytes,
-            "handoff_bytes_per_state": round(
-                handoff_bytes / result.states_explored, 1)
-            if result.states_explored else 0.0,
-            "steals": steals,
-            "stolen_states": stolen,
-        }
-    print_table("Sharded swarm exploration at %d events (%d cores)"
-                % (depth, cores),
-                ["run", "states", "handoffs", "wire", "wall clock",
-                 "states/sec"], rows)
-    update_bench_artifact("table8", "workers", {
-        "events": depth,
-        "cores": cores,
-        "single": {
-            "states": single.states_explored,
-            "seconds": round(single.elapsed, 4),
-            "states_per_second": round(single.states_per_second, 1),
-        },
-        "partitioners": partitioners,
-    })
-
-    for partition, result in sharded.items():
-        # ownership partitioning preserves coverage and verdicts exactly
-        assert result.states_explored == single.states_explored, partition
-        assert (result.violated_property_ids
-                == single.violated_property_ids), partition
-        assert result.workers == 2 and len(result.shard_stats) == 2
-    # the tentpole acceptance bar, independent of core count: >= 10x
-    # fewer handoffs than the committed PR 5 scatter, and >= 5x fewer
-    # wire bytes per state than the same run's full-pickle format
-    locality = partitioners["locality"]
-    assert locality["handoffs"] * 10 <= PR5_BASELINE_HANDOFFS
-    assert locality["handoff_bytes_per_state"] * 5 \
-        <= PR5_BASELINE_WIRE_BYTES_PER_STATE
-    # the delta wire also pays off without any locality: the scatter
-    # partitioner ships (N-1)/N of all edges and still comes in under
-    # the old per-state wire cost by the same margin
-    assert partitioners["fingerprint"]["handoff_bytes_per_state"] * 5 \
-        <= PR5_BASELINE_WIRE_BYTES_PER_STATE
-    if cores >= 2:
-        # with real cores the acceptance bar is >= 1.5x at depth 4
-        assert sharded["locality"].elapsed < single.elapsed / 1.5
-    else:
-        # a single core can only demonstrate bounded sharding overhead
-        # (two processes time-slicing one core plus handoff encoding;
-        # the bound only catches pathological blowups)
-        assert sharded["locality"].elapsed < single.elapsed * 4.0
-
-
 def test_table8_swarm_tier(generator, benchmark):
     """The beyond-exhaustive axis: swarm sampling and the spill store.
 

@@ -2,16 +2,12 @@
 
 Compares a fresh ``BENCH_table8.json`` against the committed baseline and
 emits GitHub Actions ``::warning`` annotations for every mode whose
-states/sec dropped more than the threshold, plus advisory annotations
-(never affecting the exit status) when a sharded row's handoffs/state
-grew more than the same threshold - a locality loss in the partitioner
-or the export dedup.  Exit status 1 signals "at
+states/sec dropped more than the threshold.  Exit status 1 signals "at
 least one regression" so the workflow step can surface it while staying
 ``continue-on-error`` (absolute numbers shift with runner hardware, so
 this is a reviewer signal, never a gate).
 
-The artifact's field-by-field meaning (including the ``workers``
-section this script reads for the sharded-run rows) is documented in
+The artifact's field-by-field meaning is documented in
 ``docs/schemas.md``; keep the two in sync when adding axes.
 
 Usage: ``python benchmarks/check_perf_regression.py BASELINE FRESH``
@@ -41,57 +37,8 @@ def _modes(document):
     for name, stats in document.get("swarm", {}).items():
         if isinstance(stats, dict):
             modes["swarm.%s" % name] = stats.get("states_per_second")
-    for name, stats in document.get("workers", {}).items():
-        if name == "partitioners" and isinstance(stats, dict):
-            for partition, nested in stats.items():
-                if isinstance(nested, dict):
-                    modes["workers.partitioners.%s" % partition] = \
-                        nested.get("states_per_second")
-        elif isinstance(stats, dict):
-            modes["workers.%s" % name] = stats.get("states_per_second")
     return {name: value for name, value in modes.items()
             if isinstance(value, (int, float)) and value > 0}
-
-
-def _handoff_rates(document):
-    """Flatten the sharded rows into ``name -> handoffs per state``."""
-    rates = {}
-    workers = document.get("workers", {})
-    rows = dict(workers.get("partitioners", {}))
-    if "sharded_2" in workers:  # pre-partitioner artifact layout
-        rows["sharded_2"] = workers["sharded_2"]
-    for name, stats in rows.items():
-        if not isinstance(stats, dict):
-            continue
-        rate = stats.get("handoffs_per_state")
-        if rate is None and stats.get("states"):
-            handoffs = stats.get("handoffs")
-            if isinstance(handoffs, (int, float)):
-                rate = handoffs / stats["states"]
-        if isinstance(rate, (int, float)) and rate > 0:
-            rates["workers.partitioners.%s" % name
-                  if name != "sharded_2" else "workers.sharded_2"] = rate
-    return rates
-
-
-def compare_handoffs(baseline, fresh, threshold=THRESHOLD):
-    """Handoff-locality regression rows: (mode, baseline, fresh rate).
-
-    Purely advisory (never affects the exit status): handoffs/state is
-    hardware-independent, so a >20% growth is a real locality loss in
-    the partitioner or the export dedup - but new workloads legitimately
-    shift the ratio, so a human decides.
-    """
-    baseline_rates = _handoff_rates(baseline)
-    fresh_rates = _handoff_rates(fresh)
-    regressions = []
-    for name, base_value in sorted(baseline_rates.items()):
-        fresh_value = fresh_rates.get(name)
-        if fresh_value is None:
-            continue
-        if fresh_value > base_value * (1.0 + threshold):
-            regressions.append((name, base_value, fresh_value))
-    return regressions
 
 
 def compare(baseline, fresh, threshold=THRESHOLD):
@@ -126,13 +73,6 @@ def main(argv):
         print("::warning title=Table-8 perf regression::%s dropped %.0f%% "
               "(%.0f -> %.0f states/sec vs committed BENCH_table8.json)"
               % (name, drop, base_value, fresh_value))
-    # advisory only: handoff locality is hardware-independent, so it is
-    # worth flagging, but it never flips the exit status
-    for name, base_value, fresh_value in compare_handoffs(baseline, fresh):
-        growth = (fresh_value / base_value - 1.0) * 100.0
-        print("::warning title=Table-8 handoff regression::%s grew %.0f%% "
-              "(%.2f -> %.2f handoffs/state vs committed "
-              "BENCH_table8.json)" % (name, growth, base_value, fresh_value))
     if not regressions:
         print("no states/sec regression beyond %d%% on any mode"
               % (THRESHOLD * 100))

@@ -12,8 +12,8 @@ Commands mirror the IotSan pipeline:
 * ``batch`` - verify several configurations in parallel across a process
   pool (``verify_many``); ``--json`` emits the machine-readable schema;
 * ``properties`` - list the 45-property catalog;
-* ``report`` - render a run timeline (phases, throughput sparkline,
-  per-shard table) from a ``--telemetry-out`` JSONL sink;
+* ``report`` - render a run timeline (phases, throughput sparkline)
+  from a ``--telemetry-out`` JSONL sink;
 * ``serve`` - run the continuous vetting service (content-addressed
   result store + incremental scheduler behind a JSON API);
 * ``submit`` / ``results`` / ``gc`` - talk to a running service: submit
@@ -30,7 +30,6 @@ from repro import build_system
 from repro.checker.trace import render_violation_log
 from repro.config.schema import SystemConfiguration
 from repro.engine.options import ENGINE_MODES
-from repro.engine.partition import partitioner_names
 from repro.model.faults import scenario_names
 from repro.engine import (
     EngineOptions,
@@ -129,34 +128,15 @@ def cmd_check(args):
         from repro.obs import resolve_telemetry
         options.telemetry = resolve_telemetry(
             {"path": args.telemetry_out, "progress": args.progress})
-    system = None
-    # swarm mode always runs inline: the driver launches its own member
-    # searches, so shard workers would only multiply processes
-    if options.workers and options.workers > 1 and options.mode != "swarm":
-        # the sharded engine's workers rebuild the system from the
-        # declarative job description, exactly like `repro batch` -
-        # building one in the parent too would double the startup cost
-        from repro.engine import explore_sharded
-        from repro.engine.batch import REGISTRY_CORPUS, REGISTRY_CORPUS_IFTTT
-
-        job = VerificationJob(
-            args.config, config, options,
-            properties=args.properties or None,
-            select=not args.all_properties,
-            registry=REGISTRY_CORPUS_IFTTT if args.ifttt else REGISTRY_CORPUS,
-            strict=False, enable_failures=args.failures)
-        result = explore_sharded(job, keep_replay_system=True)
-    else:
-        phase_started = time.monotonic()
-        system = build_system(config,
-                              registry=_load_registry(
-                                  include_ifttt=args.ifttt),
-                              enable_failures=args.failures)
-        properties = build_properties(args.properties or None)
-        if not args.all_properties:
-            properties = select_relevant(system, properties)
-        phase_times["build"] = time.monotonic() - phase_started
-        result = ExplorationEngine(system, properties, options).run()
+    phase_started = time.monotonic()
+    system = build_system(config,
+                          registry=_load_registry(include_ifttt=args.ifttt),
+                          enable_failures=args.failures)
+    properties = build_properties(args.properties or None)
+    if not args.all_properties:
+        properties = select_relevant(system, properties)
+    phase_times["build"] = time.monotonic() - phase_started
+    result = ExplorationEngine(system, properties, options).run()
     # result.profile carries the engine-side phases (codegen, explore,
     # canonicalize); the CLI prepends its own parse/build phases
     phase_times.update(result.profile)
@@ -172,26 +152,7 @@ def cmd_check(args):
                                     key=lambda kv: -kv[1]):
             print("  %-14s %8.3fs  %5.1f%%"
                   % (name, seconds, 100.0 * seconds / total))
-        if result.shard_stats:
-            print("shard breakdown (partition=%s):" % options.partition)
-            for entry in result.shard_stats:
-                print("  shard %d: %d states, %d transitions, "
-                      "handoffs %d out / %d in (%.1f KiB), "
-                      "steals %d (%d states leased in)"
-                      % (entry["worker"], entry["states_explored"],
-                         entry["transitions"], entry["handoffs_sent"],
-                         entry["handoffs_received"],
-                         entry.get("handoff_bytes", 0) / 1024.0,
-                         entry.get("steals", 0),
-                         entry.get("stolen_states", 0)))
     if args.trace and result.counterexamples:
-        if system is None:
-            # sharded path: prefer the system the canonical trace
-            # replay already built; build one only as a last resort
-            system = getattr(result, "replay_system", None) or build_system(
-                config,
-                registry=_load_registry(include_ifttt=args.ifttt),
-                enable_failures=args.failures)
         for counterexample in result.counterexamples.values():
             print()
             print(render_violation_log(system, counterexample))
@@ -329,7 +290,6 @@ def cmd_serve(args):
     store = ResultStore(args.store)
     server, service = create_server(store=store, host=args.host,
                                     port=args.port, workers=args.workers,
-                                    shard_workers=args.shard_workers,
                                     job_timeout=args.job_timeout,
                                     verbose=args.verbose)
     host, port = server.server_address[:2]
@@ -359,7 +319,6 @@ def _submit_payload(args):
             "max_states": args.max_states,
             "reduction": args.reduction,
             "scenario": args.scenario,
-            "partition": args.partition,
         },
         "failures": args.failures,
         "priority": args.priority,
@@ -371,8 +330,6 @@ def _submit_payload(args):
         payload["options"]["swarm_members"] = args.swarm_members
     if args.engine:
         payload["options"]["engine"] = args.engine
-    if args.shard_workers:
-        payload["options"]["workers"] = args.shard_workers
     if args.config in GROUP_BUILDERS:
         payload["group"] = args.config
     else:
@@ -553,28 +510,12 @@ def _add_engine_arguments(parser):
                              "reporting and acting per cascade) or "
                              "stale-reads (app reads see the pre-event "
                              "value).  See docs/scenarios.md")
-    parser.add_argument("--partition", choices=list(partitioner_names()),
-                        default="locality",
-                        help="shard-ownership strategy for sharded runs "
-                             "(workers > 1): locality (stable projection "
-                             "of the packed slot grid - order-of-magnitude "
-                             "fewer cross-shard handoffs; the default) or "
-                             "fingerprint (fingerprint %% N - perfectly "
-                             "balanced, zero locality).  Verdicts and "
-                             "traces are identical either way")
     parser.add_argument("--properties", nargs="*",
                         help="property ids or categories to verify")
 
 
 def _engine_options(args):
-    """Build :class:`EngineOptions` from the shared CLI arguments.
-
-    ``check`` exposes shard workers as ``--workers``; ``batch`` and
-    ``submit`` (whose ``--workers`` means the job-level process pool)
-    expose the same option as ``--shard-workers``.
-    """
-    shard_workers = (getattr(args, "shard_workers", None)
-                     or getattr(args, "engine_workers", None) or 1)
+    """Build :class:`EngineOptions` from the shared CLI arguments."""
     return EngineOptions(max_events=args.max_events, mode=args.mode,
                          visited=args.visited, strategy=args.strategy,
                          max_states=args.max_states,
@@ -582,8 +523,6 @@ def _engine_options(args):
                          codegen_cache=args.codegen_cache,
                          reduction=args.reduction,
                          scenario=args.scenario,
-                         workers=shard_workers,
-                         partition=getattr(args, "partition", "locality"),
                          seed=getattr(args, "seed", 0),
                          swarm_members=getattr(args, "swarm_members", 4),
                          spill_dir=getattr(args, "spill_dir", None))
@@ -615,12 +554,6 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="model-check a configuration")
     p_check.add_argument("config")
-    p_check.add_argument("--workers", type=int, default=1,
-                         dest="engine_workers", metavar="N",
-                         help="shard this one run across N worker "
-                              "processes (state ownership partitioned "
-                              "per --partition; verdicts, violation sets "
-                              "and traces are identical to --workers 1)")
     _add_engine_arguments(p_check)
     p_check.add_argument("--all-properties", action="store_true",
                          help="skip relevance-based property selection")
@@ -644,7 +577,7 @@ def build_parser():
     p_check.add_argument("--progress", action="store_true",
                          help="live single-line progress meter on stderr "
                               "(states, transitions, states/s, frontier, "
-                              "depth, shard count)")
+                              "depth)")
     p_check.add_argument("--ifttt", action="store_true",
                          help="include translated IFTTT rules in the registry")
     p_check.set_defaults(func=cmd_check)
@@ -657,12 +590,6 @@ def build_parser():
     p_batch.add_argument("--workers", type=int, default=None,
                          help="process-pool size (default: one per job "
                               "up to the core count)")
-    p_batch.add_argument("--shard-workers", type=int, default=None,
-                         metavar="N",
-                         help="additionally shard each job's own search "
-                              "across N processes (multiplies with "
-                              "--workers; useful when the batch has "
-                              "fewer jobs than cores)")
     _add_engine_arguments(p_batch)
     p_batch.add_argument("--ifttt", action="store_true",
                          help="include translated IFTTT rules in the "
@@ -698,12 +625,6 @@ def build_parser():
                               "an ephemeral store)")
     p_serve.add_argument("--workers", type=int, default=None,
                          help="engine process-pool size per drain cycle")
-    p_serve.add_argument("--shard-workers", type=int, default=None,
-                         metavar="N",
-                         help="shard each executed job's search across N "
-                              "processes instead of pooling across jobs "
-                              "(best when submissions trickle in one at "
-                              "a time on a multi-core host)")
     p_serve.add_argument("--job-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-job wall-clock budget: a job still "
@@ -731,12 +652,6 @@ def build_parser():
                           metavar="SECONDS",
                           help="block up to SECONDS for the verdict "
                                "(0: return the job id immediately)")
-    p_submit.add_argument("--shard-workers", type=int, default=None,
-                          metavar="N",
-                          help="ask the service to shard this job's "
-                               "search across N processes (a pure "
-                               "performance knob: it does not change "
-                               "the cache key)")
     _add_engine_arguments(p_submit)
     p_submit.add_argument("--all-properties", action="store_true",
                           help="skip relevance-based property selection")

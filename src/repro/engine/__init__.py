@@ -13,12 +13,6 @@ The exploration machinery of the checker, carved into replaceable parts:
 * :mod:`repro.engine.core` - the bounded search itself;
 * :mod:`repro.engine.batch` - :func:`verify_many`, fanning independent
   verification jobs across a process pool;
-* :mod:`repro.engine.partition` - the shard-ownership strategies
-  (``fingerprint`` / ``locality``) behind ``EngineOptions(partition=...)``;
-* :mod:`repro.engine.parallel` - :func:`explore_sharded`, sharding a
-  *single* run across worker processes with delta-encoded handoffs and
-  bounded work stealing (``EngineOptions(workers=N)`` /
-  ``repro check --workers N --partition locality``);
 * :mod:`repro.engine.swarm` - :func:`explore_swarm`, the
   beyond-exhaustive tier: N diversified sampled member searches sharing
   one deduplicated, oracle-replayed violation sink
@@ -30,11 +24,6 @@ package.
 
 from repro.engine.batch import VerificationJob, default_workers, verify_many
 from repro.engine.core import ExplorationEngine, verify
-from repro.engine.parallel import (
-    ShardError,
-    default_shard_workers,
-    explore_sharded,
-)
 from repro.engine.frontier import (
     BreadthFirstFrontier,
     DepthFirstFrontier,
@@ -48,7 +37,6 @@ from repro.engine.options import (
     EngineOptions,
     visited_store_names,
 )
-from repro.engine.partition import make_partitioner, partitioner_names
 from repro.engine.result import BatchResult, ExplorationResult
 from repro.engine.strategy import (
     make_frontier,
@@ -82,17 +70,12 @@ __all__ = [
     "PriorityFrontier",
     "SEQUENTIAL",
     "SWARM",
-    "ShardError",
     "SpillVisitedStore",
     "SwarmResult",
     "VerificationJob",
-    "default_shard_workers",
     "default_workers",
-    "explore_sharded",
     "explore_swarm",
     "make_frontier",
-    "make_partitioner",
-    "partitioner_names",
     "register_strategy",
     "strategy_names",
     "verify",

@@ -5,7 +5,9 @@ the 70 volunteer configurations of Table 6, the ten-rule IFTTT home of
 Table 9, the scaling points of Table 8 - verifies *independent* systems.
 :func:`verify_many` runs such a job list on a ``ProcessPoolExecutor``
 with per-job options and merges the statistics into one
-:class:`~repro.engine.result.BatchResult`.
+:class:`~repro.engine.result.BatchResult`.  This is the engine's only
+parallelism: each job's search runs in one process, and the pool runs
+jobs side by side.
 
 Jobs are described declaratively (a configuration + options + property
 selection) rather than as built systems, so they pickle cheaply: each
@@ -127,50 +129,22 @@ def resolve_job_registry(job):
     return overlay_sources(_resolve_registry(job.registry), job.sources)
 
 
-def build_job_context(job):
-    """``(system, properties)`` for one job, built in this process.
+def execute_job(job):
+    """Build and verify one job in this process (inside a pool worker
+    when :func:`verify_many` runs a pool).
 
     The declarative job description resolves to a live bound system:
     registry spec plus raw-source overlays, a strict-or-lenient model
-    build, then property resolution and relevance selection.  Shared by
-    inline execution, every shard worker of a sharded run, and the
-    parent-side counterexample replay - all of which must rebuild the
-    *same* system for a job.
+    build, then property resolution and relevance selection.
     """
+    from repro.engine.core import ExplorationEngine
     from repro.model.generator import ModelGenerator
 
-    registry = resolve_job_registry(job)
-    system = ModelGenerator(registry).build(
+    system = ModelGenerator(resolve_job_registry(job)).build(
         job.config, strict=job.strict, enable_failures=job.enable_failures,
         user_mode_events=job.user_mode_events)
-    return system, _resolve_properties(job, system)
-
-
-def execute_job_inline(job):
-    """Build and verify one job in this process, one worker, no routing."""
-    from repro.engine.core import ExplorationEngine
-
-    system, properties = build_job_context(job)
+    properties = _resolve_properties(job, system)
     return ExplorationEngine(system, properties, job.options).run()
-
-
-def execute_job(job):
-    """Build and verify one job (runs inside the worker process).
-
-    A swarm-mode job always runs inline - the swarm driver launches its
-    own member searches and sharding a sampled run would only re-shuffle
-    what the members already diversify.  A job whose options request
-    shard workers (``workers > 1``) runs through the sharded
-    multi-process engine (:func:`repro.engine.parallel.explore_sharded`);
-    everything else runs the classic in-process search.
-    """
-    from repro.engine.options import SWARM
-    if getattr(job.options, "mode", None) == SWARM:
-        return execute_job_inline(job)
-    if getattr(job.options, "workers", 1) and job.options.workers > 1:
-        from repro.engine.parallel import explore_sharded
-        return explore_sharded(job)
-    return execute_job_inline(job)
 
 
 def _execute_named(job):

@@ -66,12 +66,6 @@ class _Node:
             chain.append((node.label, list(node.steps)))
             node = node.parent
         chain.reverse()
-        # a sharded worker's seed nodes carry the event prefix that led
-        # to them in some other shard (see repro.engine.parallel); plain
-        # roots have no such attribute
-        base = getattr(node, "base_path", None)
-        if base:
-            return list(base) + chain
         return chain
 
 
@@ -130,7 +124,7 @@ class ExplorationEngine:
         self.properties = list(properties)
         self.options = options or EngineOptions()
         # applied at construction (not _setup_search) so replay engines —
-        # counterexample rehydration, canonicalization, shard rebuilds —
+        # counterexample rehydration, canonicalization, swarm's oracle —
         # execute the same faulted relation as the search itself
         from repro.model.faults import resolve_scenario
         system.scenario_profile = resolve_scenario(self.options.scenario)
@@ -178,9 +172,7 @@ class ExplorationEngine:
                 gc.enable()
 
     def _setup_search(self):
-        """Assemble one run's moving parts; shared with the shard
-        workers (:mod:`repro.engine.parallel`) so the two search loops
-        cannot drift in what they initialize.
+        """Assemble one run's moving parts (swarm members extend it).
 
         Returns ``(visited, frontier, reducer, matcher)`` and applies
         the per-run execution back-end choice to the system.
@@ -277,10 +269,9 @@ class ExplorationEngine:
                         return self._finish(result, visited, started)
                 if depth <= options.max_events:
                     if matcher is None:
-                        # states_explored counts *distinct* states (an
-                        # order-independent metric: depth-improved
-                        # revisits re-expand but do not re-count), so a
-                        # sharded run sums to the single-worker number
+                        # states_explored counts *distinct* states:
+                        # depth-improved revisits re-expand but do not
+                        # re-count
                         fresh = not visited.seen_state(new_state, depth)
                         if fresh and count_distinct is not None:
                             now = count_distinct()
@@ -379,13 +370,7 @@ class ExplorationEngine:
         return self._transitions_from(node, event_filter)
 
     def _open_telemetry(self):
-        """The run's telemetry session, or None when disabled.
-
-        Shard workers override this to return None: the parent process
-        owns the sink/meter/board for a sharded run and workers forward
-        compact snapshots over the control queue instead
-        (:mod:`repro.engine.parallel`).
-        """
+        """The run's telemetry session, or None when disabled."""
         from repro.obs.telemetry import open_session
         return open_session(self.options.telemetry)
 
@@ -402,10 +387,6 @@ class ExplorationEngine:
             "visited_bytes": visited.stats().get("approx_bytes", 0),
         }
 
-    #: subclasses (the shard workers) defer trace canonicalization to
-    #: the parent-side merge instead of paying for it per shard
-    canonicalize_traces = True
-
     def _finish(self, result, visited, started):
         # trace finalization is part of the run, so it is timed: elapsed
         # (and the states/sec figures derived from it in the bench
@@ -413,8 +394,7 @@ class ExplorationEngine:
         finalize_started = time.monotonic()
         if self._plan is not None:
             self._rehydrate_lean_traces(result)
-        if self.canonicalize_traces:
-            self._canonicalize_traces(result)
+        self._canonicalize_traces(result)
         if self._plan is not None:
             self._plan.release()
         self._phase_times["canonicalize"] = (time.monotonic()
@@ -477,12 +457,12 @@ class ExplorationEngine:
         The search records, per violation, the path of whichever
         expansion reached it - under commuting events the same
         violating state can hang below several equal-length prefixes,
-        and which one got recorded is an artifact of search (or, in a
-        sharded run, queue-arrival) order.  This pass replays every
-        valid permutation of each recorded event sequence and keeps the
-        canonical minimum via :meth:`_record`'s ordering, so the
-        rendered trace is a function of the state space alone - the
-        property that lets sharded runs reproduce single-worker traces.
+        and which one got recorded is an artifact of search order.
+        This pass replays every valid permutation of each recorded event
+        sequence and keeps the canonical minimum via :meth:`_record`'s
+        ordering, so the rendered trace is a function of the state space
+        alone - the property that lets every strategy, tier and swarm
+        member report the same trace.
 
         Keys never appear or disappear: permutations only compete for
         the trace of violations the search itself proved.
@@ -535,8 +515,7 @@ class ExplorationEngine:
             # keep the *canonical* counterexample per distinct violation:
             # the shortest path, ties broken by the event-label sequence.
             # Content-based selection (instead of first-found) makes the
-            # reported trace independent of expansion order, so sharded
-            # multi-worker runs reproduce the single-worker trace
+            # reported trace independent of expansion order
             if existing is None or order < path_order_key(existing.path):
                 result.counterexamples[key] = self._counterexample_cls(
                     violation, path)
@@ -602,8 +581,9 @@ def replay_path(engine, labels):
     ``None`` when the sequence does not replay to a violating
     transition.  Labels deterministically identify transitions, so a
     successful replay regenerates the exact cascade steps - this is how
-    the trace canonicalization and the sharded parent rebuild rendered
-    counterexamples without trusting any recorded path.
+    the lean-trace rehydration, the trace canonicalization and swarm's
+    oracle rebuild rendered counterexamples without trusting any
+    recorded path.
 
     A transition's label is its external event's label plus an optional
     failure-scenario suffix, so only the externals whose label starts
@@ -633,10 +613,9 @@ def path_order_key(path):
     """The canonical order of counterexample paths: shortest first, then
     by the external-event label sequence.
 
-    Both the sequential recorder and the sharded merge
-    (:mod:`repro.engine.parallel`) select the minimum under this key, so
-    every run of the same system reports the same trace per violation
-    regardless of worker count or expansion order.
+    Both the sequential recorder and swarm's violation sink select the
+    minimum under this key, so every run of the same system reports the
+    same trace per violation regardless of expansion order.
     """
     return (len(path), tuple(label for label, _steps in path))
 

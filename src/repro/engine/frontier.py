@@ -20,16 +20,6 @@ class Frontier:
     def pop(self):
         raise NotImplementedError
 
-    def steal(self, limit):
-        """Drain up to ``limit`` nodes for a work lease, preferring the
-        *smallest* remaining subtrees (the deepest nodes).  Shard
-        ownership never moves with a lease, so every descendant a thief
-        uncovers in foreign territory comes back as a handoff — leaf-depth
-        nodes bound that backflow to a single expansion, while shallow
-        nodes would migrate whole subtrees across the ownership map.
-        Frontiers that cannot cheaply give work away may return ``[]``."""
-        return []
-
     def __len__(self):
         raise NotImplementedError
 
@@ -49,17 +39,6 @@ class DepthFirstFrontier(Frontier):
     def pop(self):
         return self._stack.pop()
 
-    def steal(self, limit):
-        """Lease the stack top: the deepest nodes - near-leaf
-        expansions whose children are at or close to the bound, so
-        leasing them costs one expansion of backflow each.  (The stack
-        *bottom* would hand out shallow roots of whole subtrees:
-        measured at depth 4 that doubles cross-shard traffic as the
-        thief drags the subtree through foreign territory.)"""
-        taken = self._stack[-limit:]
-        del self._stack[-limit:]
-        return taken
-
     def __len__(self):
         return len(self._stack)
 
@@ -75,15 +54,6 @@ class BreadthFirstFrontier(Frontier):
 
     def pop(self):
         return self._queue.popleft()
-
-    def steal(self, limit):
-        """Lease the back of the queue: the most recently discovered
-        (deepest) layer - the smallest subtrees, per the base
-        contract."""
-        taken = []
-        while self._queue and len(taken) < limit:
-            taken.append(self._queue.pop())
-        return taken
 
     def __len__(self):
         return len(self._queue)
@@ -114,17 +84,6 @@ class PriorityFrontier(Frontier):
 
     def pop(self):
         return heapq.heappop(self._heap)[2]
-
-    def steal(self, limit):
-        """Lease the worst-priority entries - the nodes this frontier
-        would expand last; rebuilding the heap once is cheaper than
-        ``limit`` * O(log n) worst-element deletions."""
-        if not self._heap:
-            return []
-        self._heap.sort()
-        taken = [entry[2] for entry in self._heap[-limit:]]
-        del self._heap[-limit:]
-        return taken
 
     def __len__(self):
         return len(self._heap)

@@ -114,8 +114,7 @@ class EngineOptions:
         Directory for generated per-app modules, keyed by the system's
         semantic digest (``None``: ``$REPRO_CODEGEN_CACHE`` or
         ``~/.cache/repro/codegen``).  Runs at the default ``engine``
-        write there.  Sharded workers regenerate their executors from
-        this cache by digest instead of pickling closures.
+        write there.
     ``reduction``
         Enable the sleep-set partial-order reduction over the static
         event-independence relation: of the interleavings of commuting
@@ -141,33 +140,16 @@ class EngineOptions:
         Run observability (:mod:`repro.obs`): ``None`` (the default -
         zero telemetry, zero overhead), a JSONL sink path, a keyword
         dict, or a :class:`~repro.obs.telemetry.TelemetryConfig`.
-        Progress snapshots piggyback on the ``check_interval`` sampling;
-        sharded workers forward theirs over the control channel and the
-        parent writes the merged cluster view.  A pure *observer*:
-        verdicts, violation sets, traces and the vetting service's
-        semantic digests are byte-identical with telemetry on or off,
-        so it is excluded from the content digests.
+        Progress snapshots piggyback on the ``check_interval`` sampling.
+        A pure *observer*: verdicts, violation sets, traces and the
+        vetting service's semantic digests are byte-identical with
+        telemetry on or off, so it is excluded from the content digests.
     ``manage_gc``
         Suspend Python's cyclic garbage collector for the duration of a
         run (restored on exit).  The search allocates millions of
         short-lived, almost entirely acyclic objects, so generation-0
         sweeps cost ~30% of wall clock while reclaiming nothing that
         reference counting does not already reclaim.
-    ``workers``
-        Shard *one* run across this many worker processes
-        (:mod:`repro.engine.parallel`): state ownership is partitioned
-        by fingerprint, each shard runs the full engine (its own
-        frontier, visited store and sleep sets) and
-        cross-shard frontier states travel as delta-encoded batches
-        over multiprocessing queues.  ``1`` (the default) runs the
-        classic in-process search.  A pure performance knob: verdicts,
-        violation sets and the canonical counterexample traces are
-        identical to a single-worker run, so it does not participate in
-        the vetting service's content digests.  Consumed by the
-        job-based runners (``execute_job``/``explore_sharded`` - shard
-        workers rebuild the system from the declarative job); a bare
-        :class:`~repro.engine.core.ExplorationEngine` always runs
-        in-process.
     ``mode`` / ``seed`` / ``swarm_members``
         ``mode`` selects the exploration semantics: ``sequential`` (the
         default interleaving model), ``concurrent`` (simultaneous event
@@ -189,15 +171,6 @@ class EngineOptions:
         visited-store databases (``None``: a self-cleaning temp dir); a
         local filesystem detail, deliberately not accepted by the
         vetting service API.
-    ``partition``
-        Which :mod:`repro.engine.partition` strategy maps states to
-        owning shards when ``workers > 1``: ``locality`` (the default -
-        a stable projection of the packed slot grid that keeps
-        successor chains shard-local, order-of-magnitude fewer
-        handoffs) or ``fingerprint`` (``fingerprint % N`` - perfectly
-        balanced, zero locality).  Like ``workers`` it is a pure
-        performance knob excluded from the semantic digests, and it is
-        ignored by single-worker runs.
     """
 
     def __init__(self, max_events=3, mode=SEQUENTIAL, visited="fingerprint",
@@ -205,9 +178,8 @@ class EngineOptions:
                  time_limit=None, stop_on_first=False, strategy="dfs",
                  priority=None, engine="codegen",
                  codegen_cache=None, reduction=False, check_interval=256,
-                 manage_gc=True, workers=1, partition="locality",
-                 scenario="clean", telemetry=None, seed=0, swarm_members=4,
-                 bitstate_salt=0, spill_dir=None):
+                 manage_gc=True, scenario="clean", telemetry=None, seed=0,
+                 swarm_members=4, bitstate_salt=0, spill_dir=None):
         self.max_events = max_events
         if mode not in EXPLORATION_MODES:
             raise ValueError("unknown mode %r (known: %s)"
@@ -236,13 +208,6 @@ class EngineOptions:
         self.reduction = reduction
         self.check_interval = check_interval
         self.manage_gc = manage_gc
-        self.workers = workers
-        # imported lazily for the same reason as the store constructors
-        from repro.engine.partition import partitioner_names
-        if partition not in partitioner_names():
-            raise ValueError("unknown partition strategy %r (known: %s)"
-                             % (partition, ", ".join(partitioner_names())))
-        self.partition = partition
         # normalize to the profile *name*: options travel through JSON
         # payloads and semantic digests, both of which want the string.
         # Imported lazily like the store constructors - repro.model's
@@ -250,7 +215,7 @@ class EngineOptions:
         from repro.model.faults import resolve_scenario
         self.scenario = resolve_scenario(scenario).name
         # normalized to a picklable TelemetryConfig (or None): options
-        # travel to shard/pool workers and through service payloads, so
+        # travel to pool workers and through service payloads, so
         # the telemetry request is declarative data, never a live handle
         from repro.obs.telemetry import resolve_telemetry
         self.telemetry = resolve_telemetry(telemetry)

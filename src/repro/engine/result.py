@@ -10,8 +10,10 @@ byte-identically.
 import json
 
 #: bump when the serialized result layout changes; deserialization
-#: refuses newer schemas instead of misreading them
-RESULT_SCHEMA_VERSION = 1
+#: refuses newer schemas instead of misreading them (v2: the per-run
+#: layout lost the sharded engine's worker count, per-shard statistics
+#: and crash record; v1 payloads still load, those keys ignored)
+RESULT_SCHEMA_VERSION = 2
 
 
 def _check_schema(data, kind):
@@ -47,22 +49,6 @@ class ExplorationResult:
         self.commutes_pruned = 0
         #: compiled-property statistics (invariant verdict memo)
         self.property_stats = {}
-        #: shard processes this run was partitioned across (1 = classic
-        #: in-process search)
-        self.workers = 1
-        #: per-shard statistics of a sharded run: one dict per worker
-        #: (states, transitions, handoffs sent/received, visited
-        #: counters); empty for single-worker runs
-        self.shard_stats = []
-        #: structured crash record of a sharded run that lost workers
-        #: (``None`` when every shard finished): ``workers`` (ids),
-        #: ``exitcodes``, ``detail`` (traceback tail when the worker
-        #: reported one), ``lost_handoffs`` (undelivered cross-shard
-        #: states drained from the dead shard's inbox).  Such a result
-        #: is always ``truncated`` with reason ``"shard_failure"``:
-        #: surviving shards' coverage is merged, but exhaustiveness is
-        #: not claimed
-        self.shard_failure = None
 
     @property
     def violations(self):
@@ -101,15 +87,19 @@ class ExplorationResult:
         """``"exhaustive"`` or ``"partial"`` - how much a ``safe`` verdict
         is worth.
 
-        Derived, never stored: a truncated run (limit tripped or shard
-        lost) covered only part of the bounded space, and a swarm run
+        Derived, never stored: a truncated run (a limit tripped) covered
+        only part of the bounded space; a supertrace store (``bitstate``
+        or ``bitstate-k``, the only stores reporting a ``fill_ratio``)
+        silently drops every state whose bits collide; and a swarm run
         (:class:`~repro.engine.swarm.SwarmResult` overrides this to a
         constant ``"partial"``) is sampled by construction.  Serialized
         for consumers, recomputed on deserialization - a result cannot
-        claim more coverage than its own flags support.
+        claim more coverage than its own flags and store statistics
+        support.
         """
-        return "partial" if (self.truncated or self.shard_failure) \
-            else "exhaustive"
+        if self.truncated or "fill_ratio" in self.visited_stats:
+            return "partial"
+        return "exhaustive"
 
     def to_dict(self):
         return {
@@ -127,10 +117,6 @@ class ExplorationResult:
             "profile": dict(self.profile),
             "commutes_pruned": self.commutes_pruned,
             "property_stats": dict(self.property_stats),
-            "workers": self.workers,
-            "shard_stats": [dict(shard) for shard in self.shard_stats],
-            "shard_failure": (dict(self.shard_failure)
-                              if self.shard_failure else None),
         }
 
     @classmethod
@@ -161,11 +147,6 @@ class ExplorationResult:
         result.profile = dict(data.get("profile", {}))
         result.commutes_pruned = data.get("commutes_pruned", 0)
         result.property_stats = dict(data.get("property_stats", {}))
-        result.workers = data.get("workers", 1)
-        result.shard_stats = [dict(shard)
-                              for shard in data.get("shard_stats", ())]
-        failure = data.get("shard_failure")
-        result.shard_failure = dict(failure) if failure else None
         return result
 
     def to_json(self, indent=None):
@@ -185,32 +166,6 @@ class ExplorationResult:
                      self.states_explored, self.transitions, self.elapsed,
                      " (truncated: %s)" % self.truncated_reason
                      if self.truncated else "")]
-        if self.workers > 1:
-            shards = ", ".join(
-                "#%s %d states" % (shard.get("worker", index),
-                                   shard.get("states_explored", 0))
-                for index, shard in enumerate(self.shard_stats))
-            lines.append("  sharded across %d workers (%s)"
-                         % (self.workers, shards or "no shard stats"))
-            if self.shard_stats:
-                handoffs = sum(s.get("handoffs_sent", 0)
-                               for s in self.shard_stats)
-                wire = sum(s.get("handoff_bytes", 0)
-                           for s in self.shard_stats)
-                steals = sum(s.get("steals", 0) for s in self.shard_stats)
-                stolen = sum(s.get("stolen_states", 0)
-                             for s in self.shard_stats)
-                lines.append(
-                    "  handoffs: %d states crossed shards (%.1f KiB on "
-                    "the wire), %d work lease(s) / %d state(s) stolen" % (
-                        handoffs, wire / 1024.0, steals, stolen))
-        if self.shard_failure:
-            lines.append(
-                "  shard failure: worker(s) %s died (exit codes %s, "
-                "%d handoff(s) lost); coverage is partial" % (
-                    self.shard_failure.get("workers"),
-                    self.shard_failure.get("exitcodes"),
-                    self.shard_failure.get("lost_handoffs", 0)))
         if self.commutes_pruned:
             lines.append("  engine: %d commuting interleavings pruned"
                          % self.commutes_pruned)

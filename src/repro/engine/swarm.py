@@ -167,12 +167,9 @@ class _SwarmMemberEngine(ExplorationEngine):
     """One diversified member search.
 
     A plain sequential engine run whose successor order is shuffled by
-    the member's seeded RNG.  Trace canonicalization is skipped (the
-    driver canonicalizes once, on the oracle, after dedup) and telemetry
-    stays with the driver - members report through their results.
+    the member's seeded RNG.  Telemetry stays with the driver - members
+    report through their results.
     """
-
-    canonicalize_traces = False
 
     def __init__(self, system, properties, options, rng):
         super().__init__(system, properties, options)
@@ -183,6 +180,10 @@ class _SwarmMemberEngine(ExplorationEngine):
     def _open_telemetry(self):
         """Members never open sessions; the swarm driver owns the sink."""
         return None
+
+    def _canonicalize_traces(self, result):
+        """Skipped: the driver canonicalizes once, on the oracle, after
+        dedup."""
 
     def _setup_search(self):
         """The standard moving parts, with the visited store wrapped by
@@ -203,18 +204,16 @@ class _SwarmMemberEngine(ExplorationEngine):
 def _member_options(options, member):
     """One member's :class:`EngineOptions`, derived from the swarm's.
 
-    Members run the classic sequential in-process search (``mode``,
-    ``workers`` and ``telemetry`` are driver concerns), without the
-    sleep-set reduction - it prunes expansions in ways that would fight
-    the deliberate shuffling - and,
-    when a bitstate store was requested, with a per-member salt derived
-    from ``(seed, member)`` so every member misses a *different* set of
-    colliding states.  The state/transition/time budgets apply per
-    member.
+    Members run the classic sequential search (``mode`` and
+    ``telemetry`` are driver concerns), without the sleep-set reduction
+    - it prunes expansions in ways that would fight the deliberate
+    shuffling - and, when a bitstate store was requested, with a
+    per-member salt derived from ``(seed, member)`` so every member
+    misses a *different* set of colliding states.  The
+    state/transition/time budgets apply per member.
     """
     member_options = copy.copy(options)
     member_options.mode = SEQUENTIAL
-    member_options.workers = 1
     member_options.telemetry = None
     member_options.reduction = False
     if options.visited in ("bitstate", "bitstate-k"):
@@ -230,7 +229,6 @@ def _oracle_engine(engine):
     oracle_options = copy.copy(engine.options)
     oracle_options.mode = SEQUENTIAL
     oracle_options.engine = "interpreted"
-    oracle_options.workers = 1
     oracle_options.telemetry = None
     oracle_options.reduction = False
     oracle = ExplorationEngine(engine.system, engine.properties,

@@ -22,8 +22,8 @@ at an equal-or-smaller depth?" - through three methods:
     O(1) count of distinct states stored so far (a depth-improved
     revisit does not grow it).  The engine samples it around each
     ``seen_state`` call to keep ``states_explored`` a *distinct-state*
-    count - an order-independent metric, which is what lets a sharded
-    multi-worker run report exactly the single-worker number.
+    count - an order-independent metric, so every strategy reports
+    the same number for the same bounded space.
 
 The exact and BITSTATE stores live in :mod:`repro.checker.visited` (their
 historical home, kept for compatibility); this module re-exports them and

@@ -45,9 +45,8 @@ Divergences from the interpreter, by design:
 Generated sources are cached under ``~/.cache/repro/codegen/<digest>/``
 (override with ``EngineOptions.codegen_cache`` or the
 ``$REPRO_CODEGEN_CACHE`` environment variable), keyed by the system's
-semantic digest: generation is pay-once-per-corpus, and sharded workers
-regenerate executors from the cache by digest instead of pickling
-closures.  Emission is deterministic - a fixed digest maps to
+semantic digest: generation is pay-once-per-corpus, and pool workers
+regenerate executors from the cache by digest.  Emission is deterministic - a fixed digest maps to
 byte-identical module text - so cached modules can be linted and
 diffed.  Apps whose IR defeats the emitter are listed in
 :attr:`CodegenPlan.fallbacks` and run on the :class:`Interpreter`, in

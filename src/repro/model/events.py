@@ -48,8 +48,8 @@ class Event:
         return self._serial
 
     def __reduce__(self):
-        # a copy (or an unpickled shard handoff) is a new event with a
-        # serial of its own, never a duplicate of another process's
+        # a copy (or an event unpickled from another process) is a new
+        # event with a serial of its own, never a duplicate
         return (Event, (self.source, self.device, self.attribute,
                         self.value, self.app))
 

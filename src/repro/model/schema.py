@@ -52,9 +52,8 @@ class _Absent:
         return "<absent>"
 
     def __reduce__(self):
-        # ABSENT is compared by identity everywhere (unpack, deltas), so
-        # crossing a pickle boundary must yield the module singleton, not
-        # a fresh instance
+        # ABSENT is compared by identity (unpack), so crossing a pickle
+        # boundary must yield the module singleton, not a fresh instance
         return (_restore_absent, ())
 
 
@@ -66,18 +65,11 @@ def _restore_absent():
     return ABSENT
 
 
-#: how many anchor devices :meth:`StateSchema.projection_key` aims for:
-#: every externally-quiet device is always an anchor, and the ranking is
-#: extended with the lowest-fanout sensors until this many are anchored
-#: (or the system runs out of devices)
-ANCHOR_TARGET = 5
-
-
 class StateSchema:
     """The packed-state layout of one :class:`IoTSystem`."""
 
     __slots__ = ("device_layout", "app_names", "_app_index", "slot_count",
-                 "component_count", "_slot_index", "anchor_layout")
+                 "component_count", "_slot_index")
 
     def __init__(self, system):
         layout = []
@@ -96,38 +88,6 @@ class StateSchema:
         #: and cascade-commands
         self.component_count = len(layout) + len(self.app_names) + 6
         self._slot_index = None
-        self.anchor_layout = self._pick_anchors(system)
-
-    def _pick_anchors(self, system):
-        """The *stable* device subset :meth:`projection_key` projects on.
-
-        A device's volatility under exploration is, to first order, its
-        external-event fanout: the number of distinct sensor events the
-        environment can inject on it (a construction-time quantity).
-        Actuators and unsubscribed sensors have fanout zero - their
-        attributes only move when an app commands them - so successor
-        chains rarely leave their projection bucket.  Every fanout-zero
-        device is anchored, and the ranking is extended with the
-        quietest sensors until :data:`ANCHOR_TARGET` devices are
-        anchored, which buys the bucket entropy that shard balance
-        needs.
-        """
-        fanout = {name: 0 for name in system.devices}
-        for device, attribute in system._interesting_device_attributes():
-            spec = system.devices[device].spec.sensor_attributes.get(
-                attribute)
-            fanout[device] += len(spec.values) if spec is not None else 0
-        ranked = sorted(self.device_layout,
-                        key=lambda entry: (fanout[entry[0]], entry[0]))
-        target = min(len(ranked), ANCHOR_TARGET)
-        anchors = [entry for entry in ranked
-                   if fanout[entry[0]] == 0]
-        for entry in ranked:
-            if len(anchors) >= target:
-                break
-            if fanout[entry[0]]:
-                anchors.append(entry)
-        return tuple(anchors)
 
     def slot_index(self, device_name, attribute):
         """Resolve ``(device, attribute)`` to its packed position.
@@ -270,86 +230,6 @@ class StateSchema:
             state._app_states[name] = frozen
             state._dirty_apps.add(name)
         return state
-
-    # ------------------------------------------------------------------
-    # locality projection (shard ownership)
-    # ------------------------------------------------------------------
-
-    def projection_key(self, state):
-        """The stable scheduler/device projection of one state.
-
-        Returns ``(mode, sorted schedules, anchor device blocks)`` -
-        the slice of the packed grid that moves on only a minority of
-        transitions (see :meth:`_pick_anchors`; the pending queue is
-        deliberately excluded because it churns on every concurrent
-        dispatch).  The locality partitioner owns states by a
-        *deterministic* hash of this key's ``repr`` so the assignment
-        is identical across shard processes and runs regardless of the
-        interpreter hash seed.
-        """
-        devices = state._devices
-        blocks = []
-        for entry in self.anchor_layout:
-            amap = devices.get(entry[0])
-            blocks.append(ABSENT if amap is None
-                          else self.device_block(entry, amap))
-        return (state._mode, tuple(sorted(state._schedules)),
-                tuple(blocks))
-
-    # ------------------------------------------------------------------
-    # deltas (sharded handoff encoding)
-    # ------------------------------------------------------------------
-
-    #: packed components diffed per-position (the two variable-width
-    #: grids); every other component is replaced wholesale when it
-    #: changes
-    _POSITIONAL = frozenset((0, 3))
-
-    def delta(self, base, packed):
-        """The minimal edit list turning ``base`` into ``packed``.
-
-        Both arguments are packed tuples from :meth:`pack` over this
-        schema.  The result is a canonical (deterministically ordered,
-        minimal) tuple of ``(component, position, value)`` entries:
-        ``position`` indexes into the device-block grid (component 0) or
-        the app-value grid (component 3), and is ``None`` for the
-        wholesale components.  Round trips exactly::
-
-            apply_delta(base, delta(base, packed)) == packed
-            delta(base, apply_delta(base, d)) == d
-
-        (the second for any ``d`` produced by :meth:`delta` against the
-        same base).  Sharded handoffs ship these edits against the
-        initial state's packed form instead of pickling whole states.
-        """
-        entries = []
-        for component in range(8):
-            before, after = base[component], packed[component]
-            if before == after:
-                continue
-            if component in self._POSITIONAL and len(before) == len(after):
-                for position, value in enumerate(after):
-                    if before[position] != value:
-                        entries.append((component, position, value))
-            else:
-                entries.append((component, None, after))
-        return tuple(entries)
-
-    def apply_delta(self, base, delta):
-        """Invert :meth:`delta`: rebuild the edited packed tuple."""
-        parts = list(base)
-        touched = {}
-        for component, position, value in delta:
-            if position is None:
-                parts[component] = value
-            else:
-                block = touched.get(component)
-                if block is None:
-                    block = touched[component] = list(parts[component])
-                block[position] = value
-        for component, block in touched.items():
-            parts[component] = tuple(block)
-        return tuple(parts)
 
     def __repr__(self):
         return "StateSchema(devices=%d, slots=%d, apps=%d)" % (

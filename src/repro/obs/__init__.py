@@ -13,7 +13,7 @@ This package is the telemetry layer threaded through every tier:
 * :mod:`repro.obs.prometheus` - the text exposition renderer (and
   parser) behind the service's ``/metrics`` endpoint;
 * :mod:`repro.obs.report` - ``repro report RUN.jsonl``: a run timeline
-  (phase spans, throughput sparkline, per-shard table) from the sink.
+  (phase spans, throughput sparkline) from the sink.
 
 Telemetry is a pure observer: verdicts, violation sets, traces and the
 vetting service's semantic digests are byte-identical with it on or off

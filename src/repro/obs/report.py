@@ -2,9 +2,9 @@
 
 Pure function over the parsed event list (testable without a real run):
 per run - the shape header from ``run_start``/``run_end``, the phase
-spans, a throughput curve as a text sparkline over the snapshot stream,
-and a per-shard table from the forwarded worker snapshots.  A sink that
-several batch jobs appended to renders one section per ``job`` key.
+spans and a throughput curve as a text sparkline over the snapshot
+stream.  A sink that several batch jobs appended to renders one section
+per ``job`` key.
 """
 
 from collections import OrderedDict
@@ -65,19 +65,15 @@ def _render_run(job, events):
                 if e.get("kind") == "run_end"), None)
     snapshots = [e for e in events if e.get("kind") == "snapshot"]
     spans = [e for e in events if e.get("kind") == "span"]
-    shards = OrderedDict()  # worker id -> latest forwarded snapshot
-    for event in events:
-        if event.get("kind") == "shard_snapshot":
-            shards[event.get("worker")] = event
 
     lines = ["run%s" % (" %s" % job if job else "")]
     if start is not None:
         lines.append(
             "  shape: depth %s, engine %s, visited %s, strategy %s, "
-            "scenario %s, %s worker(s)" % (
+            "scenario %s" % (
                 start.get("max_events", "?"), start.get("engine", "?"),
                 start.get("visited", "?"), start.get("strategy", "?"),
-                start.get("scenario", "?"), start.get("workers", 1)))
+                start.get("scenario", "?")))
     if end is not None:
         verdict = end.get("verdict", "?")
         elapsed = end.get("run_elapsed", end.get("elapsed", 0.0))
@@ -104,20 +100,6 @@ def _render_run(job, events):
                      % (len(snapshots), _count(min(rates)),
                         _count(max(rates))))
         lines.append("    %s" % sparkline(rates))
-    if shards:
-        lines.append("  shards:")
-        lines.append("    %-6s %12s %12s %10s %12s %7s"
-                     % ("worker", "states", "transitions", "handoffs",
-                        "wire KiB", "steals"))
-        for worker in sorted(shards, key=lambda w: (w is None, w)):
-            snap = shards[worker]
-            lines.append("    %-6s %12s %12s %10s %12.1f %7s" % (
-                worker if worker is not None else "?",
-                _count(snap.get("states", 0)),
-                _count(snap.get("transitions", 0)),
-                _count(snap.get("handoffs_sent", 0)),
-                snap.get("handoff_bytes", 0) / 1024.0,
-                _count(snap.get("steals", 0))))
     if len(lines) == 1:
         lines.append("  (no run events recorded)")
     return "\n".join(lines)

@@ -5,11 +5,11 @@ Three cooperating pieces, all near-zero-overhead when unused:
 * :class:`TelemetryConfig` - the *declarative* request attached to
   ``EngineOptions(telemetry=...)``.  It is plain picklable data (a sink
   path, a progress-meter flag, a board key, a snapshot cadence) so it
-  travels with jobs into shard and pool worker processes; live handles
-  never cross a process boundary.
+  travels with jobs into pool worker processes; live handles never
+  cross a process boundary.
 * :class:`TelemetrySession` - the runtime opened by whoever executes a
-  run (the in-process engine, or the sharded parent on behalf of its
-  workers).  It stamps every event with the schema version and the
+  run (the engine, or the swarm driver on behalf of its members).  It
+  stamps every event with the schema version and the
   monotonic elapsed clock, appends one JSON line per event to the sink,
   drives the optional stderr meter and publishes the latest snapshot to
   the process-wide :data:`PROGRESS_BOARD`.
@@ -30,12 +30,14 @@ import json
 import threading
 import time
 
-#: bump when the JSONL event layout changes; readers refuse newer
-TELEMETRY_SCHEMA_VERSION = 1
+#: bump when the JSONL event layout changes; readers refuse newer (v2:
+#: the per-shard snapshot events and the ``workers`` field of
+#: ``run_start``/``run_end`` are gone; v1 sinks still read)
+TELEMETRY_SCHEMA_VERSION = 2
 
-#: default minimum transitions between progress snapshots.  Matches the
-#: shard workers' ``STATUS_EVERY`` cadence; coarse enough that even the
-#: O(n)-stats stores (exact/collapse) pay nothing measurable.
+#: default minimum transitions between progress snapshots; coarse enough
+#: that even the O(n)-stats stores (exact/collapse) pay nothing
+#: measurable.
 DEFAULT_SNAPSHOT_INTERVAL = 4096
 
 
@@ -227,8 +229,8 @@ class ProgressBoard:
     """Latest snapshot per job key, shared across threads in a process.
 
     The scheduler injects a board-keyed :class:`TelemetryConfig` into
-    every job it drains; runs executed in-process (inline and sharded
-    jobs - the service's common paths) publish here, and the API's
+    every job it drains; runs executed in-process (inline jobs - the
+    service's single-worker path) publish here, and the API's
     ``/jobs/<id>/progress`` and ``/metrics`` endpoints read it.  Jobs
     that execute inside *pool worker processes* publish to that worker's
     board, which the parent cannot see - a documented limitation of the
@@ -271,11 +273,10 @@ PROGRESS_BOARD = ProgressBoard()
 class TelemetrySession:
     """Live telemetry for one run: sink, meter and board, one handle.
 
-    Opened by the process that *executes* a run - the in-process engine
-    (:meth:`ExplorationEngine._open_telemetry`) or the sharded parent
-    (:func:`repro.engine.parallel.explore_sharded`), never by shard
-    workers (they forward compact snapshots over the control queue and
-    the parent writes the merged cluster view).  All methods are cheap
+    Opened by the process that *executes* a run - the engine
+    (:meth:`ExplorationEngine._open_telemetry`) or the swarm driver
+    (:func:`repro.engine.swarm.explore_swarm`), never by swarm members.
+    All methods are cheap
     and exception-free by construction: telemetry must never be able to
     change a run's outcome.
     """
@@ -311,10 +312,10 @@ class TelemetrySession:
 
     # -- the event vocabulary ----------------------------------------------
 
-    def run_start(self, options=None, workers=1):
+    def run_start(self, options=None):
         """Record the run's shape (wall timestamp + the knobs a report
         reader needs to label the timeline)."""
-        fields = {"ts": time.time(), "workers": workers}
+        fields = {"ts": time.time()}
         if options is not None:
             fields.update({
                 "max_events": options.max_events,
@@ -330,17 +331,13 @@ class TelemetrySession:
         self._emit("run_start", fields)
 
     def snapshot(self, fields):
-        """One progress snapshot (engine- or cluster-wide): sink line,
-        meter repaint, board publication."""
+        """One progress snapshot: sink line, meter repaint, board
+        publication."""
         self._emit("snapshot", fields)
         if self._meter is not None:
             self._meter.update(fields)
         if self.config.job is not None:
             PROGRESS_BOARD.publish(self.config.job, fields)
-
-    def shard_snapshot(self, fields):
-        """One worker's forwarded snapshot (sharded runs only)."""
-        self._emit("shard_snapshot", fields)
 
     def span(self, name, seconds):
         self._emit("span", {"name": name, "seconds": round(seconds, 6)})
@@ -372,7 +369,6 @@ class TelemetrySession:
             "run_elapsed": round(result.elapsed, 6),
             "truncated": result.truncated,
             "truncated_reason": result.truncated_reason,
-            "workers": result.workers,
         }
         self._emit("run_end", fields)
         if self.config.job is not None:

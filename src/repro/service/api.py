@@ -46,15 +46,12 @@ from repro.service.defaults import DEFAULT_PORT
 from repro.service.scheduler import Scheduler
 from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 
-#: EngineOptions keyword arguments a submission may set (``workers``
-#: shards the job's own search and ``partition`` picks its ownership
-#: strategy - pure performance knobs, excluded from the content digest,
-#: so they never split the result cache)
+#: EngineOptions keyword arguments a submission may set
 _ALLOWED_OPTIONS = (
     "max_events", "mode", "visited", "bitstate_bits", "bitstate_salt",
     "max_states", "max_transitions", "time_limit", "stop_on_first",
-    "strategy", "engine", "reduction", "workers", "partition",
-    "scenario", "seed", "swarm_members",
+    "strategy", "engine", "reduction", "scenario", "seed",
+    "swarm_members",
 )
 # deliberately NOT accepted: ``telemetry`` (a live-handle/filesystem
 # concern of the host) and ``spill_dir`` (a server-side filesystem path
@@ -73,11 +70,9 @@ class SubmissionError(ValueError):
 class VettingService:
     """Scheduler + store glue shared by every handler thread."""
 
-    def __init__(self, store, workers=None, shard_workers=None,
-                 job_timeout=None):
+    def __init__(self, store, workers=None, job_timeout=None):
         self.store = store
         self.scheduler = Scheduler(store, workers=workers,
-                                   shard_workers=shard_workers,
                                    job_timeout=job_timeout)
 
     def start(self):
@@ -153,7 +148,6 @@ class VettingService:
         # reject bad values at the API boundary instead of erroring the job
         from repro.engine.options import ENGINE_MODES, EXPLORATION_MODES
         from repro.engine.options import visited_store_names
-        from repro.engine.partition import partitioner_names
         from repro.engine.strategy import strategy_names
         from repro.model.faults import scenario_names
 
@@ -161,28 +155,16 @@ class VettingService:
                  "strategy": strategy_names(),
                  "mode": list(EXPLORATION_MODES),
                  "engine": list(ENGINE_MODES),
-                 "partition": partitioner_names(),
                  "scenario": list(scenario_names())}
         for key, allowed in enums.items():
             if key in options and options[key] not in allowed:
                 raise SubmissionError(
                     "bad %r option %r (allowed: %s)"
                     % (key, options[key], ", ".join(allowed)))
-        if "workers" in options:
-            from repro.engine.parallel import MAX_SHARD_WORKERS
-
-            workers = options["workers"]
-            # one HTTP submission must never fork the host to death:
-            # bound the shard count here, before the engine sees it
-            if (not isinstance(workers, int) or isinstance(workers, bool)
-                    or not 1 <= workers <= MAX_SHARD_WORKERS):
-                raise SubmissionError(
-                    "bad 'workers' option %r (an integer 1..%d)"
-                    % (workers, MAX_SHARD_WORKERS))
         if "swarm_members" in options:
             members = options["swarm_members"]
-            # same spirit as the workers bound: a submission must not be
-            # able to ask this host for an unbounded member fleet
+            # a submission must not be able to ask this host for an
+            # unbounded member fleet
             if (not isinstance(members, int) or isinstance(members, bool)
                     or not 1 <= members <= MAX_SWARM_MEMBERS):
                 raise SubmissionError(
@@ -410,7 +392,7 @@ class VettingHTTPServer(ThreadingHTTPServer):
 
 
 def create_server(store_path=":memory:", host="127.0.0.1", port=DEFAULT_PORT,
-                  workers=None, shard_workers=None, verbose=False,
+                  workers=None, verbose=False,
                   store=None, job_timeout=None):
     """Build (but don't run) a vetting server; returns ``(server, service)``.
 
@@ -418,15 +400,12 @@ def create_server(store_path=":memory:", host="127.0.0.1", port=DEFAULT_PORT,
     reports the real one) - the tests and the CI smoke job use that.
     The scheduler's worker thread is started; call
     ``server.serve_forever()`` to serve and ``service.shutdown()`` +
-    ``server.server_close()`` to tear down.  ``shard_workers`` selects
-    the scheduler's sharded execution mode (each job's own search split
-    across N processes, jobs drained one at a time).  ``job_timeout``
-    bounds each job's wall clock (seconds; see
+    ``server.server_close()`` to tear down.  ``workers`` sizes the
+    scheduler's job pool.  ``job_timeout`` bounds each job's wall clock (seconds; see
     :class:`~repro.service.scheduler.Scheduler`).
     """
     store = store if store is not None else ResultStore(store_path)
     service = VettingService(store, workers=workers,
-                             shard_workers=shard_workers,
                              job_timeout=job_timeout)
     service.start()
     server = VettingHTTPServer((host, port), service, verbose=verbose)

@@ -37,7 +37,7 @@ import json
 #: hashed into every digest: bump when the canonical layout changes
 #: (v2: the execution tier - ``engine``/``compiled`` - left the semantic
 #: fields; the codegen differential suite proves all tiers byte-identical,
-#: so the back-end choice is a pure performance knob like ``workers``.
+#: so the back-end choice is a pure performance knob.
 #: v3: the fault-injection ``scenario`` profile joined the semantic
 #: fields - each profile explores a different transition relation, so a
 #: lossy verdict must never be served from the clean cache.

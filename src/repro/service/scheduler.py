@@ -114,20 +114,15 @@ def estimate_cost(job):
 class Scheduler:
     """Drives submissions through the store and the batch worker pool.
 
-    ``shard_workers`` flips the execution model from *inter*-job to
-    *intra*-job parallelism: instead of fanning a batch of jobs across
-    the process pool, jobs drain one at a time and each runs through the
-    sharded engine (:mod:`repro.engine.parallel`) on ``shard_workers``
-    processes.  That is the right trade when submissions trickle in one
-    at a time on a multi-core host - the pool would idle N-1 cores per
-    drain cycle, the shards use them.  A submission whose own options
-    request ``workers > 1`` shards regardless of the scheduler default.
+    Parallelism is across jobs only: each drain cycle fans a batch of
+    queued jobs across :func:`verify_many`'s pool of ``workers``
+    processes, and every job's search runs in one process.
 
     ``job_timeout`` (seconds, ``None`` = unbounded) bounds each job's
     wall clock with two cooperating mechanisms: a cooperative
     ``EngineOptions.time_limit`` injected into every drained job (the
-    engine stops itself at the deadline, covering the inline and sharded
-    paths), plus :func:`verify_many`'s hard pool backstop for workers
+    engine stops itself at the deadline, covering the inline path),
+    plus :func:`verify_many`'s hard pool backstop for workers
     hung in non-cooperative code.  Either way the record finishes - the
     in-flight dedup key is released by ``_finish_batch`` and the drain
     loop moves on; a single runaway submission can never wedge the
@@ -135,19 +130,14 @@ class Scheduler:
     """
 
     def __init__(self, store, workers=None, batch_size=None,
-                 shard_workers=None, job_timeout=None):
+                 job_timeout=None):
         self.store = store
         self.workers = workers
-        self.shard_workers = shard_workers
         self.job_timeout = job_timeout
         #: jobs drained per cycle: enough to keep the pool busy, small
         #: enough that a high-priority arrival waits one batch at most
         self.batch_size = batch_size or max(
             1, (workers or os.cpu_count() or 1) * 4)
-        if shard_workers and shard_workers > 1:
-            # shards already saturate the cores; draining many jobs at
-            # once would multiply processes instead of throughput
-            self.batch_size = 1
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._jobs = {}          # job id -> ScheduledJob
@@ -258,15 +248,11 @@ class Scheduler:
         for record in batch:
             source = record.job
             options = source.options
-            if (self.shard_workers and self.shard_workers > 1
-                    and getattr(options, "workers", 1) <= 1):
-                options = copy.copy(options)
-                options.workers = self.shard_workers
             if self.job_timeout is not None:
                 # cooperative per-job bound: the engine checks wall
-                # clock itself, which also covers the inline and
-                # sharded paths the pool backstop cannot preempt.  A
-                # submission with its own tighter limit keeps it.
+                # clock itself, which also covers the inline path the
+                # pool backstop cannot preempt.  A submission with its
+                # own tighter limit keeps it.
                 limit = getattr(options, "time_limit", None)
                 if limit is None or limit > self.job_timeout:
                     if options is source.options:
@@ -277,7 +263,7 @@ class Scheduler:
                 # board hookup: a job-id scoped config (no sink, no
                 # meter) so ``/jobs/<id>/progress`` and the per-job
                 # ``/metrics`` gauges see live snapshots from runs
-                # executed in this process (inline and sharded paths).
+                # executed in this process (the inline path).
                 # A submission carrying its own config keeps it.
                 from repro.obs import TelemetryConfig
                 if options is source.options:
@@ -291,18 +277,7 @@ class Scheduler:
                 user_mode_events=source.user_mode_events,
                 sources=source.sources))
         try:
-            # sharded jobs run inline (workers=1 pool): each already
-            # spawns its own shard processes via execute_job.  This
-            # also covers submissions that request options.workers
-            # themselves - pool parallelism must never *multiply* with
-            # per-job shard counts, or a batch of API submissions could
-            # fork pool x shards processes at once
-            sharded_batch = any(getattr(job.options, "workers", 1) > 1
-                                for job in jobs)
-            pool_workers = (1 if sharded_batch
-                            or (self.shard_workers and self.shard_workers > 1)
-                            else self.workers)
-            outcome = verify_many(jobs, workers=pool_workers,
+            outcome = verify_many(jobs, workers=self.workers,
                                   timeout=self.job_timeout)
         except Exception as exc:
             # verify_many catches per-job failures itself; this guards
@@ -334,21 +309,6 @@ class Scheduler:
                     continue
                 record.result = result
                 record.status = DONE
-                if result.shard_failure:
-                    failure = result.shard_failure
-                    record.error = (
-                        "shard worker(s) %s died (exit codes %s); result "
-                        "covers the surviving shards only"
-                        % (failure.get("workers"), failure.get("exitcodes")))
-                if result.workers > 1 and (
-                        result.truncated
-                        or record.job.options.stop_on_first):
-                    # a truncated (or stop-on-first) sharded run stopped
-                    # at a scheduling-dependent point, so its partial
-                    # result is not reproducible under the
-                    # (worker-agnostic) cache key - answer the
-                    # submitter, cache nothing
-                    continue
                 if (getattr(result, "swarm", None)
                         and not result.counterexamples):
                     # a swarm "safe" is only "not found by this sample"
@@ -457,11 +417,11 @@ class Scheduler:
     def progress(self, job_id):
         """The latest observed progress for one job, or ``None``.
 
-        While the job runs in this process (the inline and sharded
-        paths) the live board snapshot rides along; once the job is
-        done the result's final figures do.  Jobs executing inside pool
-        worker processes publish to that worker's board, so their
-        ``snapshot`` key is absent until completion.
+        While the job runs in this process (the inline path) the live
+        board snapshot rides along; once the job is done the result's
+        final figures do.  Jobs executing inside pool worker processes
+        publish to that worker's board, so their ``snapshot`` key is
+        absent until completion.
         """
         record = self.job(job_id)
         if record is None:
@@ -502,6 +462,5 @@ class Scheduler:
                 "cache_hits": self.cache_hits,
                 "dedup_hits": self.dedup_hits,
                 "workers": self.workers,
-                "shard_workers": self.shard_workers,
                 "job_timeout": self.job_timeout,
             }

@@ -39,6 +39,25 @@ class TestParser:
                 ["check", "group1-entry-and-mode"] + argv)
         assert "error:" in capsys.readouterr().err
 
+    # intra-run sharding is gone: every run searches in one process.
+    # Spelled in pieces for the same reason as above
+    @pytest.mark.parametrize("argv", [
+        ["check", "group1-entry-and-mode", "--" "workers", "2"],
+        ["check", "group1-entry-and-mode", "--" "partition", "locality"],
+        ["batch", "group1-entry-and-mode", "--shard" "-workers", "2"],
+    ])
+    def test_retired_sharding_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_pool_workers_flags_stay(self):
+        # parallelism across configurations: the job pool's size
+        parser = build_parser()
+        assert parser.parse_args(
+            ["batch", "group1-entry-and-mode", "--workers", "2"]).workers == 2
+        assert parser.parse_args(["serve", "--workers", "2"]).workers == 2
+
 
 class TestApps:
     def test_lists_market_apps(self, capsys):
@@ -94,26 +113,6 @@ class TestCheck:
                             "--max-events", "2",
                             "--properties", "P39", "P40", capsys=capsys)
         assert "P06" not in out
-
-    def test_workers_flag_shards_and_matches_single(self, capsys):
-        """`repro check --workers 2` must report identical verdicts and
-        identical rendered traces to the plain run (the swarm tentpole's
-        CLI surface), plus the per-shard summary line."""
-        code, out = run_cli("check", "group1-entry-and-mode",
-                            "--max-events", "2", "--trace", capsys=capsys)
-        code2, out2 = run_cli("check", "group1-entry-and-mode",
-                              "--max-events", "2", "--trace",
-                              "--workers", "2", capsys=capsys)
-        assert (code, code2) == (1, 1)
-        assert "sharded across 2 workers" in out2
-        # the violation lines and the rendered violation log are
-        # byte-identical; only the stats lines may differ
-        def tail(text):
-            return text[text.index("SmartThings0.prom"):]
-        assert tail(out) == tail(out2)
-        for line in out.splitlines():
-            if line.startswith("  P"):
-                assert line in out2
 
     def test_engine_codegen_matches_default(self, tmp_path, capsys):
         """`--engine codegen` (with a private source cache) must render

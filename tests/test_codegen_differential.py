@@ -7,9 +7,8 @@ hears.  None of that
 may move a single observable - these suites prove verdicts, violation
 sets, per-counterexample event paths and rendered traces byte-identical
 to the interpreted oracle across the whole bundled corpus, every
-visited store, the sleep-set reduction, failure enumeration and the
-sharded multi-process search, and beyond the corpus on generated
-handler programs.
+visited store, the sleep-set reduction and failure enumeration, and
+beyond the corpus on generated handler programs.
 """
 
 import gc
@@ -242,35 +241,6 @@ class TestGroupDifferential:
             system, properties, codegen_cache, max_events=2,
             max_states=2000, mode="concurrent")
         _assert_equivalent(codegen, interpreted, "group1+concurrent")
-
-
-class TestShardedCodegen:
-    def test_group1_sharded_matches_single_interpreted(self, codegen_cache):
-        """Two shard processes regenerate their executors from the
-        digest-keyed source cache; merged verdicts and canonical traces
-        must match the single-worker interpreted run byte-for-byte, and
-        the parent's replay releases its codegen plan."""
-        from repro.engine.batch import VerificationJob
-        from repro.engine.parallel import explore_sharded
-
-        config = GROUP_BUILDERS["group1-entry-and-mode"]()
-        sharded = explore_sharded(
-            VerificationJob("codegen-x2", config,
-                            options=EngineOptions(
-                                max_events=2, engine="codegen",
-                                codegen_cache=codegen_cache, workers=2)),
-            workers=2, keep_replay_system=True)
-        assert sharded.replay_system.executor_factory is None
-        single = explore_sharded(
-            VerificationJob("interpreted-x1", config,
-                            options=EngineOptions(max_events=2,
-                                                  engine="interpreted")),
-            workers=1)
-        assert sharded.states_explored == single.states_explored
-        assert sharded.transitions == single.transitions
-        assert (sorted(sharded.counterexamples)
-                == sorted(single.counterexamples))
-        assert _trace_view(sharded) == _trace_view(single)
 
 
 #: result-JSON fields that measure the run rather than the answer

@@ -130,9 +130,3 @@ class TestCliDriftAudit:
                 "repro %s" % verb) in readme, (
                 "README never mentions the %r subcommand" % verb)
 
-    def test_check_workers_flag_exists(self):
-        table = _subcommands()
-        assert "--workers" in table["check"]
-        assert "--shard-workers" in table["batch"]
-        assert "--shard-workers" in table["serve"]
-        assert "--shard-workers" in table["submit"]

@@ -325,6 +325,19 @@ class TestExplorerShim:
         assert "P06" in result.violated_property_ids
 
 
+def _die_on_job1(job):
+    """Pool-side stand-in for ``_execute_named``: the worker running the
+    job named "job1" exits without a word, everything else runs
+    normally."""
+    import os
+
+    from repro.engine.batch import execute_job
+
+    if job.name == "job1":
+        os._exit(1)
+    return job.name, execute_job(job)
+
+
 class TestVerifyMany:
     @pytest.fixture()
     def jobs(self, alice_config):
@@ -371,6 +384,21 @@ class TestVerifyMany:
         assert "bad" in batch.errors
         assert "KeyError" in batch.errors["bad"]
         assert "good" in batch.results
+
+    def test_worker_death_is_a_job_error(self, jobs, monkeypatch):
+        """A pool worker that dies mid-job (a segfault, the OOM killer)
+        must not take the caller down: ``verify_many`` returns, the dead
+        job is reported as an error and no result carries its name."""
+        import repro.engine.batch as batch_module
+
+        # module-level stand-in: the pool pickles the callable by name
+        monkeypatch.setattr(batch_module, "_execute_named",
+                            _die_on_job1)
+        batch = verify_many(jobs, workers=2, timeout=120)
+        assert "job1" in batch.errors
+        assert "job1" not in batch.results
+        assert set(batch.results) | set(batch.errors) \
+            == {"job0", "job1", "job2", "job3"}
 
     def test_per_job_options(self, alice_config):
         jobs = [VerificationJob("shallow", alice_config,

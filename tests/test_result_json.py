@@ -89,6 +89,68 @@ class TestExplorationResultRoundTrip:
             ExplorationResult.from_dict({"schema": 999})
 
 
+class TestCoverage:
+    """``coverage`` never claims more than the search did."""
+
+    @pytest.fixture(scope="class")
+    def group1_results(self, generator):
+        from repro.corpus.groups import GROUP_BUILDERS
+
+        system = generator.build(GROUP_BUILDERS["group1-entry-and-mode"]())
+        properties = select_relevant(system, build_properties())
+        # a 2^10-bit field saturates on group1's 4,316 depth-3 states:
+        # the supertrace stores drop most of them and miss violations
+        return {visited: ExplorationEngine(
+                    system, properties,
+                    EngineOptions(max_events=3, visited=visited,
+                                  bitstate_bits=10)).run()
+                for visited in ("bitstate", "bitstate-k", "fingerprint",
+                                "exact")}
+
+    @pytest.mark.parametrize("visited,coverage", [
+        ("bitstate", "partial"), ("bitstate-k", "partial"),
+        ("fingerprint", "exhaustive"), ("exact", "exhaustive")])
+    def test_supertrace_stores_are_partial(self, group1_results, visited,
+                                           coverage):
+        result = group1_results[visited]
+        assert not result.truncated
+        assert result.coverage == coverage
+        payload = json.loads(result.to_json())
+        assert payload["coverage"] == coverage
+        assert ExplorationResult.from_dict(payload).coverage == coverage
+
+    def test_saturated_supertrace_really_missed_states(self, group1_results):
+        exhaustive = group1_results["exact"]
+        assert group1_results["fingerprint"].states_explored \
+            == exhaustive.states_explored
+        for visited in ("bitstate", "bitstate-k"):
+            result = group1_results[visited]
+            assert result.visited_stats["fill_ratio"] > 0.9
+            assert result.states_explored < exhaustive.states_explored
+            assert len(result.counterexamples) \
+                < len(exhaustive.counterexamples)
+
+    def test_v1_payload_with_shard_fields_loads(self):
+        """Results stored before schema v2 still load; the retired
+        sharding fields are dropped, and a run that lost a shard (always
+        ``truncated``) stays partial."""
+        payload = {"schema": 1, "verdict": "safe", "coverage": "partial",
+                   "counterexamples": [], "states_explored": 120,
+                   "transitions": 300, "truncated": True,
+                   "truncated_reason": "shard" "_failure",
+                   "workers": 2,
+                   "shard" "_stats": [{"worker": 0, "states_explored": 70}],
+                   "shard" "_failure": {"workers": [1], "exitcodes": [-9],
+                                       "lost_handoffs": 3}}
+        result = ExplorationResult.from_dict(payload)
+        assert result.coverage == "partial"
+        assert result.states_explored == 120
+        restored = result.to_dict()
+        assert restored["schema"] == 2
+        assert not {"workers", "shard" "_stats",
+                    "shard" "_failure"} & set(restored)
+
+
 class TestBatchResultRoundTrip:
     def test_round_trip_with_errors(self, alice_config):
         batch = check_configurations(
@@ -106,7 +168,7 @@ class TestBatchResultRoundTrip:
         batch = check_configurations({"alice": alice_config}, workers=1,
                                      max_events=1)
         payload = json.loads(batch.to_json(indent=2))
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["verdict"] in ("safe", "violated")
         assert "alice" in payload["results"]
 

@@ -9,7 +9,7 @@ reads).  These suites pin down the contract:
 - every profile produces identical verdicts, violation sets, state
   counts and canonical traces across the interpreted and codegen tiers
   (the differential oracle extended to faulted relations);
-- profiles survive the visited-store choices and the sharded search;
+- profiles survive the visited-store choices;
 - profiles are digest-distinguished - a lossy verdict can never be
   served from the clean result cache;
 - the sleep-set reduction silently stands down for non-clean profiles
@@ -21,8 +21,7 @@ import pytest
 from repro.corpus import load_all_apps
 from repro.corpus.groups import GROUP_BUILDERS
 from repro.engine import EngineOptions, ExplorationEngine
-from repro.engine.batch import VerificationJob, execute_job_inline
-from repro.engine.parallel import explore_sharded
+from repro.engine.batch import VerificationJob
 from repro.model.faults import PROFILES, resolve_scenario, scenario_names
 from repro.model.generator import ModelGenerator
 from repro.properties import build_properties, select_relevant
@@ -224,18 +223,3 @@ class TestScenarioDigests:
                     self._job(registry, scenario="lossy", engine=engine))
                 for engine in ENGINES}
         assert len(set(keys.values())) == 1
-
-
-class TestScenarioSharded:
-    def test_lossy_sharded_matches_single_worker(self, registry):
-        def job(workers):
-            return VerificationJob(GROUP1, GROUP_BUILDERS[GROUP1](),
-                                   EngineOptions(max_events=2,
-                                                 scenario="lossy",
-                                                 workers=workers),
-                                   strict=False)
-
-        single = execute_job_inline(job(1))
-        sharded = explore_sharded(job(2))
-        _assert_equivalent(sharded, single, "lossy sharded")
-        assert sharded.verdict == single.verdict

@@ -248,73 +248,6 @@ class TestScheduler:
         finally:
             scheduler.stop(timeout=10)
 
-    def test_shard_workers_mode_runs_jobs_sharded(self, alice_config):
-        """`repro serve --shard-workers N`: jobs drain one at a time
-        through the sharded engine; verdicts and stored results match a
-        plain run, and the shard accounting lands in the store."""
-        store = ResultStore(":memory:")
-        plain = Scheduler(ResultStore(":memory:"), workers=1)
-        plain_record = plain.submit(_alice_job(alice_config))
-        plain.run_pending()
-        scheduler = Scheduler(store, shard_workers=2)
-        assert scheduler.batch_size == 1  # shards already fill the cores
-        record = scheduler.submit(_alice_job(alice_config))
-        scheduler.run_pending()
-        assert record.status == "done", record.error
-        assert record.result.workers == 2
-        assert len(record.result.shard_stats) == 2
-        assert record.verdict == plain_record.verdict
-        assert (record.result.violated_property_ids
-                == plain_record.result.violated_property_ids)
-        # sharding is a perf knob: both runs share one cache key, and
-        # the stored JSON round-trips the shard stats
-        assert record.cache_key == plain_record.cache_key
-        stored = store.get(record.cache_key)
-        assert stored.result.workers == 2
-        assert len(stored.result.shard_stats) == 2
-
-    def test_submission_workers_option_shards_one_job(self, alice_config):
-        """A submission's own ``options.workers`` shards regardless of
-        the scheduler default."""
-        _scheduler, record = _run_one(
-            ResultStore(":memory:"), _alice_job(alice_config, workers=2))
-        assert record.result.workers == 2
-
-    def test_sharded_jobs_never_multiply_with_the_pool(self, alice_config,
-                                                       monkeypatch):
-        """A drain cycle containing any job that requests its own shard
-        workers must run on a single-worker pool: pool x shards process
-        amplification from plain API traffic is how a host dies."""
-        import repro.engine.batch as batch_module
-
-        seen = {}
-        real_verify_many = batch_module.verify_many
-
-        def spying_verify_many(jobs, workers=None, timeout=None):
-            seen["workers"] = workers
-            return real_verify_many(jobs, workers=workers, timeout=timeout)
-
-        monkeypatch.setattr(batch_module, "verify_many", spying_verify_many)
-        scheduler = Scheduler(ResultStore(":memory:"), workers=4)
-        scheduler.submit(_alice_job(alice_config, max_events=1, workers=2))
-        # distinct cache key (max_events differs): a real mixed batch
-        scheduler.submit(_alice_job(alice_config, name="alice2",
-                                    max_events=2))
-        scheduler.run_pending()
-        assert seen["workers"] == 1
-
-    def test_truncated_sharded_result_is_not_cached(self, alice_config):
-        """A limit-truncated sharded run stops at a scheduling-dependent
-        point, so its partial result must not be stored under the
-        worker-agnostic cache key."""
-        store = ResultStore(":memory:")
-        scheduler = Scheduler(store, shard_workers=2)
-        record = scheduler.submit(_alice_job(alice_config, max_states=5))
-        scheduler.run_pending()
-        assert record.status == "done", record.error
-        assert record.result.truncated
-        assert store.get(record.cache_key) is None
-
     def test_source_overlay_jobs_run_and_persist_sources(self, registry,
                                                          alice_config):
         patched = registry["Unlock Door"].source.replace(
@@ -421,7 +354,7 @@ class TestHTTPAPI:
 
         stored = service_client.result(first["cache_key"])
         assert stored["verdict"] == first["verdict"]
-        assert stored["result"]["schema"] == 1
+        assert stored["result"]["schema"] == 2
         assert stored["config"]["devices"]
 
         snapshot = service_client.job(first["id"])
@@ -448,10 +381,6 @@ class TestHTTPAPI:
                 {"group": "no-such-group"},
                 {"group": self.GROUP, "options": {"bogus_option": 1}},
                 {"group": self.GROUP, "options": {"visited": 3}},
-                # one submission must never fork the host to death
-                {"group": self.GROUP, "options": {"workers": 4096}},
-                {"group": self.GROUP, "options": {"workers": 0}},
-                {"group": self.GROUP, "options": {"workers": "two"}},
                 {"group": self.GROUP, "properties": "P06"},
                 {"group": self.GROUP, "sources": ["not-a-dict"]},
         ):
@@ -461,7 +390,7 @@ class TestHTTPAPI:
 
     @pytest.mark.parametrize("option", ["successor_cache", "cache_limit",
                                         "cache_min_hit_rate", "cache_warmup",
-                                        "compiled"])
+                                        "compiled", "workers", "partition"])
     def test_retired_cache_options_are_rejected(self, service_client,
                                                 option):
         with pytest.raises(ServiceError) as excinfo:
@@ -621,7 +550,7 @@ class TestBatchJson:
         code = cli_main(["batch", "group1-entry-and-mode", "--json",
                          "--max-events", "2", "--workers", "1"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert "group1-entry-and-mode" in payload["results"]
         if payload["verdict"] == "violated":
             assert code == 1

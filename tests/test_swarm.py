@@ -32,7 +32,7 @@ from repro.config.schema import SystemConfiguration
 from repro.corpus import load_all_apps
 from repro.corpus.groups import GROUP_BUILDERS
 from repro.engine import EngineOptions, ExplorationResult, SwarmResult
-from repro.engine.batch import VerificationJob, execute_job, execute_job_inline
+from repro.engine.batch import VerificationJob, execute_job
 from repro.service import ResultStore, Scheduler
 
 from tests.conftest import _load_or_skip
@@ -80,9 +80,9 @@ class TestCorpusSoundness:
 
     @pytest.mark.parametrize("group_name", sorted(GROUP_BUILDERS))
     def test_swarm_violations_replay_on_the_oracle(self, group_name):
-        exhaustive = execute_job_inline(
+        exhaustive = execute_job(
             _group_job(group_name, engine="interpreted"))
-        swarm = execute_job_inline(_swarm_job(group_name))
+        swarm = execute_job(_swarm_job(group_name))
         assert isinstance(swarm, SwarmResult)
         assert swarm.swarm["replay_failures"] == 0
         # never a violation the exhaustive oracle does not know
@@ -103,13 +103,13 @@ class TestCorpusSoundness:
 
 class TestDeterminism:
     def test_same_seed_same_result_bytes(self):
-        first = execute_job_inline(_swarm_job(GROUP1, seed=7))
-        second = execute_job_inline(_swarm_job(GROUP1, seed=7))
+        first = execute_job(_swarm_job(GROUP1, seed=7))
+        second = execute_job(_swarm_job(GROUP1, seed=7))
         assert (json.dumps(_comparable(first), sort_keys=True)
                 == json.dumps(_comparable(second), sort_keys=True))
 
     def test_result_json_round_trips_as_swarm_result(self):
-        result = execute_job_inline(_swarm_job(GROUP1))
+        result = execute_job(_swarm_job(GROUP1))
         restored = ExplorationResult.from_json(result.to_json())
         # the polymorphic loader hands back the subclass
         assert isinstance(restored, SwarmResult)
@@ -123,7 +123,7 @@ class TestDeterminism:
 
 class TestMemberAccounting:
     def test_member_stats_sum_to_the_merged_totals(self):
-        result = execute_job_inline(_swarm_job(GROUP1, swarm_members=4))
+        result = execute_job(_swarm_job(GROUP1, swarm_members=4))
         stats = result.swarm["member_stats"]
         assert result.swarm["members"] == 4
         assert [entry["member"] for entry in stats] == [0, 1, 2, 3]
@@ -132,7 +132,7 @@ class TestMemberAccounting:
         assert not result.truncated
 
     def test_member_budgets_truncate_honestly(self):
-        result = execute_job_inline(_swarm_job(GROUP1, swarm_members=3,
+        result = execute_job(_swarm_job(GROUP1, swarm_members=3,
                                                max_states=25))
         assert result.truncated
         assert result.truncated_reason == "swarm_member_budget"
@@ -141,7 +141,7 @@ class TestMemberAccounting:
             assert entry["states"] <= 25
 
     def test_duplicate_member_finds_are_deduplicated(self):
-        result = execute_job_inline(_swarm_job(GROUP1, swarm_members=3))
+        result = execute_job(_swarm_job(GROUP1, swarm_members=3))
         found_per_member = sum(entry["violations"]
                                for entry in result.swarm["member_stats"])
         # every member rediscovers (roughly) the same violations; the
@@ -152,19 +152,19 @@ class TestMemberAccounting:
                 == len(result.counterexamples))
 
     def test_stop_on_first_skips_remaining_members(self):
-        result = execute_job_inline(_swarm_job(GROUP1, swarm_members=8,
+        result = execute_job(_swarm_job(GROUP1, swarm_members=8,
                                                stop_on_first=True))
         assert result.has_violations
         assert result.swarm["members"] < 8
 
     def test_coverage_estimate_is_sane_when_present(self):
-        result = execute_job_inline(_swarm_job(GROUP1, swarm_members=4))
+        result = execute_job(_swarm_job(GROUP1, swarm_members=4))
         estimate = result.swarm["coverage_estimate"]
         if estimate is not None:
             assert 0.0 < estimate <= 1.0
 
     def test_single_member_has_no_estimate(self):
-        result = execute_job_inline(_swarm_job(GROUP1, swarm_members=1))
+        result = execute_job(_swarm_job(GROUP1, swarm_members=1))
         assert result.swarm["coverage_estimate"] is None
 
 
@@ -173,12 +173,12 @@ class TestMemberAccounting:
 
 class TestCoverageHonesty:
     def test_violated_swarm_is_partial(self):
-        result = execute_job_inline(_swarm_job(GROUP1))
+        result = execute_job(_swarm_job(GROUP1))
         assert result.coverage == "partial"
         assert result.to_dict()["coverage"] == "partial"
 
     def test_safe_swarm_is_still_partial(self):
-        result = execute_job_inline(
+        result = execute_job(
             VerificationJob("safe", _safe_config(),
                             EngineOptions(max_events=2, mode="swarm",
                                           swarm_members=2, seed=3),
@@ -187,16 +187,14 @@ class TestCoverageHonesty:
         assert result.coverage == "partial"
 
     def test_exhaustive_results_stay_exhaustive(self):
-        result = execute_job_inline(_group_job(GROUP1))
+        result = execute_job(_group_job(GROUP1))
         assert result.coverage == "exhaustive"
-        truncated = execute_job_inline(_group_job(GROUP1, max_states=10))
+        truncated = execute_job(_group_job(GROUP1, max_states=10))
         assert truncated.coverage == "partial"
 
     def test_execute_job_routes_swarm_inline(self):
-        # workers>1 + swarm: the swarm driver wins, no process sharding
-        result = execute_job(_swarm_job(GROUP1, workers=2))
+        result = execute_job(_swarm_job(GROUP1))
         assert isinstance(result, SwarmResult)
-        assert result.shard_stats == []
 
 
 # -- the vetting service: cache either sound results or nothing ---------------
@@ -234,7 +232,7 @@ class TestSwarmCacheSafety:
         stored = store.get(record.cache_key)
         assert stored is not None
         assert isinstance(stored.result, SwarmResult)
-        fresh = execute_job_inline(
+        fresh = execute_job(
             VerificationJob("fresh", alice_config,
                             EngineOptions(max_events=2, engine="interpreted"),
                             strict=False))
@@ -253,8 +251,8 @@ _DEPTH5_SCRIPT = textwrap.dedent("""
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     from repro.corpus.groups import GROUP_BUILDERS
     from repro.engine import EngineOptions
-    from repro.engine.batch import VerificationJob, execute_job_inline
-    result = execute_job_inline(VerificationJob(
+    from repro.engine.batch import VerificationJob, execute_job
+    result = execute_job(VerificationJob(
         "group1", GROUP_BUILDERS["group1-entry-and-mode"](),
         EngineOptions(max_events=5, max_states=2_000_000,
                       visited=sys.argv[2], spill_dir=sys.argv[1]),

@@ -6,13 +6,13 @@ The observability tentpole's acceptance bar, pinned as tests:
   version, :func:`read_events` parses what a session wrote and refuses
   lines stamped by a newer schema;
 * **snapshot monotonicity** - the progress stream's states, transitions
-  and elapsed clocks never run backwards, inline or sharded;
+  and elapsed clocks never run backwards;
 * **digest neutrality** - telemetry is a pure observer, so no sink /
   meter / board configuration may change a job's content-addressed
   cache key;
 * **outcome equivalence** - verdicts, violation sets and rendered
   counterexample traces are byte-identical with telemetry on vs off,
-  across both engine tiers and with ``workers=2``;
+  across both engine tiers;
 * **service surface** - ``/metrics`` answers exposition a strict parser
   accepts with advancing counters, and ``/jobs/<id>/progress`` serves
   the board snapshot.
@@ -31,9 +31,8 @@ from repro.engine import (
     EngineOptions,
     ExplorationResult,
     VerificationJob,
-    explore_sharded,
 )
-from repro.engine.batch import execute_job_inline
+from repro.engine.batch import execute_job
 from repro.engine.result import BatchResult
 from repro.obs import (
     PROGRESS_BOARD,
@@ -109,7 +108,7 @@ class TestConfigAndSink:
     def test_versioned_round_trip(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         session = open_session(TelemetryConfig(path=path, job="job-1"))
-        session.run_start(EngineOptions(max_events=2), workers=1)
+        session.run_start(EngineOptions(max_events=2))
         session.snapshot({"states": 10, "transitions": 20, "frontier": 3})
         session.span("explore", 0.25)
         result = ExplorationResult()
@@ -134,6 +133,27 @@ class TestConfigAndSink:
         with pytest.raises(ValueError, match="schema version"):
             read_events(str(path))
 
+    def test_reader_accepts_v1_sinks(self, tmp_path):
+        """A v1 sink - written while runs could be sharded - still reads
+        and renders; its retired events and fields are ignored."""
+        path = tmp_path / "v1.jsonl"
+        lines = [
+            {"v": 1, "kind": "run_start", "elapsed": 0.0, "workers": 2,
+             "max_events": 2, "engine": "codegen", "visited": "fingerprint",
+             "strategy": "dfs", "scenario": "clean"},
+            {"v": 1, "kind": "shard" "_snapshot", "elapsed": 0.1,
+             "worker": 0, "states": 5, "transitions": 9},
+            {"v": 1, "kind": "run_end", "elapsed": 0.2, "workers": 2,
+             "verdict": "safe", "violations": 0, "states": 10,
+             "transitions": 20, "run_elapsed": 0.2, "truncated": False,
+             "truncated_reason": None},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        report = render_report(read_events(str(path)))
+        assert "shape: depth 2" in report
+        assert "outcome: safe" in report
+        assert "worker" not in report
+
     def test_reader_flags_malformed_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"v": 1, "kind": "snapshot"}\n\n{oops\n')
@@ -149,7 +169,7 @@ class TestConfigAndSink:
 class TestEngineSnapshots:
     def test_inline_snapshots_are_monotonic(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        result = execute_job_inline(_group_job(
+        result = execute_job(_group_job(
             check_interval=16, telemetry={"path": path, "interval": 16}))
         events = read_events(path)
         snapshots = [e for e in events if e["kind"] == "snapshot"]
@@ -163,31 +183,11 @@ class TestEngineSnapshots:
         span_names = {e["name"] for e in events if e["kind"] == "span"}
         assert "explore" in span_names
 
-    def test_sharded_sink_has_cluster_and_shard_views(self, tmp_path):
-        path = str(tmp_path / "sharded.jsonl")
-        result = explore_sharded(_group_job(
-            workers=2, check_interval=16,
-            telemetry={"path": path, "interval": 16}))
-        events = read_events(path)
-        start = next(e for e in events if e["kind"] == "run_start")
-        assert start["workers"] == 2
-        shard_views = [e for e in events if e["kind"] == "shard_snapshot"]
-        assert {e["worker"] for e in shard_views} <= {0, 1}
-        cluster = [e for e in events if e["kind"] == "snapshot"]
-        assert cluster, "worker snapshots must merge into cluster views"
-        for field in ("states", "transitions", "elapsed"):
-            series = [s[field] for s in cluster]
-            assert series == sorted(series), (field, series)
-        assert all("workers_reporting" in s for s in cluster)
-        end = [e for e in events if e["kind"] == "run_end"][-1]
-        assert end["states"] == result.states_explored
-        assert end["workers"] == 2
-
     def test_board_publication(self, tmp_path):
         job_key = "test-board-job"
         PROGRESS_BOARD.discard(job_key)
         try:
-            execute_job_inline(_group_job(
+            execute_job(_group_job(
                 check_interval=16,
                 telemetry={"job": job_key, "interval": 16}))
             final = PROGRESS_BOARD.latest(job_key)
@@ -217,8 +217,8 @@ class TestTelemetryNeutrality:
 
     @pytest.mark.parametrize("engine", ["interpreted", "codegen"])
     def test_outcomes_identical_across_tiers(self, engine, tmp_path):
-        plain = execute_job_inline(_group_job(engine=engine))
-        observed = execute_job_inline(_group_job(
+        plain = execute_job(_group_job(engine=engine))
+        observed = execute_job(_group_job(
             engine=engine, check_interval=16,
             telemetry={"path": str(tmp_path / (engine + ".jsonl")),
                        "interval": 16}))
@@ -228,18 +228,6 @@ class TestTelemetryNeutrality:
         assert _rendered_traces(observed) == _rendered_traces(plain)
         assert observed.states_explored == plain.states_explored
         assert observed.transitions == plain.transitions
-
-    def test_outcomes_identical_sharded(self, tmp_path):
-        plain = explore_sharded(_group_job(workers=2))
-        observed = explore_sharded(_group_job(
-            workers=2, check_interval=16,
-            telemetry={"path": str(tmp_path / "sharded.jsonl"),
-                       "interval": 16}))
-        assert observed.verdict == plain.verdict
-        assert sorted(observed.counterexamples) \
-            == sorted(plain.counterexamples)
-        assert _rendered_traces(observed) == _rendered_traces(plain)
-        assert observed.states_explored == plain.states_explored
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +333,12 @@ class TestReportRenderer:
 
     def test_render_report_sections(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        explore_sharded(_group_job(
-            workers=2, check_interval=16,
-            telemetry={"path": path, "interval": 16}))
+        execute_job(_group_job(
+            check_interval=16, telemetry={"path": path, "interval": 16}))
         report = render_report(read_events(path))
         assert "shape: depth 2" in report
         assert "outcome: violated" in report
         assert "phases:" in report and "explore" in report
-        assert "shards:" in report
         assert render_report([]) == "empty telemetry sink (no events)"
 
     def test_progress_meter_renders_and_repaints(self):
@@ -416,7 +402,7 @@ class TestWarningAndSwarmEvents:
         threshold must leave a ``bitstate_saturation`` warning in the
         sink - the run is silently losing coverage past that point."""
         path = str(tmp_path / "run.jsonl")
-        execute_job_inline(_group_job(visited="bitstate-k", bitstate_bits=8,
+        execute_job(_group_job(visited="bitstate-k", bitstate_bits=8,
                                       telemetry=path))
         warnings = [e for e in read_events(path) if e["kind"] == "warning"]
         assert len(warnings) == 1
@@ -428,13 +414,13 @@ class TestWarningAndSwarmEvents:
 
     def test_unsaturated_run_does_not_warn(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        execute_job_inline(_group_job(visited="bitstate-k",
+        execute_job(_group_job(visited="bitstate-k",
                                       telemetry=path))  # roomy default field
         assert not [e for e in read_events(path) if e["kind"] == "warning"]
 
     def test_swarm_run_logs_members_and_mode(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        execute_job_inline(_group_job(mode="swarm", swarm_members=2, seed=5,
+        execute_job(_group_job(mode="swarm", swarm_members=2, seed=5,
                                       telemetry=path))
         events = read_events(path)
         start = next(e for e in events if e["kind"] == "run_start")
