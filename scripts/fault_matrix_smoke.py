@@ -8,7 +8,9 @@ rendered traces - wall-clock and cache statistics stripped).  Any cell
 where the codegen tier disagrees with the interpreted oracle fails the
 job:
 the profiles are only trustworthy if the faulted relation is
-tier-independent.
+tier-independent.  It also pins cascade replay's scope: the clean
+profile's codegen run must replay at least one cascade, and every
+faulted profile's must replay none.
 
 Exit code 0 on success, 1 on any mismatch.
 
@@ -44,6 +46,7 @@ def semantic_json(result):
 
 
 def run_cell(group, scenario, engine, max_events, codegen_cache):
+    """One matrix cell: ``(result, cascade_stats)``."""
     from repro import build_system
     from repro.corpus.groups import GROUP_BUILDERS
     from repro.engine import EngineOptions, ExplorationEngine
@@ -53,7 +56,8 @@ def run_cell(group, scenario, engine, max_events, codegen_cache):
     properties = select_relevant(system, build_properties())
     options = EngineOptions(max_events=max_events, scenario=scenario,
                             engine=engine, codegen_cache=codegen_cache)
-    return ExplorationEngine(system, properties, options).run()
+    runner = ExplorationEngine(system, properties, options)
+    return runner.run(), runner.cascade_stats
 
 
 def main():
@@ -65,6 +69,7 @@ def main():
     from repro.model.faults import scenario_names
 
     mismatches = []
+    scope_errors = []
     codegen_cache = tempfile.mkdtemp(prefix="fault-matrix-codegen-")
     print("fault matrix: %s, max_events=%d" % (args.group, args.max_events))
     print("%-14s %-12s %10s %12s %8s" % ("scenario", "engine", "states",
@@ -72,12 +77,19 @@ def main():
     for scenario in scenario_names():
         cells = {}
         for engine in ENGINES:
-            result = run_cell(args.group, scenario, engine,
-                              args.max_events, codegen_cache)
+            result, stats = run_cell(args.group, scenario, engine,
+                                     args.max_events, codegen_cache)
             cells[engine] = semantic_json(result)
             print("%-14s %-12s %10d %12d %8s"
                   % (scenario, engine, result.states_explored,
                      result.transitions, result.verdict))
+            if engine == "codegen":
+                replayed = stats["cascades_replayed"]
+                if (replayed > 0) != (scenario == "clean"):
+                    scope_errors.append(scenario)
+                    print("REPLAY SCOPE: %s/codegen replayed %d cascades; "
+                          "only the clean profile replays"
+                          % (scenario, replayed))
         if cells["codegen"] != cells["interpreted"]:
             mismatches.append(scenario)
             print("MISMATCH: %s/codegen diverges from the interpreted "
@@ -89,9 +101,13 @@ def main():
         print("\nFAIL: %d matrix cell(s) diverged: %s"
               % (len(mismatches),
                  ", ".join("%s/codegen" % cell for cell in mismatches)))
+    if scope_errors:
+        print("\nFAIL: cascade replay out of scope in: %s"
+              % ", ".join("%s/codegen" % cell for cell in scope_errors))
+    if mismatches or scope_errors:
         return 1
     print("\nOK: every scenario verdict is identical across both "
-          "engine tiers")
+          "engine tiers, and only the clean profile replays cascades")
     return 0
 
 

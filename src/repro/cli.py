@@ -136,7 +136,8 @@ def cmd_check(args):
     if not args.all_properties:
         properties = select_relevant(system, properties)
     phase_times["build"] = time.monotonic() - phase_started
-    result = ExplorationEngine(system, properties, options).run()
+    engine = ExplorationEngine(system, properties, options)
+    result = engine.run()
     # result.profile carries the engine-side phases (codegen, explore,
     # canonicalize); the CLI prepends its own parse/build phases
     phase_times.update(result.profile)
@@ -152,6 +153,9 @@ def cmd_check(args):
                                     key=lambda kv: -kv[1]):
             print("  %-14s %8.3fs  %5.1f%%"
                   % (name, seconds, 100.0 * seconds / total))
+        if engine.cascade_stats:
+            from repro.obs.report import cascade_line
+            print("cascades: %s" % cascade_line(engine.cascade_stats))
     if args.trace and result.counterexamples:
         for counterexample in result.counterexamples.values():
             print()

@@ -138,6 +138,10 @@ class ExplorationEngine:
         #: per-phase wall time (``codegen`` setup, ``canonicalize``);
         #: merged into ``result.profile`` by ``_finish``
         self._phase_times = {}
+        #: the last run's cascade counts (:meth:`CodegenPlan.stats`;
+        #: empty on the interpreted tier) - kept off the result so its
+        #: JSON does not depend on the tier
+        self.cascade_stats = {}
         # partition properties and resolve applicability once per engine;
         # every per-cascade monitor shares this compiled set.  The verdict
         # memo is hash-keyed (physical projection, ~2^-64 collisions), so
@@ -397,6 +401,7 @@ class ExplorationEngine:
         self._canonicalize_traces(result)
         if self._plan is not None:
             self._plan.release()
+            self.cascade_stats = self._plan.stats()
         self._phase_times["canonicalize"] = (time.monotonic()
                                              - finalize_started)
         result.elapsed = time.monotonic() - started
@@ -420,7 +425,7 @@ class ExplorationEngine:
                     "bitstate_saturation", fill_ratio=fill_ratio,
                     stored=result.visited_stats.get("stored", 0),
                     collisions=result.visited_stats.get("collisions", 0))
-            telemetry.run_end(result)
+            telemetry.run_end(result, self.cascade_stats)
             telemetry.close()
         return result
 

@@ -246,6 +246,15 @@ class ModelState:
         self._fp_cache = None
         return mapping
 
+    def peek_app_state(self, app_name):
+        """One app's ``state`` map, or ``None`` when it has none yet.
+
+        Unlike :meth:`app_state` this creates, unshares and escapes
+        nothing, so the map may be shared with other states: callers
+        must only read it.
+        """
+        return self._app_states.get(app_name)
+
     def seal(self):
         """Declare every raw reference handed out so far dropped.
 

@@ -47,6 +47,18 @@ def throughput_series(snapshots):
     return rates
 
 
+def cascade_line(stats):
+    """``N live, M replayed (P%), K replay leaves`` for a codegen run's
+    cascade counts (a ``run_end`` event or :meth:`CodegenPlan.stats`)."""
+    live = stats.get("cascades_live", 0)
+    replayed = stats.get("cascades_replayed", 0)
+    total = live + replayed
+    return "%s live, %s replayed (%.1f%%), %s replay leaves" % (
+        _count(live), _count(replayed),
+        100.0 * replayed / total if total else 0.0,
+        _count(stats.get("replay_leaves", 0)))
+
+
 def render_report(events):
     """The human-readable report for one sink's parsed event list."""
     if not events:
@@ -86,6 +98,8 @@ def _render_run(job, events):
                 _count(end.get("transitions", 0)), elapsed, _count(rate),
                 " [truncated: %s]" % end.get("truncated_reason")
                 if end.get("truncated") else ""))
+    if end is not None and "cascades_live" in end:
+        lines.append("  cascades: %s" % cascade_line(end))
     if spans:
         total = sum(s.get("seconds", 0.0) for s in spans) or 1.0
         lines.append("  phases:")

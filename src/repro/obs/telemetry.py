@@ -359,8 +359,11 @@ class TelemetrySession:
         payload.update(fields)
         self._emit("warning", payload)
 
-    def run_end(self, result):
-        """The run's outcome; also published as the final board state."""
+    def run_end(self, result, cascade_stats=None):
+        """The run's outcome; also published as the final board state.
+
+        ``cascade_stats`` (the codegen plan's live/replayed cascade and
+        replay-leaf counts) joins the fields when given."""
         fields = {
             "verdict": result.verdict,
             "violations": len(result.counterexamples),
@@ -370,6 +373,8 @@ class TelemetrySession:
             "truncated": result.truncated,
             "truncated_reason": result.truncated_reason,
         }
+        if cascade_stats:
+            fields.update(cascade_stats)
         self._emit("run_end", fields)
         if self.config.job is not None:
             final = dict(fields)

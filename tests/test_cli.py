@@ -138,6 +138,7 @@ class TestCheck:
         assert "phase breakdown:" in out
         for phase in ("parse", "build", "explore", "canonicalize"):
             assert phase in out
+        assert "cascades: " in out and "replay leaves" in out
 
     def test_check_json_carries_profile(self, capsys):
         import json

@@ -28,7 +28,10 @@ from repro.devices.catalog import DEVICE_TYPES
 from repro.engine import EngineOptions, ExplorationEngine
 from repro.model import codegen
 from repro.model.codegen import CodegenError, CodegenPlan
+from repro.model.cascade import TIME_QUANTUM_MS
+from repro.model.faults import scenario_names
 from repro.model.generator import ModelGenerator
+from repro.model.state import ModelState
 from repro.properties import build_properties, select_relevant
 from repro.translator.lowering import lower_program
 
@@ -60,12 +63,18 @@ def codegen_cache(tmp_path_factory):
     return str(tmp_path_factory.mktemp("codegen-cache"))
 
 
-def _verify_both(system, properties, codegen_cache, **option_kwargs):
+def _verify_both(system, properties, codegen_cache, cascade_stats=None,
+                 **option_kwargs):
+    """Run both tiers; the codegen run's cascade counts are appended to
+    ``cascade_stats`` when a list is given."""
     results = {}
     for engine in ("codegen", "interpreted"):
         options = EngineOptions(engine=engine, codegen_cache=codegen_cache,
                                 **option_kwargs)
-        results[engine] = ExplorationEngine(system, properties, options).run()
+        runner = ExplorationEngine(system, properties, options)
+        results[engine] = runner.run()
+        if engine == "codegen" and cascade_stats is not None:
+            cascade_stats.append(runner.cascade_stats)
     return results["codegen"], results["interpreted"]
 
 
@@ -295,6 +304,137 @@ class TestRunLeavesNoCycle:
             gc.enable()
 
 
+def _transition_view(system, transition):
+    """Everything a lean transition hands the engine, comparably."""
+    label, state, consumed, violations, steps = transition
+    return (label, consumed, state.canonical_key(), state.fingerprint(),
+            state.time,
+            {name: state.device_history(name) for name in system.devices},
+            [v.dedup_key() for v in violations],
+            [(step.kind, step.text, step.app) for step in steps])
+
+
+def _plan_and_monitors(system, codegen_cache, **option_kwargs):
+    properties = select_relevant(system, build_properties())
+    engine = ExplorationEngine(system, properties,
+                               EngineOptions(codegen_cache=codegen_cache,
+                                             **option_kwargs))
+    return (CodegenPlan(system, cache_dir=codegen_cache),
+            engine._monitor_factory)
+
+
+class TestCascadeReplay:
+    """Cascade replay must be invisible: a replayed successor equals the
+    live one in everything the search and its reports read."""
+
+    @pytest.mark.parametrize("group_name", sorted(GROUP_BUILDERS))
+    def test_replayed_expansions_equal_live_ones(self, group_name,
+                                                 codegen_cache):
+        registry = _load_or_skip(load_all_apps)
+        system = ModelGenerator(registry).build(GROUP_BUILDERS[group_name]())
+        live, monitors = _plan_and_monitors(system, codegen_cache)
+        # every state a max_events=2 search expands
+        states, frontier = [], [system.initial_state()]
+        seen = {frontier[0].canonical_key()}
+        for depth in range(2):
+            states.extend(frontier)
+            successors = []
+            for state in frontier:
+                for transition in live.transitions(state, monitors):
+                    key = transition[1].canonical_key()
+                    if key not in seen:
+                        seen.add(key)
+                        successors.append(transition[1])
+            frontier = successors
+        # the reference: each state expanded on an empty trie, all live
+        expected = []
+        replayed_before = live.cascades_replayed
+        for state in states:
+            live.release()
+            expected.append([_transition_view(system, t)
+                             for t in live.transitions(state, monitors)])
+        assert live.cascades_replayed == replayed_before
+
+        plan, _ = _plan_and_monitors(system, codegen_cache)
+        for state in states:
+            plan.transitions(state, monitors)
+        first = plan.stats()
+        replayed = [[_transition_view(system, t)
+                     for t in plan.transitions(state, monitors)]
+                    for state in states]
+        second = plan.stats()
+        assert second["cascades_live"] == first["cascades_live"]
+        assert (second["cascades_replayed"]
+                > first["cascades_replayed"]), group_name
+        assert second["replay_leaves"] == first["replay_leaves"] > 0
+        for state, want, got in zip(states, expected, replayed):
+            assert got == want, (group_name, state)
+
+    def test_clock_reads_key_the_replay(self, codegen_cache):
+        """A handler that reads ``now()`` sees the clock, so two states
+        differing only in time must not share its cascade; a handler
+        that never reads it must."""
+        outcomes = {}
+        for body in ("state.t = now()", "state.t = 1"):
+            system = _generated_system(
+                'definition(name: "Gen", namespace: "t", author: "t", '
+                'description: "d", category: "c")' + _GEN_PREFS
+                + "def h(evt) { %s }\ndef later() { }" % body)
+            plan, monitors = _plan_and_monitors(system, codegen_cache)
+            early = system.initial_state()
+            late = early.copy()
+            late.time += 5 * TIME_QUANTUM_MS
+            app = system.apps[0].name
+            counts = []
+            for state in (early, late):
+                before = plan.stats()
+                (transition,) = plan.transitions(
+                    state, monitors,
+                    lambda ext: (ext.device, ext.attribute) == ("m", "motion"))
+                after = plan.stats()
+                counts.append((
+                    after["cascades_live"] - before["cascades_live"],
+                    after["cascades_replayed"] - before["cascades_replayed"]))
+                assert (transition[1].peek_app_state(app)["t"]
+                        == (state.time + TIME_QUANTUM_MS
+                            if "now" in body else 1))
+            outcomes[body] = counts
+        assert outcomes["state.t = now()"] == [(1, 0), (1, 0)]
+        assert outcomes["state.t = 1"] == [(1, 0), (0, 1)]
+
+    def test_recording_view_refuses_unlisted_members(self):
+        view = codegen._RecordingState(ModelState())
+        for name in ("devices", "app_states", "history", "copy", "seal"):
+            with pytest.raises(codegen._UnrecordedAccess):
+                getattr(view, name, None)
+        view.set_attribute("d", "switch", "on")
+        assert view.attribute("d", "switch") == "on"
+
+    def test_faults_replay_nothing(self, codegen_cache):
+        """Only clean single-scenario cascades replay: failure
+        enumeration and every non-clean profile run each one live."""
+        registry = _load_or_skip(load_all_apps)
+        config = GROUP_BUILDERS["group1-entry-and-mode"]()
+        runs = {}
+        for scenario in scenario_names():
+            system = ModelGenerator(registry).build(config)
+            runs[scenario] = system, {"scenario": scenario}
+        runs["failures"] = (ModelGenerator(registry).build(
+            config, enable_failures=True), {})
+        for name, (system, option_kwargs) in runs.items():
+            properties = select_relevant(system, build_properties())
+            engine = ExplorationEngine(system, properties, EngineOptions(
+                max_events=2, codegen_cache=codegen_cache, **option_kwargs))
+            engine.run()
+            stats = engine.cascade_stats
+            assert stats["cascades_live"] > 0, name
+            if name == "clean":
+                assert stats["cascades_replayed"] > 0
+            else:
+                assert stats["cascades_replayed"] == 0, name
+                assert stats["replay_leaves"] == 0, name
+
+
 class TestFallback:
     def test_ungeneratable_app_runs_on_the_interpreter(self, monkeypatch):
         """An app whose IR defeats the emitter is listed on the plan's
@@ -496,20 +636,28 @@ def _generated_system(source):
 
 
 class TestGeneratedPrograms:
-    @settings(derandomize=True, max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(_handler_programs())
-    def test_tiers_agree_on_generated_handlers(self, codegen_cache, source):
+    def test_tiers_agree_on_generated_handlers(self, codegen_cache):
         """Commands, branches, early returns, switches, bounded loops,
         local closures, state, modes, schedules and messages in random
         combination: the default tier must reproduce the interpreted
-        oracle's states, transitions, dedup keys and rendered traces."""
-        system = _generated_system(source)
-        # the emitter must take every drawn construct: a fallback app
-        # would compare the interpreter with itself
-        compile(codegen.generate_source(system.apps[0]), "<gen>", "exec")
-        properties = select_relevant(system, build_properties())
-        codegen_run, interpreted = _verify_both(
-            system, properties, codegen_cache, max_events=2)
-        assert not interpreted.truncated, source
-        _assert_equivalent(codegen_run, interpreted, source)
+        oracle's states, transitions, dedup keys and rendered traces -
+        with cascade replay exercised along the way."""
+        cascade_stats = []
+
+        @settings(derandomize=True, max_examples=300, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(_handler_programs())
+        def tiers_agree(source):
+            system = _generated_system(source)
+            # the emitter must take every drawn construct: a fallback app
+            # would compare the interpreter with itself
+            compile(codegen.generate_source(system.apps[0]), "<gen>", "exec")
+            properties = select_relevant(system, build_properties())
+            codegen_run, interpreted = _verify_both(
+                system, properties, codegen_cache, cascade_stats,
+                max_events=2)
+            assert not interpreted.truncated, source
+            _assert_equivalent(codegen_run, interpreted, source)
+
+        tiers_agree()
+        assert sum(stats["cascades_replayed"] for stats in cascade_stats) > 0

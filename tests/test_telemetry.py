@@ -180,6 +180,11 @@ class TestEngineSnapshots:
         end = [e for e in events if e["kind"] == "run_end"][-1]
         assert end["states"] == result.states_explored
         assert end["transitions"] == result.transitions
+        # the default codegen tier reports its cascade counts; a depth-2
+        # search meets most cascades a second time and replays them
+        assert end["cascades_live"] > 0
+        assert end["cascades_replayed"] > end["cascades_live"]
+        assert end["replay_leaves"] <= end["cascades_live"]
         span_names = {e["name"] for e in events if e["kind"] == "span"}
         assert "explore" in span_names
 
@@ -339,6 +344,7 @@ class TestReportRenderer:
         assert "shape: depth 2" in report
         assert "outcome: violated" in report
         assert "phases:" in report and "explore" in report
+        assert "cascades: " in report and "replayed" in report
         assert render_report([]) == "empty telemetry sink (no events)"
 
     def test_progress_meter_renders_and_repaints(self):
