@@ -330,44 +330,56 @@ class TestCascadeReplay:
     @pytest.mark.parametrize("group_name", sorted(GROUP_BUILDERS))
     def test_replayed_expansions_equal_live_ones(self, group_name,
                                                  codegen_cache):
+        """Every state reachable within max_events=2 expands twice
+        through one plan: the second pass is all replay and equals the
+        first.  The states the search expands (depth < 2) also get a
+        fully live reference, each on an empty trie."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(GROUP_BUILDERS[group_name]())
         live, monitors = _plan_and_monitors(system, codegen_cache)
-        # every state a max_events=2 search expands
-        states, frontier = [], [system.initial_state()]
+        plan, _ = _plan_and_monitors(system, codegen_cache)
+
+        # the cascade-free path for unheard sensor events never replays
+        quiet = {ext.label() for ext in plan._quiet}
+
+        def heard(ext):
+            return ext not in plan._quiet
+
+        def views(transitions):
+            return [_transition_view(system, t) for t in transitions
+                    if t[0] not in quiet]
+
+        states, expected = [], []
+        frontier = [system.initial_state()]
         seen = {frontier[0].canonical_key()}
-        for depth in range(2):
+        for depth in range(3):
             states.extend(frontier)
             successors = []
-            for state in frontier:
-                for transition in live.transitions(state, monitors):
+            for state in frontier if depth < 2 else ():
+                live.release()
+                transitions = live.transitions(state, monitors)
+                expected.append(views(transitions))
+                for transition in transitions:
                     key = transition[1].canonical_key()
                     if key not in seen:
                         seen.add(key)
                         successors.append(transition[1])
             frontier = successors
-        # the reference: each state expanded on an empty trie, all live
-        expected = []
-        replayed_before = live.cascades_replayed
-        for state in states:
-            live.release()
-            expected.append([_transition_view(system, t)
-                             for t in live.transitions(state, monitors)])
-        assert live.cascades_replayed == replayed_before
+        assert live.cascades_replayed == 0
 
-        plan, _ = _plan_and_monitors(system, codegen_cache)
-        for state in states:
-            plan.transitions(state, monitors)
-        first = plan.stats()
-        replayed = [[_transition_view(system, t)
-                     for t in plan.transitions(state, monitors)]
-                    for state in states]
-        second = plan.stats()
-        assert second["cascades_live"] == first["cascades_live"]
-        assert (second["cascades_replayed"]
-                > first["cascades_replayed"]), group_name
-        assert second["replay_leaves"] == first["replay_leaves"] > 0
-        for state, want, got in zip(states, expected, replayed):
+        passes = []
+        for _pass in range(2):
+            before = plan.stats()
+            passes.append([views(plan.transitions(state, monitors, heard))
+                           for state in states])
+        after = plan.stats()
+        assert after["cascades_live"] == before["cascades_live"]
+        assert (after["cascades_replayed"]
+                > before["cascades_replayed"]), group_name
+        assert after["replay_leaves"] == before["replay_leaves"] > 0
+        first, second = passes
+        assert second == first, group_name
+        for state, want, got in zip(states, expected, second):
             assert got == want, (group_name, state)
 
     def test_clock_reads_key_the_replay(self, codegen_cache):
