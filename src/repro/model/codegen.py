@@ -31,11 +31,11 @@ Three cooperating layers:
   all ``TraceStep`` recording and label formatting during search
   (violating paths are replayed through the traced relation by the
   engine, so reported traces are byte-identical to the interpreter's).
-  On a clean run the lean relation also *replays* cascades: each one
-  runs live once against a :class:`_RecordingState` view, and a later
-  cascade of the same label whose first reads find the same values
-  re-applies the recorded writes and monitor hooks instead of running
-  the handlers again (:meth:`CodegenPlan._run_clean`).
+  On a clean run the lean relation also *replays* cascades
+  (:mod:`repro.model.replay`): each distinct one runs live once on a
+  recording view, and a later cascade of the same label whose first
+  reads find the same values re-applies the recorded writes and
+  monitor hooks instead of running the handlers again.
 
 Divergences from the interpreter, by design:
 
@@ -92,7 +92,7 @@ from repro.model.interpreter import (
     get_property_value,
     index_value,
 )
-from repro.model.state import ModelState, _copy_value
+from repro.model.replay import RecordingMonitor, RecordingState, ReplayTrie
 from repro.translator.builtins import is_groovy_truthy, to_groovy_string
 
 __all__ = [
@@ -1241,314 +1241,6 @@ class _LeanCascade(Cascade):
         pass
 
 
-# ----------------------------------------------------------------------
-# cascade replay
-# ----------------------------------------------------------------------
-
-class _Unreplayable(Exception):
-    """A value outside the plain data the replay key can compare exactly
-    (the cascade still runs live; it is just never recorded)."""
-
-
-class _UnrecordedAccess(RuntimeError):
-    """A cascade touched a :class:`ModelState` member the recording view
-    does not expose, so the read would escape the replay key."""
-
-
-def _exact(value):
-    """A hashable key equal for two values exactly when they are the
-    same plain data: type-tagged (``1``, ``1.0`` and ``True`` differ),
-    dict insertion order kept (app code may iterate it).  Raises
-    :class:`_Unreplayable` for any other type."""
-    kind = type(value)
-    if kind is str or value is None:
-        return value
-    if kind is int or kind is bool:
-        return (kind, value)
-    if kind is float:
-        return (kind, value.hex())  # -0.0 and nan compare exactly
-    if kind is tuple or kind is list:
-        return (kind, tuple([_exact(item) for item in value]))
-    if kind is dict:
-        return (kind, tuple([(_exact(key), _exact(item))
-                             for key, item in value.items()]))
-    raise _Unreplayable(kind.__name__)
-
-
-#: the key of an app that has no ``state`` map yet (distinct from every
-#: :func:`_exact` result, all of which are strings, None or pairs)
-_ABSENT = ("absent",)
-
-
-def _peek_app_state(state, loc):
-    mapping = state.peek_app_state(loc[1])
-    return _ABSENT if mapping is None else _exact(mapping)
-
-
-#: location kind -> ``fn(state, loc)`` giving the location's replay key
-#: without touching the state's copy-on-write or escape bookkeeping
-_PEEKS = {
-    "attribute": lambda state, loc: _exact(state.attribute(loc[1], loc[2])),
-    "history": lambda state, loc: _exact(state.device_history(loc[1])),
-    "mode": lambda state, loc: _exact(state.mode),
-    "app_state": _peek_app_state,
-    "schedules": lambda state, loc: _exact(state.schedules),
-    "time": lambda state, loc: _exact(state.time),
-    "cascade_commands": lambda state, loc: _exact(state.cascade_commands),
-    "pending": lambda state, loc: _exact(state.pending),
-}
-
-
-_set_mode = ModelState.mode.fset
-_set_cascade_commands = ModelState.cascade_commands.fset
-_set_pending = ModelState.pending.fset
-
-
-def _touch_app_state(state, app_name):
-    state.app_state(app_name)
-
-
-def _restore_app_state(state, app_name, value):
-    mapping = state.app_state(app_name)
-    mapping.clear()
-    mapping.update(_copy_value(value))
-
-
-class _Probe:
-    """An inner trie node: the next location every cascade reaching it
-    reads, and one child per value read there."""
-
-    __slots__ = ("loc", "peek", "children")
-
-    def __init__(self, loc):
-        self.loc = loc
-        self.peek = _PEEKS[loc[0]]
-        self.children = {}
-
-
-class _Replay:
-    """A trie leaf: one recorded cascade, replayable onto any state
-    whose first reads match its path.
-
-    ``writes`` are ``(fn, args)`` calls of :class:`ModelState` methods
-    in cascade order, ``calls`` the monitor's ``(on_*, args)`` hooks and
-    ``steps`` the skeleton trace."""
-
-    __slots__ = ("writes", "calls", "steps")
-
-    def __init__(self, writes, calls, steps):
-        self.writes = writes
-        self.calls = calls
-        self.steps = steps
-
-
-class _RecordingMonitor:
-    """Forwards a cascade's ``on_*`` monitor hooks and records them."""
-
-    __slots__ = ("_monitor", "calls")
-
-    def __init__(self, monitor):
-        self._monitor = monitor
-        self.calls = []
-
-    def __getattr__(self, name):
-        if not name.startswith("on_"):
-            raise _UnrecordedAccess("monitor.%s is not recorded" % name)
-        hook = getattr(self._monitor, name)
-        calls = self.calls
-
-        def record(*args):
-            calls.append((name, args))
-            return hook(*args)
-        return record
-
-
-class _RecordingState:
-    """A :class:`ModelState` view that records one cascade for replay.
-
-    Exposes only the members the lean cascade uses; any other access
-    raises :class:`_UnrecordedAccess`.  Every call goes through to the
-    real state.  Alongside, the view keeps:
-
-    * ``reads``: the first read of each location, in order, with its
-      :func:`_exact` key.  An absolute write (an attribute, the mode,
-      the command log) makes later reads of that location derived
-      values, so they are not keyed.  A relative write (a history
-      append, a schedule change) depends on the old value, so a later
-      first read keys the value from before the write.  An app's
-      ``state`` map counts as read, whole, when first handed out.
-    * ``writes``: the mutator calls, replayable through the same
-      :class:`ModelState` methods.  App maps are mutated in place, so
-      :meth:`record` appends their final contents as one write each.
-    """
-
-    __slots__ = ("_state", "reads", "_seen", "_originals", "_writes",
-                 "_apps", "_exotic")
-
-    def __init__(self, state):
-        self._state = state
-        self.reads = []
-        self._seen = set()
-        self._originals = {}
-        self._writes = []
-        self._apps = {}
-        self._exotic = False
-
-    def __getattr__(self, name):
-        raise _UnrecordedAccess("the recording view exposes no %r" % name)
-
-    def _key(self, loc):
-        try:
-            return _PEEKS[loc[0]](self._state, loc)
-        except _Unreplayable:
-            self._exotic = True
-            return None
-
-    def _read(self, loc):
-        if loc not in self._seen:
-            self._seen.add(loc)
-            key = (self._originals.pop(loc) if loc in self._originals
-                   else self._key(loc))
-            self.reads.append((loc, key))
-
-    def _write(self, loc, fn, args):
-        if loc is not None:
-            self._seen.add(loc)
-        try:
-            _exact(args)
-        except _Unreplayable:
-            self._exotic = True
-        self._writes.append((fn, args))
-
-    def _before_relative_write(self, loc):
-        if loc not in self._seen and loc not in self._originals:
-            self._originals[loc] = self._key(loc)
-
-    # -- reads ---------------------------------------------------------
-
-    def attribute(self, device_name, attribute):
-        """:meth:`ModelState.attribute`, recorded."""
-        self._read(("attribute", device_name, attribute))
-        return self._state.attribute(device_name, attribute)
-
-    def device_history(self, device_name):
-        """:meth:`ModelState.device_history`, recorded."""
-        self._read(("history", device_name))
-        return self._state.device_history(device_name)
-
-    @property
-    def time(self):
-        """The clock, recorded only when a handler reads it (the
-        cascade's own tick happens before the view exists)."""
-        self._read(("time",))
-        return self._state.time
-
-    @property
-    def schedules(self):
-        """:attr:`ModelState.schedules`, recorded."""
-        self._read(("schedules",))
-        return self._state.schedules
-
-    def app_state(self, app_name):
-        """:meth:`ModelState.app_state`, keyed on the whole map."""
-        entry = self._apps.get(app_name)
-        if entry is None:
-            loc = ("app_state", app_name)
-            self._seen.add(loc)
-            key = self._key(loc)
-            self.reads.append((loc, key))
-            entry = self._apps[app_name] = (
-                self._state.app_state(app_name), key)
-        return entry[0]
-
-    # -- reads and absolute writes ---------------------------------------
-
-    @property
-    def mode(self):
-        """:attr:`ModelState.mode`, recorded."""
-        self._read(("mode",))
-        return self._state.mode
-
-    @mode.setter
-    def mode(self, value):
-        self._write(("mode",), _set_mode, (value,))
-        self._state.mode = value
-
-    @property
-    def cascade_commands(self):
-        """:attr:`ModelState.cascade_commands`, recorded."""
-        self._read(("cascade_commands",))
-        return self._state.cascade_commands
-
-    @cascade_commands.setter
-    def cascade_commands(self, value):
-        self._write(("cascade_commands",), _set_cascade_commands, (value,))
-        self._state.cascade_commands = value
-
-    @property
-    def pending(self):
-        """:attr:`ModelState.pending`, recorded."""
-        self._read(("pending",))
-        return self._state.pending
-
-    @pending.setter
-    def pending(self, value):
-        self._write(("pending",), _set_pending, (value,))
-        self._state.pending = value
-
-    def set_attribute(self, device_name, attribute, value):
-        """:meth:`ModelState.set_attribute`, recorded."""
-        self._write(("attribute", device_name, attribute),
-                    ModelState.set_attribute, (device_name, attribute, value))
-        self._state.set_attribute(device_name, attribute, value)
-
-    # -- relative writes -------------------------------------------------
-
-    def record_event(self, device_name, attribute, value):
-        """:meth:`ModelState.record_event`, recorded."""
-        self._before_relative_write(("history", device_name))
-        self._write(None, ModelState.record_event,
-                    (device_name, attribute, value))
-        self._state.record_event(device_name, attribute, value)
-
-    def add_schedule(self, app_name, handler, periodic=False):
-        """:meth:`ModelState.add_schedule`, recorded."""
-        self._before_relative_write(("schedules",))
-        self._write(None, ModelState.add_schedule,
-                    (app_name, handler, periodic))
-        self._state.add_schedule(app_name, handler, periodic=periodic)
-
-    def remove_schedule(self, app_name, handler=None):
-        """:meth:`ModelState.remove_schedule`, recorded."""
-        self._before_relative_write(("schedules",))
-        self._write(None, ModelState.remove_schedule, (app_name, handler))
-        self._state.remove_schedule(app_name, handler)
-
-    # -- the record --------------------------------------------------------
-
-    def record(self, calls, steps):
-        """The finished cascade as a :class:`_Replay`, or ``None`` when
-        it read or wrote a value :func:`_exact` cannot key."""
-        writes = self._writes
-        try:
-            for app_name, (mapping, key) in self._apps.items():
-                if _exact(mapping) == key:
-                    writes.append((_touch_app_state, (app_name,)))
-                else:
-                    writes.append((_restore_app_state,
-                                   (app_name, _copy_value(mapping))))
-            for name, args in calls:
-                if name == "on_command":
-                    args = args[:-1]  # the device's static command effect
-                _exact(args)
-        except _Unreplayable:
-            return None
-        if self._exotic:
-            return None
-        return _Replay(tuple(writes), tuple(calls), tuple(steps))
-
-
-
 class CodegenPlan:
     """One system's generated programs, executor pool and lean relation.
 
@@ -1590,10 +1282,9 @@ class CodegenPlan:
         # profile sends every event through the full cascade
         self._quiet = set()
         clean = not system.enable_failures and system.scenario_profile.is_clean
-        #: the replay trie: event label -> :class:`_Probe` or
-        #: :class:`_Replay`; ``None`` when faults make cascades fork
-        #: (only single-scenario clean cascades are recorded)
-        self._replays = {} if clean else None
+        #: this run's recorded cascades; ``None`` when faults make
+        #: cascades fork (only single-scenario clean cascades replay)
+        self._replays = ReplayTrie() if clean else None
         self.cascades_live = 0
         self.cascades_replayed = 0
         self.replay_leaves = 0
@@ -1643,7 +1334,7 @@ class CodegenPlan:
         for pooled in self._pool.values():
             pooled.rebind(self._pool_ctx)
         if self._replays is not None:
-            self._replays = {}
+            self._replays = ReplayTrie()
 
     def stats(self):
         """This run's cascade counts: run live (recorded or not),
@@ -1708,56 +1399,28 @@ class CodegenPlan:
     def _run_clean(self, out, state, ext, monitor_factory):
         """One clean external event's single cascade, replayed when the
         trie holds a cascade of this label whose first reads match the
-        successor state, else run live on a recording view.
-
-        Sound because a cascade is deterministic in what it reads: two
-        cascades of one label that read the same values at the same
-        locations, in order, call the same mutators and monitor hooks
-        and record the same skeleton steps.  The trie walk compares
-        exactly those values, read from the successor before any write.
-        """
+        successor state, else run live on a recording view and recorded
+        (:mod:`repro.model.replay` gives the soundness argument)."""
         label = ext.label()
         new_state = state.copy()
         new_state.cascade_commands = ()
         new_state.time += TIME_QUANTUM_MS
         monitor = monitor_factory()
-        node = self._replays.get(label)
-        try:
-            while node.__class__ is _Probe:
-                node = node.children.get(node.peek(new_state, node.loc))
-        except _Unreplayable:
-            node = None
-        if node is not None:
+        record = self._replays.lookup(label, new_state)
+        if record is not None:
             self.cascades_replayed += 1
-            for fn, args in node.writes:
-                fn(new_state, *args)
-            for name, args in node.calls:
-                getattr(monitor, name)(*args)
-            steps = list(node.steps)
+            steps = record.apply(new_state, monitor)
         else:
             self.cascades_live += 1
-            view = _RecordingState(new_state)
-            recorder = _RecordingMonitor(monitor)
+            view = RecordingState(new_state)
+            recorder = RecordingMonitor(monitor)
             cascade = _LeanCascade(self, self.system, view, recorder)
             cascade.apply_external(ext)
             steps = cascade.steps
             record = view.record(recorder.calls, steps)
-            if record is not None:
-                self._remember(label, view.reads, record)
+            if (record is not None
+                    and self._replays.remember(label, view.reads, record)):
+                self.replay_leaves += 1
         violations = monitor.finish(new_state)
         new_state.seal()
         out.append((label, new_state, True, violations, steps))
-
-    def _remember(self, label, reads, record):
-        """File a recorded cascade under its label and read keys."""
-        parent, key = self._replays, label
-        for loc, value in reads:
-            node = parent.get(key)
-            if node is None:
-                node = parent[key] = _Probe(loc)
-            elif node.__class__ is not _Probe or node.loc != loc:
-                return  # the paths disagree: keep the trie as it is
-            parent, key = node.children, value
-        if key not in parent:
-            parent[key] = record
-            self.replay_leaves += 1

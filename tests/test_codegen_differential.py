@@ -26,7 +26,7 @@ from repro.corpus import load_all_apps, load_discovery_apps
 from repro.corpus.groups import GROUP_BUILDERS
 from repro.devices.catalog import DEVICE_TYPES
 from repro.engine import EngineOptions, ExplorationEngine
-from repro.model import codegen
+from repro.model import codegen, replay
 from repro.model.codegen import CodegenError, CodegenPlan
 from repro.model.cascade import TIME_QUANTUM_MS
 from repro.model.faults import scenario_names
@@ -414,10 +414,20 @@ class TestCascadeReplay:
         assert outcomes["state.t = now()"] == [(1, 0), (1, 0)]
         assert outcomes["state.t = 1"] == [(1, 0), (0, 1)]
 
+    def test_exact_keys_tell_types_and_order_apart(self):
+        keys = [replay.exact_key(v) for v in
+                (1, 1.0, True, "1", 0.0, -0.0, [1], (1,),
+                 {"a": 1, "b": 2}, {"b": 2, "a": 1})]
+        assert len(set(keys)) == len(keys)
+        assert replay.exact_key({"a": [1, None]}) == replay.exact_key(
+            {"a": [1, None]})
+        with pytest.raises(replay.Unreplayable):
+            replay.exact_key({"d": object()})
+
     def test_recording_view_refuses_unlisted_members(self):
-        view = codegen._RecordingState(ModelState())
+        view = replay.RecordingState(ModelState())
         for name in ("devices", "app_states", "history", "copy", "seal"):
-            with pytest.raises(codegen._UnrecordedAccess):
+            with pytest.raises(replay.UnrecordedAccess):
                 getattr(view, name, None)
         view.set_attribute("d", "switch", "on")
         assert view.attribute("d", "switch") == "on"
