@@ -2,8 +2,8 @@
 
 The codegen tier (:mod:`repro.model.codegen`) is a pure performance
 knob: per-app Python source generation, pooled executors, a lean
-traceless cascade and a cascade-free path for sensor events no app
-hears.  None of that
+traceless cascade, replay of repeated cascades and a cascade-free path
+for sensor events no app hears.  None of that
 may move a single observable - these suites prove verdicts, violation
 sets, per-counterexample event paths and rendered traces byte-identical
 to the interpreted oracle across the whole bundled corpus, every
@@ -314,11 +314,10 @@ def _transition_view(system, transition):
             [(step.kind, step.text, step.app) for step in steps])
 
 
-def _plan_and_monitors(system, codegen_cache, **option_kwargs):
+def _plan_and_monitors(system, codegen_cache):
     properties = select_relevant(system, build_properties())
     engine = ExplorationEngine(system, properties,
-                               EngineOptions(codegen_cache=codegen_cache,
-                                             **option_kwargs))
+                               EngineOptions(codegen_cache=codegen_cache))
     return (CodegenPlan(system, cache_dir=codegen_cache),
             engine._monitor_factory)
 
