@@ -8,9 +8,11 @@ rendered traces - wall-clock and cache statistics stripped).  Any cell
 where the codegen tier disagrees with the interpreted oracle fails the
 job:
 the profiles are only trustworthy if the faulted relation is
-tier-independent.  It also pins cascade replay's scope: the clean
-profile's codegen run must replay at least one cascade, and every
-faulted profile's must replay none.
+tier-independent.  It also pins the scope of cascade replay and of
+stateless quiet leaves (unheard sensor events at the depth bound
+admitted by fingerprint alone): the clean profile's codegen run must
+replay at least one cascade and take at least one quiet leaf, and
+every faulted profile's must do neither (its quiet set is empty).
 
 Exit code 0 on success, 1 on any mismatch.
 
@@ -84,12 +86,12 @@ def main():
                   % (scenario, engine, result.states_explored,
                      result.transitions, result.verdict))
             if engine == "codegen":
-                replayed = stats["cascades_replayed"]
-                if (replayed > 0) != (scenario == "clean"):
-                    scope_errors.append(scenario)
-                    print("REPLAY SCOPE: %s/codegen replayed %d cascades; "
-                          "only the clean profile replays"
-                          % (scenario, replayed))
+                for counter in ("cascades_replayed", "quiet_leaves"):
+                    if (stats[counter] > 0) != (scenario == "clean"):
+                        scope_errors.append(scenario)
+                        print("SCOPE: %s/codegen has %s=%d; only the "
+                              "clean profile may (and must) take any"
+                              % (scenario, counter, stats[counter]))
         if cells["codegen"] != cells["interpreted"]:
             mismatches.append(scenario)
             print("MISMATCH: %s/codegen diverges from the interpreted "
@@ -102,12 +104,13 @@ def main():
               % (len(mismatches),
                  ", ".join("%s/codegen" % cell for cell in mismatches)))
     if scope_errors:
-        print("\nFAIL: cascade replay out of scope in: %s"
+        print("\nFAIL: cascade replay or quiet leaves out of scope in: %s"
               % ", ".join("%s/codegen" % cell for cell in scope_errors))
     if mismatches or scope_errors:
         return 1
     print("\nOK: every scenario verdict is identical across both "
-          "engine tiers, and only the clean profile replays cascades")
+          "engine tiers, and only the clean profile replays cascades "
+          "and takes quiet leaves")
     return 0
 
 

@@ -59,23 +59,58 @@ class CompiledProperties:
             system = self.system
             return [prop for prop in self.invariants
                     if not prop.holds(state, system)]
-        key = state.physical_key()
-        failed = self._verdicts.get(key)
-        if failed is None:
-            system = self.system
-            failed = tuple(
-                index for index, prop in enumerate(self.invariants)
-                if not prop.holds(state, system))
-            self._verdicts[key] = failed
-            self.memo_misses += 1
-        else:
-            self.memo_hits += 1
+        failed = self.failed_indices(state.physical_key(), state)
         if not failed:
             return ()
         invariants = self.invariants
         return [invariants[index] for index in failed]
 
+    def failed_indices(self, key, view):
+        """Indices of the invariants violated by the quiescent state
+        whose :meth:`~repro.model.state.ModelState.physical_key` is
+        ``key``.  On a memo miss the predicates run on ``view``: the
+        state itself or any object answering ``attribute()`` and
+        ``mode`` for it, such as a :class:`ReplacedAttribute`."""
+        failed = self._verdicts.get(key)
+        if failed is None:
+            system = self.system
+            failed = tuple(
+                index for index, prop in enumerate(self.invariants)
+                if not prop.holds(view, system))
+            self._verdicts[key] = failed
+            self.memo_misses += 1
+        else:
+            self.memo_hits += 1
+        return failed
+
     def stats(self):
         return {"invariant_memo_hits": self.memo_hits,
                 "invariant_memo_misses": self.memo_misses,
                 "invariant_states": len(self._verdicts)}
+
+
+class ReplacedAttribute:
+    """A state with one device attribute replaced, as the invariants see it.
+
+    Exposes only ``attribute()`` and ``mode`` - the two members every
+    invariant predicate reads, and what the verdict memo's physical key
+    projects onto - so anything else raises ``AttributeError`` instead
+    of reading the parent's value.
+    """
+
+    __slots__ = ("_state", "_device", "_attribute", "_value")
+
+    def __init__(self, state, device_name, attribute, value):
+        self._state = state
+        self._device = device_name
+        self._attribute = attribute
+        self._value = value
+
+    def attribute(self, device_name, attribute):
+        if device_name == self._device and attribute == self._attribute:
+            return self._value
+        return self._state.attribute(device_name, attribute)
+
+    @property
+    def mode(self):
+        return self._state.mode

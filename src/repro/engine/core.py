@@ -138,6 +138,9 @@ class ExplorationEngine:
         #: per-phase wall time (``codegen`` setup, ``canonicalize``);
         #: merged into ``result.profile`` by ``_finish``
         self._phase_times = {}
+        #: whether the codegen relation may hand the search stateless
+        #: quiet leaves (only the default fingerprint store takes them)
+        self._quiet_leaf_stubs = False
         #: the last run's cascade counts (:meth:`CodegenPlan.stats`;
         #: empty on the interpreted tier) - kept off the result so its
         #: JSON does not depend on the tier
@@ -206,6 +209,9 @@ class ExplorationEngine:
         return visited, frontier, reducer, matcher
 
     def _run(self):
+        # imported here for the same circularity as in __init__
+        from repro.engine.visited import FingerprintVisitedSet
+
         options = self.options
         result = ExplorationResult()
         started = time.monotonic()
@@ -213,6 +219,11 @@ class ExplorationEngine:
         if telemetry is not None:
             telemetry.run_start(options)
         visited, frontier, reducer, matcher = self._setup_search()
+        # the fingerprint store reads nothing of an admitted state but
+        # its fingerprint, so quiet successors at the bound need not be
+        # built; every other store (and swarm's sampling wrapper) keeps
+        # full successors - the exact one stays an independent oracle
+        self._quiet_leaf_stubs = isinstance(visited, FingerprintVisitedSet)
 
         # third-party stores without the O(1) distinct counter degrade
         # to the legacy fresh-equals-new accounting.  The counter is
@@ -367,10 +378,13 @@ class ExplorationEngine:
         :meth:`_transitions_from` for full traces."""
         plan = self._plan
         if plan is not None and self.options.mode != CONCURRENT:
-            if node.depth >= self.options.max_events:
+            max_events = self.options.max_events
+            if node.depth >= max_events:
                 return []
-            return plan.transitions(node.state, self._monitor_factory,
-                                    event_filter)
+            return plan.transitions(
+                node.state, self._monitor_factory, event_filter,
+                leaf=(self._quiet_leaf_stubs
+                      and node.depth + 1 == max_events))
         return self._transitions_from(node, event_filter)
 
     def _open_telemetry(self):

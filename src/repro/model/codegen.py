@@ -24,7 +24,7 @@ Three cooperating layers:
   code calls and - unlike the per-handler-run construction of the
   interpreter - supports :meth:`~GeneratedExecutor.rebind` pooling: the
   environment is built once and re-armed per handler run with two dict
-  copies.
+  copies (and a copy of each list or map setting).
 * :class:`CodegenPlan` owns a system's generated programs, the executor
   pool, the digest-keyed on-disk source cache, and the **lean**
   transition relation: a traceless :class:`Cascade` subclass that skips
@@ -64,6 +64,7 @@ import os
 import tempfile
 import threading
 
+from repro.checker.compiled import ReplacedAttribute
 from repro.checker.violations import TraceStep
 from repro.groovy import ast
 from repro.model import handles
@@ -93,6 +94,7 @@ from repro.model.interpreter import (
     index_value,
 )
 from repro.model.replay import RecordingMonitor, RecordingState, ReplayTrie
+from repro.model.state import QuietLeaf, _copy_value
 from repro.translator.builtins import is_groovy_truthy, to_groovy_string
 
 __all__ = [
@@ -969,8 +971,9 @@ class GeneratedExecutor(Interpreter):
     Unlike the interpreter - which builds a fresh executor (and
     environment) per handler run - a pooled instance is re-armed with
     :meth:`rebind`: the pristine environment is snapshotted once and a
-    run costs two dict copies plus re-pointing the handles at the new
-    cascade.
+    run costs two dict copies, a copy of each list or map setting (a
+    handler may mutate one in place) and re-pointing the handles at the
+    new cascade.
     """
 
     def __init__(self, app_instance, ctx, program,
@@ -1039,17 +1042,21 @@ class GeneratedExecutor(Interpreter):
                                     handles.LocationHandle,
                                     handles.LogHandle)):
                 ctx_handles.append(value)
-        self._pristine = (env, settings, tuple(ctx_handles))
+        mutable = tuple(name for name, value in settings.items()
+                        if isinstance(value, (list, dict)))
+        self._pristine = (env, settings, tuple(ctx_handles), mutable)
 
     def rebind(self, ctx):
         """Re-arm this executor for one handler run under ``ctx``."""
         if self._pristine is None:
             self._freeze_environment()
-        env, settings, ctx_handles = self._pristine
+        env, settings, ctx_handles, mutable = self._pristine
         self.ctx = ctx
         self.budget = self._op_budget
         fresh = dict(env)
-        fresh["settings"] = dict(settings)
+        fresh_settings = fresh["settings"] = dict(settings)
+        for name in mutable:
+            fresh[name] = fresh_settings[name] = _copy_value(settings[name])
         self._globals = fresh
         for handle in ctx_handles:
             handle.ctx = ctx
@@ -1288,6 +1295,7 @@ class CodegenPlan:
         self.cascades_live = 0
         self.cascades_replayed = 0
         self.replay_leaves = 0
+        self.quiet_leaves = 0
         if clean:
             for device, attribute, events in system._sensor_events():
                 for value, ext in events:
@@ -1338,19 +1346,27 @@ class CodegenPlan:
 
     def stats(self):
         """This run's cascade counts: run live (recorded or not),
-        replayed from the trie, and the trie's recorded leaves."""
+        replayed from the trie, the trie's recorded leaves, and the
+        quiet events at the depth bound admitted by fingerprint alone."""
         return {"cascades_live": self.cascades_live,
                 "cascades_replayed": self.cascades_replayed,
-                "replay_leaves": self.replay_leaves}
+                "replay_leaves": self.replay_leaves,
+                "quiet_leaves": self.quiet_leaves}
 
     # -- the lean relation ---------------------------------------------
 
-    def transitions(self, state, monitor_factory, event_filter=None):
+    def transitions(self, state, monitor_factory, event_filter=None,
+                    leaf=False):
         """Traceless mirror of :meth:`IoTSystem.transitions` (labels,
-        successor states, violations identical; ``steps`` a skeleton)."""
+        successor states, violations identical; ``steps`` a skeleton).
+
+        ``leaf`` says the successors lie at the depth bound and the
+        caller reads only their ``fingerprint()`` and ``pending``: a
+        quiet event whose successor violates nothing then yields a
+        :class:`~repro.model.state.QuietLeaf` instead of a built state."""
         out = []
         quiet = self._quiet
-        probe = None
+        compiled = None
         for ext in self.system.external_choices(state):
             if event_filter is not None and not event_filter(ext):
                 continue
@@ -1361,18 +1377,32 @@ class CodegenPlan:
             # record, the final invariant check - byte-identical to a
             # lean cascade with an empty dispatch.  Such a cascade
             # reports exactly its invariant failures, so the (memoized)
-            # compiled-invariant probe decides whether a monitor is
+            # compiled-invariant verdict decides whether a monitor is
             # needed at all; when it is, the monitor re-checks through
             # the ordinary path and yields the identical violation list
-            if probe is None:
-                probe = monitor_factory()._compiled.failed_invariants
+            if compiled is None:
+                compiled = monitor_factory()._compiled
+            failed = None
+            keys = (state.replaced_keys(ext.device, ext.attribute, ext.value)
+                    if leaf else None)
+            if keys is not None:
+                # at the bound, a violation-free successor is admitted by
+                # its fingerprint alone and never built
+                failed = compiled.failed_indices(keys[1], ReplacedAttribute(
+                    state, ext.device, ext.attribute, ext.value))
+                if not failed:
+                    self.quiet_leaves += 1
+                    out.append((ext.label(), QuietLeaf(keys[0]), True, [],
+                                []))
+                    continue
             new_state = state.copy()
             new_state.cascade_commands = ()
             new_state.time += TIME_QUANTUM_MS
             new_state.set_attribute(ext.device, ext.attribute, ext.value)
             new_state.record_event(ext.device, ext.attribute, ext.value)
-            violations = (monitor_factory().finish(new_state)
-                          if probe(new_state) else [])
+            if failed is None:
+                failed = compiled.failed_invariants(new_state)
+            violations = monitor_factory().finish(new_state) if failed else []
             new_state.seal()
             out.append((ext.label(), new_state, True, violations, []))
         return out

@@ -14,6 +14,7 @@ operation budget guards against non-terminating loops in app code.
 from repro.groovy import ast
 from repro.groovy.errors import GroovyError
 from repro.model import handles
+from repro.model.state import _copy_value
 from repro.translator.builtins import (
     call_builtin,
     is_groovy_truthy,
@@ -264,7 +265,9 @@ class Interpreter:
                 else:
                     value = bound[0] if bound else None
             else:
-                value = payload
+                # a handler may grow a list setting in place; each run
+                # gets its own copy so nothing leaks into the next one
+                value = _copy_value(payload)
             env[input_name] = value
             settings[input_name] = value
         env["settings"] = settings

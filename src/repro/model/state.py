@@ -39,12 +39,16 @@ _FNV_PRIME = 0x100000001B3
 _MISSING = object()
 
 
-def _mix(parts):
-    acc = _FNV_OFFSET
-    for part in parts:
-        acc ^= part & _MASK
-        acc = (acc * _FNV_PRIME) & _MASK
-    return acc
+def _state_hash(dev_hash, mode, apps_hash, sched_hash, pending, commands):
+    """FNV-1a over the component hashes: the one mixing rule that
+    :meth:`ModelState.fingerprint` and :meth:`ModelState.replaced_keys`
+    share."""
+    acc = ((_FNV_OFFSET ^ (dev_hash & _MASK)) * _FNV_PRIME) & _MASK
+    acc = ((acc ^ (hash(mode) & _MASK)) * _FNV_PRIME) & _MASK
+    acc = ((acc ^ (apps_hash & _MASK)) * _FNV_PRIME) & _MASK
+    acc = ((acc ^ (sched_hash & _MASK)) * _FNV_PRIME) & _MASK
+    acc = ((acc ^ (hash(pending) & _MASK)) * _FNV_PRIME) & _MASK
+    return ((acc ^ (hash(commands) & _MASK)) * _FNV_PRIME) & _MASK
 
 
 class ModelState:
@@ -409,16 +413,43 @@ class ModelState:
             apps_hash ^= value
         if self._sched_hash is None:
             self._sched_hash = hash(tuple(sorted(self._schedules)))
-        mixed = _mix((
-            self._dev_hash,
-            hash(self._mode),
-            apps_hash,
-            self._sched_hash,
-            hash(self._pending),
-            hash(self._cascade_commands),
-        ))
+        mixed = _state_hash(self._dev_hash, self._mode, apps_hash,
+                            self._sched_hash, self._pending,
+                            self._cascade_commands)
         self._fp_cache = mixed
         return mixed
+
+    def replaced_keys(self, device_name, attribute, value):
+        """``(fingerprint, physical_key)`` of this state with one
+        attribute set to ``value`` and the command log cleared.
+
+        Exactly the keys of ``copy()`` followed by those two writes and
+        :meth:`seal`, computed from the cached component hashes without
+        building the state: the old ``(device, attribute, value)`` hash
+        is XORed out of the device hash and the new one in.  History and
+        time are in neither key.  ``None`` when references have escaped
+        (their hashes cannot be trusted); the caller then builds the
+        state.
+        """
+        if (self._devices_escaped or self._apps_escaped_all
+                or self._escaped_apps):
+            return None
+        if self._dirty_apps or self._sched_hash is None:
+            self.fingerprint()
+        if not self._dev_hash_valid:
+            self.physical_key()
+        dev_hash = self._dev_hash ^ hash((device_name, attribute, value))
+        attrs = self._devices.get(device_name)
+        if attrs is not None:
+            old = attrs.get(attribute, _MISSING)
+            if old is not _MISSING:
+                dev_hash ^= hash((device_name, attribute, old))
+        apps_hash = 0
+        for app_hash in self._app_hashes.values():
+            apps_hash ^= app_hash
+        return (_state_hash(dev_hash, self._mode, apps_hash, self._sched_hash,
+                            self._pending, ()),
+                (dev_hash, self._mode))
 
     def physical_key(self):
         """Hashable key of the *physical* projection: device attributes + mode.
@@ -461,6 +492,24 @@ class ModelState:
     def __repr__(self):
         return "ModelState(mode=%r, time=%d, devices=%d)" % (
             self._mode, self.time, len(self._devices))
+
+
+class QuietLeaf:
+    """Stands in for a violation-free successor at the depth bound
+    whose keys came from :meth:`ModelState.replaced_keys`: the
+    fingerprint visited store reads nothing of it but
+    :meth:`fingerprint`, and the engine only checks that nothing is
+    ``pending``."""
+
+    __slots__ = ("_fingerprint",)
+
+    pending = ()
+
+    def __init__(self, fingerprint):
+        self._fingerprint = fingerprint
+
+    def fingerprint(self):
+        return self._fingerprint
 
 
 def _copy_value(value):

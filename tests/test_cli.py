@@ -139,6 +139,7 @@ class TestCheck:
         for phase in ("parse", "build", "explore", "canonicalize"):
             assert phase in out
         assert "cascades: " in out and "replay leaves" in out
+        assert "quiet leaves" in out
 
     def test_check_json_carries_profile(self, capsys):
         import json

@@ -2,8 +2,9 @@
 
 The codegen tier (:mod:`repro.model.codegen`) is a pure performance
 knob: per-app Python source generation, pooled executors, a lean
-traceless cascade, replay of repeated cascades and a cascade-free path
-for sensor events no app hears.  None of that
+traceless cascade, replay of repeated cascades, a cascade-free path
+for sensor events no app hears and, at the depth bound, stateless
+leaves for them.  None of that
 may move a single observable - these suites prove verdicts, violation
 sets, per-counterexample event paths and rendered traces byte-identical
 to the interpreted oracle across the whole bundled corpus, every
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.attribution.enumerator import ConfigurationEnumerator
+from repro.checker.compiled import CompiledProperties, ReplacedAttribute
 from repro.cli import main as cli_main
 from repro.config.schema import SystemConfiguration
 from repro.corpus import load_all_apps, load_discovery_apps
@@ -31,7 +33,7 @@ from repro.model.codegen import CodegenError, CodegenPlan
 from repro.model.cascade import TIME_QUANTUM_MS
 from repro.model.faults import scenario_names
 from repro.model.generator import ModelGenerator
-from repro.model.state import ModelState
+from repro.model.state import ModelState, QuietLeaf
 from repro.properties import build_properties, select_relevant
 from repro.translator.lowering import lower_program
 
@@ -456,6 +458,229 @@ class TestCascadeReplay:
                 assert stats["replay_leaves"] == 0, name
 
 
+def _volunteer_systems(group):
+    """``(name, system, properties)`` for one volunteer group's jobs,
+    built as the batch runner builds them."""
+    from repro.attribution.volunteers import volunteer_verification_jobs
+    from repro.engine.batch import _resolve_properties, resolve_job_registry
+
+    jobs = volunteer_verification_jobs(
+        _load_or_skip(load_all_apps), options=EngineOptions(max_events=2),
+        registry_spec="corpus")
+    for job in jobs:
+        if job.name.startswith(group + "/"):
+            system = ModelGenerator(resolve_job_registry(job)).build(
+                job.config, strict=job.strict,
+                enable_failures=job.enable_failures,
+                user_mode_events=job.user_mode_events)
+            yield job.name, system, _resolve_properties(job, system)
+
+
+def _expert_systems():
+    registry = _load_or_skip(load_all_apps)
+    for group_name in sorted(GROUP_BUILDERS):
+        system = ModelGenerator(registry).build(GROUP_BUILDERS[group_name]())
+        yield group_name, system, select_relevant(system, build_properties())
+
+
+class _StoreSpy(ExplorationEngine):
+    """Records the type of every state the visited store is handed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.admitted = set()
+
+    def _setup_search(self):
+        parts = super()._setup_search()
+        store = parts[0]
+        seen_state = store.seen_state
+
+        def spy(state, depth):
+            self.admitted.add(type(state))
+            return seen_state(state, depth)
+        store.seen_state = spy
+        return parts
+
+
+class TestStatelessQuietLeaves:
+    """A quiet event at the depth bound hands the fingerprint store a
+    stub carrying the successor's fingerprint: its keys and verdict must
+    equal those of the successor it stands for."""
+
+    @pytest.mark.parametrize("source, parent_depth",
+                             [("expert", 2), ("vgroup08", 1)])
+    def test_stateless_keys_equal_built_successors(self, source,
+                                                   parent_depth,
+                                                   codegen_cache):
+        """Every quiet event from every state within ``parent_depth``
+        events - the parents the workload's search takes stubs from
+        (expert groups at bound 3, volunteer jobs at bound 2): the
+        parent-derived ``(fingerprint, physical_key)`` equals the built,
+        sealed successor's, and the overlay's verdict equals the exact
+        one on that successor."""
+        systems = (_expert_systems() if source == "expert"
+                   else _volunteer_systems(source))
+        checked = 0
+        for name, system, properties in systems:
+            plan = CodegenPlan(system, cache_dir=codegen_cache)
+            monitors = ExplorationEngine(
+                system, properties,
+                EngineOptions(codegen_cache=codegen_cache))._monitor_factory
+            exact = CompiledProperties(system, properties, memoize=False)
+            verdicts = {}
+            frontier = [system.initial_state()]
+            seen = {frontier[0].canonical_key()}
+            for depth in range(parent_depth + 1):
+                successors = []
+                for state in frontier:
+                    for ext in system.external_choices(state):
+                        if ext not in plan._quiet:
+                            continue
+                        keys = state.replaced_keys(ext.device, ext.attribute,
+                                                   ext.value)
+                        built = state.copy()
+                        built.cascade_commands = ()
+                        built.time += TIME_QUANTUM_MS
+                        built.set_attribute(ext.device, ext.attribute,
+                                            ext.value)
+                        built.record_event(ext.device, ext.attribute,
+                                           ext.value)
+                        built.seal()
+                        assert keys == (built.fingerprint(),
+                                        built.physical_key()), (name, ext)
+                        checked += 1
+                        if keys[1] in verdicts:
+                            continue
+                        # the verdict is a function of the physical key,
+                        # so each distinct one is evaluated once per side
+                        overlay = ReplacedAttribute(
+                            state, ext.device, ext.attribute, ext.value)
+                        verdicts[keys[1]] = exact.failed_invariants(built)
+                        assert ([prop for prop in exact.invariants
+                                 if not prop.holds(overlay, system)]
+                                == verdicts[keys[1]]), (name, ext)
+                    if depth == parent_depth:
+                        continue
+                    for transition in plan.transitions(state, monitors):
+                        key = transition[1].canonical_key()
+                        if key not in seen:
+                            seen.add(key)
+                            successors.append(transition[1])
+                frontier = successors
+            plan.release()
+        assert checked > 1000, checked
+
+    def test_overlay_exposes_only_attribute_and_mode(self):
+        state = ModelState(mode="Away")
+        state.set_attribute("d", "switch", "off")
+        state.seal()
+        overlay = ReplacedAttribute(state, "d", "switch", "on")
+        assert overlay.attribute("d", "switch") == "on"
+        assert overlay.attribute("d", "level") is None
+        assert overlay.mode == "Away"
+        for name in ("devices", "app_state", "history"):
+            with pytest.raises(AttributeError):
+                getattr(overlay, name)
+
+    def test_escaped_parent_takes_the_full_path(self, codegen_cache):
+        """A parent whose raw maps were handed out has no trustworthy
+        cached hashes: no stateless keys, no stubs, and the successors
+        built instead equal a clean parent's."""
+        registry = _load_or_skip(load_all_apps)
+        system = ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]())
+        plan, monitors = _plan_and_monitors(system, codegen_cache)
+        clean = system.initial_state()
+        escaped = clean.copy()
+        escaped.devices  # handing out the raw maps escapes them
+        quiet = [ext for ext in system.external_choices(escaped)
+                 if ext in plan._quiet]
+        assert quiet
+        for ext in quiet:
+            assert escaped.replaced_keys(ext.device, ext.attribute,
+                                         ext.value) is None
+        transitions = plan.transitions(escaped, monitors, leaf=True)
+        assert plan.stats()["quiet_leaves"] == 0
+        assert all(isinstance(t[1], ModelState) for t in transitions)
+        assert ([_transition_view(system, t) for t in transitions]
+                == [_transition_view(system, t)
+                    for t in plan.transitions(clean, monitors)])
+
+    def test_default_store_takes_stubs(self, codegen_cache):
+        registry = _load_or_skip(load_all_apps)
+        system = ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]())
+        properties = select_relevant(system, build_properties())
+        spy = _StoreSpy(system, properties, EngineOptions(
+            max_events=2, codegen_cache=codegen_cache))
+        result = spy.run()
+        assert spy.cascade_stats["quiet_leaves"] > 0
+        assert QuietLeaf in spy.admitted
+        assert result.states_explored == 467
+
+    @pytest.mark.parametrize("visited",
+                             ["exact", "collapse", "bitstate", "spill"])
+    def test_other_stores_receive_built_states(self, visited, codegen_cache):
+        """Only the default fingerprint store takes stubs: every other
+        store is handed full successors and matches the oracle."""
+        registry = _load_or_skip(load_all_apps)
+        system = ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]())
+        properties = select_relevant(system, build_properties())
+        spy = _StoreSpy(system, properties, EngineOptions(
+            max_events=2, codegen_cache=codegen_cache, visited=visited))
+        result = spy.run()
+        assert spy.admitted == {ModelState}, visited
+        assert spy.cascade_stats["quiet_leaves"] == 0
+        interpreted = ExplorationEngine(system, properties, EngineOptions(
+            max_events=2, engine="interpreted", visited=visited)).run()
+        _assert_equivalent(result, interpreted, visited)
+
+
+_NAMES_APP = """
+definition(name: "Names", namespace: "t", author: "t", description: "d",
+           category: "c")
+preferences { section("s") {
+    input "motion1", "capability.motionSensor"
+    input "switch1", "capability.switch"
+    input "names", "enum", options: ["a", "b", "c"], multiple: true
+} }
+def installed() { subscribe(motion1, "motion", h) }
+def updated() { installed() }
+def h(evt) {
+    names << "x"
+    state.count = names.size()
+    if (names.size() > 2) { switch1.on() } else { switch1.off() }
+}
+"""
+
+
+class TestSettingsCopiedPerRun:
+    def test_list_setting_mutated_in_place_does_not_leak(self,
+                                                         codegen_cache):
+        """A handler growing a ``multiple: true`` enum setting in place
+        mutates its own copy: every run sees the configured value, on
+        both tiers, so cascade replay (which skips the handler) agrees
+        with a live run.  Shared, the list grew for good and the tiers
+        disagreed (101 states interpreted, 59 codegen)."""
+        config = SystemConfiguration(contacts=["+1-555-0100"])
+        config.add_device("m", "smartsense-motion")
+        config.add_device("s1", "smart-outlet")
+        config.add_app("Names", {"motion1": "m", "switch1": "s1",
+                                 "names": ["a"]})
+        system = ModelGenerator({"Names": make_app(_NAMES_APP)}).build(config)
+        properties = select_relevant(system, build_properties())
+        codegen_run, interpreted = _verify_both(
+            system, properties, codegen_cache, max_events=3)
+        _assert_equivalent(codegen_run, interpreted, "names << x")
+        assert codegen_run.states_explored == 58
+        assert codegen_run.transitions == 203
+        plan = {name: payload
+                for name, _is_device, payload, _group
+                in system.apps[0].binding_plan()}
+        assert plan["names"] == ["a"]
+
+
 class TestFallback:
     def test_ungeneratable_app_runs_on_the_interpreter(self, monkeypatch):
         """An app whose IR defeats the emitter is listed on the plan's
@@ -498,6 +723,7 @@ preferences { section("s") {
     input "switch1", "capability.switch"
     input "switches", "capability.switch", multiple: true
     input "lock1", "capability.lock"
+    input "names", "enum", options: ["a", "b", "c"], multiple: true
 } }
 
 def installed() { subscribe(motion1, "motion", h) }
@@ -521,6 +747,9 @@ _EFFECTS = (
     "unschedule()",
     'sendPush("count ${state.count}")',
     "log.debug \"mode ${location.mode}, last ${state.last ?: 'none'}\"",
+    # an in-place mutation of a list setting (each run owns a copy, so
+    # the size recorded in state never depends on earlier runs)
+    'state.size = (names << "x").size()',
 )
 _CONDITIONS = (
     "state.flag",
@@ -528,6 +757,7 @@ _CONDITIONS = (
     'location.mode == "Away"',
     'switch1.currentValue("switch") == "on"',
     "state.last != null",
+    "names.size() > 1",
 )
 #: only meaningful inside ``h(evt)``; ``later()`` has no event
 _EVENT_EFFECTS = ("state.last = evt.value", 'sendPush("motion ${evt.value}")')
@@ -652,7 +882,8 @@ def _generated_system(source):
     config.add_device("lk", "zwave-lock")
     config.association["main_door_lock"] = "lk"
     config.add_app("Gen", {"motion1": "m", "switch1": "s1",
-                           "switches": ["s1", "s2"], "lock1": "lk"})
+                           "switches": ["s1", "s2"], "lock1": "lk",
+                           "names": ["a"]})
     return ModelGenerator({"Gen": make_app(source)}).build(config)
 
 

@@ -185,6 +185,10 @@ class TestEngineSnapshots:
         assert end["cascades_live"] > 0
         assert end["cascades_replayed"] > end["cascades_live"]
         assert end["replay_leaves"] <= end["cascades_live"]
+        # quiet sensor events at the bound are admitted as stateless
+        # leaves; the count is telemetry only, never in the result JSON
+        assert end["quiet_leaves"] > 0
+        assert "quiet_leaves" not in json.dumps(result.to_dict())
         span_names = {e["name"] for e in events if e["kind"] == "span"}
         assert "explore" in span_names
 
@@ -345,6 +349,7 @@ class TestReportRenderer:
         assert "outcome: violated" in report
         assert "phases:" in report and "explore" in report
         assert "cascades: " in report and "replayed" in report
+        assert "quiet leaves" in report
         assert render_report([]) == "empty telemetry sink (no events)"
 
     def test_progress_meter_renders_and_repaints(self):
