@@ -11,7 +11,6 @@
 import time
 
 from repro.engine import EngineOptions, ExplorationEngine, verify
-from repro.checker.visited import BitStateTable
 from repro.corpus.groups import expert_configuration
 from repro.deps import analyze_apps
 from repro.model.generator import ModelGenerator
@@ -80,16 +79,17 @@ def test_ablation_bitstate_sizing(generator, benchmark):
         return ExplorationEngine(system, properties, options).run()
 
     exact = verify(system, properties, max_events=3, max_states=120000)
-    rows = [("exact", "-", exact.states_explored, "-")]
+    rows = [("exact", "-", exact.states_explored, "-", "-")]
     for bits in (12, 16, 20, 24):
         result = explore_with_bits(bits)
-        table = BitStateTable(bits_log2=bits)
         rows.append(("bitstate", "2^%d" % bits, result.states_explored,
                      "%.1f%%" % (100.0 * (1 - result.states_explored
-                                          / max(1, exact.states_explored)))))
+                                          / max(1, exact.states_explored))),
+                     "%.3f" % result.visited_stats["fill_ratio"]))
     print_table("Ablation - BITSTATE sizing (§2.3): larger bitfields "
                 "recover exact-store coverage",
-                ["store", "bits", "states explored", "states lost"], rows)
+                ["store", "bits", "states explored", "states lost",
+                 "fill ratio"], rows)
 
     small = explore_with_bits(12).states_explored
     large = explore_with_bits(24).states_explored

@@ -265,13 +265,11 @@ def test_table8_fingerprint_store_per_state_cost(generator, benchmark):
 def test_table8_memory_lean_deep_run(generator, benchmark):
     """The deep-exploration axis (the paper's Table-8 wall): at
     ``max_events=4`` the visited store dominates memory, so this measures
-    bytes/state and throughput for the fingerprint default, the
-    collapse-compressed store, and the recommended deep-run configuration
-    (collapse + sleep-set reduction).
+    bytes/state and throughput for the fingerprint default against the
+    exact store's canonical keys.
 
-    All three must report identical verdicts; collapse must undercut the
-    exact store's canonical keys by an order of magnitude while keeping
-    its no-false-positive contract.
+    The one-word fingerprint entries must undercut the exact store's
+    canonical keys by well over an order of magnitude.
     """
     system = five_app_system(generator)
     properties = select_relevant(system, build_properties())
@@ -281,8 +279,6 @@ def test_table8_memory_lean_deep_run(generator, benchmark):
                       max_states=3000000, **kwargs)
 
     fingerprint = run()
-    collapse = run(visited="collapse")
-    reduced = run(visited="collapse", reduction=True)
     # the exact store at depth 4 pins full canonical keys - measured at
     # depth 3 where it is still tractable, for the bytes/state contrast
     exact_shallow = verify(system, properties, max_events=3,
@@ -296,12 +292,6 @@ def test_table8_memory_lean_deep_run(generator, benchmark):
         ("fingerprint (default)", 4, fingerprint.states_explored,
          "%.0f" % fingerprint.states_per_second,
          "%.0f" % bytes_per_state(fingerprint)),
-        ("collapse", 4, collapse.states_explored,
-         "%.0f" % collapse.states_per_second,
-         "%.0f" % bytes_per_state(collapse)),
-        ("collapse + reduction", 4, reduced.states_explored,
-         "%.0f" % reduced.states_per_second,
-         "%.0f" % bytes_per_state(reduced)),
         ("exact (depth 3)", 3, exact_shallow.states_explored,
          "%.0f" % exact_shallow.states_per_second,
          "%.0f" % bytes_per_state(exact_shallow)),
@@ -317,38 +307,13 @@ def test_table8_memory_lean_deep_run(generator, benchmark):
             "states_per_second": round(fingerprint.states_per_second, 1),
             "bytes_per_state": bytes_per_state(fingerprint),
         },
-        "collapse": {
-            "states": collapse.states_explored,
-            "transitions": collapse.transitions,
-            "states_per_second": round(collapse.states_per_second, 1),
-            "bytes_per_state": bytes_per_state(collapse),
-        },
-        "collapse_reduction": {
-            "states": reduced.states_explored,
-            "transitions": reduced.transitions,
-            "states_per_second": round(reduced.states_per_second, 1),
-            "bytes_per_state": bytes_per_state(reduced),
-            "commutes_pruned": reduced.commutes_pruned,
-        },
         "exact_depth3_bytes_per_state": bytes_per_state(exact_shallow),
         "peak_rss_kb": peak_rss_kb(),
     })
 
-    # identical coverage and verdicts between the exact-contract collapse
-    # store and the fingerprint default on the unreduced space
-    assert collapse.states_explored == fingerprint.states_explored
-    assert collapse.transitions == fingerprint.transitions
-    assert (collapse.violated_property_ids
-            == fingerprint.violated_property_ids)
-    # the reduction only prunes, never changes the verdicts
-    assert reduced.violated_property_ids == collapse.violated_property_ids
-    assert reduced.transitions < collapse.transitions
-    assert reduced.commutes_pruned > 0
-    # memory: collapse entries must stay within a small multiple of the
-    # one-word fingerprint entries and an order of magnitude under the
-    # exact store's canonical keys
-    assert bytes_per_state(collapse) < bytes_per_state(exact_shallow) / 5
-    assert bytes_per_state(collapse) < bytes_per_state(fingerprint) * 4
+    # memory: one-word entries an order of magnitude under the exact
+    # store's canonical keys
+    assert bytes_per_state(fingerprint) < bytes_per_state(exact_shallow) / 5
 
 
 def test_table8_telemetry_overhead(generator, benchmark, tmp_path):
@@ -432,16 +397,14 @@ def test_table8_telemetry_overhead(generator, benchmark, tmp_path):
 
 
 def test_table8_swarm_tier(generator, benchmark):
-    """The beyond-exhaustive axis: swarm sampling and the spill store.
+    """The beyond-exhaustive axis: swarm sampling.
 
-    Three rows on the depth-3 workload: the exhaustive reference, a
+    Two rows on the depth-3 workload: the exhaustive reference and a
     4-member swarm (diversified sampled members through the same
-    engine), and the disk-backed spill store (exact verdicts, working
-    set in SQLite).  The swarm must agree with the exhaustive verdict
-    on this violation-free system while honestly reporting partial
-    coverage; the spill store must reproduce the exhaustive run's
-    coverage exactly.  All three land in ``BENCH_table8.json``'s
-    ``swarm`` section for the (non-gating) regression diff.
+    engine).  The swarm must agree with the exhaustive verdict on this
+    violation-free system while honestly reporting partial coverage.
+    Both land in ``BENCH_table8.json``'s ``swarm`` section for the
+    (non-gating) regression diff.
     """
     system = five_app_system(generator)
     properties = select_relevant(system, build_properties())
@@ -454,15 +417,12 @@ def test_table8_swarm_tier(generator, benchmark):
     swarm = benchmark.pedantic(
         lambda: run(mode="swarm", swarm_members=4, seed=1),
         iterations=1, rounds=2)
-    spill = run(visited="spill")
 
     rows = [
         ("exhaustive (reference)", exhaustive.states_explored,
          "%.0f" % exhaustive.states_per_second, exhaustive.coverage),
         ("swarm (4 members)", swarm.states_explored,
          "%.0f" % swarm.states_per_second, swarm.coverage),
-        ("spill store (on disk)", spill.states_explored,
-         "%.0f" % spill.states_per_second, spill.coverage),
     ]
     print_table("Swarm tier at 3 events",
                 ["run", "states", "states/sec", "coverage"], rows)
@@ -481,24 +441,12 @@ def test_table8_swarm_tier(generator, benchmark):
             "coverage_estimate": swarm.swarm["coverage_estimate"],
             "candidates": swarm.swarm["candidates"],
         },
-        "spill": {
-            "states": spill.states_explored,
-            "transitions": spill.transitions,
-            "states_per_second": round(spill.states_per_second, 1),
-            "bytes_per_state": spill.visited_stats.get("bytes_per_state",
-                                                       0.0),
-        },
     })
 
     # the soundness split: same verdict, honest coverage labels
     assert swarm.verdict == exhaustive.verdict
     assert swarm.coverage == "partial"
     assert swarm.swarm["replay_failures"] == 0
-    # the spill store is exact: identical coverage and verdicts
-    assert spill.states_explored == exhaustive.states_explored
-    assert spill.transitions == exhaustive.transitions
-    assert spill.violated_property_ids == exhaustive.violated_property_ids
-    assert spill.coverage == "exhaustive"
 
 
 def test_table8_parallel_batch(generator, benchmark):

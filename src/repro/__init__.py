@@ -28,7 +28,6 @@ Quickstart::
 """
 
 from repro.engine import EngineOptions
-from repro.engine import EngineOptions as ExplorerOptions  # compat alias
 
 __version__ = "1.0.0"
 
@@ -91,4 +90,4 @@ def build_system(config, registry=None, enable_failures=False):
 
 
 __all__ = ["check_configuration", "check_configurations", "build_system",
-           "EngineOptions", "ExplorerOptions", "__version__"]
+           "EngineOptions", "__version__"]

@@ -3,39 +3,24 @@
 * :mod:`repro.checker.violations` - violation and trace records;
 * :mod:`repro.checker.monitor` - the safety monitor evaluated during
   cascades (invariants, command conflicts, leakage, robustness);
-* :mod:`repro.checker.visited` - visited-state stores: exact hash set and
-  Spin-style BITSTATE double-hash bitfield;
-* :mod:`repro.checker.explorer` - bounded DFS over external-event
-  permutations (the falsification search of §2.3);
+* :mod:`repro.checker.compiled` - the compiled property set and its
+  invariant-verdict memo;
 * :mod:`repro.checker.ltl` - an LTL fragment with finite-trace evaluation
   and safety-invariant compilation;
 * :mod:`repro.checker.trace` - counterexample rendering, including the
   Fig-7 style Spin violation-log format.
 """
 
-from repro.checker.explorer import (
-    ExplorationResult,
-    Explorer,
-    ExplorerOptions,
-    verify,
-)
 from repro.checker.ltl import AtomTable, LTLSyntaxError, bad_prefix, never_claim, parse
 from repro.checker.monitor import SafetyMonitor
 from repro.checker.trace import SpinLogRenderer, render_violation_log
 from repro.checker.violations import Counterexample, TraceStep, Violation
-from repro.checker.visited import BitStateTable, ExactVisitedSet
 
 __all__ = [
-    "ExplorationResult",
-    "Explorer",
-    "ExplorerOptions",
-    "verify",
     "SafetyMonitor",
     "Counterexample",
     "TraceStep",
     "Violation",
-    "BitStateTable",
-    "ExactVisitedSet",
     "AtomTable",
     "LTLSyntaxError",
     "bad_prefix",

@@ -471,17 +471,10 @@ def _add_engine_arguments(parser):
                         default="fingerprint",
                         help="visited-state store: fingerprint (one 64-bit "
                              "word per state, ~2^-64 false positives; the "
-                             "default), collapse (exact dedup at a few "
-                             "machine words per state - the deep-run "
-                             "choice), exact (full canonical keys, no hash "
-                             "shortcuts), bitstate (Spin supertrace), "
-                             "bitstate-k (salted k-hash supertrace - the "
-                             "swarm members' store) or spill (disk-backed "
-                             "SQLite - exhaustive coverage with bounded "
-                             "RSS; see --spill-dir)")
-    parser.add_argument("--spill-dir", default=None, metavar="DIR",
-                        help="directory for --visited spill databases "
-                             "(default: a self-cleaning temp dir)")
+                             "default), exact (full canonical keys, no hash "
+                             "shortcuts - the oracle) or bitstate (Spin "
+                             "supertrace: a salted k-hash bit field; "
+                             "coverage=partial)")
     parser.add_argument("--strategy", choices=strategy_names(),
                         default="dfs",
                         help="frontier strategy (search order)")
@@ -528,8 +521,7 @@ def _engine_options(args):
                          reduction=args.reduction,
                          scenario=args.scenario,
                          seed=getattr(args, "seed", 0),
-                         swarm_members=getattr(args, "swarm_members", 4),
-                         spill_dir=getattr(args, "spill_dir", None))
+                         swarm_members=getattr(args, "swarm_members", 4))
 
 
 def build_parser():

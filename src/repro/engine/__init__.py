@@ -6,10 +6,9 @@ The exploration machinery of the checker, carved into replaceable parts:
   best-first priority heap);
 * :mod:`repro.engine.strategy` - the name -> frontier registry behind
   ``EngineOptions(strategy=...)``;
-* :mod:`repro.engine.visited` - the VisitedStore protocol: exact
-  canonical keys, BITSTATE bitfields, one-word fingerprints, or
-  collapse-compressed component interning (exact dedup at a few machine
-  words per state);
+* :mod:`repro.engine.visited` - the VisitedStore protocol and its three
+  stores: exact canonical keys (the oracle), one-word fingerprints (the
+  default) and a salted k-hash BITSTATE bit field;
 * :mod:`repro.engine.core` - the bounded search itself;
 * :mod:`repro.engine.batch` - :func:`verify_many`, fanning independent
   verification jobs across a process pool;
@@ -17,9 +16,6 @@ The exploration machinery of the checker, carved into replaceable parts:
   beyond-exhaustive tier: N diversified sampled member searches sharing
   one deduplicated, oracle-replayed violation sink
   (``EngineOptions(mode="swarm")`` / ``repro check --mode swarm``).
-
-``repro.checker.explorer`` remains as a thin compatibility shim over this
-package.
 """
 
 from repro.engine.batch import VerificationJob, default_workers, verify_many
@@ -45,21 +41,16 @@ from repro.engine.strategy import (
 )
 from repro.engine.swarm import SwarmResult, explore_swarm
 from repro.engine.visited import (
-    BitStateTable,
     BitStateVisitedSet,
-    CollapseVisitedSet,
     ExactVisitedSet,
     FingerprintVisitedSet,
-    SpillVisitedStore,
 )
 
 __all__ = [
     "BatchResult",
-    "BitStateTable",
     "BitStateVisitedSet",
     "BreadthFirstFrontier",
     "CONCURRENT",
-    "CollapseVisitedSet",
     "DepthFirstFrontier",
     "EngineOptions",
     "ExactVisitedSet",
@@ -70,7 +61,6 @@ __all__ = [
     "PriorityFrontier",
     "SEQUENTIAL",
     "SWARM",
-    "SpillVisitedStore",
     "SwarmResult",
     "VerificationJob",
     "default_workers",

@@ -25,8 +25,12 @@ the intersection instead of pruning.
 import gc
 import time
 
+from repro.checker.compiled import CompiledProperties
+from repro.checker.monitor import SafetyMonitor
+from repro.checker.violations import Counterexample
 from repro.engine.options import CONCURRENT, SWARM, EngineOptions
 from repro.engine.result import ExplorationResult
+from repro.engine.visited import FingerprintVisitedSet
 
 #: shared empty sleep set (most nodes sleep nothing)
 _NO_SLEEP = frozenset()
@@ -114,12 +118,6 @@ class ExplorationEngine:
     """Runs the bounded search on one :class:`~repro.model.system.IoTSystem`."""
 
     def __init__(self, system, properties, options=None):
-        # imported here: repro.checker's package init re-exports this
-        # module's shim, so a top-level import would be circular
-        from repro.checker.compiled import CompiledProperties
-        from repro.checker.monitor import SafetyMonitor
-        from repro.checker.violations import Counterexample
-
         self.system = system
         self.properties = list(properties)
         self.options = options or EngineOptions()
@@ -209,9 +207,6 @@ class ExplorationEngine:
         return visited, frontier, reducer, matcher
 
     def _run(self):
-        # imported here for the same circularity as in __init__
-        from repro.engine.visited import FingerprintVisitedSet
-
         options = self.options
         result = ExplorationResult()
         started = time.monotonic()

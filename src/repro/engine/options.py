@@ -1,6 +1,12 @@
 """Tunables for one exploration run."""
 
 from repro.engine import strategy as _strategy
+from repro.engine.visited import (
+    BitStateVisitedSet,
+    ExactVisitedSet,
+    FingerprintVisitedSet,
+)
+from repro.model.faults import resolve_scenario
 
 SEQUENTIAL = "sequential"
 CONCURRENT = "concurrent"
@@ -13,51 +19,18 @@ EXPLORATION_MODES = (SEQUENTIAL, CONCURRENT, SWARM)
 ENGINE_MODES = ("interpreted", "codegen")
 
 
-# Store constructors import lazily: repro.checker re-exports the engine
-# shim, so a module-level import here would be circular.
-
 def _make_exact(options, system):
-    from repro.checker.visited import ExactVisitedSet
     return ExactVisitedSet(
         schema=system.state_schema() if system is not None else None)
 
 
 def _make_fingerprint(options, system):
-    from repro.engine.visited import FingerprintVisitedSet
     return FingerprintVisitedSet()
 
 
 def _make_bitstate(options, system):
-    from repro.checker.visited import BitStateTable
-    return BitStateTable(bits_log2=options.bitstate_bits)
-
-
-def _make_collapse(options, system):
-    from repro.engine.visited import CollapseVisitedSet
-    if system is None:
-        raise ValueError("the collapse store packs states against the "
-                         "system's schema; pass the system to make_visited")
-    return CollapseVisitedSet(system.state_schema())
-
-
-def _make_bitstate_k(options, system):
-    from repro.engine.visited import BitStateVisitedSet
     return BitStateVisitedSet(bits_log2=options.bitstate_bits,
                               salt=options.bitstate_salt)
-
-
-def _make_spill(options, system):
-    from repro.engine.visited import SpillVisitedStore
-    path = None
-    if options.spill_dir:
-        import os
-        import tempfile
-        os.makedirs(options.spill_dir, exist_ok=True)
-        handle, path = tempfile.mkstemp(dir=options.spill_dir,
-                                        prefix="visited-", suffix=".sqlite")
-        os.close(handle)
-        os.unlink(path)  # let SQLite create the file itself
-    return SpillVisitedStore(path=path)
 
 
 #: visited-store name -> constructor taking (options, system-or-None)
@@ -65,9 +38,6 @@ _VISITED_STORES = {
     "exact": _make_exact,
     "fingerprint": _make_fingerprint,
     "bitstate": _make_bitstate,
-    "bitstate-k": _make_bitstate_k,
-    "collapse": _make_collapse,
-    "spill": _make_spill,
 }
 
 
@@ -81,19 +51,17 @@ class EngineOptions:
 
     ``strategy`` selects the frontier by registry name (``dfs``/``bfs``/
     ``priority`` built in; see :func:`repro.engine.register_strategy`).
-    ``visited`` selects the store: ``fingerprint`` (the default: one
-    64-bit word per state, depth-aware - the hash-compact trade-off Spin
-    makes at scale, false-positive pruning probability ~2^-64 per pair),
-    ``collapse`` (Spin COLLAPSE-style component interning - *exact*
-    dedup at a few machine words per state, the recommended store for
-    deep bounds where the exact store's full canonical keys no longer
-    fit), ``exact`` (full canonical keys and no hash shortcuts anywhere,
-    including the invariant-verdict memo), ``bitstate`` (Spin supertrace
-    bitfield), ``bitstate-k`` (the salted k-hash supertrace over the
-    same fingerprints - the swarm members' store, O(1) fill-ratio
-    saturation reporting) or ``spill`` (the disk-backed SQLite store -
-    exhaustive coverage with peak RSS bounded by its caches instead of
-    the state count; see ``spill_dir``).
+    ``visited`` selects the store (:mod:`repro.engine.visited`):
+    ``fingerprint`` (the default: one 64-bit word per state,
+    depth-aware - the hash-compact trade-off Spin makes at scale,
+    false-positive pruning probability ~2^-64 per pair), ``exact``
+    (full canonical keys and no hash shortcuts anywhere, including the
+    invariant-verdict memo - the differential oracle) or ``bitstate``
+    (Spin's supertrace: a salted k-hash bit field of
+    ``2**bitstate_bits`` bits over the same fingerprints, with O(1)
+    fill-ratio saturation reporting; its runs are ``partial``).
+    ``bitstate_bits`` must be an integer in 3..34 (a one-byte to a
+    2 GiB field).
 
     The execution-tier knobs:
 
@@ -163,14 +131,10 @@ class EngineOptions:
         and bitstate salts; same seed, same result) and
         ``swarm_members`` is the member count; both are *semantic* for
         swarm runs only - exhaustive digests ignore them.
-    ``bitstate_salt`` / ``spill_dir``
-        ``bitstate_salt`` remaps every ``bitstate-k`` bit position
-        (swarm members derive per-member salts from it), changing which
-        states a saturated field misses - semantic, like
-        ``bitstate_bits``.  ``spill_dir`` is the directory for ``spill``
-        visited-store databases (``None``: a self-cleaning temp dir); a
-        local filesystem detail, deliberately not accepted by the
-        vetting service API.
+    ``bitstate_salt``
+        Remaps every ``bitstate`` bit position (swarm members derive
+        per-member salts from it), changing which states a saturated
+        field misses - semantic, like ``bitstate_bits``.
     """
 
     def __init__(self, max_events=3, mode=SEQUENTIAL, visited="fingerprint",
@@ -179,13 +143,21 @@ class EngineOptions:
                  priority=None, engine="codegen",
                  codegen_cache=None, reduction=False, check_interval=256,
                  manage_gc=True, scenario="clean", telemetry=None, seed=0,
-                 swarm_members=4, bitstate_salt=0, spill_dir=None):
+                 swarm_members=4, bitstate_salt=0):
         self.max_events = max_events
         if mode not in EXPLORATION_MODES:
             raise ValueError("unknown mode %r (known: %s)"
                              % (mode, ", ".join(EXPLORATION_MODES)))
         self.mode = mode
         self.visited = visited
+        if (isinstance(bitstate_bits, bool)
+                or not isinstance(bitstate_bits, int)
+                or not (BitStateVisitedSet.MIN_BITS_LOG2 <= bitstate_bits
+                        <= BitStateVisitedSet.MAX_BITS_LOG2)):
+            raise ValueError("bitstate_bits must be an integer in %d..%d, "
+                             "got %r" % (BitStateVisitedSet.MIN_BITS_LOG2,
+                                         BitStateVisitedSet.MAX_BITS_LOG2,
+                                         bitstate_bits))
         self.bitstate_bits = bitstate_bits
         self.seed = int(seed)
         if int(swarm_members) < 1:
@@ -193,7 +165,6 @@ class EngineOptions:
                              % (swarm_members,))
         self.swarm_members = int(swarm_members)
         self.bitstate_salt = int(bitstate_salt)
-        self.spill_dir = spill_dir
         self.max_states = max_states
         self.max_transitions = max_transitions
         self.time_limit = time_limit
@@ -209,10 +180,7 @@ class EngineOptions:
         self.check_interval = check_interval
         self.manage_gc = manage_gc
         # normalize to the profile *name*: options travel through JSON
-        # payloads and semantic digests, both of which want the string.
-        # Imported lazily like the store constructors - repro.model's
-        # package init reaches back into repro.engine
-        from repro.model.faults import resolve_scenario
+        # payloads and semantic digests, both of which want the string
         self.scenario = resolve_scenario(scenario).name
         # normalized to a picklable TelemetryConfig (or None): options
         # travel to pool workers and through service payloads, so

@@ -88,8 +88,8 @@ class ExplorationResult:
         is worth.
 
         Derived, never stored: a truncated run (a limit tripped) covered
-        only part of the bounded space; a supertrace store (``bitstate``
-        or ``bitstate-k``, the only stores reporting a ``fill_ratio``)
+        only part of the bounded space; the supertrace store
+        (``bitstate``, the only store reporting a ``fill_ratio``)
         silently drops every state whose bits collide; and a swarm run
         (:class:`~repro.engine.swarm.SwarmResult` overrides this to a
         constant ``"partial"``) is sampled by construction.  Serialized

@@ -216,8 +216,7 @@ def _member_options(options, member):
     member_options.mode = SEQUENTIAL
     member_options.telemetry = None
     member_options.reduction = False
-    if options.visited in ("bitstate", "bitstate-k"):
-        member_options.visited = "bitstate-k"
+    if options.visited == "bitstate":
         member_options.bitstate_salt = (
             options.bitstate_salt
             ^ ((options.seed + 1) * 0x9E3779B9 + member * 0x85EBCA6B))

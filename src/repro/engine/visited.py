@@ -1,4 +1,18 @@
-"""The VisitedStore protocol, fingerprint/COLLAPSE/bitstate/spill stores.
+"""Visited-state stores: the exact oracle, fingerprints and BITSTATE.
+
+The paper runs Spin "in verification mode with BITSTATE hashing - an
+approximate technique that stores the hash code of states in a bitfield
+instead of storing the whole states" (§2.3, citing Holzmann's analysis).
+Three stores implement the VisitedStore protocol:
+
+``exact``  (:class:`ExactVisitedSet`)
+    Full canonical keys, no hash shortcuts: the differential oracle.
+``fingerprint``  (:class:`FingerprintVisitedSet`)
+    The default: one 64-bit word per state, depth-aware - the
+    hash-compact trade-off Spin makes at scale.
+``bitstate``  (:class:`BitStateVisitedSet`)
+    Holzmann's supertrace: a salted k-hash bit field of fixed size;
+    its runs are reported with ``coverage="partial"``.
 
 A visited store answers one question - "was this state already expanded
 at an equal-or-smaller depth?" - through three methods:
@@ -16,7 +30,9 @@ at an equal-or-smaller depth?" - through three methods:
     themselves (tests, external tools, the engine's sleep-set state
     matcher).  ``state_key`` projects a
     :class:`~repro.model.state.ModelState` onto the store's key form;
-    ``seen_before`` records it.
+    ``seen_before`` records it.  Depth-aware revisiting keeps the
+    bounded search sound: a state first reached near the depth bound
+    gets re-expanded if found again closer to the root.
 
 ``distinct_count()``
     O(1) count of distinct states stored so far (a depth-improved
@@ -24,21 +40,11 @@ at an equal-or-smaller depth?" - through three methods:
     ``seen_state`` call to keep ``states_explored`` a *distinct-state*
     count - an order-independent metric, so every strategy reports
     the same number for the same bounded space.
-
-The exact and BITSTATE stores live in :mod:`repro.checker.visited` (their
-historical home, kept for compatibility); this module re-exports them and
-adds the fingerprint set and the collapse-compressed store.
 """
 
-import os
-import struct
 import sys
 
-from repro.checker.visited import BitStateTable, ExactVisitedSet
-from repro.model.schema import ABSENT as _ABSENT
-
-__all__ = ["BitStateTable", "BitStateVisitedSet", "CollapseVisitedSet",
-           "ExactVisitedSet", "FingerprintVisitedSet", "SpillVisitedStore"]
+__all__ = ["BitStateVisitedSet", "ExactVisitedSet", "FingerprintVisitedSet"]
 
 _MASK64 = (1 << 64) - 1
 #: the 64-bit golden-ratio increment (splitmix64's gamma)
@@ -50,6 +56,129 @@ def _mix64(value):
     value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
     return value ^ (value >> 31)
+
+
+class ExactVisitedSet:
+    """Stores full state keys (exhaustive within the bound).
+
+    Two entry points share one depth table semantics:
+
+    * the legacy key protocol (``state_key`` + ``seen_before``) hashes the
+      full canonical key - exact, but re-canonicalizing every state is the
+      single largest per-state cost of the search;
+    * :meth:`seen_state` is the engine's fast path: states are bucketed by
+      their incremental 64-bit fingerprint first, and the canonical key is
+      only computed when a fingerprint was already present (i.e. for
+      duplicates and the rare true collision).  A state with a fresh
+      fingerprint is stored *by reference* and canonicalized lazily on the
+      first later hit - callers must not mutate states after submitting
+      them (the engine never does: states are frozen once their cascade
+      finishes).  Exactness is preserved: equal states always collide on
+      the fingerprint and are then confirmed canonically.
+
+    ``schema`` (a :class:`~repro.model.schema.StateSchema`, optional)
+    switches the canonical form from ``canonical_key()``'s sorting walk to
+    the schema's precompiled packed layout - same exactness, fixed slot
+    order instead of per-state sorting.  The engine passes the system's
+    schema; key-protocol callers without one keep the legacy form.
+    """
+
+    def __init__(self, schema=None):
+        self._min_depth = {}
+        #: fingerprint -> list of [canonical_key_or_state, resolved, depth]
+        self._by_fingerprint = {}
+        self._schema = schema
+        self._distinct = 0
+
+    def state_key(self, state):
+        """The canonical key: the schema's packed tuple, else
+        ``canonical_key()``."""
+        if self._schema is not None:
+            return self._schema.pack(state)
+        return state.canonical_key()
+
+    def seen_before(self, key, depth):
+        """Depth-aware recording of an explicit key: True prunes, False
+        means the state must be (re)expanded at this smaller depth."""
+        best = self._min_depth.get(key)
+        if best is not None and best <= depth:
+            return True
+        if best is None:
+            self._distinct += 1
+        self._min_depth[key] = depth
+        return False
+
+    def seen_state(self, state, depth):
+        """Fingerprint first, canonical key on a fingerprint hit; True
+        when prunable at this depth."""
+        fingerprint = state.fingerprint()
+        chain = self._by_fingerprint.get(fingerprint)
+        if chain is None:
+            self._by_fingerprint[fingerprint] = [[state, False, depth]]
+            self._distinct += 1
+            return False
+        key = self.state_key(state)
+        for entry in chain:
+            if not entry[1]:
+                entry[0] = self.state_key(entry[0])
+                entry[1] = True
+            if entry[0] == key:
+                if entry[2] <= depth:
+                    return True
+                entry[2] = depth
+                return False
+        chain.append([key, True, depth])
+        self._distinct += 1
+        return False
+
+    def distinct_count(self):
+        """Distinct states stored so far - O(1), the engine's per-state
+        counter (a depth-improved revisit does not grow it)."""
+        return self._distinct
+
+    def approx_bytes(self):
+        """Recursive size of the stored keys (and pinned states).
+
+        Honest but O(stored): meant for end-of-run statistics, not the
+        hot path.  Shared sub-objects are counted once.
+        """
+        seen = set()
+
+        def size(obj):
+            if id(obj) in seen:
+                return 0
+            seen.add(id(obj))
+            total = sys.getsizeof(obj)
+            if isinstance(obj, (tuple, list)):
+                total += sum(size(item) for item in obj)
+            elif isinstance(obj, dict):
+                total += sum(size(k) + size(v) for k, v in obj.items())
+            return total
+
+        total = sys.getsizeof(self._min_depth) + sys.getsizeof(
+            self._by_fingerprint)
+        for key in self._min_depth:
+            total += size(key)
+        for chain in self._by_fingerprint.values():
+            for entry in chain:
+                if entry[1]:
+                    total += size(entry[0])
+                else:
+                    # an unresolved entry pins the whole state; count its
+                    # canonical key as the comparable storage cost
+                    total += size(entry[0].canonical_key())
+        return total
+
+    def stats(self):
+        """``stored``/``approx_bytes``/``bytes_per_state`` counters."""
+        stored = len(self)
+        approx = self.approx_bytes()
+        return {"stored": stored, "approx_bytes": approx,
+                "bytes_per_state": round(approx / stored, 1) if stored else 0.0}
+
+    def __len__(self):
+        return (len(self._min_depth)
+                + sum(len(chain) for chain in self._by_fingerprint.values()))
 
 
 class FingerprintVisitedSet(ExactVisitedSet):
@@ -88,7 +217,7 @@ class BitStateVisitedSet:
     field; a state is pruned when *all* its bits were already set.  Like
     every bitstate scheme it trades exactness for a fixed memory
     footprint: distinct states may collide on a full bit pattern and be
-    wrongly pruned (missed coverage - why swarm verdicts are *partial*),
+    wrongly pruned (missed coverage - why its runs are *partial*),
     but a state the store has admitted is never forgotten, so there are
     no false negatives on revisits.  Unlike the exact stores it keeps no
     per-state depth - a revisit at smaller depth is pruned too, another
@@ -100,9 +229,15 @@ class BitStateVisitedSet:
     reported live by telemetry rather than recomputed by popcount.
     """
 
+    #: supported ``bits_log2`` range: a one-byte field up to 2 GiB
+    MIN_BITS_LOG2 = 3
+    MAX_BITS_LOG2 = 34
+
     def __init__(self, bits_log2=23, hash_count=3, salt=0):
-        if bits_log2 < 3:
-            raise ValueError("bits_log2 must be >= 3, got %r" % (bits_log2,))
+        if not self.MIN_BITS_LOG2 <= bits_log2 <= self.MAX_BITS_LOG2:
+            raise ValueError("bits_log2 must be in %d..%d, got %r"
+                             % (self.MIN_BITS_LOG2, self.MAX_BITS_LOG2,
+                                bits_log2))
         if hash_count < 1:
             raise ValueError("hash_count must be >= 1, got %r"
                              % (hash_count,))
@@ -177,317 +312,3 @@ class BitStateVisitedSet:
 
     def __len__(self):
         return self.stored
-
-
-class SpillVisitedStore:
-    """Disk-backed depth-aware visited store (SQLite behind the protocol).
-
-    Keys are the 64-bit state fingerprints; each is one row in a
-    single-table SQLite database, so the working set spills to disk and
-    an exhaustive run's peak RSS stays bounded by the write buffer plus
-    the read cache plus SQLite's page cache instead of growing with the
-    state space.  Semantics match :class:`FingerprintVisitedSet` exactly
-    (depth-aware: a smaller-depth revisit is re-expanded and the stored
-    minimum depth is lowered) - only the residence changes.
-
-    Writes are buffered and flushed in batches through an
-    ``ON CONFLICT .. WHERE excluded.depth < depth`` min-depth upsert;
-    reads consult the buffer first, then a bounded LRU of recently
-    checked keys, then the database.  The file is durable across
-    ``close``/reopen - ``distinct_count`` and the stored depths survive a
-    spill/reload round-trip - but crash durability is deliberately traded
-    away (``journal_mode=OFF``, ``synchronous=OFF``): a visited set is a
-    cache of a deterministic search, so the recovery story is "rerun".
-
-    When constructed without a ``path`` the store owns a temporary
-    directory and removes it on ``close`` (or at garbage collection).
-    """
-
-    #: pending writes buffered before one batched upsert
-    FLUSH_BATCH = 8192
-
-    def __init__(self, path=None, cache_limit=65536, page_cache_kib=4096):
-        import sqlite3
-        self._own_dir = None
-        if path is None:
-            import tempfile
-            self._own_dir = tempfile.mkdtemp(prefix="repro-spill-")
-            path = os.path.join(self._own_dir, "visited.sqlite")
-        self.path = path
-        self.cache_limit = int(cache_limit)
-        self._conn = sqlite3.connect(path)
-        self._conn.execute("PRAGMA journal_mode=OFF")
-        self._conn.execute("PRAGMA synchronous=OFF")
-        self._conn.execute("PRAGMA cache_size=%d" % -abs(int(page_cache_kib)))
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS visited ("
-            "key INTEGER PRIMARY KEY, depth INTEGER NOT NULL)")
-        row = self._conn.execute("SELECT COUNT(*) FROM visited").fetchone()
-        self._distinct = int(row[0])
-        #: unflushed key -> depth (authoritative over the database)
-        self._pending = {}
-        #: bounded read cache of recently checked keys (insertion-ordered
-        #: dict used as an LRU: hits are reinserted at the end)
-        self._cache = {}
-
-    @staticmethod
-    def _signed(key):
-        """Map a u64 fingerprint onto SQLite's signed INTEGER domain."""
-        key = int(key)
-        return key - 0x10000000000000000 if key > 0x7FFFFFFFFFFFFFFF else key
-
-    @staticmethod
-    def state_key(state):
-        """The one-word 64-bit fingerprint (this store's key form)."""
-        return state.fingerprint()
-
-    def seen_state(self, state, depth):
-        """Record by fingerprint; True when prunable at this depth."""
-        return self.seen_before(state.fingerprint(), depth)
-
-    def seen_before(self, key, depth):
-        """Depth-aware recording of an explicit key: True prunes, False
-        means the state must be (re)expanded at this smaller depth."""
-        key = self._signed(key)
-        best = self._pending.get(key)
-        if best is None:
-            cache = self._cache
-            best = cache.pop(key, None)
-            if best is not None:
-                cache[key] = best  # LRU touch
-            else:
-                row = self._conn.execute(
-                    "SELECT depth FROM visited WHERE key = ?",
-                    (key,)).fetchone()
-                if row is not None:
-                    best = int(row[0])
-        if best is not None and best <= depth:
-            return True
-        if best is None:
-            self._distinct += 1
-        self._pending[key] = depth
-        self._cache_put(key, depth)
-        if len(self._pending) >= self.FLUSH_BATCH:
-            self.flush()
-        return False
-
-    def _cache_put(self, key, depth):
-        cache = self._cache
-        cache.pop(key, None)
-        cache[key] = depth
-        if len(cache) > self.cache_limit:
-            cache.pop(next(iter(cache)))
-
-    def flush(self):
-        """Drain the write buffer into one batched min-depth upsert."""
-        if not self._pending:
-            return
-        self._conn.executemany(
-            "INSERT INTO visited (key, depth) VALUES (?, ?) "
-            "ON CONFLICT (key) DO UPDATE SET depth = excluded.depth "
-            "WHERE excluded.depth < depth",
-            list(self._pending.items()))
-        self._conn.commit()
-        self._pending.clear()
-
-    def distinct_count(self):
-        """Distinct states stored so far - O(1) (in-memory counter)."""
-        return self._distinct
-
-    def stats(self):
-        """Counters: resident vs on-disk bytes, honest bytes/state."""
-        self.flush()
-        try:
-            disk_bytes = os.path.getsize(self.path)
-        except OSError:
-            disk_bytes = 0
-        resident = (sys.getsizeof(self._cache) + len(self._cache) * 32
-                    + sys.getsizeof(self._pending))
-        stored = self._distinct
-        return {
-            "stored": stored,
-            "disk_bytes": disk_bytes,
-            "resident_bytes": resident,
-            "approx_bytes": disk_bytes + resident,
-            "bytes_per_state": (round((disk_bytes + resident) / stored, 1)
-                                if stored else 0.0),
-            "path": self.path,
-        }
-
-    def close(self):
-        """Flush, close the database, drop an owned temp directory."""
-        if self._conn is not None:
-            self.flush()
-            self._conn.close()
-            self._conn = None
-        if self._own_dir is not None:
-            import shutil
-            shutil.rmtree(self._own_dir, ignore_errors=True)
-            self._own_dir = None
-
-    def __del__(self):  # noqa: D105 - best-effort temp-dir cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __len__(self):
-        return self._distinct
-
-
-class CollapseVisitedSet:
-    """Spin-COLLAPSE-style visited store: exact dedup in a few words/state.
-
-    Each *component block* of a state - one device's attribute vector,
-    one app's persistent state map, the schedule queue, the pending and
-    cascade-command tuples, the mode - is interned to a small integer id
-    in a shared arena; a visited entry is the fixed-width byte string of
-    those ids (4 bytes per component).  Because interning is exact (full
-    block values are the arena keys), the store has the *exact* store's
-    verdict contract - no hash collisions, no false positives - while a
-    visited entry costs a few machine words like the fingerprint store:
-    the bounded search revisits the same blocks constantly, so the arena
-    stays tiny while the entry table carries millions of states.
-
-    Keying walks the system's precompiled
-    :class:`~repro.model.schema.StateSchema` (fixed slot order, no
-    sorting); off-schema components fall back to the schema's sorted
-    overflow form, preserving exactness for hand-built states.
-
-    Copy-on-write branching makes sibling states share the *same* inner
-    container objects for every component a cascade did not touch, so the
-    store keeps a bounded identity-keyed memo (object -> block id) in
-    front of the value arena: the common unchanged component costs one
-    dict probe instead of a rebuild.  Memo entries pin their container
-    (an object id can never be reused while the entry lives, and the memo
-    is dropped wholesale when full, releasing every pin together), and
-    the usual store contract - states are not mutated after submission -
-    keeps the memoized contents stable.
-    """
-
-    #: bounded identity-memo entries (each pins one small container);
-    #: the memo is cleared outright when full - hot shared containers are
-    #: re-memoized within one expansion, so eviction policy is moot
-    MEMO_LIMIT = 1 << 16
-
-    def __init__(self, schema):
-        self.schema = schema
-        #: block value -> small integer id (one arena for all components)
-        self._blocks = {}
-        #: id(container) -> (container, block id): the COW fast path
-        self._ident = {}
-        #: packed id vector (bytes) -> minimum depth seen
-        self._min_depth = {}
-        self._pack = struct.Struct("<%dI" % schema.component_count).pack
-
-    def state_key(self, state):
-        """The packed component-id vector of one state (bytes)."""
-        schema = self.schema
-        memo = self._ident
-        ids = []
-        append = ids.append
-        devices = state._devices
-        off_schema = len(devices)
-        for entry in schema.device_layout:
-            amap = devices.get(entry[0])
-            if amap is None:
-                append(self._intern(_ABSENT))
-                continue
-            off_schema -= 1
-            memoized = memo.get(id(amap))
-            if memoized is not None:
-                append(memoized[1])
-                continue
-            block_id = self._intern(schema.device_block(entry, amap))
-            self._memoize(amap, block_id)
-            append(block_id)
-        append(self._intern(
-            schema.unknown_devices(devices) if off_schema else ()))
-        append(self._intern(state._mode))
-        apps = state._app_states
-        off_schema = len(apps)
-        for name in schema.app_names:
-            mapping = apps.get(name)
-            if mapping is None:
-                append(self._intern(_ABSENT))
-                continue
-            off_schema -= 1
-            memoized = memo.get(id(mapping))
-            if memoized is not None:
-                append(memoized[1])
-                continue
-            block_id = self._intern(schema.app_block(mapping))
-            self._memoize(mapping, block_id)
-            append(block_id)
-        if off_schema:
-            append(self._intern(tuple(sorted(
-                (name, schema.app_block(mapping))
-                for name, mapping in apps.items()
-                if name not in schema._app_index))))
-        else:
-            append(self._intern(()))
-        schedules = state._schedules
-        memoized = memo.get(id(schedules))
-        if memoized is not None:
-            append(memoized[1])
-        else:
-            block_id = self._intern(tuple(sorted(schedules)))
-            self._memoize(schedules, block_id)
-            append(block_id)
-        append(self._intern(state._pending))
-        append(self._intern(state._cascade_commands))
-        return self._pack(*ids)
-
-    def _intern(self, block):
-        blocks = self._blocks
-        block_id = blocks.get(block)
-        if block_id is None:
-            block_id = len(blocks)
-            blocks[block] = block_id
-        return block_id
-
-    def _memoize(self, container, block_id):
-        memo = self._ident
-        if len(memo) >= self.MEMO_LIMIT:
-            memo.clear()
-        memo[id(container)] = (container, block_id)
-
-    def seen_state(self, state, depth):
-        """Record by packed component-id vector; True when prunable."""
-        return self.seen_before(self.state_key(state), depth)
-
-    def seen_before(self, key, depth):
-        """Depth-aware recording of an explicit key: True prunes, False
-        means the state must be (re)expanded at this smaller depth."""
-        best = self._min_depth.get(key)
-        if best is not None and best <= depth:
-            return True
-        self._min_depth[key] = depth
-        return False
-
-    def distinct_count(self):
-        """Distinct states stored so far - O(1) (see the protocol doc)."""
-        return len(self._min_depth)
-
-    def stats(self):
-        """Store counters incl. arena size and honest bytes/state."""
-        stored = len(self._min_depth)
-        entry_bytes = 0
-        if stored:
-            # fixed-width keys: measure one, multiply (depth values are
-            # small interned ints)
-            entry_bytes = sys.getsizeof(next(iter(self._min_depth)))
-        arena_bytes = sys.getsizeof(self._blocks) + sum(
-            sys.getsizeof(block) for block in self._blocks)
-        approx = (sys.getsizeof(self._min_depth) + stored * entry_bytes
-                  + arena_bytes)
-        return {
-            "stored": stored,
-            "blocks": len(self._blocks),
-            "arena_bytes": arena_bytes,
-            "approx_bytes": approx,
-            "bytes_per_state": round(approx / stored, 1) if stored else 0.0,
-        }
-
-    def __len__(self):
-        return len(self._min_depth)

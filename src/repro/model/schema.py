@@ -10,8 +10,8 @@ re-walking dict-of-dicts.  The packed form is canonical:
     pack(a) == pack(b)  <=>  a.canonical_key() == b.canonical_key()
 
 for any two states over the schema's system, which is what lets the
-visited stores key on it directly (the collapse store interns its
-component blocks, the exact store uses it as a cheaper canonical key).
+exact visited store use it as a cheaper canonical key than
+``canonical_key()``'s per-state sorting walk.
 
 States are allowed to wander off-schema - a test may hand-build a state
 with devices the system never declared, or an app may grow an attribute
@@ -28,17 +28,16 @@ where ``device_blocks[i]`` is the i-th schema device's self-contained
 ``(value_vector, extra_attributes)`` block (:data:`ABSENT`-padded vector,
 ``()`` extras in the common all-on-schema case, or :data:`ABSENT` itself
 when the state has no entry for the device at all) and ``app_values[i]``
-the frozen state map of the i-th schema app.  Each device block is
-self-contained so stores may intern it as one arena unit.  :meth:`unpack`
-inverts the mapping up to canonical equality (frozen app maps stay
-frozen; ``canonical_key`` freezes idempotently, so equality is
-preserved).
+the frozen state map of the i-th schema app.  :meth:`unpack` inverts
+the mapping up to canonical equality (frozen app maps stay frozen;
+``canonical_key`` freezes idempotently, so equality is preserved) - the
+round trip is the exactness proof of the exact store's key.
 """
 
 
 # the one frozen form shared with fingerprint()/canonical_key(): the
-# collapse store's exactness contract depends on pack() freezing app
-# state maps exactly the way the state module does
+# exact store's contract depends on pack() freezing app state maps
+# exactly the way the state module does
 from repro.model.state import _freeze
 
 
@@ -68,8 +67,7 @@ def _restore_absent():
 class StateSchema:
     """The packed-state layout of one :class:`IoTSystem`."""
 
-    __slots__ = ("device_layout", "app_names", "_app_index", "slot_count",
-                 "component_count", "_slot_index")
+    __slots__ = ("device_layout", "app_names", "_app_index", "slot_count")
 
     def __init__(self, system):
         layout = []
@@ -83,29 +81,6 @@ class StateSchema:
         self._app_index = frozenset(self.app_names)
         #: total device-attribute slots across the grid
         self.slot_count = sum(len(attrs) for _, attrs, _ in layout)
-        #: components of a packed id vector: one per device, one per app,
-        #: plus device-overflow, mode, app-overflow, schedules, pending
-        #: and cascade-commands
-        self.component_count = len(layout) + len(self.app_names) + 6
-        self._slot_index = None
-
-    def slot_index(self, device_name, attribute):
-        """Resolve ``(device, attribute)`` to its packed position.
-
-        Returns ``(device_position, attribute_position)`` into the
-        packed tuple's device-block section - ``packed[0][d][0][a]`` is
-        the slot's value - or ``None`` for off-schema pairs.  The
-        codegen tier resolves device slots against this map at
-        generation time so packed-state enabledness checks skip the
-        dict-of-dicts walk."""
-        index = self._slot_index
-        if index is None:
-            index = {}
-            for position, (name, attrs, _) in enumerate(self.device_layout):
-                for offset, attr in enumerate(attrs):
-                    index[(name, attr)] = (position, offset)
-            self._slot_index = index
-        return index.get((device_name, attribute))
 
     # ------------------------------------------------------------------
     # packing
@@ -134,7 +109,8 @@ class StateSchema:
             state._cascade_commands,
         )
 
-    def device_block(self, layout_entry, amap):
+    @staticmethod
+    def _device_block(layout_entry, amap):
         """One device's self-contained ``(vector, extras)`` block."""
         _name, attrs, attr_set = layout_entry
         vector = tuple(amap.get(attr, ABSENT) for attr in attrs)
@@ -146,7 +122,7 @@ class StateSchema:
             extras = ()
         return (vector, extras)
 
-    def unknown_devices(self, devices):
+    def _unknown_devices(self, devices):
         """Sorted overflow block for devices the schema never declared."""
         known = {name for name, _, _ in self.device_layout}
         return tuple(sorted(
@@ -162,14 +138,9 @@ class StateSchema:
                 blocks.append(ABSENT)
                 continue
             off_schema -= 1
-            blocks.append(self.device_block(entry, amap))
-        overflow = self.unknown_devices(devices) if off_schema else ()
+            blocks.append(self._device_block(entry, amap))
+        overflow = self._unknown_devices(devices) if off_schema else ()
         return tuple(blocks), overflow
-
-    @staticmethod
-    def app_block(mapping):
-        """One app's frozen state map (the canonical app block)."""
-        return _freeze(mapping)
 
     def _pack_apps(self, apps):
         values = []

@@ -486,9 +486,6 @@ class ModelState:
             self._cascade_commands,
         )
 
-    #: backwards-compatible alias (pre-engine callers used ``state.key()``)
-    key = canonical_key
-
     def __repr__(self):
         return "ModelState(mode=%r, time=%d, devices=%d)" % (
             self._mode, self.time, len(self._devices))

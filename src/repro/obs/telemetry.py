@@ -36,8 +36,7 @@ import time
 TELEMETRY_SCHEMA_VERSION = 2
 
 #: default minimum transitions between progress snapshots; coarse enough
-#: that even the O(n)-stats stores (exact/collapse) pay nothing
-#: measurable.
+#: that even the O(n)-stats ``exact`` store pays nothing measurable.
 DEFAULT_SNAPSHOT_INTERVAL = 4096
 
 

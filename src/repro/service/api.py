@@ -54,13 +54,15 @@ _ALLOWED_OPTIONS = (
     "swarm_members",
 )
 # deliberately NOT accepted: ``telemetry`` (a live-handle/filesystem
-# concern of the host) and ``spill_dir`` (a server-side filesystem path
-# a remote submitter must not choose - spill stores fall back to
-# self-cleaning temp dirs)
+# concern of the host)
 
 #: most swarm members one HTTP submission may request (members run
 #: serially, so this bounds per-job wall clock, not process count)
 MAX_SWARM_MEMBERS = 64
+
+#: largest bit field one HTTP submission may request: 2**30 bits is a
+#: 128 MiB ``bytearray`` (the engine itself accepts up to 2**34)
+MAX_BITSTATE_BITS = 30
 
 
 class SubmissionError(ValueError):
@@ -170,6 +172,13 @@ class VettingService:
                 raise SubmissionError(
                     "bad 'swarm_members' option %r (an integer 1..%d)"
                     % (members, MAX_SWARM_MEMBERS))
+        bits = options.get("bitstate_bits")
+        # EngineOptions rejects a malformed size; the field is allocated
+        # up front, so this host also caps a well-formed one
+        if isinstance(bits, int) and bits > MAX_BITSTATE_BITS:
+            raise SubmissionError(
+                "bad 'bitstate_bits' option %r (at most %d)"
+                % (bits, MAX_BITSTATE_BITS))
         if "seed" in options and (not isinstance(options["seed"], int)
                                   or isinstance(options["seed"], bool)):
             raise SubmissionError("bad 'seed' option %r (an integer)"

@@ -44,8 +44,11 @@ import json
 #: v4: ``bitstate_salt`` joined the semantic fields (a salted bitstate
 #: field misses a different state set), and swarm runs additionally
 #: hash ``seed``/``swarm_members`` - two swarms with different seeds
-#: sample different spaces, while exhaustive digests ignore both)
-DIGEST_SCHEMA_VERSION = 4
+#: sample different spaces, while exhaustive digests ignore both.
+#: v5: ``bitstate`` now names the salted k-hash store (the blake2b
+#: double-hash table is gone), which misses a different state set, so
+#: cached v4 ``bitstate`` verdicts must stop matching)
+DIGEST_SCHEMA_VERSION = 5
 
 #: EngineOptions fields that can change verdicts, traces or reported
 #: exploration statistics; everything else is a performance knob

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.checker.explorer import (
+from repro.engine import (
     CONCURRENT,
     SEQUENTIAL,
+    BitStateVisitedSet,
+    EngineOptions,
+    ExactVisitedSet,
     ExplorationResult,
-    Explorer,
-    ExplorerOptions,
     verify,
 )
 from repro.properties import build_properties
@@ -15,7 +16,7 @@ from repro.properties import build_properties
 
 class TestOptions:
     def test_defaults(self):
-        options = ExplorerOptions()
+        options = EngineOptions()
         assert options.max_events == 3
         assert options.mode == SEQUENTIAL
         # one word per state is the default since the compiled-transition
@@ -23,14 +24,14 @@ class TestOptions:
         assert options.visited == "fingerprint"
 
     def test_make_visited_exact(self):
-        from repro.checker.visited import ExactVisitedSet
-        store = ExplorerOptions(visited="exact").make_visited()
+        store = EngineOptions(visited="exact").make_visited()
         assert type(store) is ExactVisitedSet
 
     def test_make_visited_bitstate(self):
-        from repro.checker.visited import BitStateTable
-        options = ExplorerOptions(visited="bitstate", bitstate_bits=16)
-        assert isinstance(options.make_visited(), BitStateTable)
+        options = EngineOptions(visited="bitstate", bitstate_bits=16)
+        store = options.make_visited()
+        assert isinstance(store, BitStateVisitedSet)
+        assert store.bits == 1 << 16
 
 
 class TestSearch:

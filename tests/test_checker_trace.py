@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.checker.explorer import verify
+from repro.engine import verify
 from repro.checker.trace import (
     SpinLogRenderer,
     render_result_logs,

@@ -1,6 +1,5 @@
 """Unit + property-based tests for the visited-state stores."""
 
-import os
 import random
 
 from hypothesis import given, settings
@@ -8,11 +7,10 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.checker.visited import BitStateTable, ExactVisitedSet
 from repro.engine.visited import (
     BitStateVisitedSet,
+    ExactVisitedSet,
     FingerprintVisitedSet,
-    SpillVisitedStore,
 )
 from repro.model.state import ModelState
 
@@ -50,59 +48,64 @@ class TestExactVisitedSet:
 
 
 class TestBitStateTable:
+    """The supertrace bit table, now the fingerprint-keyed
+    ``BitStateVisitedSet`` (keys are 64-bit words)."""
+
     def test_first_visit_not_seen(self):
-        table = BitStateTable(bits_log2=16)
-        assert table.seen_before(("k",), 0) is False
+        table = BitStateVisitedSet(bits_log2=16)
+        assert table.seen_before(0xBEEF, 0) is False
 
     def test_revisit_seen(self):
-        table = BitStateTable(bits_log2=16)
-        table.seen_before(("k",), 0)
-        assert table.seen_before(("k",), 0) is True
+        table = BitStateVisitedSet(bits_log2=16)
+        table.seen_before(0xBEEF, 0)
+        assert table.seen_before(0xBEEF, 0) is True
 
     def test_no_false_negatives(self):
-        """A stored state is always reported seen (Spin's guarantee)."""
-        table = BitStateTable(bits_log2=16)
-        keys = [("state", i) for i in range(500)]
+        """Every key offered is reported seen afterwards (Spin's
+        guarantee: admitted or collided, never forgotten)."""
+        table = BitStateVisitedSet(bits_log2=16)
+        keys = [index * 0x9E3779B97F4A7C15 & ((1 << 64) - 1)
+                for index in range(500)]
         for key in keys:
             table.seen_before(key, 0)
         assert all(table.seen_before(key, 0) for key in keys)
 
     def test_fill_ratio_grows(self):
-        table = BitStateTable(bits_log2=12)
+        table = BitStateVisitedSet(bits_log2=12)
         assert table.fill_ratio == 0.0
-        for index in range(100):
-            table.seen_before(("s", index), 0)
+        for key in range(100):
+            table.seen_before(key, 0)
         assert table.fill_ratio > 0.0
 
     def test_collision_counter(self):
-        table = BitStateTable(bits_log2=8, hash_count=1)
-        for index in range(1000):
-            table.seen_before(("s", index), 0)
-        # 256 bits, 1000 states: collisions are certain
+        table = BitStateVisitedSet(bits_log2=8, hash_count=1)
+        for key in range(1000):
+            table.seen_before(key, 0)
+        # 256 bits, 1000 keys: collisions are certain
         assert table.collisions > 0
+        assert table.stored + table.collisions == 1000
 
     def test_bits_log2_bounds(self):
         with pytest.raises(ValueError):
-            BitStateTable(bits_log2=4)
+            BitStateVisitedSet(bits_log2=BitStateVisitedSet.MIN_BITS_LOG2 - 1)
         with pytest.raises(ValueError):
-            BitStateTable(bits_log2=40)
+            BitStateVisitedSet(bits_log2=40)
 
     def test_more_hashes_fewer_collisions(self):
-        """Holzmann: double hashing improves coverage at equal memory."""
-        single = BitStateTable(bits_log2=12, hash_count=1)
-        double = BitStateTable(bits_log2=12, hash_count=3)
-        keys = [("s", i) for i in range(300)]
-        for key in keys:
+        """Holzmann: multi-hashing improves coverage at equal memory."""
+        single = BitStateVisitedSet(bits_log2=12, hash_count=1)
+        triple = BitStateVisitedSet(bits_log2=12, hash_count=3)
+        for key in range(300):
             single.seen_before(key, 0)
-            double.seen_before(key, 0)
-        assert double.collisions <= single.collisions
+            triple.seen_before(key, 0)
+        assert triple.collisions < single.collisions
 
     def test_fill_ratio_capped_at_one_when_saturated(self):
         """Saturation regression: a hammered field reports exactly 1.0,
         never more (the telemetry warning keys off this number)."""
-        table = BitStateTable(bits_log2=8, hash_count=4)
-        for index in range(2000):
-            table.seen_before(("s", index), 0)
+        table = BitStateVisitedSet(bits_log2=8, hash_count=4)
+        for key in range(2000):
+            table.seen_before(key * 0x9E3779B97F4A7C15 & ((1 << 64) - 1), 0)
         assert table.fill_ratio == 1.0
 
 
@@ -136,12 +139,12 @@ class TestStateKeyProtocol:
     def test_bitstate_uses_fingerprint(self):
         state = ModelState()
         state.set_attribute("d", "lock", "locked")
-        assert BitStateTable.state_key(state) == state.fingerprint()
+        assert BitStateVisitedSet.state_key(state) == state.fingerprint()
 
     def test_stats_shapes(self):
-        exact, table = ExactVisitedSet(), BitStateTable(bits_log2=12)
+        exact, table = ExactVisitedSet(), BitStateVisitedSet(bits_log2=12)
         exact.seen_before(("k",), 0)
-        table.seen_before(("k",), 0)
+        table.seen_before(0xDEAD, 0)
         exact_stats = exact.stats()
         assert exact_stats["stored"] == 1
         assert exact_stats["approx_bytes"] > 0
@@ -153,22 +156,25 @@ class TestStateKeyProtocol:
 
 
 class TestFillRatioCache:
+    """The fill ratio is kept incrementally, one update per insert."""
+
     def test_cache_invalidated_by_stores(self):
-        table = BitStateTable(bits_log2=12, hash_count=1)
+        table = BitStateVisitedSet(bits_log2=12, hash_count=1)
         assert table.fill_ratio == 0.0
-        table.seen_before(("a",), 0)
+        table.seen_before(0xA, 0)
         first = table.fill_ratio
         assert first > 0.0
-        assert table.fill_ratio == first  # served from cache
-        table.seen_before(("b",), 0)
+        assert table.fill_ratio == first  # a read changes nothing
+        table.seen_before(0xB, 0)
         assert table.fill_ratio >= first
 
     def test_matches_per_byte_popcount(self):
-        table = BitStateTable(bits_log2=12)
-        for index in range(200):
-            table.seen_before(("s", index), 0)
-        slow = sum(bin(b).count("1") for b in table._field) / float(table.bits)
-        assert table.fill_ratio == slow
+        """The incrementally kept fill ratio is the field's popcount."""
+        table = BitStateVisitedSet(bits_log2=8, hash_count=3)
+        for key in range(200):
+            table.seen_before(key, 0)
+            slow = sum(bin(b).count("1") for b in table._field) / table.bits
+            assert table.fill_ratio == slow
 
 
 def _random_state(rng):
@@ -241,6 +247,7 @@ class TestFingerprintConsistency:
 # ---------------------------------------------------------------------------
 
 _KEYS = st.tuples(st.text(max_size=8), st.integers(0, 1000))
+_U64 = st.integers(0, (1 << 64) - 1)
 
 
 class TestStoreProperties:
@@ -255,38 +262,233 @@ class TestStoreProperties:
             if not expected_seen:
                 recorded[key] = depth
 
-    @given(st.lists(_KEYS, unique=True, max_size=80))
+    @given(st.lists(_U64, unique=True, max_size=80))
     def test_bitstate_never_forgets(self, keys):
-        table = BitStateTable(bits_log2=16)
+        table = BitStateVisitedSet(bits_log2=16)
         for key in keys:
             table.seen_before(key, 0)
         for key in keys:
             assert table.seen_before(key, 0)
 
-    @given(st.lists(_KEYS, unique=True, min_size=1, max_size=50))
+    @given(st.lists(_U64, unique=True, min_size=1, max_size=50))
     @settings(max_examples=30)
     def test_bitstate_stored_plus_collisions_is_total(self, keys):
-        table = BitStateTable(bits_log2=16)
+        table = BitStateVisitedSet(bits_log2=16)
         for key in keys:
             table.seen_before(key, 0)
         assert table.stored + table.collisions == len(keys)
 
 
 # ---------------------------------------------------------------------------
-# the swarm tier's stores: salted k-hash bitstate, disk-backed spill
+# the supertrace store: salted k-hash bitstate
 # ---------------------------------------------------------------------------
-
-_U64 = st.integers(0, (1 << 64) - 1)
 
 
 class TestBitStateVisitedSet:
-    """The salted fingerprint-keyed supertrace store of the swarm tier."""
+    """The salted fingerprint-keyed supertrace store (``bitstate``)."""
 
     def test_constructor_bounds(self):
         with pytest.raises(ValueError):
             BitStateVisitedSet(bits_log2=2)
         with pytest.raises(ValueError):
+            BitStateVisitedSet(bits_log2=35)
+        with pytest.raises(ValueError):
             BitStateVisitedSet(hash_count=0)
+        # the range ends are legal field sizes (no 2 GiB allocation here)
+        assert BitStateVisitedSet(bits_log2=3).bits == 8
+
+    def test_state_key_is_fingerprint(self):
+        state = ModelState()
+        state.set_attribute("d", "switch", "on")
+        assert FingerprintVisitedSet.state_key(state) == state.fingerprint()
+
+
+class TestStateKeyProtocol:
+    """Each store projects states onto its own key form."""
+
+    def test_exact_store_uses_canonical_key(self):
+        state = ModelState()
+        state.set_attribute("d", "lock", "locked")
+        assert ExactVisitedSet().state_key(state) == state.canonical_key()
+
+    def test_bitstate_uses_fingerprint(self):
+        state = ModelState()
+        state.set_attribute("d", "lock", "locked")
+        assert BitStateVisitedSet.state_key(state) == state.fingerprint()
+
+    def test_stats_shapes(self):
+        exact, table = ExactVisitedSet(), BitStateVisitedSet(bits_log2=12)
+        exact.seen_before(("k",), 0)
+        table.seen_before(0xDEAD, 0)
+        exact_stats = exact.stats()
+        assert exact_stats["stored"] == 1
+        assert exact_stats["approx_bytes"] > 0
+        assert exact_stats["bytes_per_state"] > 0
+        stats = table.stats()
+        assert stats["stored"] == 1 and stats["collisions"] == 0
+        assert 0.0 < stats["fill_ratio"] < 1.0
+        assert stats["approx_bytes"] == (1 << 12) // 8
+
+
+def _random_state(rng):
+    """A ModelState built through the public mutators."""
+    state = ModelState()
+    for _ in range(rng.randrange(8)):
+        state.set_attribute("dev%d" % rng.randrange(3),
+                            rng.choice(["switch", "lock", "temp"]),
+                            rng.choice(["on", "off", "locked", 55, 95]))
+    if rng.random() < 0.5:
+        state.mode = rng.choice(["Home", "Away", "Night"])
+    for _ in range(rng.randrange(3)):
+        state.app_state("app%d" % rng.randrange(2))["k%d" % rng.randrange(3)] = (
+            rng.choice([1, "x", [1, 2], {"nested": True}]))
+    for _ in range(rng.randrange(2)):
+        state.add_schedule("app%d" % rng.randrange(2), "h", periodic=bool(rng.randrange(2)))
+    return state
+
+
+class TestFingerprintConsistency:
+    """The collision-audit contract: equal canonical keys must imply
+    equal fingerprints (the engine's stores rely on the implication)."""
+
+    def test_equal_keys_equal_fingerprints_randomized(self):
+        rng = random.Random(20260727)
+        states = [_random_state(rng) for _ in range(120)]
+        by_key = {}
+        for state in states:
+            by_key.setdefault(state.canonical_key(), []).append(state)
+        for group in by_key.values():
+            fingerprints = {state.fingerprint() for state in group}
+            assert len(fingerprints) == 1
+
+    def test_incremental_matches_from_scratch(self):
+        """A fingerprint maintained through mutations equals the one a
+        freshly canonicalized equal state computes."""
+        rng = random.Random(7)
+        for _ in range(60):
+            state = _random_state(rng)
+            state.fingerprint()  # settle caches mid-way
+            state.set_attribute("dev0", "switch", "on")
+            state.mode = "Night"
+            clone = state.copy()
+            clone.set_attribute("dev1", "lock", "unlocked")
+            rebuilt = ModelState()
+            for name, attrs in clone.devices.items():
+                for attribute, value in attrs.items():
+                    rebuilt.set_attribute(name, attribute, value)
+            rebuilt.mode = clone.mode
+            for name, mapping in clone.app_states.items():
+                rebuilt.app_state(name).update(mapping)
+            rebuilt.schedules = clone.schedules
+            assert rebuilt.canonical_key() == clone.canonical_key()
+            assert rebuilt.fingerprint() == clone.fingerprint()
+
+    def test_copy_preserves_fingerprint(self):
+        rng = random.Random(11)
+        state = _random_state(rng)
+        assert state.copy().fingerprint() == state.fingerprint()
+
+    def test_distinct_states_distinct_fingerprints(self):
+        a, b = ModelState(), ModelState()
+        a.set_attribute("d", "switch", "on")
+        b.set_attribute("d", "switch", "off")
+        assert a.fingerprint() != b.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# property-based
+# ---------------------------------------------------------------------------
+
+_KEYS = st.tuples(st.text(max_size=8), st.integers(0, 1000))
+_U64 = st.integers(0, (1 << 64) - 1)
+
+
+class TestStoreProperties:
+    @given(st.lists(st.tuples(_KEYS, st.integers(0, 5)), max_size=60))
+    def test_exact_store_monotone(self, operations):
+        """Once a key is seen at depth d, it is seen at every depth >= d."""
+        store = ExactVisitedSet()
+        recorded = {}
+        for key, depth in operations:
+            expected_seen = key in recorded and recorded[key] <= depth
+            assert store.seen_before(key, depth) == expected_seen
+            if not expected_seen:
+                recorded[key] = depth
+
+    @given(st.lists(_U64, unique=True, max_size=80))
+    def test_bitstate_never_forgets(self, keys):
+        table = BitStateVisitedSet(bits_log2=16)
+        for key in keys:
+            table.seen_before(key, 0)
+        for key in keys:
+            assert table.seen_before(key, 0)
+
+    @given(st.lists(_U64, unique=True, min_size=1, max_size=50))
+    @settings(max_examples=30)
+    def test_bitstate_stored_plus_collisions_is_total(self, keys):
+        table = BitStateVisitedSet(bits_log2=16)
+        for key in keys:
+            table.seen_before(key, 0)
+        assert table.stored + table.collisions == len(keys)
+
+
+# ---------------------------------------------------------------------------
+# the supertrace store: salted k-hash bitstate
+# ---------------------------------------------------------------------------
+
+
+class TestBitStateVisitedSet:
+    """The salted fingerprint-keyed supertrace store (``bitstate``)."""
+
+    def test_constructor_bounds(self):
+        with pytest.raises(ValueError):
+            BitStateVisitedSet(bits_log2=2)
+        with pytest.raises(ValueError):
+            BitStateVisitedSet(bits_log2=35)
+        with pytest.raises(ValueError):
+            BitStateVisitedSet(hash_count=0)
+        # the range ends are legal field sizes (no 2 GiB allocation here)
+        assert BitStateVisitedSet(bits_log2=3).bits == 8
+
+    def test_first_visit_not_seen_and_revisit_seen(self):
+        store = BitStateVisitedSet(bits_log2=16)
+        assert store.seen_before(0xBEEF, 0) is False
+        assert store.seen_before(0xBEEF, 0) is True
+
+    def test_no_false_negatives(self):
+        """Every key offered is reported seen afterwards (Spin's
+        guarantee: admitted or collided, never forgotten)."""
+        store = BitStateVisitedSet(bits_log2=16)
+        keys = [index * 0x9E3779B97F4A7C15 & ((1 << 64) - 1)
+                for index in range(500)]
+        for key in keys:
+            store.seen_before(key, 0)
+        assert all(store.seen_before(key, 0) for key in keys)
+
+    def test_collision_counter(self):
+        store = BitStateVisitedSet(bits_log2=8, hash_count=1)
+        for key in range(1000):
+            store.seen_before(key, 0)
+        # 256 bits, 1000 keys: collisions are certain
+        assert store.collisions > 0
+        assert store.stored + store.collisions == 1000
+
+    def test_more_hashes_fewer_collisions(self):
+        """Holzmann: multi-hashing improves coverage at equal memory."""
+        single = BitStateVisitedSet(bits_log2=12, hash_count=1)
+        triple = BitStateVisitedSet(bits_log2=12, hash_count=3)
+        for key in range(300):
+            single.seen_before(key, 0)
+            triple.seen_before(key, 0)
+        assert triple.collisions < single.collisions
+
+    def test_fill_ratio_matches_per_byte_popcount(self):
+        """The incrementally kept fill ratio is the field's popcount."""
+        store = BitStateVisitedSet(bits_log2=8, hash_count=3)
+        for key in range(200):
+            store.seen_before(key, 0)
+            slow = sum(bin(b).count("1") for b in store._field) / store.bits
+            assert store.fill_ratio == slow
 
     def test_state_key_is_fingerprint(self):
         state = ModelState()
@@ -350,104 +552,3 @@ class TestBitStateVisitedSet:
         assert stats["approx_bytes"] == (1 << 16) // 8
         assert 0.0 < stats["fill_ratio"] <= 1.0
         assert stats["hash_count"] == 3 and stats["salt"] == 0
-
-
-class TestSpillVisitedStore:
-    """The disk-backed store: FingerprintVisitedSet semantics on SQLite."""
-
-    def test_protocol_round_trip(self):
-        store = SpillVisitedStore()
-        try:
-            assert store.seen_before(0xDEAD, 3) is False
-            assert store.seen_before(0xDEAD, 3) is True
-            # shallower revisit re-expands and lowers the stored minimum
-            assert store.seen_before(0xDEAD, 1) is False
-            assert store.seen_before(0xDEAD, 2) is True
-            assert store.distinct_count() == 1
-        finally:
-            store.close()
-
-    def test_state_key_is_fingerprint(self):
-        state = ModelState()
-        state.set_attribute("d", "switch", "on")
-        assert SpillVisitedStore.state_key(state) == state.fingerprint()
-
-    def test_spill_reload_round_trip(self, tmp_path):
-        """The on-disk file is the store: close and reopen preserves the
-        distinct count and the recorded minimum depths - including keys
-        above 2^63, which must survive the signed-integer mapping."""
-        path = str(tmp_path / "visited.sqlite")
-        keys = [7, 2**63 + 5, 2**64 - 1] + list(range(100, 300))
-        store = SpillVisitedStore(path)
-        for key in keys:
-            assert store.seen_before(key, 2) is False
-        store.close()
-        reopened = SpillVisitedStore(path)
-        try:
-            assert reopened.distinct_count() == len(keys)
-            assert all(reopened.seen_before(key, 2) for key in keys)
-            assert reopened.seen_before(keys[0], 1) is False  # depth-aware
-        finally:
-            reopened.close()
-
-    def test_write_buffer_flushes_at_the_batch_size(self, tmp_path):
-        path = str(tmp_path / "visited.sqlite")
-        store = SpillVisitedStore(path)
-        store.FLUSH_BATCH = 8
-        for key in range(9):
-            store.seen_before(key, 0)
-        assert len(store._pending) < 8  # the batch went to SQLite
-        rows = store._conn.execute("SELECT COUNT(*) FROM visited").fetchone()
-        assert rows[0] >= 8
-        store.close()
-
-    def test_bounded_cache_reads_fall_back_to_the_database(self):
-        store = SpillVisitedStore(cache_limit=2)
-        try:
-            store.FLUSH_BATCH = 1  # every write lands on disk immediately
-            for key in range(10):
-                store.seen_before(key, 1)
-            assert not store._pending and len(store._cache) <= 2
-            assert store.seen_before(0, 1) is True  # answered by SQLite
-            assert store.seen_before(1, 0) is False  # depth-aware via disk
-        finally:
-            store.close()
-
-    def test_owned_temp_dir_is_removed_on_close(self):
-        store = SpillVisitedStore()
-        directory = store._own_dir
-        store.seen_before(1, 0)
-        assert directory and os.path.isdir(directory)
-        store.close()
-        assert not os.path.exists(directory)
-
-    def test_stats_shape(self):
-        store = SpillVisitedStore()
-        try:
-            for key in range(50):
-                store.seen_before(key, 0)
-            stats = store.stats()
-            assert stats["stored"] == 50
-            assert stats["disk_bytes"] > 0  # stats() flushes first
-            assert stats["approx_bytes"] >= stats["disk_bytes"]
-            assert stats["bytes_per_state"] > 0
-            assert stats["path"] == store.path
-        finally:
-            store.close()
-
-    @given(st.lists(st.tuples(_U64, st.integers(0, 5)), max_size=60))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_the_exact_store_verdicts(self, operations):
-        """Protocol conformance: for any operation sequence the spill
-        store answers exactly like the in-RAM depth-aware exact set."""
-        spill = SpillVisitedStore()
-        exact = ExactVisitedSet()
-        try:
-            for index, (key, depth) in enumerate(operations):
-                assert (spill.seen_before(key, depth)
-                        == exact.seen_before(key, depth))
-                if index == len(operations) // 2:
-                    spill.flush()  # exercise the database path mid-way
-            assert spill.distinct_count() == len(exact)
-        finally:
-            spill.close()

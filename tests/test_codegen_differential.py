@@ -194,7 +194,7 @@ class TestGroupDifferential:
             system, properties, codegen_cache, max_events=2, max_states=5000)
         _assert_equivalent(codegen, interpreted, group_name)
 
-    @pytest.mark.parametrize("visited", ["exact", "collapse"])
+    @pytest.mark.parametrize("visited", ["exact"])
     def test_group1_every_exact_store(self, visited, codegen_cache):
         """The lean path consults the visited store through the same
         engine hooks; the exact stores must agree state-for-state."""
@@ -618,8 +618,7 @@ class TestStatelessQuietLeaves:
         assert QuietLeaf in spy.admitted
         assert result.states_explored == 467
 
-    @pytest.mark.parametrize("visited",
-                             ["exact", "collapse", "bitstate", "spill"])
+    @pytest.mark.parametrize("visited", ["exact", "bitstate"])
     def test_other_stores_receive_built_states(self, visited, codegen_cache):
         """Only the default fingerprint store takes stubs: every other
         store is handed full successors and matches the oracle."""

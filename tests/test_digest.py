@@ -135,7 +135,7 @@ class TestContentSensitivity:
         assert alice_system.digest(options=EngineOptions(max_events=2)) != \
             alice_system.digest(options=EngineOptions(max_events=3))
         assert alice_system.digest(options=EngineOptions(visited="exact")) != \
-            alice_system.digest(options=EngineOptions(visited="collapse"))
+            alice_system.digest(options=EngineOptions(visited="bitstate"))
 
     def test_performance_knobs_do_not_change_digest(self, alice_system):
         assert alice_system.digest(options=EngineOptions(check_interval=1)) \
@@ -238,16 +238,20 @@ class TestSwarmOptionClassification:
         """The salt remaps which states a bitstate run *misses*, so two
         salts are two different (partial) explorations."""
         assert (alice_system.digest(
-                    options=EngineOptions(visited="bitstate-k",
+                    options=EngineOptions(visited="bitstate",
                                           bitstate_salt=1))
                 != alice_system.digest(
-                    options=EngineOptions(visited="bitstate-k")))
+                    options=EngineOptions(visited="bitstate")))
 
-    def test_spill_residence_is_a_performance_knob(self, alice_system):
-        """The spill store is exact - where the visited set *lives* must
-        not change the digest (but which store semantics run does)."""
-        assert (alice_system.digest(
-                    options=EngineOptions(visited="spill", spill_dir="/tmp"))
-                == alice_system.digest(options=EngineOptions(visited="spill")))
-        assert (alice_system.digest(options=EngineOptions(visited="spill"))
-                != alice_system.digest(options=EngineOptions(visited="exact")))
+    def test_schema_version_retires_old_bitstate_verdicts(self, alice_system,
+                                                          monkeypatch):
+        """``bitstate`` named a different hash scheme under digest v4, so
+        the version (hashed into every digest) moved on: a v4 key can
+        never serve a v5 ``bitstate`` run."""
+        from repro.service import digest
+
+        options = EngineOptions(visited="bitstate")
+        current = alice_system.digest(options=options)
+        assert digest.DIGEST_SCHEMA_VERSION == 5
+        monkeypatch.setattr(digest, "DIGEST_SCHEMA_VERSION", 4)
+        assert alice_system.digest(options=options) != current

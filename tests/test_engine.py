@@ -7,6 +7,7 @@ from repro.engine import (
     BreadthFirstFrontier,
     DepthFirstFrontier,
     EngineOptions,
+    ExactVisitedSet,
     ExplorationEngine,
     PriorityFrontier,
     VerificationJob,
@@ -15,6 +16,7 @@ from repro.engine import (
     strategy_names,
     verify,
     verify_many,
+    visited_store_names,
 )
 from repro.engine.core import _Node, replay_path
 from repro.model.state import ModelState
@@ -117,6 +119,20 @@ class TestEngineStrategies:
         with pytest.raises(KeyError):
             EngineOptions(visited="quantum").make_visited()
 
+    def test_three_visited_stores(self):
+        assert visited_store_names() == ["bitstate", "exact", "fingerprint"]
+
+    @pytest.mark.parametrize("bits", [2, 35, 40, "x", 23.0, True, None])
+    def test_bitstate_bits_outside_the_store_range_rejected(self, bits):
+        """The bit field is allocated up front: an out-of-range or
+        non-integer size fails at construction, before any allocation."""
+        with pytest.raises(ValueError):
+            EngineOptions(bitstate_bits=bits)
+
+    @pytest.mark.parametrize("bits", [3, 16, 34])
+    def test_bitstate_bits_range_ends_accepted(self, bits):
+        assert EngineOptions(bitstate_bits=bits).bitstate_bits == bits
+
     def test_visited_stats_on_result(self, alice_system):
         result = verify(alice_system, build_properties(), max_events=1)
         assert result.visited_stats.get("stored", 0) > 0
@@ -158,22 +174,14 @@ class TestSuccessorCache:
         assert _outcome(replayed) == _outcome(live) == _outcome(fresh)
 
     def test_auto_disable_below_threshold(self, alice_system):
-        """A store that compresses what it keeps changes no verdict
-        against the plain in-RAM baseline."""
-        collapsed = verify(alice_system, build_properties(), max_events=2,
-                           visited="collapse")
+        """A store that keeps only hashed bits - the supertrace field,
+        here far from saturation - changes no verdict against the plain
+        in-RAM baseline."""
+        hashed = verify(alice_system, build_properties(), max_events=2,
+                        visited="bitstate")
         baseline = verify(alice_system, build_properties(), max_events=2,
                           visited="exact")
-        assert _outcome(collapsed) == _outcome(baseline)
-
-    def test_lru_keeps_working_past_old_hard_stop(self, alice_system,
-                                                  tmp_path):
-        """A store that holds only a bounded working set in RAM and
-        spills the rest to disk neither freezes nor breaks the search."""
-        spilled = verify(alice_system, build_properties(), max_events=2,
-                         visited="spill", spill_dir=str(tmp_path))
-        in_ram = verify(alice_system, build_properties(), max_events=2)
-        assert _outcome(spilled) == _outcome(in_ram)
+        assert _outcome(hashed) == _outcome(baseline)
 
 
 class TestExactStoreIsExact:
@@ -284,8 +292,6 @@ class TestSeenState:
     """The hybrid fingerprint-first path of the exact store."""
 
     def test_exact_seen_state_depth_aware(self):
-        from repro.checker.visited import ExactVisitedSet
-
         store = ExactVisitedSet()
         state = ModelState()
         state.set_attribute("d", "a", 1)
@@ -297,8 +303,6 @@ class TestSeenState:
         assert len(store) == 1
 
     def test_exact_seen_state_distinguishes_states(self):
-        from repro.checker.visited import ExactVisitedSet
-
         store = ExactVisitedSet()
         one = ModelState()
         one.set_attribute("d", "a", 1)
@@ -308,21 +312,6 @@ class TestSeenState:
         assert store.seen_state(two, 0) is False
         assert store.seen_state(two.copy(), 0) is True
         assert len(store) == 2
-
-
-class TestExplorerShim:
-    def test_shim_names_are_engine_objects(self):
-        from repro.checker import explorer
-
-        assert explorer.Explorer is ExplorationEngine
-        assert explorer.ExplorerOptions is EngineOptions
-        assert explorer.verify is verify
-
-    def test_shim_verify_still_works(self, alice_system):
-        from repro.checker.explorer import verify as shim_verify
-
-        result = shim_verify(alice_system, build_properties(), max_events=1)
-        assert "P06" in result.violated_property_ids
 
 
 def _die_on_job1(job):

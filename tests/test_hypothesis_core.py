@@ -30,19 +30,19 @@ class TestModelStateProperties:
         state = ModelState()
         for device, attribute, value in writes:
             state.set_attribute(device, attribute, value)
-        assert state.copy().key() == state.key()
+        assert state.copy().canonical_key() == state.canonical_key()
 
     @given(_WRITES)
     def test_copy_isolation(self, writes):
         state = ModelState()
         for device, attribute, value in writes:
             state.set_attribute(device, attribute, value)
-        key_before = state.key()
+        key_before = state.canonical_key()
         clone = state.copy()
         clone.set_attribute("zzz_new", "switch", "on")
         clone.mode = "Vacation"
         clone.app_state("ZApp")["x"] = 1
-        assert state.key() == key_before
+        assert state.canonical_key() == key_before
 
     @given(_WRITES, _WRITES)
     def test_key_equality_iff_same_writes(self, writes_a, writes_b):
@@ -54,7 +54,7 @@ class TestModelStateProperties:
 
         a, b = final(writes_a), final(writes_b)
         same_content = a.devices == b.devices
-        assert (a.key() == b.key()) == same_content
+        assert (a.canonical_key() == b.canonical_key()) == same_content
 
     @given(st.lists(st.tuples(_IDENT, _VALUE), max_size=12))
     def test_history_never_exceeds_limit(self, events):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.checker.explorer import Explorer, ExplorerOptions
+from repro.engine import EngineOptions, ExplorationEngine
 from repro.ifttt import (
     Applet,
     SERVICES,
@@ -128,8 +128,8 @@ class TestTable9Verification:
         registry = table9_registry()
         config = table9_configuration()
         system = ModelGenerator(registry).build(config)
-        options = ExplorerOptions(max_events=2, max_states=100000)
-        return Explorer(system, TABLE9_PROPERTIES, options).run()
+        options = EngineOptions(max_events=2, max_states=100000)
+        return ExplorationEngine(system, TABLE9_PROPERTIES, options).run()
 
     def test_all_four_properties_violated(self, result):
         assert set(result.violated_property_ids) == {"I01", "I02", "I03",

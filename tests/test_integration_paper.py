@@ -7,7 +7,7 @@ the bundled corpus with small exploration bounds.
 import pytest
 
 from repro import check_configuration
-from repro.checker.explorer import Explorer, ExplorerOptions, verify
+from repro.engine import EngineOptions, ExplorationEngine, verify
 from repro.corpus.groups import EXPERT_GROUPS, expert_configuration
 from repro.properties import build_properties, select_relevant
 
@@ -70,8 +70,9 @@ class TestTable5Shape:
             config = expert_configuration(group_name)
             system = generator.build(config)
             properties = select_relevant(system, build_properties())
-            options = ExplorerOptions(max_events=2, max_states=60000)
-            results[group_name] = Explorer(system, properties, options).run()
+            options = EngineOptions(max_events=2, max_states=60000)
+            results[group_name] = ExplorationEngine(
+                system, properties, options).run()
         return results
 
     def test_every_violation_type_found(self, group_results):
@@ -111,9 +112,9 @@ class TestFailuresAddViolations:
         plain = generator.build(config)
         failing = generator.build(config, enable_failures=True)
         properties = select_relevant(plain, build_properties())
-        options = ExplorerOptions(max_events=2, max_states=60000)
-        base = Explorer(plain, properties, options).run()
-        with_failures = Explorer(failing, properties, options).run()
+        options = EngineOptions(max_events=2, max_states=60000)
+        base = ExplorationEngine(plain, properties, options).run()
+        with_failures = ExplorationEngine(failing, properties, options).run()
         assert set(base.violated_property_ids) <= set(
             with_failures.violated_property_ids)
         assert len(with_failures.violations) > len(base.violations)
@@ -124,9 +125,9 @@ class TestFailuresAddViolations:
         config = expert_configuration("group1-entry-and-mode")
         failing = generator.build(config, enable_failures=True)
         properties = select_relevant(failing, build_properties())
-        result = Explorer(failing, properties,
-                          ExplorerOptions(max_events=2,
-                                          max_states=60000)).run()
+        result = ExplorationEngine(failing, properties,
+                                   EngineOptions(max_events=2,
+                                                 max_states=60000)).run()
         assert "P45" in result.violated_property_ids
 
 
@@ -163,9 +164,9 @@ class TestVolunteerStudyShape:
                                          "volunteer1-maximalist", registry)
         system = generator.build(config, strict=False)
         properties = select_relevant(system, build_properties())
-        result = Explorer(system, properties,
-                          ExplorerOptions(max_events=2,
-                                          max_states=60000)).run()
+        result = ExplorationEngine(system, properties,
+                                   EngineOptions(max_events=2,
+                                                 max_states=60000)).run()
         # the documented outcome: heater + AC both selected for every
         # climate app drives thermostat-family violations and cross-app
         # command conflicts

@@ -89,36 +89,36 @@ class TestKey:
         for state in (a, b):
             state.set_attribute("d", "switch", "on")
             state.mode = "Away"
-        assert a.key() == b.key()
+        assert a.canonical_key() == b.canonical_key()
 
     def test_key_differs_on_attribute(self):
         a, b = ModelState(), ModelState()
         a.set_attribute("d", "switch", "on")
         b.set_attribute("d", "switch", "off")
-        assert a.key() != b.key()
+        assert a.canonical_key() != b.canonical_key()
 
     def test_key_differs_on_mode(self):
         a = ModelState(mode="Home")
         b = ModelState(mode="Away")
-        assert a.key() != b.key()
+        assert a.canonical_key() != b.canonical_key()
 
     def test_key_ignores_time(self):
         # "the clock is deliberately excluded" - time only orders history
         a = ModelState(time=0)
         b = ModelState(time=99999)
-        assert a.key() == b.key()
+        assert a.canonical_key() == b.canonical_key()
 
     def test_key_hashable(self):
         state = ModelState()
         state.app_state("App")["nested"] = {"list": [1, 2], "map": {"k": "v"}}
-        hash(state.key())
+        hash(state.canonical_key())
 
     def test_key_stable_under_copy(self):
         state = ModelState()
         state.set_attribute("d", "lock", "locked")
         state.app_state("A")["x"] = [1, {"y": 2}]
         state.add_schedule("A", "h", periodic=True)
-        assert state.copy().key() == state.key()
+        assert state.copy().canonical_key() == state.canonical_key()
 
     def test_key_order_independent_for_devices(self):
         a, b = ModelState(), ModelState()
@@ -126,4 +126,4 @@ class TestKey:
         a.set_attribute("d2", "switch", "off")
         b.set_attribute("d2", "switch", "off")
         b.set_attribute("d1", "switch", "on")
-        assert a.key() == b.key()
+        assert a.canonical_key() == b.canonical_key()

@@ -87,10 +87,10 @@ class TestSequentialTransitions:
 
     def test_transition_does_not_mutate_source(self, alice_system):
         state = alice_system.initial_state()
-        before = state.key()
+        before = state.canonical_key()
         list(alice_system.transitions(state,
                                       monitor_factory_for(alice_system)))
-        assert state.key() == before
+        assert state.canonical_key() == before
 
     def test_failure_enumeration_multiplies_transitions(self, generator,
                                                         alice_config):

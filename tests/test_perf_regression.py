@@ -19,7 +19,7 @@ def _doc(trajectory_sps, compiled_sps, deep_sps=None):
     if deep_sps is not None:
         document["deep_run"] = {
             "events": 4,  # scalar entries must be ignored, not crash
-            "collapse": {"states_per_second": deep_sps},
+            "fingerprint": {"states_per_second": deep_sps},
         }
     return document
 
@@ -41,7 +41,7 @@ class TestCompare:
         regressions = check_perf_regression.compare(
             _doc(10000, 20000, deep_sps=10000),
             _doc(10000, 20000, deep_sps=1000))
-        assert [name for name, _, _ in regressions] == ["deep_run.collapse"]
+        assert [name for name, _, _ in regressions] == ["deep_run.fingerprint"]
 
     def test_new_or_missing_modes_are_skipped(self):
         # a baseline without deep_run must not flag the fresh run's new

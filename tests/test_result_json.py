@@ -99,16 +99,15 @@ class TestCoverage:
         system = generator.build(GROUP_BUILDERS["group1-entry-and-mode"]())
         properties = select_relevant(system, build_properties())
         # a 2^10-bit field saturates on group1's 4,316 depth-3 states:
-        # the supertrace stores drop most of them and miss violations
+        # the supertrace store drops most of them and misses violations
         return {visited: ExplorationEngine(
                     system, properties,
                     EngineOptions(max_events=3, visited=visited,
                                   bitstate_bits=10)).run()
-                for visited in ("bitstate", "bitstate-k", "fingerprint",
-                                "exact")}
+                for visited in ("bitstate", "fingerprint", "exact")}
 
     @pytest.mark.parametrize("visited,coverage", [
-        ("bitstate", "partial"), ("bitstate-k", "partial"),
+        ("bitstate", "partial"),
         ("fingerprint", "exhaustive"), ("exact", "exhaustive")])
     def test_supertrace_stores_are_partial(self, group1_results, visited,
                                            coverage):
@@ -119,16 +118,20 @@ class TestCoverage:
         assert payload["coverage"] == coverage
         assert ExplorationResult.from_dict(payload).coverage == coverage
 
-    def test_saturated_supertrace_really_missed_states(self, group1_results):
+    @pytest.mark.parametrize("visited", ("bitstate", "fingerprint", "exact"))
+    def test_saturated_supertrace_really_missed_states(self, group1_results,
+                                                       visited):
         exhaustive = group1_results["exact"]
-        assert group1_results["fingerprint"].states_explored \
-            == exhaustive.states_explored
-        for visited in ("bitstate", "bitstate-k"):
-            result = group1_results[visited]
-            assert result.visited_stats["fill_ratio"] > 0.9
-            assert result.states_explored < exhaustive.states_explored
-            assert len(result.counterexamples) \
-                < len(exhaustive.counterexamples)
+        result = group1_results[visited]
+        if visited != "bitstate":
+            # the depth-aware stores cover the whole bounded space
+            assert result.states_explored == exhaustive.states_explored
+            assert (len(result.counterexamples)
+                    == len(exhaustive.counterexamples))
+            return
+        assert result.visited_stats["fill_ratio"] > 0.9
+        assert result.states_explored < exhaustive.states_explored
+        assert len(result.counterexamples) < len(exhaustive.counterexamples)
 
     def test_v1_payload_with_shard_fields_loads(self):
         """Results stored before schema v2 still load; the retired

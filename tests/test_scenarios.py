@@ -101,7 +101,7 @@ class TestScenarioTierDifferential:
             _assert_equivalent(results["codegen"], results["interpreted"],
                                (group_name, scenario))
 
-    @pytest.mark.parametrize("visited", ("exact", "fingerprint", "collapse"))
+    @pytest.mark.parametrize("visited", ("exact", "fingerprint"))
     def test_group1_stores_per_scenario(self, registry, codegen_cache,
                                         visited):
         """Faulted relations meet every dedup store through the same

@@ -23,6 +23,11 @@ from repro.service import (
     ServiceError,
     create_server,
 )
+from repro.service.api import (
+    MAX_BITSTATE_BITS,
+    SubmissionError,
+    VettingService,
+)
 from repro.service.store import STORE_SCHEMA_VERSION
 
 
@@ -271,7 +276,7 @@ class TestScheduler:
 
 
 class TestCachedResultsMatchFreshRuns:
-    @pytest.mark.parametrize("visited", ["exact", "fingerprint", "collapse"])
+    @pytest.mark.parametrize("visited", ["exact", "fingerprint"])
     def test_cached_equals_fresh_check(self, generator, alice_config,
                                        visited):
         options = EngineOptions(max_events=2, visited=visited)
@@ -388,6 +393,23 @@ class TestHTTPAPI:
                 service_client.submit(payload)
             assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("options", [
+        {"visited": "bitstate", "bitstate_bits": 40},
+        {"mode": "swarm", "bitstate_bits": 45},
+        {"visited": "bitstate", "bitstate_bits": 31},
+        {"bitstate_bits": "x"},
+        {"bitstate_bits": 2},
+        {"bitstate_bits": True},
+    ])
+    def test_oversized_or_malformed_bit_fields_are_400(self, service_client,
+                                                       options):
+        """The bit field is allocated when the job runs: a submission
+        must not be able to ask this host for more than 2**30 bits."""
+        with pytest.raises(ServiceError) as excinfo:
+            service_client.submit({"group": self.GROUP, "options": options})
+        assert excinfo.value.status == 400
+        assert "bitstate_bits" in str(excinfo.value)
+
     @pytest.mark.parametrize("option", ["successor_cache", "cache_limit",
                                         "cache_min_hit_rate", "cache_warmup",
                                         "compiled", "workers", "partition"])
@@ -419,6 +441,19 @@ class TestHTTPAPI:
         answer = service_client.gc(keep=0)
         assert answer["removed"] >= 1
         assert answer["store"]["entries"] == 0
+
+
+class TestPayloadOptions:
+    """``VettingService._payload_options``, the API boundary's checks."""
+
+    def test_bit_field_cap(self):
+        assert MAX_BITSTATE_BITS == 30
+        options = VettingService._payload_options(
+            {"visited": "bitstate", "bitstate_bits": MAX_BITSTATE_BITS})
+        assert options.bitstate_bits == MAX_BITSTATE_BITS
+        for bits in (MAX_BITSTATE_BITS + 1, 34, 40, "x", 23.0, None):
+            with pytest.raises(SubmissionError):
+                VettingService._payload_options({"bitstate_bits": bits})
 
 
 _ENGINE_ONLY_SCRIPT = textwrap.dedent("""

@@ -1,15 +1,17 @@
-"""The packed state schema and the collapse-compressed visited store.
+"""The packed state schema: the exact visited store's canonical key.
 
-Two contracts pin the tentpole down:
+Three contracts pin it down:
 
 * **Round-trip**: ``schema.unpack(schema.pack(state))`` is canonically
   equal to ``state`` - exercised property-based over arbitrary device
   grids, attribute values, app states, schedules and off-schema
   components.
-* **Store equivalence**: the collapse store, the exact store and the
-  fingerprint store agree on every verdict over the whole bundled corpus,
-  with and without the sleep-set reduction (the issue's "identical
-  violation verdicts" acceptance bar).
+* **Separation**: ``pack(a) == pack(b)`` exactly when
+  ``a.canonical_key() == b.canonical_key()``, over the same arbitrary
+  states.
+* **Store equivalence**: the exact store and the fingerprint store agree
+  on every verdict over the whole bundled corpus, with and without the
+  sleep-set reduction.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from repro.config.schema import SystemConfiguration
 from repro.corpus import load_all_apps
 from repro.corpus.groups import GROUP_BUILDERS
-from repro.engine import CollapseVisitedSet, verify
+from repro.engine import verify
 from repro.model.generator import ModelGenerator
 from repro.model.state import ModelState
 
@@ -53,10 +55,6 @@ class TestSchemaShape:
         for name, attrs, attr_set in schema.device_layout:
             assert set(attrs) == set(system.devices[name].spec.attributes)
             assert attr_set == frozenset(attrs)
-
-    def test_component_count_matches_layout(self, schema):
-        assert schema.component_count == (len(schema.device_layout)
-                                          + len(schema.app_names) + 6)
 
     def test_initial_state_roundtrip(self, system, schema):
         state = system.initial_state()
@@ -140,72 +138,35 @@ class TestPackRoundTripProperty:
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
-    def test_collapse_key_separates_exactly_like_canonical(self, data,
-                                                           schema):
+    def test_pack_separates_exactly_like_canonical(self, data, schema):
+        """``pack(a) == pack(b)`` <=> canonical equality.  Two independent
+        draws are almost never equal, so most pairs are a state and a
+        copy with at most one component changed: the pair is equal, or
+        differs in exactly that component."""
         left = data.draw(_arbitrary_states(schema))
-        right = data.draw(_arbitrary_states(schema))
-        store = CollapseVisitedSet(schema)
-        same_key = store.state_key(left) == store.state_key(right)
-        assert same_key == (left.canonical_key() == right.canonical_key())
-
-
-# -- collapse store behavior -------------------------------------------------
-
-class TestCollapseStore:
-    def test_depth_aware_revisits(self, system, schema):
-        store = CollapseVisitedSet(schema)
-        state = system.initial_state()
-        assert store.seen_state(state, 2) is False
-        assert store.seen_state(state.copy(), 3) is True
-        assert store.seen_state(state.copy(), 1) is False
-        assert store.seen_state(state.copy(), 1) is True
-        assert len(store) == 1
-
-    def test_distinguishes_states_exactly(self, system, schema):
-        store = CollapseVisitedSet(schema)
-        base = system.initial_state()
-        changed = base.copy()
-        changed.set_attribute("hallSwitch", "switch", "on")
-        assert store.seen_state(base, 0) is False
-        assert store.seen_state(changed, 0) is False
-        assert store.seen_state(changed.copy(), 0) is True
-        assert len(store) == 2
-
-    def test_blocks_shared_across_states(self, system, schema):
-        """COLLAPSE economics: states reusing component blocks add one
-        fixed-width entry, not new arena blocks."""
-        store = CollapseVisitedSet(schema)
-        base = system.initial_state()
-        store.seen_state(base, 0)
-        blocks_before = len(store._blocks)
-        toggled = base.copy()
-        toggled.set_attribute("hallSwitch", "switch", "on")
-        store.seen_state(toggled, 1)
-        # exactly one device block differs; everything else interned
-        assert len(store._blocks) == blocks_before + 1
-
-    def test_stats_report_memory(self, system, schema):
-        store = CollapseVisitedSet(schema)
-        store.seen_state(system.initial_state(), 0)
-        stats = store.stats()
-        assert stats["stored"] == 1
-        assert stats["blocks"] > 0
-        assert stats["approx_bytes"] > 0
-        assert stats["bytes_per_state"] > 0
-
-    def test_memo_limit_bounds_pinning(self, system, schema):
-        store = CollapseVisitedSet(schema)
-        store.MEMO_LIMIT = 4
-        state = system.initial_state()
-        for index in range(8):
-            branch = state.copy()
-            branch.set_attribute("hallSwitch", "switch", "value%d" % index)
-            store.seen_state(branch, 1)
-        assert len(store._ident) <= 4
-        # correctness survives eviction: a revisit still deduplicates
-        again = state.copy()
-        again.set_attribute("hallSwitch", "switch", "value7")
-        assert store.seen_state(again, 1) is True
+        change = data.draw(st.sampled_from(
+            ["independent", "none", "mode", "device", "app", "schedule"]))
+        if change == "independent":
+            right = data.draw(_arbitrary_states(schema))
+        else:
+            right = left.copy()
+        if change == "mode":
+            right.mode = data.draw(st.sampled_from(["Home", "Away",
+                                                    "Night"]))
+        elif change == "device":
+            name, attrs, _ = data.draw(st.sampled_from(schema.device_layout))
+            attribute = data.draw(st.sampled_from(attrs + ("offSchemaAttr",)))
+            right.set_attribute(name, attribute, data.draw(_VALUES))
+        elif change == "app":
+            name = data.draw(st.sampled_from(
+                list(schema.app_names) + ["Ghost App"]))
+            right.app_state(name)[data.draw(st.text(max_size=4))] = (
+                data.draw(_APP_VALUES))
+        elif change == "schedule":
+            right.add_schedule("Ghost App", data.draw(st.sampled_from(
+                ["tick", "poll"])), periodic=data.draw(st.booleans()))
+        same_pack = schema.pack(left) == schema.pack(right)
+        assert same_pack == (left.canonical_key() == right.canonical_key())
 
 
 # -- corpus-wide verdict equivalence -----------------------------------------
@@ -222,7 +183,7 @@ class TestCorpusVerdictEquivalence:
         properties = select_relevant(system, build_properties())
 
         runs = {}
-        for store in ("exact", "fingerprint", "collapse"):
+        for store in ("exact", "fingerprint"):
             for reduction in (False, True):
                 runs[(store, reduction)] = verify(
                     system, properties, max_events=2, visited=store,

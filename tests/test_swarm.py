@@ -16,8 +16,7 @@ The tentpole acceptance bar, pinned as tests:
   budgets truncate honestly, duplicate member finds collapse into one
   deduplicated violation set;
 * **memory** - depth-5 group1 completes exhaustively inside a hard
-  address-space cap with the disk-backed visited store, where the
-  default in-RAM configuration needs gigabytes.
+  address-space cap on the default fingerprint store.
 """
 
 import json
@@ -255,7 +254,7 @@ _DEPTH5_SCRIPT = textwrap.dedent("""
     result = execute_job(VerificationJob(
         "group1", GROUP_BUILDERS["group1-entry-and-mode"](),
         EngineOptions(max_events=5, max_states=2_000_000,
-                      visited=sys.argv[2], spill_dir=sys.argv[1]),
+                      visited=sys.argv[1]),
         strict=False))
     assert not result.truncated, result.truncated_reason
     print(result.states_explored,
@@ -264,14 +263,13 @@ _DEPTH5_SCRIPT = textwrap.dedent("""
 
 
 class TestDiskBackedDepthFive:
-    @pytest.mark.parametrize("visited", ["spill", "fingerprint"])
-    def test_depth5_group1_fits_a_hard_address_space_cap(self, tmp_path,
-                                                         visited):
+    @pytest.mark.parametrize("visited", ["fingerprint"])
+    def test_depth5_group1_fits_a_hard_address_space_cap(self, visited):
         """The exhaustive depth-5 search of group1 (~127k states) must
-        finish inside a 1 GiB RLIMIT_AS both on the disk-backed spill
-        store and on the default in-RAM fingerprint store: the search
-        keeps only the visited store and the frontier, never a memo of
-        expanded states.  A subprocess, because ru_maxrss is
+        finish inside a 1 GiB RLIMIT_AS on the default in-RAM
+        fingerprint store: the search keeps only the visited store and
+        the frontier, never a memo of expanded states.  A subprocess,
+        because ru_maxrss is
         process-lifetime max and RLIMIT_AS must not constrain the rest
         of the suite."""
         _load_or_skip(load_all_apps)
@@ -279,7 +277,7 @@ class TestDiskBackedDepthFive:
             os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", _DEPTH5_SCRIPT, str(tmp_path), visited],
+            [sys.executable, "-c", _DEPTH5_SCRIPT, visited],
             capture_output=True, text=True, env=env, timeout=600)
         assert proc.returncode == 0, proc.stderr
         states, maxrss_kib = (int(field) for field in proc.stdout.split())

@@ -413,7 +413,7 @@ class TestWarningAndSwarmEvents:
         threshold must leave a ``bitstate_saturation`` warning in the
         sink - the run is silently losing coverage past that point."""
         path = str(tmp_path / "run.jsonl")
-        execute_job(_group_job(visited="bitstate-k", bitstate_bits=8,
+        execute_job(_group_job(visited="bitstate", bitstate_bits=8,
                                       telemetry=path))
         warnings = [e for e in read_events(path) if e["kind"] == "warning"]
         assert len(warnings) == 1
@@ -425,7 +425,7 @@ class TestWarningAndSwarmEvents:
 
     def test_unsaturated_run_does_not_warn(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        execute_job(_group_job(visited="bitstate-k",
+        execute_job(_group_job(visited="bitstate",
                                       telemetry=path))  # roomy default field
         assert not [e for e in read_events(path) if e["kind"] == "warning"]
 
