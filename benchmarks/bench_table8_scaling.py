@@ -146,12 +146,10 @@ def test_table8_bitstate_keeps_up(generator, benchmark):
 
 def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
     """The execution-tier axis: generated per-app Python modules vs the
-    tree-interpreter oracle, plus the independence reduction.
+    tree-interpreter oracle.
 
     The codegen tier (the default) must clearly beat the interpreter (it
-    exists for exactly that), and the reduction must shrink the
-    transition count while keeping the run violation-free (this system
-    is violation-free by construction).
+    exists for exactly that) on the same bounded space.
     """
     system = five_app_system(generator)
     properties = select_relevant(system, build_properties())
@@ -174,7 +172,6 @@ def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
         interpreted_runs.append(run(engine="interpreted"))
     codegen = best(codegen_runs)
     interpreted = best(interpreted_runs)
-    reduced = best([run(reduction=True), run(reduction=True)])
     benchmark.pedantic(lambda: run(**codegen_kwargs),
                        iterations=1, rounds=2)
 
@@ -183,8 +180,6 @@ def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
          codegen.transitions, "%.0f" % codegen.states_per_second),
         ("interpreted", interpreted.states_explored,
          interpreted.transitions, "%.0f" % interpreted.states_per_second),
-        ("codegen + reduction", reduced.states_explored,
-         reduced.transitions, "%.0f" % reduced.states_per_second),
     ]
     print_table("Execution tiers at 3 events",
                 ["engine", "states", "transitions", "states/sec"], rows)
@@ -199,12 +194,6 @@ def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
             "transitions": interpreted.transitions,
             "states_per_second": round(interpreted.states_per_second, 1),
         },
-        "reduction": {
-            "states": reduced.states_explored,
-            "transitions": reduced.transitions,
-            "states_per_second": round(reduced.states_per_second, 1),
-            "commutes_pruned": reduced.commutes_pruned,
-        },
     })
 
     # back-end equivalence on the same bounded space
@@ -212,11 +201,6 @@ def test_table8_compiled_transition_relation(generator, benchmark, tmp_path):
     assert codegen.transitions == interpreted.transitions
     assert (sorted(codegen.counterexamples)
             == sorted(interpreted.counterexamples))
-    # the reduction prunes commuting orders and keeps soundness
-    assert reduced.commutes_pruned > 0
-    assert reduced.transitions < interpreted.transitions
-    assert (reduced.violated_property_ids
-            == interpreted.violated_property_ids)
     # the codegen tier's generated modules, pooled executors and
     # traceless search relation must deliver a clear win over the
     # interpreter on the same space - the speedup the tier exists for
@@ -394,59 +378,6 @@ def test_table8_telemetry_overhead(generator, benchmark, tmp_path):
     assert on.states_per_second >= off.states_per_second * 0.97, (
         "telemetry overhead %.1f%% (off %.0f st/s, on %.0f st/s)"
         % (overhead * 100.0, off.states_per_second, on.states_per_second))
-
-
-def test_table8_swarm_tier(generator, benchmark):
-    """The beyond-exhaustive axis: swarm sampling.
-
-    Two rows on the depth-3 workload: the exhaustive reference and a
-    4-member swarm (diversified sampled members through the same
-    engine).  The swarm must agree with the exhaustive verdict on this
-    violation-free system while honestly reporting partial coverage.
-    Both land in ``BENCH_table8.json``'s ``swarm`` section for the
-    (non-gating) regression diff.
-    """
-    system = five_app_system(generator)
-    properties = select_relevant(system, build_properties())
-
-    def run(**kwargs):
-        return verify(system, properties, max_events=3,
-                      max_states=3000000, **kwargs)
-
-    exhaustive = run()
-    swarm = benchmark.pedantic(
-        lambda: run(mode="swarm", swarm_members=4, seed=1),
-        iterations=1, rounds=2)
-
-    rows = [
-        ("exhaustive (reference)", exhaustive.states_explored,
-         "%.0f" % exhaustive.states_per_second, exhaustive.coverage),
-        ("swarm (4 members)", swarm.states_explored,
-         "%.0f" % swarm.states_per_second, swarm.coverage),
-    ]
-    print_table("Swarm tier at 3 events",
-                ["run", "states", "states/sec", "coverage"], rows)
-    update_bench_artifact("table8", "swarm", {
-        "exhaustive": {
-            "states": exhaustive.states_explored,
-            "transitions": exhaustive.transitions,
-            "states_per_second": round(exhaustive.states_per_second, 1),
-        },
-        "swarm_4": {
-            "members": 4,
-            "seed": 1,
-            "states": swarm.states_explored,
-            "transitions": swarm.transitions,
-            "states_per_second": round(swarm.states_per_second, 1),
-            "coverage_estimate": swarm.swarm["coverage_estimate"],
-            "candidates": swarm.swarm["candidates"],
-        },
-    })
-
-    # the soundness split: same verdict, honest coverage labels
-    assert swarm.verdict == exhaustive.verdict
-    assert swarm.coverage == "partial"
-    assert swarm.swarm["replay_failures"] == 0
 
 
 def test_table8_parallel_batch(generator, benchmark):

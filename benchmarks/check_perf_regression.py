@@ -34,9 +34,6 @@ def _modes(document):
     for name, stats in document.get("telemetry", {}).items():
         if isinstance(stats, dict):
             modes["telemetry.%s" % name] = stats.get("states_per_second")
-    for name, stats in document.get("swarm", {}).items():
-        if isinstance(stats, dict):
-            modes["swarm.%s" % name] = stats.get("states_per_second")
     return {name: value for name, value in modes.items()
             if isinstance(value, (int, float)) and value > 0}
 

@@ -29,7 +29,7 @@ import time
 from repro import build_system
 from repro.checker.trace import render_violation_log
 from repro.config.schema import SystemConfiguration
-from repro.engine.options import ENGINE_MODES
+from repro.engine.options import ENGINE_MODES, EXPLORATION_MODES
 from repro.model.faults import scenario_names
 from repro.engine import (
     EngineOptions,
@@ -321,17 +321,11 @@ def _submit_payload(args):
             "visited": args.visited,
             "strategy": args.strategy,
             "max_states": args.max_states,
-            "reduction": args.reduction,
             "scenario": args.scenario,
         },
         "failures": args.failures,
         "priority": args.priority,
     }
-    if args.mode == "swarm":
-        # semantic for swarm submissions only (they join the digest);
-        # sending them on exhaustive submissions would be noise
-        payload["options"]["seed"] = args.seed
-        payload["options"]["swarm_members"] = args.swarm_members
     if args.engine:
         payload["options"]["engine"] = args.engine
     if args.config in GROUP_BUILDERS:
@@ -450,31 +444,19 @@ def cmd_gc(args):
 def _add_engine_arguments(parser):
     """The engine tunables shared by ``check`` and ``batch``."""
     parser.add_argument("--max-events", type=int, default=3)
-    parser.add_argument("--mode",
-                        choices=["sequential", "concurrent", "swarm"],
+    parser.add_argument("--mode", choices=list(EXPLORATION_MODES),
                         default="sequential",
                         help="exploration semantics: sequential (the "
-                             "default interleaving model), concurrent "
-                             "(simultaneous event batches) or swarm (N "
-                             "diversified sampled member searches - finds "
-                             "violations beyond exhaustive reach, but a "
-                             "safe verdict only means coverage=partial; "
-                             "see --swarm-members/--seed and docs/swarm.md)")
-    parser.add_argument("--swarm-members", type=int, default=4,
-                        help="member searches a swarm run launches "
-                             "(--mode swarm only)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root of the swarm diversification (successor "
-                             "shuffles + bitstate salts); the same seed "
-                             "reproduces the same swarm result")
+                             "default interleaving model) or concurrent "
+                             "(simultaneous event batches)")
     parser.add_argument("--visited", choices=visited_store_names(),
                         default="fingerprint",
                         help="visited-state store: fingerprint (one 64-bit "
                              "word per state, ~2^-64 false positives; the "
                              "default), exact (full canonical keys, no hash "
                              "shortcuts - the oracle) or bitstate (Spin "
-                             "supertrace: a salted k-hash bit field; "
-                             "coverage=partial)")
+                             "supertrace: a k-hash bit field, fixed here "
+                             "at 2^23 bits (1 MiB); coverage=partial)")
     parser.add_argument("--strategy", choices=strategy_names(),
                         default="dfs",
                         help="frontier strategy (search order)")
@@ -489,11 +471,6 @@ def _add_engine_arguments(parser):
                         help="directory for digest-keyed generated modules "
                              "(default: $REPRO_CODEGEN_CACHE or "
                              "~/.cache/repro/codegen)")
-    parser.add_argument("--reduction", action="store_true",
-                        help="sleep-set partial-order reduction over the "
-                             "static independence relation: prunes every "
-                             "redundant interleaving of commuting external "
-                             "events (shrinks the explored state count)")
     parser.add_argument("--failures", action="store_true",
                         help="enumerate device/communication failures")
     parser.add_argument("--scenario", choices=list(scenario_names()),
@@ -518,10 +495,7 @@ def _engine_options(args):
                          max_states=args.max_states,
                          engine=args.engine or "codegen",
                          codegen_cache=args.codegen_cache,
-                         reduction=args.reduction,
-                         scenario=args.scenario,
-                         seed=getattr(args, "seed", 0),
-                         swarm_members=getattr(args, "swarm_members", 4))
+                         scenario=args.scenario)
 
 
 def build_parser():

@@ -13,7 +13,6 @@ from repro.deps.events import (
     handler_vertices,
 )
 from repro.deps.graph import DependencyGraph, Vertex
-from repro.deps.independence import IndependenceAnalysis
 from repro.deps.related import (
     RelatedSetAnalysis,
     analyze_apps,
@@ -27,7 +26,6 @@ __all__ = [
     "extract_handler_io",
     "handler_vertices",
     "DependencyGraph",
-    "IndependenceAnalysis",
     "Vertex",
     "RelatedSetAnalysis",
     "analyze_apps",

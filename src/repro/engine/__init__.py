@@ -8,14 +8,10 @@ The exploration machinery of the checker, carved into replaceable parts:
   ``EngineOptions(strategy=...)``;
 * :mod:`repro.engine.visited` - the VisitedStore protocol and its three
   stores: exact canonical keys (the oracle), one-word fingerprints (the
-  default) and a salted k-hash BITSTATE bit field;
+  default) and a k-hash BITSTATE bit field;
 * :mod:`repro.engine.core` - the bounded search itself;
 * :mod:`repro.engine.batch` - :func:`verify_many`, fanning independent
-  verification jobs across a process pool;
-* :mod:`repro.engine.swarm` - :func:`explore_swarm`, the
-  beyond-exhaustive tier: N diversified sampled member searches sharing
-  one deduplicated, oracle-replayed violation sink
-  (``EngineOptions(mode="swarm")`` / ``repro check --mode swarm``).
+  verification jobs across a process pool.
 """
 
 from repro.engine.batch import VerificationJob, default_workers, verify_many
@@ -29,7 +25,6 @@ from repro.engine.frontier import (
 from repro.engine.options import (
     CONCURRENT,
     SEQUENTIAL,
-    SWARM,
     EngineOptions,
     visited_store_names,
 )
@@ -39,7 +34,6 @@ from repro.engine.strategy import (
     register_strategy,
     strategy_names,
 )
-from repro.engine.swarm import SwarmResult, explore_swarm
 from repro.engine.visited import (
     BitStateVisitedSet,
     ExactVisitedSet,
@@ -60,11 +54,8 @@ __all__ = [
     "Frontier",
     "PriorityFrontier",
     "SEQUENTIAL",
-    "SWARM",
-    "SwarmResult",
     "VerificationJob",
     "default_workers",
-    "explore_swarm",
     "make_frontier",
     "register_strategy",
     "strategy_names",

@@ -10,16 +10,6 @@ exhausted or a limit trips.  The engine is assembled from three pluggable
 parts - a :class:`~repro.engine.frontier.Frontier` (expansion order), a
 VisitedStore (pruning) and the transition relation of the system under
 test - so strategies and stores swap without touching the search itself.
-
-The optional **sleep-set reduction** (``reduction=True``) prunes
-redundant interleavings of commuting external events using the static
-independence relation: each search node carries a *sleep set* of event
-identities whose exploration is provably redundant here, and sleep sets
-propagate to children so entire commuting suffixes disappear, not just
-one order per adjacent pair.  State matching follows Godefroid's
-combination: the visited store remembers the sleep set each state was
-expanded with, and a revisit with a *weaker* sleep set re-expands with
-the intersection instead of pruning.
 """
 
 import gc
@@ -28,12 +18,9 @@ import time
 from repro.checker.compiled import CompiledProperties
 from repro.checker.monitor import SafetyMonitor
 from repro.checker.violations import Counterexample
-from repro.engine.options import CONCURRENT, SWARM, EngineOptions
+from repro.engine.options import CONCURRENT, EngineOptions
 from repro.engine.result import ExplorationResult
 from repro.engine.visited import FingerprintVisitedSet
-
-#: shared empty sleep set (most nodes sleep nothing)
-_NO_SLEEP = frozenset()
 
 #: longest counterexample the trace canonicalization will permute
 #: (factorial growth; beyond this the recorded path is kept as-is)
@@ -45,22 +32,16 @@ BITSTATE_SATURATION_WARN = 0.5
 
 
 class _Node:
-    """A search node with parent links for counterexample reconstruction.
+    """A search node with parent links for counterexample reconstruction."""
 
-    ``sleep`` is the node's sleep set under the partial-order reduction
-    (None when the reduction is off).
-    """
+    __slots__ = ("state", "depth", "parent", "label", "steps")
 
-    __slots__ = ("state", "depth", "parent", "label", "steps", "sleep")
-
-    def __init__(self, state, depth, parent=None, label=None, steps=(),
-                 sleep=None):
+    def __init__(self, state, depth, parent=None, label=None, steps=()):
         self.state = state
         self.depth = depth
         self.parent = parent
         self.label = label
         self.steps = steps
-        self.sleep = sleep
 
     def path(self):
         """Root-to-here as ``[(event label, [TraceStep, ...]), ...]``."""
@@ -73,47 +54,6 @@ class _Node:
         return chain
 
 
-class _SleepStateMatcher:
-    """Godefroid-style combination of sleep sets with visited matching.
-
-    The wrapped store keeps its depth-aware pruning; this layer remembers
-    the sleep set each state was last queued for expansion with.  A
-    revisit prunes only when both the depth *and* the sleep set allow it:
-    arriving with a sleep set that is not a superset of the recorded one
-    means some transition slept before must now be explored, so the state
-    re-expands with the intersection of both sleep sets.
-    """
-
-    __slots__ = ("store", "_sleeps")
-
-    def __init__(self, store):
-        self.store = store
-        #: store key -> sleep set of the last queued expansion
-        self._sleeps = {}
-
-    def seen_state(self, state, depth, sleep):
-        """Returns ``(pruned, effective_sleep, is_new)``; records the visit.
-
-        ``is_new`` distinguishes a genuinely unseen state from a
-        re-expansion (depth improvement or sleep-set weakening) so the
-        engine can keep ``states_explored`` a distinct-state count under
-        the reduction.
-        """
-        key = self.store.state_key(state)
-        pruned = self.store.seen_before(key, depth)
-        old = self._sleeps.get(key)
-        if old is None:
-            # first sighting under this key (or an approximate store's
-            # collision with an untracked key: prune as the store says)
-            self._sleeps[key] = sleep
-            return pruned, sleep, not pruned
-        if pruned and sleep >= old:
-            return True, sleep, False
-        effective = sleep & old
-        self._sleeps[key] = effective
-        return False, effective, False
-
-
 class ExplorationEngine:
     """Runs the bounded search on one :class:`~repro.model.system.IoTSystem`."""
 
@@ -122,8 +62,8 @@ class ExplorationEngine:
         self.properties = list(properties)
         self.options = options or EngineOptions()
         # applied at construction (not _setup_search) so replay engines —
-        # counterexample rehydration, canonicalization, swarm's oracle —
-        # execute the same faulted relation as the search itself
+        # counterexample rehydration and canonicalization — execute the
+        # same faulted relation as the search itself
         from repro.model.faults import resolve_scenario
         system.scenario_profile = resolve_scenario(self.options.scenario)
         self._monitor_cls = SafetyMonitor
@@ -158,12 +98,6 @@ class ExplorationEngine:
 
     def run(self):
         """Explore; returns an :class:`ExplorationResult`."""
-        if self.options.mode == SWARM:
-            # the swarm driver runs its members through this same class
-            # (each member is a sequential engine), so the delegation
-            # cannot recurse
-            from repro.engine.swarm import explore_swarm
-            return explore_swarm(self)
         restore_gc = self.options.manage_gc and gc.isenabled()
         if restore_gc:
             # the search churns through millions of short-lived acyclic
@@ -177,10 +111,10 @@ class ExplorationEngine:
                 gc.enable()
 
     def _setup_search(self):
-        """Assemble one run's moving parts (swarm members extend it).
+        """Assemble one run's moving parts.
 
-        Returns ``(visited, frontier, reducer, matcher)`` and applies
-        the per-run execution back-end choice to the system.
+        Returns ``(visited, frontier)`` and applies the per-run
+        execution back-end choice to the system.
         """
         options = self.options
         # the execution back-end is a per-run choice: without a codegen
@@ -200,11 +134,7 @@ class ExplorationEngine:
             self.system.executor_factory = self._plan.executor_factory
             self._phase_times["codegen"] = (time.monotonic()
                                             - generation_started)
-        visited = options.make_visited(self.system)
-        frontier = options.make_frontier()
-        reducer = self._make_reducer()
-        matcher = _SleepStateMatcher(visited) if reducer is not None else None
-        return visited, frontier, reducer, matcher
+        return options.make_visited(self.system), options.make_frontier()
 
     def _run(self):
         options = self.options
@@ -213,27 +143,20 @@ class ExplorationEngine:
         telemetry = self._telemetry = self._open_telemetry()
         if telemetry is not None:
             telemetry.run_start(options)
-        visited, frontier, reducer, matcher = self._setup_search()
+        visited, frontier = self._setup_search()
         # the fingerprint store reads nothing of an admitted state but
         # its fingerprint, so quiet successors at the bound need not be
-        # built; every other store (and swarm's sampling wrapper) keeps
-        # full successors - the exact one stays an independent oracle
+        # built; every other store keeps full successors - the exact one
+        # stays an independent oracle
         self._quiet_leaf_stubs = isinstance(visited, FingerprintVisitedSet)
 
-        # third-party stores without the O(1) distinct counter degrade
-        # to the legacy fresh-equals-new accounting.  The counter is
-        # only sampled on *fresh* admissions (a pruned revisit can never
-        # have grown the store), keeping the per-transition hot path at
-        # exactly one store call
-        count_distinct = getattr(visited, "distinct_count", None)
-        last_distinct = count_distinct() if count_distinct is not None else 0
-
-        root = _Node(self.system.initial_state(), 0,
-                     sleep=_NO_SLEEP if reducer is not None else None)
-        if matcher is None:
-            visited.seen_state(root.state, 0)
-        else:
-            matcher.seen_state(root.state, 0, _NO_SLEEP)
+        # the distinct counter is only sampled on *fresh* admissions (a
+        # pruned revisit can never have grown the store), keeping the
+        # per-transition hot path at exactly one store call
+        count_distinct = visited.distinct_count
+        root = _Node(self.system.initial_state(), 0)
+        visited.seen_state(root.state, 0)
+        last_distinct = count_distinct()
         result.states_explored = 1
         frontier.push(root)
 
@@ -256,52 +179,33 @@ class ExplorationEngine:
             if self._limits_hit(result, started):
                 break
             node = frontier.pop()
-            # event keys already expanded from this node, in order (the
-            # sleep sets of later siblings absorb the independent ones)
-            expanded_keys = [] if reducer is not None else None
-            for transition in self._search_transitions_from(
-                    node, self._sleep_filter(node, reducer, result)):
+            for transition in self._search_transitions_from(node):
                 label, new_state, consumed, violations, steps = transition
                 result.transitions += 1
                 depth = node.depth + (1 if consumed else 0)
-                child_sleep = None
-                if reducer is not None:
-                    child_sleep = self._child_sleep(node, reducer, label,
-                                                    expanded_keys)
                 # nodes exist for path reconstruction; duplicates that
                 # neither violate nor get expanded never need one
                 child = None
                 if violations:
                     child = _Node(new_state, depth, parent=node, label=label,
-                                  steps=steps, sleep=child_sleep)
+                                  steps=steps)
                     self._record(result, child, violations)
                     if options.stop_on_first:
                         return self._finish(result, visited, started)
-                if depth <= options.max_events:
-                    if matcher is None:
-                        # states_explored counts *distinct* states:
-                        # depth-improved revisits re-expand but do not
-                        # re-count
-                        fresh = not visited.seen_state(new_state, depth)
-                        if fresh and count_distinct is not None:
-                            now = count_distinct()
-                            is_new = now > last_distinct
-                            last_distinct = now
-                        else:
-                            is_new = fresh
-                    else:
-                        pruned, child_sleep, is_new = matcher.seen_state(
-                            new_state, depth, child_sleep)
-                        fresh = not pruned
-                    if fresh:
-                        if is_new:
-                            result.states_explored += 1
-                        if depth < options.max_events or new_state.pending:
-                            if child is None:
-                                child = _Node(new_state, depth, parent=node,
-                                              label=label, steps=steps)
-                            child.sleep = child_sleep
-                            frontier.push(child)
+                if (depth <= options.max_events
+                        and not visited.seen_state(new_state, depth)):
+                    # states_explored counts *distinct* states:
+                    # depth-improved revisits re-expand but do not
+                    # re-count
+                    now = count_distinct()
+                    if now > last_distinct:
+                        result.states_explored += 1
+                    last_distinct = now
+                    if depth < options.max_events or new_state.pending:
+                        if child is None:
+                            child = _Node(new_state, depth, parent=node,
+                                          label=label, steps=steps)
+                        frontier.push(child)
                 if self._cheap_limits_hit(result):
                     return self._finish(result, visited, started)
                 if result.transitions >= next_time_check:
@@ -317,56 +221,7 @@ class ExplorationEngine:
 
         return self._finish(result, visited, started)
 
-    def _make_reducer(self):
-        """The independence analysis, when the reduction is applicable."""
-        options = self.options
-        if (not options.reduction or options.mode == CONCURRENT
-                or self.system.enable_failures
-                or not self.system.scenario_profile.is_clean):
-            # faulted relations (§8 enumeration or a non-clean scenario
-            # profile) disable the reduction outright: fault-suffixed
-            # labels have no static independence entries, so pruning
-            # around them would be unsound
-            return None
-        from repro.deps.independence import IndependenceAnalysis
-        return IndependenceAnalysis(self.system)
-
-    @staticmethod
-    def _child_sleep(node, reducer, label, expanded_keys):
-        """The sleep set a child inherits through this transition.
-
-        Events slept at the node or expanded earlier from it stay asleep
-        below the chosen event exactly when they commute with it - the
-        other interleaving order reaches the same states and is already
-        (or will be) covered by the sibling branch.
-        """
-        key = reducer.key_for_label(label)
-        if key is None:
-            # unidentifiable transition: dependence unknown, wake all
-            return _NO_SLEEP
-        independent = reducer.independent_cached
-        sleeping = [k for k in node.sleep if independent(k, key)]
-        sleeping += [k for k in expanded_keys if independent(k, key)]
-        expanded_keys.append(key)
-        return frozenset(sleeping) if sleeping else _NO_SLEEP
-
-    @staticmethod
-    def _sleep_filter(node, reducer, result):
-        """The event veto implementing this node's sleep set (None when
-        nothing sleeps here)."""
-        if reducer is None or not node.sleep:
-            return None
-        sleep = node.sleep
-        reducer_key = reducer.key
-
-        def event_filter(ext):
-            if reducer_key(ext) in sleep:
-                result.commutes_pruned += 1
-                return False
-            return True
-        return event_filter
-
-    def _search_transitions_from(self, node, event_filter=None):
+    def _search_transitions_from(self, node):
         """The relation the search loop expands: the codegen plan's
         lean (skeleton-trace) relation when active, the traced relation
         otherwise.  Replays and canonicalization always go through
@@ -377,10 +232,10 @@ class ExplorationEngine:
             if node.depth >= max_events:
                 return []
             return plan.transitions(
-                node.state, self._monitor_factory, event_filter,
+                node.state, self._monitor_factory,
                 leaf=(self._quiet_leaf_stubs
                       and node.depth + 1 == max_events))
-        return self._transitions_from(node, event_filter)
+        return self._transitions_from(node)
 
     def _open_telemetry(self):
         """The run's telemetry session, or None when disabled."""
@@ -433,7 +288,7 @@ class ExplorationEngine:
                 telemetry.warning(
                     "bitstate_saturation", fill_ratio=fill_ratio,
                     stored=result.visited_stats.get("stored", 0),
-                    collisions=result.visited_stats.get("collisions", 0))
+                    pruned=result.visited_stats.get("pruned", 0))
             telemetry.run_end(result, self.cascade_stats)
             telemetry.close()
         return result
@@ -475,8 +330,8 @@ class ExplorationEngine:
         This pass replays every valid permutation of each recorded event
         sequence and keeps the canonical minimum via :meth:`_record`'s
         ordering, so the rendered trace is a function of the state space
-        alone - the property that lets every strategy, tier and swarm
-        member report the same trace.
+        alone - the property that lets every strategy and tier report
+        the same trace.
 
         Keys never appear or disappear: permutations only compete for
         the trace of violations the search itself proved.
@@ -595,9 +450,8 @@ def replay_path(engine, labels):
     ``None`` when the sequence does not replay to a violating
     transition.  Labels deterministically identify transitions, so a
     successful replay regenerates the exact cascade steps - this is how
-    the lean-trace rehydration, the trace canonicalization and swarm's
-    oracle rebuild rendered counterexamples without trusting any
-    recorded path.
+    the lean-trace rehydration and the trace canonicalization rebuild
+    rendered counterexamples without trusting any recorded path.
 
     A transition's label is its external event's label plus an optional
     failure-scenario suffix, so only the externals whose label starts
@@ -627,9 +481,9 @@ def path_order_key(path):
     """The canonical order of counterexample paths: shortest first, then
     by the external-event label sequence.
 
-    Both the sequential recorder and swarm's violation sink select the
-    minimum under this key, so every run of the same system reports the
-    same trace per violation regardless of expansion order.
+    The recorder selects the minimum under this key, so every run of the
+    same system reports the same trace per violation regardless of
+    expansion order.
     """
     return (len(path), tuple(label for label, _steps in path))
 

@@ -10,10 +10,9 @@ from repro.model.faults import resolve_scenario
 
 SEQUENTIAL = "sequential"
 CONCURRENT = "concurrent"
-SWARM = "swarm"
 
 #: the legal ``EngineOptions.mode`` values
-EXPLORATION_MODES = (SEQUENTIAL, CONCURRENT, SWARM)
+EXPLORATION_MODES = (SEQUENTIAL, CONCURRENT)
 
 #: execution tiers for the transition relation, slowest to fastest
 ENGINE_MODES = ("interpreted", "codegen")
@@ -29,8 +28,7 @@ def _make_fingerprint(options, system):
 
 
 def _make_bitstate(options, system):
-    return BitStateVisitedSet(bits_log2=options.bitstate_bits,
-                              salt=options.bitstate_salt)
+    return BitStateVisitedSet(bits_log2=options.bitstate_bits)
 
 
 #: visited-store name -> constructor taking (options, system-or-None)
@@ -57,7 +55,7 @@ class EngineOptions:
     false-positive pruning probability ~2^-64 per pair), ``exact``
     (full canonical keys and no hash shortcuts anywhere, including the
     invariant-verdict memo - the differential oracle) or ``bitstate``
-    (Spin's supertrace: a salted k-hash bit field of
+    (Spin's supertrace: a k-hash bit field of
     ``2**bitstate_bits`` bits over the same fingerprints, with O(1)
     fill-ratio saturation reporting; its runs are ``partial``).
     ``bitstate_bits`` must be an integer in 3..34 (a one-byte to a
@@ -83,14 +81,6 @@ class EngineOptions:
         semantic digest (``None``: ``$REPRO_CODEGEN_CACHE`` or
         ``~/.cache/repro/codegen``).  Runs at the default ``engine``
         write there.
-    ``reduction``
-        Enable the sleep-set partial-order reduction over the static
-        event-independence relation: of the interleavings of commuting
-        external events only one representative order is explored, and
-        entire commuting suffixes are pruned (not just one order per
-        adjacent pair).  Off by default (it changes the explored state
-        *count*); ignored in concurrent mode and when failure
-        enumeration is on.
     ``scenario``
         Named fault-injection profile layered onto the transition
         relation (see :mod:`repro.model.faults`): ``clean`` (the
@@ -98,8 +88,7 @@ class EngineOptions:
         ``duplicated``, ``device-death`` or ``stale-reads``.  A
         *semantic* knob: each profile changes the explored relation, so
         it participates in the vetting service's digests — a lossy
-        verdict is never served from the clean cache.  Any non-clean
-        profile disables the sleep-set reduction (sound composition).
+        verdict is never served from the clean cache.
     ``check_interval``
         How many transitions may elapse between wall-clock limit checks
         (state/transition limits stay exact; only ``time_limit`` detection
@@ -118,32 +107,18 @@ class EngineOptions:
         short-lived, almost entirely acyclic objects, so generation-0
         sweeps cost ~30% of wall clock while reclaiming nothing that
         reference counting does not already reclaim.
-    ``mode`` / ``seed`` / ``swarm_members``
-        ``mode`` selects the exploration semantics: ``sequential`` (the
-        default interleaving model), ``concurrent`` (simultaneous event
-        batches) or ``swarm`` (:mod:`repro.engine.swarm` - N diversified
-        sampled member searches sharing one deduplicated violation
-        sink).  Swarm runs are *unsound for safety*: a swarm ``safe``
-        verdict always carries ``coverage="partial"`` and is never
-        cached as exhaustive, while every reported violation is replayed
-        on the interpreted oracle before it is reported.  ``seed`` is
-        the root of the per-member diversification (successor shuffling
-        and bitstate salts; same seed, same result) and
-        ``swarm_members`` is the member count; both are *semantic* for
-        swarm runs only - exhaustive digests ignore them.
-    ``bitstate_salt``
-        Remaps every ``bitstate`` bit position (swarm members derive
-        per-member salts from it), changing which states a saturated
-        field misses - semantic, like ``bitstate_bits``.
+    ``mode``
+        The exploration semantics: ``sequential`` (the default
+        interleaving model) or ``concurrent`` (simultaneous event
+        batches).
     """
 
     def __init__(self, max_events=3, mode=SEQUENTIAL, visited="fingerprint",
                  bitstate_bits=23, max_states=200000, max_transitions=None,
                  time_limit=None, stop_on_first=False, strategy="dfs",
                  priority=None, engine="codegen",
-                 codegen_cache=None, reduction=False, check_interval=256,
-                 manage_gc=True, scenario="clean", telemetry=None, seed=0,
-                 swarm_members=4, bitstate_salt=0):
+                 codegen_cache=None, check_interval=256, manage_gc=True,
+                 scenario="clean", telemetry=None):
         self.max_events = max_events
         if mode not in EXPLORATION_MODES:
             raise ValueError("unknown mode %r (known: %s)"
@@ -159,12 +134,6 @@ class EngineOptions:
                                          BitStateVisitedSet.MAX_BITS_LOG2,
                                          bitstate_bits))
         self.bitstate_bits = bitstate_bits
-        self.seed = int(seed)
-        if int(swarm_members) < 1:
-            raise ValueError("swarm_members must be >= 1, got %r"
-                             % (swarm_members,))
-        self.swarm_members = int(swarm_members)
-        self.bitstate_salt = int(bitstate_salt)
         self.max_states = max_states
         self.max_transitions = max_transitions
         self.time_limit = time_limit
@@ -176,7 +145,6 @@ class EngineOptions:
                              % (engine, ", ".join(ENGINE_MODES)))
         self.engine = engine
         self.codegen_cache = codegen_cache
-        self.reduction = reduction
         self.check_interval = check_interval
         self.manage_gc = manage_gc
         # normalize to the profile *name*: options travel through JSON

@@ -12,8 +12,11 @@ import json
 #: bump when the serialized result layout changes; deserialization
 #: refuses newer schemas instead of misreading them (v2: the per-run
 #: layout lost the sharded engine's worker count, per-shard statistics
-#: and crash record; v1 payloads still load, those keys ignored)
-RESULT_SCHEMA_VERSION = 2
+#: and crash record; v3: it lost the partial-order reduction's pruning
+#: count and the sampled multi-member search's block.  Older payloads
+#: still load, those keys ignored, and never with more coverage than
+#: they claimed, see ``from_dict``)
+RESULT_SCHEMA_VERSION = 3
 
 
 def _check_schema(data, kind):
@@ -45,8 +48,6 @@ class ExplorationResult:
         #: per-phase wall time breakdown ({} until populated): keys are
         #: phase names (``codegen``, ``explore``, ``canonicalize``, ...)
         self.profile = {}
-        #: external events skipped by the sleep-set reduction
-        self.commutes_pruned = 0
         #: compiled-property statistics (invariant verdict memo)
         self.property_stats = {}
 
@@ -88,12 +89,10 @@ class ExplorationResult:
         is worth.
 
         Derived, never stored: a truncated run (a limit tripped) covered
-        only part of the bounded space; the supertrace store
+        only part of the bounded space; and the supertrace store
         (``bitstate``, the only store reporting a ``fill_ratio``)
-        silently drops every state whose bits collide; and a swarm run
-        (:class:`~repro.engine.swarm.SwarmResult` overrides this to a
-        constant ``"partial"``) is sampled by construction.  Serialized
-        for consumers, recomputed on deserialization - a result cannot
+        silently drops every state whose bits collide.  Serialized for
+        consumers, recomputed on deserialization - a result cannot
         claim more coverage than its own flags and store statistics
         support.
         """
@@ -115,7 +114,6 @@ class ExplorationResult:
             "truncated_reason": self.truncated_reason,
             "visited_stats": dict(self.visited_stats),
             "profile": dict(self.profile),
-            "commutes_pruned": self.commutes_pruned,
             "property_stats": dict(self.property_stats),
         }
 
@@ -126,13 +124,6 @@ class ExplorationResult:
         from repro.checker.violations import Counterexample
 
         _check_schema(data, "ExplorationResult")
-        if cls is ExplorationResult and data.get("swarm"):
-            # polymorphic rebuild: a swarm payload comes back as the
-            # SwarmResult it was (coverage stays "partial", the swarm
-            # block survives the round-trip).  Imported lazily -
-            # repro.engine.swarm imports this module
-            from repro.engine.swarm import SwarmResult
-            return SwarmResult.from_dict(data)
         result = cls()
         for ce_data in data.get("counterexamples", ()):
             counterexample = Counterexample.from_dict(ce_data)
@@ -145,8 +136,13 @@ class ExplorationResult:
         result.truncated_reason = data.get("truncated_reason")
         result.visited_stats = dict(data.get("visited_stats", {}))
         result.profile = dict(data.get("profile", {}))
-        result.commutes_pruned = data.get("commutes_pruned", 0)
         result.property_stats = dict(data.get("property_stats", {}))
+        if data.get("coverage") == "partial" and result.coverage != "partial":
+            # a payload never loads with more coverage than it claimed:
+            # a v2 sampled search carried no flag that derives "partial",
+            # so mark it, and it stays partial once re-serialized
+            result.truncated = True
+            result.truncated_reason = "sampled"
         return result
 
     def to_json(self, indent=None):
@@ -166,9 +162,6 @@ class ExplorationResult:
                      self.states_explored, self.transitions, self.elapsed,
                      " (truncated: %s)" % self.truncated_reason
                      if self.truncated else "")]
-        if self.commutes_pruned:
-            lines.append("  engine: %d commuting interleavings pruned"
-                         % self.commutes_pruned)
         if self.profile:
             lines.append("  phases: " + ", ".join(
                 "%s %.2fs" % (name, seconds)

@@ -11,7 +11,7 @@ Three stores implement the VisitedStore protocol:
     The default: one 64-bit word per state, depth-aware - the
     hash-compact trade-off Spin makes at scale.
 ``bitstate``  (:class:`BitStateVisitedSet`)
-    Holzmann's supertrace: a salted k-hash bit field of fixed size;
+    Holzmann's supertrace: a k-hash bit field of fixed size;
     its runs are reported with ``coverage="partial"``.
 
 A visited store answers one question - "was this state already expanded
@@ -27,8 +27,7 @@ at an equal-or-smaller depth?" - through three methods:
 
 ``state_key(state)`` / ``seen_before(key, depth)``
     The explicit-key protocol, kept for callers that manage keys
-    themselves (tests, external tools, the engine's sleep-set state
-    matcher).  ``state_key`` projects a
+    themselves (tests, external tools).  ``state_key`` projects a
     :class:`~repro.model.state.ModelState` onto the store's key form;
     ``seen_before`` records it.  Depth-aware revisiting keeps the
     bounded search sound: a state first reached near the depth bound
@@ -213,27 +212,28 @@ class BitStateVisitedSet:
     """Holzmann-style supertrace store over 64-bit state fingerprints.
 
     Each admitted state sets ``hash_count`` bits (independent splitmix64
-    mixes of the fingerprint, optionally salted) in a ``2**bits_log2``-bit
-    field; a state is pruned when *all* its bits were already set.  Like
-    every bitstate scheme it trades exactness for a fixed memory
-    footprint: distinct states may collide on a full bit pattern and be
-    wrongly pruned (missed coverage - why its runs are *partial*),
-    but a state the store has admitted is never forgotten, so there are
-    no false negatives on revisits.  Unlike the exact stores it keeps no
+    mixes of the fingerprint) in a ``2**bits_log2``-bit field; a state
+    is pruned when *all* its bits were already set.  Like every bitstate
+    scheme it trades exactness for a fixed memory footprint: distinct
+    states may collide on a full bit pattern and be wrongly pruned
+    (missed coverage - why its runs are *partial*), but a state the
+    store has admitted is never forgotten, so there are no false
+    negatives on revisits.  Unlike the exact stores it keeps no
     per-state depth - a revisit at smaller depth is pruned too, another
     (deliberate, Spin-compatible) source of partial coverage.
 
-    ``salt`` remaps every bit position, giving swarm members independent
-    collision patterns over one shared fingerprint function; the fill
-    ratio is tracked incrementally (O(1) per insert) so saturation can be
-    reported live by telemetry rather than recomputed by popcount.
+    ``pruned`` counts every pruned submission.  A bit field cannot tell
+    an ordinary revisit from a hash collision, so that count is not a
+    measure of missed states; the fill ratio is the saturation signal.
+    It is tracked incrementally (O(1) per insert) so telemetry can
+    report saturation live rather than recompute it by popcount.
     """
 
     #: supported ``bits_log2`` range: a one-byte field up to 2 GiB
     MIN_BITS_LOG2 = 3
     MAX_BITS_LOG2 = 34
 
-    def __init__(self, bits_log2=23, hash_count=3, salt=0):
+    def __init__(self, bits_log2=23, hash_count=3):
         if not self.MIN_BITS_LOG2 <= bits_log2 <= self.MAX_BITS_LOG2:
             raise ValueError("bits_log2 must be in %d..%d, got %r"
                              % (self.MIN_BITS_LOG2, self.MAX_BITS_LOG2,
@@ -243,11 +243,10 @@ class BitStateVisitedSet:
                              % (hash_count,))
         self.bits = 1 << bits_log2
         self.hash_count = hash_count
-        self.salt = salt & _MASK64
         self._mask = self.bits - 1
         self._field = bytearray(self.bits >> 3)
         self.stored = 0
-        self.collisions = 0
+        self.pruned = 0
         self._set_bits = 0
 
     @staticmethod
@@ -261,7 +260,7 @@ class BitStateVisitedSet:
 
     def bit_positions(self, key):
         """The ``hash_count`` field positions of one key (test hook)."""
-        value = _mix64((int(key) ^ self.salt) & _MASK64)
+        value = _mix64(int(key) & _MASK64)
         positions = []
         for _ in range(self.hash_count):
             positions.append(value & self._mask)
@@ -280,7 +279,7 @@ class BitStateVisitedSet:
             if not field[byte] & bit and (byte, bit) not in missing:
                 missing.append((byte, bit))
         if not missing:
-            self.collisions += 1
+            self.pruned += 1
             return True
         for byte, bit in missing:
             field[byte] |= bit
@@ -294,17 +293,16 @@ class BitStateVisitedSet:
         return self._set_bits / self.bits
 
     def distinct_count(self):
-        """Admitted states so far (collisions excluded) - O(1)."""
+        """Admitted states so far (pruned submissions excluded) - O(1)."""
         return self.stored
 
     def stats(self):
         """Counters incl. ``fill_ratio`` for saturation reporting."""
         return {
             "stored": self.stored,
-            "collisions": self.collisions,
+            "pruned": self.pruned,
             "fill_ratio": round(self.fill_ratio, 6),
             "hash_count": self.hash_count,
-            "salt": self.salt,
             "approx_bytes": len(self._field),
             "bytes_per_state": (round(len(self._field) / self.stored, 1)
                                 if self.stored else 0.0),

@@ -1355,8 +1355,7 @@ class CodegenPlan:
 
     # -- the lean relation ---------------------------------------------
 
-    def transitions(self, state, monitor_factory, event_filter=None,
-                    leaf=False):
+    def transitions(self, state, monitor_factory, leaf=False):
         """Traceless mirror of :meth:`IoTSystem.transitions` (labels,
         successor states, violations identical; ``steps`` a skeleton).
 
@@ -1368,8 +1367,6 @@ class CodegenPlan:
         quiet = self._quiet
         compiled = None
         for ext in self.system.external_choices(state):
-            if event_filter is not None and not event_filter(ext):
-                continue
             if ext not in quiet:
                 self._run_event(out, state, ext, monitor_factory)
                 continue

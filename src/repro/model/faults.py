@@ -29,12 +29,6 @@ Profiles:
     App reads of the origin sensor's attribute return the pre-event value
     for the whole cascade (a stale platform cache); the monitor still
     checks invariants against true physical state.
-
-Every non-clean profile disables sleep-set reduction (see
-``ExplorationEngine._make_reducer``) — fault-suffixed labels are already
-treated as unidentifiable by :mod:`repro.deps.independence`, and disabling
-the reducer outright for faulted relations is the conservatively sound
-composition the profiles choose.
 """
 
 from repro.model.events import FailureScenario

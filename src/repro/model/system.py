@@ -425,8 +425,8 @@ class IoTSystem:
         """Sequential design: yield (label, new_state, violations, steps).
 
         ``event_filter`` (optional) vetoes external events *before* their
-        cascades execute - the engine's independence reduction plugs in
-        here so skipped interleavings cost nothing.
+        cascades execute - the engine's label replay plugs in here so
+        events that cannot match the wanted label cost nothing.
         """
         for ext in self.external_choices(state):
             if event_filter is not None and not event_filter(ext):

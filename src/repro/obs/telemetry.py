@@ -7,10 +7,9 @@ Three cooperating pieces, all near-zero-overhead when unused:
   path, a progress-meter flag, a board key, a snapshot cadence) so it
   travels with jobs into pool worker processes; live handles never
   cross a process boundary.
-* :class:`TelemetrySession` - the runtime opened by whoever executes a
-  run (the engine, or the swarm driver on behalf of its members).  It
-  stamps every event with the schema version and the
-  monotonic elapsed clock, appends one JSON line per event to the sink,
+* :class:`TelemetrySession` - the runtime opened by the engine that
+  executes a run.  It stamps every event with the schema version and
+  the monotonic elapsed clock, appends one JSON line per event to the sink,
   drives the optional stderr meter and publishes the latest snapshot to
   the process-wide :data:`PROGRESS_BOARD`.
 * :class:`MetricsRegistry` - labelled counters and gauges for the
@@ -272,10 +271,8 @@ PROGRESS_BOARD = ProgressBoard()
 class TelemetrySession:
     """Live telemetry for one run: sink, meter and board, one handle.
 
-    Opened by the process that *executes* a run - the engine
-    (:meth:`ExplorationEngine._open_telemetry`) or the swarm driver
-    (:func:`repro.engine.swarm.explore_swarm`), never by swarm members.
-    All methods are cheap
+    Opened by the engine that *executes* a run
+    (:meth:`ExplorationEngine._open_telemetry`).  All methods are cheap
     and exception-free by construction: telemetry must never be able to
     change a run's outcome.
     """
@@ -324,9 +321,6 @@ class TelemetrySession:
                 "strategy": options.strategy,
                 "scenario": options.scenario,
             })
-            if options.mode == "swarm":
-                fields["seed"] = options.seed
-                fields["swarm_members"] = options.swarm_members
         self._emit("run_start", fields)
 
     def snapshot(self, fields):
@@ -340,11 +334,6 @@ class TelemetrySession:
 
     def span(self, name, seconds):
         self._emit("span", {"name": name, "seconds": round(seconds, 6)})
-
-    def swarm_member(self, fields):
-        """One swarm member's completed-search summary
-        (:mod:`repro.engine.swarm` emits one per member)."""
-        self._emit("swarm_member", fields)
 
     def warning(self, name, **fields):
         """A named run-health warning (e.g. ``bitstate_saturation``).

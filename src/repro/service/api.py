@@ -48,17 +48,12 @@ from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 
 #: EngineOptions keyword arguments a submission may set
 _ALLOWED_OPTIONS = (
-    "max_events", "mode", "visited", "bitstate_bits", "bitstate_salt",
-    "max_states", "max_transitions", "time_limit", "stop_on_first",
-    "strategy", "engine", "reduction", "scenario", "seed",
-    "swarm_members",
+    "max_events", "mode", "visited", "bitstate_bits", "max_states",
+    "max_transitions", "time_limit", "stop_on_first", "strategy",
+    "engine", "scenario",
 )
 # deliberately NOT accepted: ``telemetry`` (a live-handle/filesystem
 # concern of the host)
-
-#: most swarm members one HTTP submission may request (members run
-#: serially, so this bounds per-job wall clock, not process count)
-MAX_SWARM_MEMBERS = 64
 
 #: largest bit field one HTTP submission may request: 2**30 bits is a
 #: 128 MiB ``bytearray`` (the engine itself accepts up to 2**34)
@@ -163,15 +158,6 @@ class VettingService:
                 raise SubmissionError(
                     "bad %r option %r (allowed: %s)"
                     % (key, options[key], ", ".join(allowed)))
-        if "swarm_members" in options:
-            members = options["swarm_members"]
-            # a submission must not be able to ask this host for an
-            # unbounded member fleet
-            if (not isinstance(members, int) or isinstance(members, bool)
-                    or not 1 <= members <= MAX_SWARM_MEMBERS):
-                raise SubmissionError(
-                    "bad 'swarm_members' option %r (an integer 1..%d)"
-                    % (members, MAX_SWARM_MEMBERS))
         bits = options.get("bitstate_bits")
         # EngineOptions rejects a malformed size; the field is allocated
         # up front, so this host also caps a well-formed one
@@ -179,10 +165,6 @@ class VettingService:
             raise SubmissionError(
                 "bad 'bitstate_bits' option %r (at most %d)"
                 % (bits, MAX_BITSTATE_BITS))
-        if "seed" in options and (not isinstance(options["seed"], int)
-                                  or isinstance(options["seed"], bool)):
-            raise SubmissionError("bad 'seed' option %r (an integer)"
-                                  % (options["seed"],))
         try:
             return EngineOptions(**options)
         except (TypeError, ValueError) as exc:

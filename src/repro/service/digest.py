@@ -41,29 +41,24 @@ import json
 #: v3: the fault-injection ``scenario`` profile joined the semantic
 #: fields - each profile explores a different transition relation, so a
 #: lossy verdict must never be served from the clean cache.
-#: v4: ``bitstate_salt`` joined the semantic fields (a salted bitstate
-#: field misses a different state set), and swarm runs additionally
-#: hash ``seed``/``swarm_members`` - two swarms with different seeds
-#: sample different spaces, while exhaustive digests ignore both.
+#: v4: the bitstate salt joined the semantic fields (a salted bitstate
+#: field misses a different state set), and sampled multi-member runs
+#: additionally hashed their seed and member count.
 #: v5: ``bitstate`` now names the salted k-hash store (the blake2b
 #: double-hash table is gone), which misses a different state set, so
-#: cached v4 ``bitstate`` verdicts must stop matching)
-DIGEST_SCHEMA_VERSION = 5
+#: cached v4 ``bitstate`` verdicts must stop matching.
+#: v6: ``reduction`` and the bitstate salt left the semantic fields
+#: with the options themselves, as did the sampled runs' seed and
+#: member count)
+DIGEST_SCHEMA_VERSION = 6
 
 #: EngineOptions fields that can change verdicts, traces or reported
 #: exploration statistics; everything else is a performance knob
 SEMANTIC_OPTION_FIELDS = (
-    "max_events", "mode", "visited", "bitstate_bits", "bitstate_salt",
-    "max_states", "max_transitions", "time_limit", "stop_on_first",
-    "strategy", "reduction", "scenario",
+    "max_events", "mode", "visited", "bitstate_bits", "max_states",
+    "max_transitions", "time_limit", "stop_on_first", "strategy",
+    "scenario",
 )
-
-#: additionally semantic for ``mode == "swarm"`` submissions only: the
-#: seed diversifies every member's search order and salt, and the member
-#: count bounds what the swarm can find.  Exhaustive runs ignore both
-#: (their verdict is a function of the space alone), so hashing them
-#: unconditionally would pointlessly split the exhaustive cache
-SWARM_OPTION_FIELDS = ("seed", "swarm_members")
 
 
 def canonical_json(payload):
@@ -166,9 +161,6 @@ def options_payload(options):
     """Canonical form of the semantic engine options."""
     payload = {name: getattr(options, name, None)
                for name in SEMANTIC_OPTION_FIELDS}
-    if getattr(options, "mode", None) == "swarm":
-        for name in SWARM_OPTION_FIELDS:
-            payload[name] = getattr(options, name, None)
     priority = getattr(options, "priority", None)
     if priority is not None:
         # a custom priority function changes the search order; its

@@ -309,17 +309,6 @@ class Scheduler:
                     continue
                 record.result = result
                 record.status = DONE
-                if (getattr(result, "swarm", None)
-                        and not result.counterexamples):
-                    # a swarm "safe" is only "not found by this sample"
-                    # (coverage is partial by construction) - serving it
-                    # from the cache would launder sampling into an
-                    # exhaustive-looking verdict.  Swarm *violations*
-                    # fall through and are cached: each replayed on the
-                    # interpreted oracle before being recorded, and the
-                    # digest (mode + seed + swarm_members) pins the
-                    # exact sample that found them
-                    continue
                 try:
                     self.store.put(record.cache_key, result,
                                    name=record.job.name,

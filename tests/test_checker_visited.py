@@ -77,13 +77,13 @@ class TestBitStateTable:
             table.seen_before(key, 0)
         assert table.fill_ratio > 0.0
 
-    def test_collision_counter(self):
+    def test_pruned_counter(self):
         table = BitStateVisitedSet(bits_log2=8, hash_count=1)
         for key in range(1000):
             table.seen_before(key, 0)
-        # 256 bits, 1000 keys: collisions are certain
-        assert table.collisions > 0
-        assert table.stored + table.collisions == 1000
+        # 256 bits, 1000 distinct keys: collisions are certain
+        assert table.pruned > 0
+        assert table.stored + table.pruned == 1000
 
     def test_bits_log2_bounds(self):
         with pytest.raises(ValueError):
@@ -98,7 +98,8 @@ class TestBitStateTable:
         for key in range(300):
             single.seen_before(key, 0)
             triple.seen_before(key, 0)
-        assert triple.collisions < single.collisions
+        # distinct keys, so every pruned key is a collision
+        assert triple.pruned < single.pruned
 
     def test_fill_ratio_capped_at_one_when_saturated(self):
         """Saturation regression: a hammered field reports exactly 1.0,
@@ -150,7 +151,7 @@ class TestStateKeyProtocol:
         assert exact_stats["approx_bytes"] > 0
         assert exact_stats["bytes_per_state"] > 0
         stats = table.stats()
-        assert stats["stored"] == 1 and stats["collisions"] == 0
+        assert stats["stored"] == 1 and stats["pruned"] == 0
         assert 0.0 < stats["fill_ratio"] < 1.0
         assert stats["approx_bytes"] == (1 << 12) // 8
 
@@ -272,173 +273,20 @@ class TestStoreProperties:
 
     @given(st.lists(_U64, unique=True, min_size=1, max_size=50))
     @settings(max_examples=30)
-    def test_bitstate_stored_plus_collisions_is_total(self, keys):
+    def test_bitstate_stored_plus_pruned_is_total(self, keys):
         table = BitStateVisitedSet(bits_log2=16)
         for key in keys:
             table.seen_before(key, 0)
-        assert table.stored + table.collisions == len(keys)
+        assert table.stored + table.pruned == len(keys)
 
 
 # ---------------------------------------------------------------------------
-# the supertrace store: salted k-hash bitstate
+# the supertrace store: k-hash bitstate
 # ---------------------------------------------------------------------------
 
 
 class TestBitStateVisitedSet:
-    """The salted fingerprint-keyed supertrace store (``bitstate``)."""
-
-    def test_constructor_bounds(self):
-        with pytest.raises(ValueError):
-            BitStateVisitedSet(bits_log2=2)
-        with pytest.raises(ValueError):
-            BitStateVisitedSet(bits_log2=35)
-        with pytest.raises(ValueError):
-            BitStateVisitedSet(hash_count=0)
-        # the range ends are legal field sizes (no 2 GiB allocation here)
-        assert BitStateVisitedSet(bits_log2=3).bits == 8
-
-    def test_state_key_is_fingerprint(self):
-        state = ModelState()
-        state.set_attribute("d", "switch", "on")
-        assert FingerprintVisitedSet.state_key(state) == state.fingerprint()
-
-
-class TestStateKeyProtocol:
-    """Each store projects states onto its own key form."""
-
-    def test_exact_store_uses_canonical_key(self):
-        state = ModelState()
-        state.set_attribute("d", "lock", "locked")
-        assert ExactVisitedSet().state_key(state) == state.canonical_key()
-
-    def test_bitstate_uses_fingerprint(self):
-        state = ModelState()
-        state.set_attribute("d", "lock", "locked")
-        assert BitStateVisitedSet.state_key(state) == state.fingerprint()
-
-    def test_stats_shapes(self):
-        exact, table = ExactVisitedSet(), BitStateVisitedSet(bits_log2=12)
-        exact.seen_before(("k",), 0)
-        table.seen_before(0xDEAD, 0)
-        exact_stats = exact.stats()
-        assert exact_stats["stored"] == 1
-        assert exact_stats["approx_bytes"] > 0
-        assert exact_stats["bytes_per_state"] > 0
-        stats = table.stats()
-        assert stats["stored"] == 1 and stats["collisions"] == 0
-        assert 0.0 < stats["fill_ratio"] < 1.0
-        assert stats["approx_bytes"] == (1 << 12) // 8
-
-
-def _random_state(rng):
-    """A ModelState built through the public mutators."""
-    state = ModelState()
-    for _ in range(rng.randrange(8)):
-        state.set_attribute("dev%d" % rng.randrange(3),
-                            rng.choice(["switch", "lock", "temp"]),
-                            rng.choice(["on", "off", "locked", 55, 95]))
-    if rng.random() < 0.5:
-        state.mode = rng.choice(["Home", "Away", "Night"])
-    for _ in range(rng.randrange(3)):
-        state.app_state("app%d" % rng.randrange(2))["k%d" % rng.randrange(3)] = (
-            rng.choice([1, "x", [1, 2], {"nested": True}]))
-    for _ in range(rng.randrange(2)):
-        state.add_schedule("app%d" % rng.randrange(2), "h", periodic=bool(rng.randrange(2)))
-    return state
-
-
-class TestFingerprintConsistency:
-    """The collision-audit contract: equal canonical keys must imply
-    equal fingerprints (the engine's stores rely on the implication)."""
-
-    def test_equal_keys_equal_fingerprints_randomized(self):
-        rng = random.Random(20260727)
-        states = [_random_state(rng) for _ in range(120)]
-        by_key = {}
-        for state in states:
-            by_key.setdefault(state.canonical_key(), []).append(state)
-        for group in by_key.values():
-            fingerprints = {state.fingerprint() for state in group}
-            assert len(fingerprints) == 1
-
-    def test_incremental_matches_from_scratch(self):
-        """A fingerprint maintained through mutations equals the one a
-        freshly canonicalized equal state computes."""
-        rng = random.Random(7)
-        for _ in range(60):
-            state = _random_state(rng)
-            state.fingerprint()  # settle caches mid-way
-            state.set_attribute("dev0", "switch", "on")
-            state.mode = "Night"
-            clone = state.copy()
-            clone.set_attribute("dev1", "lock", "unlocked")
-            rebuilt = ModelState()
-            for name, attrs in clone.devices.items():
-                for attribute, value in attrs.items():
-                    rebuilt.set_attribute(name, attribute, value)
-            rebuilt.mode = clone.mode
-            for name, mapping in clone.app_states.items():
-                rebuilt.app_state(name).update(mapping)
-            rebuilt.schedules = clone.schedules
-            assert rebuilt.canonical_key() == clone.canonical_key()
-            assert rebuilt.fingerprint() == clone.fingerprint()
-
-    def test_copy_preserves_fingerprint(self):
-        rng = random.Random(11)
-        state = _random_state(rng)
-        assert state.copy().fingerprint() == state.fingerprint()
-
-    def test_distinct_states_distinct_fingerprints(self):
-        a, b = ModelState(), ModelState()
-        a.set_attribute("d", "switch", "on")
-        b.set_attribute("d", "switch", "off")
-        assert a.fingerprint() != b.fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# property-based
-# ---------------------------------------------------------------------------
-
-_KEYS = st.tuples(st.text(max_size=8), st.integers(0, 1000))
-_U64 = st.integers(0, (1 << 64) - 1)
-
-
-class TestStoreProperties:
-    @given(st.lists(st.tuples(_KEYS, st.integers(0, 5)), max_size=60))
-    def test_exact_store_monotone(self, operations):
-        """Once a key is seen at depth d, it is seen at every depth >= d."""
-        store = ExactVisitedSet()
-        recorded = {}
-        for key, depth in operations:
-            expected_seen = key in recorded and recorded[key] <= depth
-            assert store.seen_before(key, depth) == expected_seen
-            if not expected_seen:
-                recorded[key] = depth
-
-    @given(st.lists(_U64, unique=True, max_size=80))
-    def test_bitstate_never_forgets(self, keys):
-        table = BitStateVisitedSet(bits_log2=16)
-        for key in keys:
-            table.seen_before(key, 0)
-        for key in keys:
-            assert table.seen_before(key, 0)
-
-    @given(st.lists(_U64, unique=True, min_size=1, max_size=50))
-    @settings(max_examples=30)
-    def test_bitstate_stored_plus_collisions_is_total(self, keys):
-        table = BitStateVisitedSet(bits_log2=16)
-        for key in keys:
-            table.seen_before(key, 0)
-        assert table.stored + table.collisions == len(keys)
-
-
-# ---------------------------------------------------------------------------
-# the supertrace store: salted k-hash bitstate
-# ---------------------------------------------------------------------------
-
-
-class TestBitStateVisitedSet:
-    """The salted fingerprint-keyed supertrace store (``bitstate``)."""
+    """The fingerprint-keyed supertrace store (``bitstate``)."""
 
     def test_constructor_bounds(self):
         with pytest.raises(ValueError):
@@ -465,13 +313,16 @@ class TestBitStateVisitedSet:
             store.seen_before(key, 0)
         assert all(store.seen_before(key, 0) for key in keys)
 
-    def test_collision_counter(self):
+    def test_pruned_counter(self):
         store = BitStateVisitedSet(bits_log2=8, hash_count=1)
         for key in range(1000):
             store.seen_before(key, 0)
-        # 256 bits, 1000 keys: collisions are certain
-        assert store.collisions > 0
-        assert store.stored + store.collisions == 1000
+        # 256 bits, 1000 distinct keys: collisions are certain
+        assert store.pruned > 0
+        assert store.stored + store.pruned == 1000
+        # an ordinary revisit is pruned and counted the same way
+        store.seen_before(0, 0)
+        assert store.stored + store.pruned == 1001
 
     def test_more_hashes_fewer_collisions(self):
         """Holzmann: multi-hashing improves coverage at equal memory."""
@@ -480,7 +331,8 @@ class TestBitStateVisitedSet:
         for key in range(300):
             single.seen_before(key, 0)
             triple.seen_before(key, 0)
-        assert triple.collisions < single.collisions
+        # distinct keys, so every pruned key is a collision
+        assert triple.pruned < single.pruned
 
     def test_fill_ratio_matches_per_byte_popcount(self):
         """The incrementally kept fill ratio is the field's popcount."""
@@ -534,21 +386,24 @@ class TestBitStateVisitedSet:
                                        hash_count=8).bit_positions(12345)
         assert len(set(positions)) == 8
 
-    @given(_U64)
-    @settings(max_examples=40)
-    def test_salt_remaps_positions(self, key):
-        """Distinct salts give swarm members independent miss patterns."""
-        plain = BitStateVisitedSet(bits_log2=20, salt=0)
-        salted = BitStateVisitedSet(bits_log2=20, salt=1)
-        assert plain.bit_positions(key) != salted.bit_positions(key)
+    def test_bit_positions_are_pinned(self):
+        """The positions the store set when it still took a salt
+        (defaulting to 0): dropping the salt moved no bit."""
+        store = BitStateVisitedSet(bits_log2=20)
+        assert store.bit_positions(12345) == [384337, 95608, 144638]
+        assert store.bit_positions(0xDEADBEEFCAFEF00D) == [
+            872899, 156192, 919151]
 
     def test_stats_and_distinct_count(self):
         store = BitStateVisitedSet(bits_log2=16)
         for key in (1, 2, 1):
             store.seen_before(key, 0)
-        assert store.distinct_count() == 2  # the revisit is a collision
+        # a bit field cannot tell the revisit from a collision: both
+        # are counted as pruned
+        assert store.distinct_count() == 2
         stats = store.stats()
-        assert stats["stored"] == 2 and stats["collisions"] == 1
+        assert stats["stored"] == 2 and stats["pruned"] == 1
         assert stats["approx_bytes"] == (1 << 16) // 8
         assert 0.0 < stats["fill_ratio"] <= 1.0
-        assert stats["hash_count"] == 3 and stats["salt"] == 0
+        assert stats["hash_count"] == 3
+        assert "salt" not in stats and "collisions" not in stats

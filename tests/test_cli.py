@@ -51,6 +51,19 @@ class TestParser:
             build_parser().parse_args(argv)
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    # one bounded exhaustive search: no sleep-set reduction, no swarm
+    @pytest.mark.parametrize("argv", [
+        ["check", "group1-entry-and-mode", "--reduction"],
+        ["check", "group1-entry-and-mode", "--seed", "3"],
+        ["batch", "group1-entry-and-mode", "--swarm-members", "4"],
+        ["check", "group1-entry-and-mode", "--mode", "swarm"],
+        ["submit", "group1-entry-and-mode", "--mode", "swarm"],
+    ])
+    def test_retired_search_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "error:" in capsys.readouterr().err
+
     def test_pool_workers_flags_stay(self):
         # parallelism across configurations: the job pool's size
         parser = build_parser()

@@ -8,7 +8,7 @@ leaves for them.  None of that
 may move a single observable - these suites prove verdicts, violation
 sets, per-counterexample event paths and rendered traces byte-identical
 to the interpreted oracle across the whole bundled corpus, every
-visited store, the sleep-set reduction and failure enumeration, and
+visited store and failure enumeration, and
 beyond the corpus on generated handler programs.
 """
 
@@ -222,17 +222,6 @@ class TestGroupDifferential:
         assert (codegen.violated_property_ids
                 == interpreted.violated_property_ids)
 
-    def test_group1_with_reduction(self, codegen_cache):
-        registry = _load_or_skip(load_all_apps)
-        system = ModelGenerator(registry).build(
-            GROUP_BUILDERS["group1-entry-and-mode"]())
-        properties = select_relevant(system, build_properties())
-        codegen, interpreted = _verify_both(
-            system, properties, codegen_cache,
-            max_events=3, max_states=20000, reduction=True)
-        _assert_equivalent(codegen, interpreted, "group1+reduction")
-        assert codegen.commutes_pruned == interpreted.commutes_pruned
-
     def test_group1_with_failures_and_concurrent(self, codegen_cache):
         """Failure enumeration disables the quiet-sensor path and the
         concurrent design bypasses the lean relation entirely; both
@@ -343,9 +332,6 @@ class TestCascadeReplay:
         # the cascade-free path for unheard sensor events never replays
         quiet = {ext.label() for ext in plan._quiet}
 
-        def heard(ext):
-            return ext not in plan._quiet
-
         def views(transitions):
             return [_transition_view(system, t) for t in transitions
                     if t[0] not in quiet]
@@ -371,7 +357,7 @@ class TestCascadeReplay:
         passes = []
         for _pass in range(2):
             before = plan.stats()
-            passes.append([views(plan.transitions(state, monitors, heard))
+            passes.append([views(plan.transitions(state, monitors))
                            for state in states])
         after = plan.stats()
         assert after["cascades_live"] == before["cascades_live"]
@@ -401,9 +387,9 @@ class TestCascadeReplay:
             counts = []
             for state in (early, late):
                 before = plan.stats()
-                (transition,) = plan.transitions(
-                    state, monitors,
-                    lambda ext: (ext.device, ext.attribute) == ("m", "motion"))
+                (transition,) = [
+                    t for t in plan.transitions(state, monitors)
+                    if t[0].startswith("m/motion=")]
                 after = plan.stats()
                 counts.append((
                     after["cascades_live"] - before["cascades_live"],

@@ -206,52 +206,38 @@ class TestContentSensitivity:
         assert overlaid.cache_key() != baseline
 
 
-class TestSwarmOptionClassification:
-    """How the swarm knobs map onto semantic vs performance digests.
+class TestOptionClassification:
+    """How the exploration knobs map onto semantic digests.
 
-    ``mode`` decides *what kind of result* is produced (a sampled swarm
-    result is not interchangeable with an exhaustive one), and within
-    swarm mode the seed and member count decide *which sample* - so all
-    three are semantic there.  Outside swarm mode, seed and member count
-    are inert and must not fragment the exhaustive cache.
+    ``mode`` decides *which relation* is explored (interleaved or
+    concurrent), so it is semantic; the retired reduction, salt and
+    sampling knobs are no options at all any more.
     """
 
     def test_mode_is_semantic(self, alice_system):
-        assert (alice_system.digest(options=EngineOptions(mode="swarm"))
+        assert (alice_system.digest(options=EngineOptions(mode="concurrent"))
                 != alice_system.digest(options=EngineOptions()))
-
-    def test_seed_and_members_are_semantic_only_in_swarm_mode(
-            self, alice_system):
-        sequential = {
-            alice_system.digest(options=EngineOptions(seed=seed,
-                                                      swarm_members=members))
-            for seed, members in ((0, 4), (1, 4), (0, 8))}
-        assert sequential == {alice_system.digest(options=EngineOptions())}
-        swarm = {
-            alice_system.digest(options=EngineOptions(mode="swarm",
-                                                      seed=seed,
-                                                      swarm_members=members))
-            for seed, members in ((0, 4), (1, 4), (0, 8))}
-        assert len(swarm) == 3
-
-    def test_bitstate_salt_is_semantic(self, alice_system):
-        """The salt remaps which states a bitstate run *misses*, so two
-        salts are two different (partial) explorations."""
-        assert (alice_system.digest(
-                    options=EngineOptions(visited="bitstate",
-                                          bitstate_salt=1))
-                != alice_system.digest(
-                    options=EngineOptions(visited="bitstate")))
 
     def test_schema_version_retires_old_bitstate_verdicts(self, alice_system,
                                                           monkeypatch):
-        """``bitstate`` named a different hash scheme under digest v4, so
-        the version (hashed into every digest) moved on: a v4 key can
-        never serve a v5 ``bitstate`` run."""
+        """The version is hashed into every digest: ``bitstate`` named a
+        different hash scheme under v4 and took a salt until v5, so a
+        key from either can never serve a v6 ``bitstate`` run."""
         from repro.service import digest
 
         options = EngineOptions(visited="bitstate")
         current = alice_system.digest(options=options)
-        assert digest.DIGEST_SCHEMA_VERSION == 5
-        monkeypatch.setattr(digest, "DIGEST_SCHEMA_VERSION", 4)
-        assert alice_system.digest(options=options) != current
+        assert digest.DIGEST_SCHEMA_VERSION == 6
+        for retired in (4, 5):
+            monkeypatch.setattr(digest, "DIGEST_SCHEMA_VERSION", retired)
+            assert alice_system.digest(options=options) != current
+
+    def test_retired_knobs_are_not_options(self):
+        from repro.service.digest import SEMANTIC_OPTION_FIELDS
+
+        for name in ("reduction", "seed", "swarm_members", "bitstate_salt"):
+            assert name not in SEMANTIC_OPTION_FIELDS
+            with pytest.raises(TypeError):
+                EngineOptions(**{name: 1})
+        with pytest.raises(ValueError, match="unknown mode"):
+            EngineOptions(mode="swarm")

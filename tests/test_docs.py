@@ -27,7 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = os.path.join(ROOT, "docs")
 
 EXPECTED_PAGES = ("index.md", "architecture.md", "performance.md",
-                  "service-api.md", "schemas.md", "swarm.md")
+                  "service-api.md", "schemas.md")
 
 
 def _read(path):

@@ -1,5 +1,11 @@
 """Tests for the pluggable exploration engine (frontiers, strategies,
-visited protocol wiring, and parallel batch verification)."""
+visited protocol wiring, parallel batch verification, and the depth-5
+search under a hard memory cap)."""
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -18,9 +24,12 @@ from repro.engine import (
     verify_many,
     visited_store_names,
 )
+from repro.corpus import load_all_apps
 from repro.engine.core import _Node, replay_path
 from repro.model.state import ModelState
 from repro.properties import build_properties
+
+from tests.conftest import _load_or_skip
 
 
 def _node(depth, pending=()):
@@ -422,3 +431,45 @@ class TestVolunteerJobs:
                                            profiles=["volunteer1-maximalist"])
         assert [job.name for job in jobs] == [
             "vgroup02/volunteer1-maximalist"]
+
+
+# -- depth 5 under a hard memory cap ------------------------------------------
+
+
+_DEPTH5_SCRIPT = textwrap.dedent("""
+    import resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    from repro.corpus.groups import GROUP_BUILDERS
+    from repro.engine import EngineOptions
+    from repro.engine.batch import VerificationJob, execute_job
+    result = execute_job(VerificationJob(
+        "group1", GROUP_BUILDERS["group1-entry-and-mode"](),
+        EngineOptions(max_events=5, max_states=2_000_000,
+                      visited=sys.argv[1]),
+        strict=False))
+    assert not result.truncated, result.truncated_reason
+    print(result.states_explored,
+          resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+""")
+
+
+class TestDepthFiveMemory:
+    @pytest.mark.parametrize("visited", ["fingerprint"])
+    def test_depth5_group1_fits_a_hard_address_space_cap(self, visited):
+        """The exhaustive depth-5 search of group1 (~127k states) must
+        finish inside a 1 GiB RLIMIT_AS on the default in-RAM
+        fingerprint store: the search keeps only the visited store and
+        the frontier, never a memo of expanded states.  A subprocess,
+        because ru_maxrss is process-lifetime max and RLIMIT_AS must
+        not constrain the rest of the suite."""
+        _load_or_skip(load_all_apps)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEPTH5_SCRIPT, visited],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        states, maxrss_kib = (int(field) for field in proc.stdout.split())
+        assert states >= 100_000  # the full depth-5 frontier, not a stub
+        assert maxrss_kib < 768 * 1024  # well under the 1 GiB cap

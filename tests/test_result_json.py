@@ -149,9 +149,48 @@ class TestCoverage:
         assert result.coverage == "partial"
         assert result.states_explored == 120
         restored = result.to_dict()
-        assert restored["schema"] == 2
+        assert restored["schema"] == 3
         assert not {"workers", "shard" "_stats",
                     "shard" "_failure"} & set(restored)
+
+    def test_v2_swarm_payload_stays_partial(self):
+        """A v2 swarm result (a sampled search, stored with coverage
+        "partial" but neither truncated nor bitstate) still loads as
+        partial, also after a v3 round trip; the swarm block and the
+        sleep-set pruning count are dropped."""
+        payload = {"schema": 2, "verdict": "safe", "coverage": "partial",
+                   "counterexamples": [], "states_explored": 900,
+                   "transitions": 2400, "truncated": False,
+                   "truncated_reason": None, "commutes_pruned": 0,
+                   "visited_stats": {"stored": 900, "approx_bytes": 63000,
+                                     "bytes_per_state": 70.0},
+                   "swarm": {"members": 4, "seed": 7, "candidates": 0,
+                             "replay_failures": 0,
+                             "distinct_violations": 0,
+                             "coverage_estimate": None,
+                             "member_stats": []}}
+        result = ExplorationResult.from_dict(payload)
+        assert result.coverage == "partial"
+        assert result.states_explored == 900
+        restored = result.to_dict()
+        assert restored["schema"] == 3
+        assert not {"swarm", "commutes_pruned"} & set(restored)
+        assert ExplorationResult.from_dict(restored).coverage == "partial"
+
+    def test_exhaustive_results_stay_exhaustive(self, alice_system,
+                                                alice_result):
+        """A complete run loads back exhaustive and untruncated; a
+        truncated one is partial."""
+        payload = json.loads(alice_result.to_json())
+        assert payload["coverage"] == "exhaustive"
+        restored = ExplorationResult.from_dict(payload)
+        assert restored.coverage == "exhaustive"
+        assert not restored.truncated
+        properties = select_relevant(alice_system, build_properties())
+        truncated = ExplorationEngine(
+            alice_system, properties,
+            EngineOptions(max_events=2, max_states=3)).run()
+        assert truncated.truncated and truncated.coverage == "partial"
 
 
 class TestBatchResultRoundTrip:
@@ -171,7 +210,7 @@ class TestBatchResultRoundTrip:
         batch = check_configurations({"alice": alice_config}, workers=1,
                                      max_events=1)
         payload = json.loads(batch.to_json(indent=2))
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["verdict"] in ("safe", "violated")
         assert "alice" in payload["results"]
 

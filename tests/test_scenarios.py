@@ -11,9 +11,7 @@ reads).  These suites pin down the contract:
   (the differential oracle extended to faulted relations);
 - profiles survive the visited-store choices;
 - profiles are digest-distinguished - a lossy verdict can never be
-  served from the clean result cache;
-- the sleep-set reduction silently stands down for non-clean profiles
-  (its independence relation only models the clean semantics).
+  served from the clean result cache.
 """
 
 import pytest
@@ -164,17 +162,6 @@ class TestScenarioSemantics:
                            max_events=2, max_states=20000)
             assert faulted.transitions > clean.transitions, scenario
             assert faulted.states_explored >= clean.states_explored, scenario
-
-    def test_reduction_stands_down_for_non_clean_profiles(self, registry):
-        """The independence relation models clean semantics only, so a
-        non-clean profile must disable the sleep sets - proven by the
-        reduced run matching the unreduced one exactly."""
-        reduced = _run(registry, GROUP1, scenario="lossy", reduction=True,
-                       max_events=2, max_states=20000)
-        plain = _run(registry, GROUP1, scenario="lossy",
-                     max_events=2, max_states=20000)
-        assert reduced.commutes_pruned == 0
-        _assert_equivalent(reduced, plain, "lossy+reduction")
 
     def test_unknown_scenario_rejected_at_option_time(self):
         with pytest.raises(ValueError, match="unknown scenario"):

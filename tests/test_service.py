@@ -359,7 +359,7 @@ class TestHTTPAPI:
 
         stored = service_client.result(first["cache_key"])
         assert stored["verdict"] == first["verdict"]
-        assert stored["result"]["schema"] == 2
+        assert stored["result"]["schema"] == 3
         assert stored["config"]["devices"]
 
         snapshot = service_client.job(first["id"])
@@ -395,7 +395,7 @@ class TestHTTPAPI:
 
     @pytest.mark.parametrize("options", [
         {"visited": "bitstate", "bitstate_bits": 40},
-        {"mode": "swarm", "bitstate_bits": 45},
+        {"mode": "concurrent", "bitstate_bits": 45},
         {"visited": "bitstate", "bitstate_bits": 31},
         {"bitstate_bits": "x"},
         {"bitstate_bits": 2},
@@ -412,7 +412,9 @@ class TestHTTPAPI:
 
     @pytest.mark.parametrize("option", ["successor_cache", "cache_limit",
                                         "cache_min_hit_rate", "cache_warmup",
-                                        "compiled", "workers", "partition"])
+                                        "compiled", "workers", "partition",
+                                        "reduction", "seed", "swarm_members",
+                                        "bitstate_salt"])
     def test_retired_cache_options_are_rejected(self, service_client,
                                                 option):
         with pytest.raises(ServiceError) as excinfo:
@@ -427,6 +429,14 @@ class TestHTTPAPI:
                                    "options": {"engine": "compiled"}})
         assert excinfo.value.status == 400
         assert "bad 'engine' option 'compiled'" in str(excinfo.value)
+
+    def test_retired_swarm_mode_is_rejected(self, service_client):
+        with pytest.raises(ServiceError) as excinfo:
+            service_client.submit({"group": self.GROUP,
+                                   "options": {"mode": "swarm"}})
+        assert excinfo.value.status == 400
+        assert ("bad 'mode' option 'swarm' (allowed: sequential, "
+                "concurrent)") in str(excinfo.value)
 
     def test_unknown_routes_are_404(self, service_client):
         for path in ("/jobs/job-9999", "/results/%s" % ("f" * 64),
@@ -585,7 +595,7 @@ class TestBatchJson:
         code = cli_main(["batch", "group1-entry-and-mode", "--json",
                          "--max-events", "2", "--workers", "1"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert "group1-entry-and-mode" in payload["results"]
         if payload["verdict"] == "violated":
             assert code == 1

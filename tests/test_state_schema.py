@@ -10,8 +10,7 @@ Three contracts pin it down:
   ``a.canonical_key() == b.canonical_key()``, over the same arbitrary
   states.
 * **Store equivalence**: the exact store and the fingerprint store agree
-  on every verdict over the whole bundled corpus, with and without the
-  sleep-set reduction.
+  on every verdict and state count over the whole bundled corpus.
 """
 
 import pytest
@@ -172,32 +171,21 @@ class TestPackRoundTripProperty:
 # -- corpus-wide verdict equivalence -----------------------------------------
 
 class TestCorpusVerdictEquivalence:
-    """All visited stores and reduction on/off: identical verdicts."""
+    """The exact and fingerprint stores: identical verdicts."""
 
     @pytest.mark.parametrize("group_name", sorted(GROUP_BUILDERS))
-    def test_stores_and_reduction_agree(self, group_name):
+    def test_stores_agree(self, group_name):
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS[group_name](), strict=False)
         from repro.properties import build_properties, select_relevant
         properties = select_relevant(system, build_properties())
 
-        runs = {}
-        for store in ("exact", "fingerprint"):
-            for reduction in (False, True):
-                runs[(store, reduction)] = verify(
-                    system, properties, max_events=2, visited=store,
-                    reduction=reduction)
-
-        baseline = runs[("exact", False)]
-        for (store, reduction), result in runs.items():
-            assert (result.violated_property_ids
-                    == baseline.violated_property_ids), (group_name, store,
-                                                         reduction)
-            if not reduction:
-                # unreduced runs cover the identical bounded space
-                assert result.states_explored == baseline.states_explored, (
-                    group_name, store)
-            else:
-                assert result.states_explored <= baseline.states_explored, (
-                    group_name, store)
+        exact, fingerprint = (
+            verify(system, properties, max_events=2, visited=store)
+            for store in ("exact", "fingerprint"))
+        assert (fingerprint.violated_property_ids
+                == exact.violated_property_ids), group_name
+        # both cover the identical bounded space
+        assert fingerprint.states_explored == exact.states_explored, (
+            group_name)

@@ -388,11 +388,11 @@ class TestSummarySatellites:
 
 
 # ---------------------------------------------------------------------------
-# warnings + swarm events
+# warnings
 # ---------------------------------------------------------------------------
 
 
-class TestWarningAndSwarmEvents:
+class TestWarningEvents:
     def test_warning_counter_increments_per_name(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         session = open_session(TelemetryConfig(path=path))
@@ -422,6 +422,8 @@ class TestWarningAndSwarmEvents:
         assert event["count"] == 1
         assert event["fill_ratio"] > 0.5
         assert event["stored"] > 0
+        assert event["pruned"] > 0
+        assert "collisions" not in event
 
     def test_unsaturated_run_does_not_warn(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -429,16 +431,3 @@ class TestWarningAndSwarmEvents:
                                       telemetry=path))  # roomy default field
         assert not [e for e in read_events(path) if e["kind"] == "warning"]
 
-    def test_swarm_run_logs_members_and_mode(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        execute_job(_group_job(mode="swarm", swarm_members=2, seed=5,
-                                      telemetry=path))
-        events = read_events(path)
-        start = next(e for e in events if e["kind"] == "run_start")
-        assert start["mode"] == "swarm"
-        assert start["seed"] == 5 and start["swarm_members"] == 2
-        members = [e for e in events if e["kind"] == "swarm_member"]
-        assert [e["member"] for e in members] == [0, 1]
-        assert all(e["elapsed"] >= 0 for e in members)
-        end = next(e for e in events if e["kind"] == "run_end")
-        assert end["states"] == sum(e["states"] for e in members)
