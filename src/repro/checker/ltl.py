@@ -22,6 +22,7 @@ quiescent states, but this module provides the same LTL surface:
 import re
 
 from repro.properties import physical
+from repro.properties.base import SystemBinding
 
 
 class LTLSyntaxError(ValueError):
@@ -558,6 +559,8 @@ class AtomTable:
 
     def __init__(self, system):
         self.system = system
+        #: the invariants' vocabulary: the physical atoms come from it
+        self._binding = SystemBinding(system)
         self._atoms = {}
         self._install_builtins()
 
@@ -586,16 +589,14 @@ class AtomTable:
 
     def _install_builtins(self):
         system = self.system
-        physical_atoms = {
-            "nobody_home": physical.nobody_home,
-            "somebody_home": physical.somebody_home,
-            "smoke_detected": physical.smoke_detected,
-            "co_detected": physical.co_detected,
-            "water_leak": physical.water_leak,
-            "intrusion": physical.intrusion,
-        }
-        for name, predicate in physical_atoms.items():
-            self._atoms[name] = _bind_system(predicate, system)
+        binding = self._binding
+        for name, atom in (("nobody_home", "nobody_home"),
+                           ("somebody_home", "somebody_home"),
+                           ("smoke_detected", "smoke"),
+                           ("co_detected", "co"),
+                           ("water_leak", "leak"),
+                           ("intrusion", "intrusion")):
+            self._atoms[name] = binding.atom(atom)
 
         self._atoms["mode_away"] = lambda s: s.mode == system.away_mode
         self._atoms["mode_home"] = lambda s: s.mode == system.home_mode
@@ -617,15 +618,17 @@ class AtomTable:
                                                         "both")
         self._atoms["alarm_sounding"] = alarm_sounding
 
+        temperature = binding.atom("temperature")
+
         def temp_below_low(state):
-            temp = physical.temperature(state, system)
+            temp = temperature(state)
             if temp is None:
                 return None
             low = system.role("temp_low") or physical.TEMP_LOW
             return temp < float(low)
 
         def temp_above_high(state):
-            temp = physical.temperature(state, system)
+            temp = temperature(state)
             if temp is None:
                 return None
             high = system.role("temp_high") or physical.TEMP_HIGH
@@ -677,7 +680,7 @@ class AtomTable:
         """A term of a comparison: state variable, threshold, or literal."""
         system = self.system
         if name == "temp":
-            return lambda state: physical.temperature(state, system)
+            return self._binding.atom("temperature")
         if name == "mode":
             return lambda state: state.mode
         if name == "tstat_mode":
@@ -743,10 +746,6 @@ def _negate(value):
     if value is None:
         return None
     return not value
-
-
-def _bind_system(predicate, system):
-    return lambda state: predicate(state, system)
 
 
 def invariant_formula(prop):

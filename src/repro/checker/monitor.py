@@ -14,12 +14,12 @@ cascade).  The cascade context calls the hooks; the monitor turns them into
   user notification).
 """
 
+from repro.checker.compiled import CompiledProperties
 from repro.checker.violations import Violation
 from repro.devices.capabilities import conflicting_values
 from repro.properties.base import (
     KIND_CONFLICT,
     KIND_FAKE_EVENT,
-    KIND_INVARIANT,
     KIND_LEAKAGE_HTTP,
     KIND_LEAKAGE_SMS,
     KIND_REPEAT,
@@ -31,36 +31,25 @@ from repro.properties.base import (
 class SafetyMonitor:
     """Per-cascade property monitor.
 
-    ``compiled`` optionally supplies a
-    :class:`~repro.checker.compiled.CompiledProperties` set: the property
-    partition is then shared instead of being rebuilt per cascade, and
-    invariant verdicts come from its per-physical-state memo.  Without it
-    the monitor partitions and evaluates from scratch (the exact path).
+    ``compiled`` supplies the engine's shared
+    :class:`~repro.checker.compiled.CompiledProperties` set: its property
+    partition and bound invariant checks, and its per-physical-state
+    verdict memo.  Without it the monitor compiles ``properties`` itself,
+    unmemoized (every invariant evaluated on the state it is given).
     """
 
     __slots__ = ("system", "violations", "_keys", "_compiled", "_by_kind",
-                 "_invariants", "_commands", "_dropped", "_notified",
-                 "_actors")
+                 "_commands", "_dropped", "_notified", "_actors")
 
     def __init__(self, system, properties, compiled=None):
         self.system = system
         self.violations = []
         # dedup keys of ``violations`` (a cascade reports each once)
         self._keys = set()
+        if compiled is None:
+            compiled = CompiledProperties(system, properties, memoize=False)
         self._compiled = compiled
-        if compiled is not None:
-            self._by_kind = compiled.by_kind
-            self._invariants = compiled.invariants
-        else:
-            self._by_kind = {}
-            self._invariants = []
-            for prop in properties:
-                if not prop.applicable(system):
-                    continue
-                if prop.kind == KIND_INVARIANT:
-                    self._invariants.append(prop)
-                else:
-                    self._by_kind[prop.kind] = prop
+        self._by_kind = compiled.by_kind
         # per-cascade command log: (device, command, payload, app)
         self._commands = []
         # apps whose command was dropped by a failure, and apps that notified
@@ -158,12 +147,7 @@ class SafetyMonitor:
         Violations are attributed to the apps that acted during the
         cascade that produced the state (Table 5's "apps related to
         example" column)."""
-        if self._compiled is not None:
-            failed = self._compiled.failed_invariants(state)
-        else:
-            failed = [prop for prop in self._invariants
-                      if not prop.holds(state, self.system)]
-        for prop in failed:
+        for prop in self._compiled.failed_invariants(state):
             apps = tuple(self._actors) or self._responsible_apps(prop)
             self._report(prop,
                          "unsafe physical state: %s" % prop.description,

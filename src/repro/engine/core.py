@@ -79,15 +79,17 @@ class ExplorationEngine:
         #: whether the codegen relation may hand the search stateless
         #: quiet leaves (only the default fingerprint store takes them)
         self._quiet_leaf_stubs = False
-        #: the last run's cascade counts (:meth:`CodegenPlan.stats`;
-        #: empty on the interpreted tier) - kept off the result so its
-        #: JSON does not depend on the tier
+        #: the last run's cascade counts (:meth:`CodegenPlan.stats` and
+        #: ``invariant_inherited``; empty on the interpreted tier) - kept
+        #: off the result so its JSON does not depend on the tier
         self.cascade_stats = {}
-        # partition properties and resolve applicability once per engine;
-        # every per-cascade monitor shares this compiled set.  The verdict
-        # memo is hash-keyed (physical projection, ~2^-64 collisions), so
-        # the "exact" store - whose contract is no hash shortcuts at all -
-        # turns it off and re-evaluates invariants on every quiescent state
+        # partition properties, resolve applicability and bind the
+        # invariants once per engine; every per-cascade monitor shares
+        # this compiled set.  The verdict memo is hash-keyed (physical
+        # projection, ~2^-64 collisions), so the "exact" store - whose
+        # contract is no hash shortcuts at all - turns it off, and with it
+        # verdict inheritance, and re-evaluates invariants on every
+        # quiescent state
         self._compiled_properties = CompiledProperties(
             system, self.properties,
             memoize=self.options.visited != "exact")
@@ -266,6 +268,10 @@ class ExplorationEngine:
         if self._plan is not None:
             self._plan.release()
             self.cascade_stats = self._plan.stats()
+            # beside the quiet leaves: the quiet events whose invariant
+            # verdict the lean relation took from their parent
+            self.cascade_stats["invariant_inherited"] = (
+                self._compiled_properties.inherited)
         self._phase_times["canonicalize"] = (time.monotonic()
                                              - finalize_started)
         result.elapsed = time.monotonic() - started

@@ -25,60 +25,58 @@ from repro.properties.base import InvariantProperty
 _CATEGORY = "IFTTT rule safety"
 
 
-def _motion_active(state, system):
-    return any(state.attribute(m, "motion") == "active"
-               for m in system.role_list("motion_sensors"))
+_SOUNDING = ("strobe", "siren", "both")
 
 
-def _intruder_detected(state, system):
-    """Motion or an entry contact opening counts as an intruder (§11)."""
-    if _motion_active(state, system):
-        return True
-    return any(state.attribute(c, "contact") == "open"
-               for c in system.role_list("entry_contacts"))
-
-
-def _alarm_sounding(state, system):
-    device = system.role("alarm")
-    if device is None:
-        return None
-    return state.attribute(device, "alarm") in ("strobe", "siren", "both")
-
-
-def _p_siren_on_intrusion(state, system):
+def _p_siren_on_intrusion(b):
     """Siren/strobe must be activated when motion (intruder) is detected."""
-    if not _motion_active(state, system):
-        return None
-    return _alarm_sounding(state, system)
+    motion = b.any_equals("motion_sensors", "motion", "active")
+    alarm = b.device("alarm", "alarm")
+
+    def check(state):
+        if not motion(state):
+            return None
+        return state.attribute(alarm, "alarm") in _SOUNDING
+    return check
 
 
-def _p_siren_only_on_intrusion(state, system):
+def _p_siren_only_on_intrusion(b):
     """Siren/strobe must not be activated without an intruder."""
-    sounding = _alarm_sounding(state, system)
-    if sounding is not True:
-        return None
-    return _motion_active(state, system)
+    motion = b.any_equals("motion_sensors", "motion", "active")
+    alarm = b.device("alarm", "alarm")
+
+    def check(state):
+        if state.attribute(alarm, "alarm") not in _SOUNDING:
+            return None
+        return motion(state)
+    return check
 
 
-def _p_door_locked_when_away(state, system):
+def _p_door_locked_when_away(b):
     """The front door must be locked when nobody is home."""
-    sensors = system.role_list("presence_sensors")
-    if not sensors:
-        return None
-    if not all(state.attribute(s, "presence") == "not present"
-               for s in sensors):
-        return None
-    return state.attribute(system.role("main_door_lock"), "lock") == "locked"
+    away = b.atom("nobody_home")
+    lock = b.device("main_door_lock", "lock")
+
+    def check(state):
+        if away(state) is not True:
+            return None
+        return state.attribute(lock, "lock") == "locked"
+    return check
 
 
-def _p_call_on_intrusion(state, system):
-    """A phone call must be triggered when an intruder is detected."""
-    if not _intruder_detected(state, system):
-        return None
-    device = system.role("voip_call")
-    if device is None:
-        return None
-    return state.attribute(device, "call") == "calling"
+def _p_call_on_intrusion(b):
+    """A phone call must be triggered when an intruder is detected.
+
+    Motion or an entry contact opening counts as an intruder (§11)."""
+    motion = b.any_equals("motion_sensors", "motion", "active")
+    contact = b.any_equals("entry_contacts", "contact", "open")
+    phone = b.device("voip_call", "call")
+
+    def check(state):
+        if not (motion(state) or contact(state)):
+            return None
+        return state.attribute(phone, "call") == "calling"
+    return check
 
 
 TABLE9_PROPERTIES = [

@@ -1288,6 +1288,10 @@ class CodegenPlan:
         # nothing dispatched - so failure enumeration or a faulted
         # profile sends every event through the full cascade
         self._quiet = set()
+        #: the subset of ``_quiet`` whose verdict is inherited, for the
+        #: compiled property set it was computed for
+        self._unread = frozenset()
+        self._unread_for = None
         clean = not system.enable_failures and system.scenario_profile.is_clean
         #: this run's recorded cascades; ``None`` when faults make
         #: cascades fork (only single-scenario clean cascades replay)
@@ -1365,7 +1369,8 @@ class CodegenPlan:
         :class:`~repro.model.state.QuietLeaf` instead of a built state."""
         out = []
         quiet = self._quiet
-        compiled = None
+        compiled = unread = None
+        parent_failed = None
         for ext in self.system.external_choices(state):
             if ext not in quiet:
                 self._run_event(out, state, ext, monitor_factory)
@@ -1373,25 +1378,39 @@ class CodegenPlan:
             # cascade-free: time quantum, the sensor write, the event
             # record, the final invariant check - byte-identical to a
             # lean cascade with an empty dispatch.  Such a cascade
-            # reports exactly its invariant failures, so the (memoized)
-            # compiled-invariant verdict decides whether a monitor is
-            # needed at all; when it is, the monitor re-checks through
-            # the ordinary path and yields the identical violation list
+            # reports exactly its invariant failures, so the compiled
+            # invariant verdict decides whether a monitor is needed at
+            # all; when it is, the monitor re-checks through the
+            # ordinary path and yields the identical violation list
             if compiled is None:
                 compiled = monitor_factory()._compiled
+                unread = self._unread_quiet(compiled)
             failed = None
-            keys = (state.replaced_keys(ext.device, ext.attribute, ext.value)
-                    if leaf else None)
-            if keys is not None:
-                # at the bound, a violation-free successor is admitted by
-                # its fingerprint alone and never built
-                failed = compiled.failed_indices(keys[1], ReplacedAttribute(
-                    state, ext.device, ext.attribute, ext.value))
-                if not failed:
-                    self.quiet_leaves += 1
-                    out.append((ext.label(), QuietLeaf(keys[0]), True, [],
-                                []))
-                    continue
+            if ext in unread:
+                # no bound check reads the written pair, and none reads
+                # time or history: the successor's verdict is the
+                # parent's (the exact store, which turns the verdict memo
+                # off, evaluates every successor instead)
+                if parent_failed is None:
+                    parent_failed = compiled.failed_indices(
+                        state.physical_key(), state)
+                failed = parent_failed
+                compiled.inherited += 1
+            if leaf and not failed:
+                keys = state.replaced_keys(ext.device, ext.attribute,
+                                           ext.value)
+                if keys is not None:
+                    if failed is None:
+                        failed = compiled.failed_indices(
+                            keys[1], ReplacedAttribute(
+                                state, ext.device, ext.attribute, ext.value))
+                    if not failed:
+                        # at the bound, a violation-free successor is
+                        # admitted by its fingerprint alone, never built
+                        self.quiet_leaves += 1
+                        out.append((ext.label(), QuietLeaf(keys[0]), True,
+                                    [], []))
+                        continue
             new_state = state.copy()
             new_state.cascade_commands = ()
             new_state.time += TIME_QUANTUM_MS
@@ -1403,6 +1422,19 @@ class CodegenPlan:
             new_state.seal()
             out.append((ext.label(), new_state, True, violations, []))
         return out
+
+    def _unread_quiet(self, compiled):
+        """The quiet events whose written ``(device, attribute)`` pair no
+        check of ``compiled`` reads; empty unless its verdicts are
+        memoized.  Cached for the compiled set last asked about."""
+        if self._unread_for is not compiled:
+            reads = compiled.reads
+            self._unread = frozenset(
+                ext for ext in self._quiet
+                if (ext.device, ext.attribute) not in reads
+            ) if compiled.memoize else frozenset()
+            self._unread_for = compiled
+        return self._unread
 
     def _run_event(self, out, state, ext, monitor_factory):
         """One external event's cascades (all failure scenarios)."""

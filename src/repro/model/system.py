@@ -7,6 +7,7 @@ interleavings of pending internal events), both with optional failure
 enumeration.
 """
 
+from repro.groovy import ast
 from repro.model.cascade import Cascade, FailureScenario, NO_FAILURE
 from repro.model.events import APP, DEVICE, FAKE, LOCATION, ExternalEvent
 from repro.model.faults import CLEAN
@@ -148,6 +149,7 @@ class IoTSystem:
         self._interesting_pairs = None
         self._sensor_event_table = None
         self._static_choices = None
+        self._changes_mode = None
         self._state_schema = None
 
     # ------------------------------------------------------------------
@@ -201,6 +203,21 @@ class IoTSystem:
         if isinstance(value, list):
             return bool(value)
         return value is not None
+
+    def changes_mode(self):
+        """Whether any installed app can change the location mode.
+
+        Obligation properties on the mode ("mode must change to Away when
+        nobody is home") are only meaningful when some app manages modes -
+        the environment alone can never satisfy them.  Every app's AST is
+        walked once per system.
+        """
+        if self._changes_mode is None:
+            self._changes_mode = any(
+                isinstance(node, (ast.Call, ast.MethodCall))
+                and node.name == "setLocationMode"
+                for app in self.apps for node in app.smart_app.program.walk())
+        return self._changes_mode
 
     @property
     def away_mode(self):

@@ -48,18 +48,19 @@ def throughput_series(snapshots):
 
 
 def cascade_line(stats):
-    """``N live, M replayed (P%), K replay leaves, Q quiet leaves`` for a
-    codegen run's cascade counts (a ``run_end`` event or
-    :meth:`CodegenPlan.stats`)."""
+    """``N live, M replayed (P%), K replay leaves, Q quiet leaves, I
+    inherited verdicts`` for a codegen run's cascade counts (a
+    ``run_end`` event or the engine's ``cascade_stats``)."""
     live = stats.get("cascades_live", 0)
     replayed = stats.get("cascades_replayed", 0)
     total = live + replayed
     return ("%s live, %s replayed (%.1f%%), %s replay leaves, "
-            "%s quiet leaves") % (
+            "%s quiet leaves, %s inherited verdicts") % (
         _count(live), _count(replayed),
         100.0 * replayed / total if total else 0.0,
         _count(stats.get("replay_leaves", 0)),
-        _count(stats.get("quiet_leaves", 0)))
+        _count(stats.get("quiet_leaves", 0)),
+        _count(stats.get("invariant_inherited", 0)))
 
 
 def render_report(events):

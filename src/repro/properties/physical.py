@@ -4,14 +4,20 @@ Six categories: Thermostat/AC/Heater (5), Lock and door control (8),
 Location mode (3), Security and alarming (14), Water and sprinkler (3),
 Others (5).
 
-Each predicate reads device *roles* from the system association (set by the
-Configuration Extractor / user, §7: "we have an interface to get the device
-association info ... from the user").  A property is applicable only when
-the roles it mentions are bound, which is how "the LTL format of the
-selected properties are automatically generated" from association info (§8).
+Each invariant reads device *roles* from the system association (set by
+the Configuration Extractor / user, §7: "we have an interface to get the
+device association info ... from the user").  A property is applicable
+only when the roles it mentions are bound, which is how "the LTL format of
+the selected properties are automatically generated" from association
+info (§8).
+
+Each invariant is a *binder* over a
+:class:`~repro.properties.base.SystemBinding`: it resolves its roles,
+thresholds and mode names once per system and returns a check over
+constants, whose ``(device, attribute)`` reads the binding records.
 """
 
-from repro.properties.base import InvariantProperty
+from repro.properties.base import InvariantProperty, number
 
 # Threshold defaults; overridable via association values.
 TEMP_LOW = 65
@@ -19,91 +25,7 @@ TEMP_HIGH = 85
 HUMIDITY_LOW = 20
 HUMIDITY_HIGH = 80
 
-
-# ---------------------------------------------------------------------------
-# role helpers
-# ---------------------------------------------------------------------------
-
-
-def _role(system, name):
-    return system.role(name)
-
-
-def _roles(system, name):
-    return system.role_list(name)
-
-
-def _attr(state, device, attribute):
-    if device is None:
-        return None
-    return state.attribute(device, attribute)
-
-
-def _num(value, default=None):
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return default
-
-
-def _threshold(system, name, default):
-    value = system.role(name)
-    return _num(value, default)
-
-
-def nobody_home(state, system):
-    """True/False from presence sensors; ``None`` when unknowable."""
-    sensors = _roles(system, "presence_sensors")
-    if not sensors:
-        return None
-    return all(_attr(state, s, "presence") == "not present" for s in sensors)
-
-
-def somebody_home(state, system):
-    away = nobody_home(state, system)
-    if away is None:
-        return None
-    return not away
-
-
-def smoke_detected(state, system):
-    detectors = _roles(system, "smoke_detectors")
-    return any(_attr(state, d, "smoke") == "detected" for d in detectors)
-
-
-def co_detected(state, system):
-    detectors = _roles(system, "co_detectors")
-    return any(_attr(state, d, "carbonMonoxide") == "detected" for d in detectors)
-
-
-def water_leak(state, system):
-    sensors = _roles(system, "water_sensors")
-    return any(_attr(state, s, "water") == "wet" for s in sensors)
-
-
-def intrusion(state, system):
-    """Contact opens or motion while the home is in Away mode."""
-    if state.mode != system.away_mode:
-        return False
-    contacts = _roles(system, "entry_contacts")
-    motions = _roles(system, "motion_sensors")
-    return (any(_attr(state, c, "contact") == "open" for c in contacts)
-            or any(_attr(state, m, "motion") == "active" for m in motions))
-
-
-def temperature(state, system):
-    sensor = _role(system, "temp_sensor")
-    return _num(_attr(state, sensor, "temperature"))
-
-
-def _switch_on(state, device):
-    return _attr(state, device, "switch") == "on"
-
-
-def _alarm_sounding(state, device):
-    return _attr(state, device, "alarm") in ("strobe", "siren", "both")
+_SOUNDING = ("strobe", "siren", "both")
 
 
 # ---------------------------------------------------------------------------
@@ -111,49 +33,76 @@ def _alarm_sounding(state, device):
 # ---------------------------------------------------------------------------
 
 
-def _p_heater_not_on_when_hot(state, system):
-    temp = temperature(state, system)
-    if temp is None:
-        return None
-    if temp < _threshold(system, "temp_high", TEMP_HIGH):
-        return None
-    return not _switch_on(state, _role(system, "heater_outlet"))
+def _p_heater_not_on_when_hot(b):
+    temperature = b.atom("temperature")
+    high = b.threshold("temp_high", TEMP_HIGH)
+    heater = b.device("heater_outlet", "switch")
+
+    def check(state):
+        temp = temperature(state)
+        if temp is None or temp < high:
+            return None
+        return state.attribute(heater, "switch") != "on"
+    return check
 
 
-def _p_ac_not_on_when_cold(state, system):
-    temp = temperature(state, system)
-    if temp is None:
-        return None
-    if temp > _threshold(system, "temp_low", TEMP_LOW):
-        return None
-    return not _switch_on(state, _role(system, "ac_outlet"))
+def _p_ac_not_on_when_cold(b):
+    temperature = b.atom("temperature")
+    low = b.threshold("temp_low", TEMP_LOW)
+    ac = b.device("ac_outlet", "switch")
+
+    def check(state):
+        temp = temperature(state)
+        if temp is None or temp > low:
+            return None
+        return state.attribute(ac, "switch") != "on"
+    return check
 
 
-def _p_ac_heater_not_both_on(state, system):
-    heater = _role(system, "heater_outlet")
-    ac = _role(system, "ac_outlet")
-    return not (_switch_on(state, heater) and _switch_on(state, ac))
+def _p_ac_heater_not_both_on(b):
+    heater = b.device("heater_outlet", "switch")
+    ac = b.device("ac_outlet", "switch")
+
+    def check(state):
+        return not (state.attribute(heater, "switch") == "on"
+                    and state.attribute(ac, "switch") == "on")
+    return check
 
 
-def _p_heater_on_when_cold_at_home(state, system):
-    temp = temperature(state, system)
-    home = somebody_home(state, system)
-    if temp is None or home is not True:
-        return None
-    if temp > _threshold(system, "temp_low", TEMP_LOW):
-        return None
-    return _switch_on(state, _role(system, "heater_outlet"))
+def _cold_at_home(b):
+    """``state -> bool``: cold (at or below the low threshold) while
+    somebody is home - the guard of P04 and P05."""
+    temperature = b.atom("temperature")
+    home = b.atom("somebody_home")
+    low = b.threshold("temp_low", TEMP_LOW)
+
+    def cold(state):
+        temp = temperature(state)
+        return (temp is not None and home(state) is True
+                and not temp > low)
+    return cold
 
 
-def _p_thermostat_not_off_when_cold_at_home(state, system):
-    thermostat = _role(system, "thermostat")
-    temp = temperature(state, system)
-    home = somebody_home(state, system)
-    if temp is None or home is not True:
-        return None
-    if temp > _threshold(system, "temp_low", TEMP_LOW):
-        return None
-    return _attr(state, thermostat, "thermostatMode") != "off"
+def _p_heater_on_when_cold_at_home(b):
+    cold = _cold_at_home(b)
+    heater = b.device("heater_outlet", "switch")
+
+    def check(state):
+        if not cold(state):
+            return None
+        return state.attribute(heater, "switch") == "on"
+    return check
+
+
+def _p_thermostat_not_off_when_cold_at_home(b):
+    cold = _cold_at_home(b)
+    thermostat = b.device("thermostat", "thermostatMode")
+
+    def check(state):
+        if not cold(state):
+            return None
+        return state.attribute(thermostat, "thermostatMode") != "off"
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -161,65 +110,93 @@ def _p_thermostat_not_off_when_cold_at_home(state, system):
 # ---------------------------------------------------------------------------
 
 
-def _p_main_door_locked_when_away(state, system):
-    away = nobody_home(state, system)
-    if away is not True:
-        return None
-    return _attr(state, _role(system, "main_door_lock"), "lock") == "locked"
+def _when_nobody_home(b, role, attribute, test):
+    """``[] (nobody_home -> test(role's attribute))``."""
+    away = b.atom("nobody_home")
+    device = b.device(role, attribute)
 
-
-def _p_main_door_locked_at_night(state, system):
-    if state.mode != system.night_mode:
-        return None
-    return _attr(state, _role(system, "main_door_lock"), "lock") == "locked"
-
-
-def _p_main_door_locked_in_away_mode(state, system):
-    if state.mode != system.away_mode:
-        return None
-    return _attr(state, _role(system, "main_door_lock"), "lock") == "locked"
-
-
-def _p_garage_closed_when_away(state, system):
-    away = nobody_home(state, system)
-    if away is not True:
-        return None
-    return _attr(state, _role(system, "garage_door"), "door") == "closed"
-
-
-def _p_garage_closed_at_night(state, system):
-    if state.mode != system.night_mode:
-        return None
-    return _attr(state, _role(system, "garage_door"), "door") == "closed"
-
-
-def _p_all_locks_locked_in_away_mode(state, system):
-    if state.mode != system.away_mode:
-        return None
-    locks = _roles(system, "locks")
-    if not locks:
-        return None
-    return all(_attr(state, lock, "lock") == "locked" for lock in locks)
-
-
-def _p_door_locked_when_sleeping(state, system):
-    sensors = _roles(system, "sleep_sensors")
-    sleeping = [s for s in sensors if _attr(state, s, "sleeping") == "sleeping"]
-    if not sensors or not sleeping:
-        # Night mode is the usual stand-in for "everyone asleep".
-        if state.mode != system.night_mode:
+    def check(state):
+        if away(state) is not True:
             return None
-    return _attr(state, _role(system, "main_door_lock"), "lock") == "locked"
+        return test(state.attribute(device, attribute))
+    return check
 
 
-def _p_entry_door_not_open_when_away(state, system):
+def _in_mode(b, mode, role, attribute, test):
+    """``[] (mode == mode -> test(role's attribute))``."""
+    device = b.device(role, attribute)
+
+    def check(state):
+        if state.mode != mode:
+            return None
+        return test(state.attribute(device, attribute))
+    return check
+
+
+def _is(value):
+    return lambda current: current == value
+
+
+def _is_not(value):
+    return lambda current: current != value
+
+
+def _p_main_door_locked_when_away(b):
+    return _when_nobody_home(b, "main_door_lock", "lock", _is("locked"))
+
+
+def _p_main_door_locked_at_night(b):
+    return _in_mode(b, b.night_mode, "main_door_lock", "lock",
+                    _is("locked"))
+
+
+def _p_main_door_locked_in_away_mode(b):
+    return _in_mode(b, b.away_mode, "main_door_lock", "lock", _is("locked"))
+
+
+def _p_garage_closed_when_away(b):
+    return _when_nobody_home(b, "garage_door", "door", _is("closed"))
+
+
+def _p_garage_closed_at_night(b):
+    return _in_mode(b, b.night_mode, "garage_door", "door", _is("closed"))
+
+
+def _p_all_locks_locked_in_away_mode(b):
+    away_mode = b.away_mode
+    locked = b.all_equal("locks", "lock", "locked")
+
+    def check(state):
+        if state.mode != away_mode:
+            return None
+        return locked(state)
+    return check
+
+
+def _p_door_locked_when_sleeping(b):
+    night_mode = b.night_mode
+    sleeping = b.any_equals("sleep_sensors", "sleeping", "sleeping")
+    lock = b.device("main_door_lock", "lock")
+
+    def check(state):
+        # night mode is the usual stand-in for "everyone asleep"
+        if not sleeping(state) and state.mode != night_mode:
+            return None
+        return state.attribute(lock, "lock") == "locked"
+    return check
+
+
+def _p_entry_door_not_open_when_away(b):
     """Not open when nobody is home, nor at night while people sleep."""
-    away = nobody_home(state, system)
-    asleep = state.mode == system.night_mode
-    if away is not True and not asleep:
-        return None
-    door = _role(system, "entry_door_control")
-    return _attr(state, door, "door") != "open"
+    away = b.atom("nobody_home")
+    night_mode = b.night_mode
+    door = b.device("entry_door_control", "door")
+
+    def check(state):
+        if away(state) is not True and state.mode != night_mode:
+            return None
+        return state.attribute(door, "door") != "open"
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +204,40 @@ def _p_entry_door_not_open_when_away(state, system):
 # ---------------------------------------------------------------------------
 
 
-def _p_mode_away_when_nobody_home(state, system):
-    away = nobody_home(state, system)
-    if away is not True:
-        return None
-    return state.mode == system.away_mode
+def _p_mode_away_when_nobody_home(b):
+    away = b.atom("nobody_home")
+    away_mode = b.away_mode
+
+    def check(state):
+        if away(state) is not True:
+            return None
+        return state.mode == away_mode
+    return check
 
 
-def _p_mode_not_away_when_somebody_home(state, system):
-    home = somebody_home(state, system)
-    if home is not True:
-        return None
-    return state.mode != system.away_mode
+def _p_mode_not_away_when_somebody_home(b):
+    home = b.atom("somebody_home")
+    away_mode = b.away_mode
+
+    def check(state):
+        if home(state) is not True:
+            return None
+        return state.mode != away_mode
+    return check
 
 
-def _p_mode_home_when_arriving(state, system):
-    home = somebody_home(state, system)
-    if home is not True:
-        return None
-    if state.mode == system.night_mode:
-        return None  # being home at night is fine
-    return state.mode == system.home_mode
+def _p_mode_home_when_arriving(b):
+    home = b.atom("somebody_home")
+    night_mode = b.night_mode
+    home_mode = b.home_mode
+
+    def check(state):
+        if home(state) is not True:
+            return None
+        if state.mode == night_mode:
+            return None  # being home at night is fine
+        return state.mode == home_mode
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -255,103 +245,110 @@ def _p_mode_home_when_arriving(state, system):
 # ---------------------------------------------------------------------------
 
 
-def _p_alarm_on_smoke(state, system):
-    if not smoke_detected(state, system):
-        return None
-    return _alarm_sounding(state, _role(system, "alarm"))
+def _when_atom(b, atom, role, attribute, test):
+    """``[] (atom -> test(role's attribute))``."""
+    cause = b.atom(atom)
+    device = b.device(role, attribute)
+
+    def check(state):
+        if not cause(state):
+            return None
+        return test(state.attribute(device, attribute))
+    return check
 
 
-def _p_alarm_on_co(state, system):
-    if not co_detected(state, system):
-        return None
-    return _alarm_sounding(state, _role(system, "alarm"))
+def _sounding(current):
+    return current in _SOUNDING
 
 
-def _p_alarm_quiet_without_cause(state, system):
-    alarm = _role(system, "alarm")
-    if not _alarm_sounding(state, alarm):
-        return None
-    return (smoke_detected(state, system) or co_detected(state, system)
-            or intrusion(state, system) or water_leak(state, system))
+def _p_alarm_on_smoke(b):
+    return _when_atom(b, "smoke", "alarm", "alarm", _sounding)
 
 
-def _p_valve_open_when_smoke(state, system):
+def _p_alarm_on_co(b):
+    return _when_atom(b, "co", "alarm", "alarm", _sounding)
+
+
+def _p_alarm_quiet_without_cause(b):
+    alarm = b.device("alarm", "alarm")
+    smoke = b.atom("smoke")
+    co = b.atom("co")
+    intrusion = b.atom("intrusion")
+    leak = b.atom("leak")
+
+    def check(state):
+        if state.attribute(alarm, "alarm") not in _SOUNDING:
+            return None
+        return smoke(state) or co(state) or intrusion(state) or leak(state)
+    return check
+
+
+def _p_valve_open_when_smoke(b):
     """The sprinkler water supply must not be cut while smoke is detected."""
-    if not smoke_detected(state, system):
-        return None
-    return _attr(state, _role(system, "water_valve"), "valve") == "open"
+    return _when_atom(b, "smoke", "water_valve", "valve", _is("open"))
 
 
-def _p_alarm_on_intrusion_contact(state, system):
-    if state.mode != system.away_mode:
-        return None
-    contacts = _roles(system, "entry_contacts")
-    if not any(_attr(state, c, "contact") == "open" for c in contacts):
-        return None
-    return _alarm_sounding(state, _role(system, "alarm"))
+def _alarm_on_away_sensor(b, role, attribute, value):
+    """``[] ((mode == Away && some role device reads value) ->
+    alarm_sounding)``."""
+    away_mode = b.away_mode
+    triggered = b.any_equals(role, attribute, value)
+    alarm = b.device("alarm", "alarm")
+
+    def check(state):
+        if state.mode != away_mode or not triggered(state):
+            return None
+        return state.attribute(alarm, "alarm") in _SOUNDING
+    return check
 
 
-def _p_alarm_on_intrusion_motion(state, system):
-    if state.mode != system.away_mode:
-        return None
-    motions = _roles(system, "motion_sensors")
-    if not any(_attr(state, m, "motion") == "active" for m in motions):
-        return None
-    return _alarm_sounding(state, _role(system, "alarm"))
+def _p_alarm_on_intrusion_contact(b):
+    return _alarm_on_away_sensor(b, "entry_contacts", "contact", "open")
 
 
-def _p_alarm_not_silenced_during_smoke(state, system):
+def _p_alarm_on_intrusion_motion(b):
+    return _alarm_on_away_sensor(b, "motion_sensors", "motion", "active")
+
+
+def _p_alarm_not_silenced_during_smoke(b):
     # Equivalent shape to _p_alarm_on_smoke but over the dedicated siren.
-    if not smoke_detected(state, system):
-        return None
-    return _alarm_sounding(state, _role(system, "siren"))
+    return _when_atom(b, "smoke", "siren", "alarm", _sounding)
 
 
-def _p_door_unlocked_when_smoke(state, system):
+def _p_door_unlocked_when_smoke(b):
     """Fire escape: the main door must not stay locked during a fire."""
-    if not smoke_detected(state, system):
-        return None
-    return _attr(state, _role(system, "main_door_lock"), "lock") == "unlocked"
+    return _when_atom(b, "smoke", "main_door_lock", "lock", _is("unlocked"))
 
 
-def _p_heater_off_when_smoke(state, system):
-    if not smoke_detected(state, system):
-        return None
-    return not _switch_on(state, _role(system, "heater_outlet"))
+def _p_heater_off_when_smoke(b):
+    return _when_atom(b, "smoke", "heater_outlet", "switch", _is_not("on"))
 
 
-def _p_fan_on_when_co(state, system):
-    if not co_detected(state, system):
-        return None
-    return _switch_on(state, _role(system, "fan_outlet"))
+def _p_fan_on_when_co(b):
+    return _when_atom(b, "co", "fan_outlet", "switch", _is("on"))
 
 
-def _p_camera_capture_on_intrusion(state, system):
-    if not intrusion(state, system):
-        return None
-    return _attr(state, _role(system, "camera"), "image") == "captured"
+def _p_camera_capture_on_intrusion(b):
+    return _when_atom(b, "intrusion", "camera", "image", _is("captured"))
 
 
-def _p_garage_closed_in_away_mode(state, system):
-    if state.mode != system.away_mode:
-        return None
-    return _attr(state, _role(system, "garage_door"), "door") == "closed"
+def _p_garage_closed_in_away_mode(b):
+    return _in_mode(b, b.away_mode, "garage_door", "door", _is("closed"))
 
 
-def _p_shades_closed_when_away(state, system):
-    if state.mode != system.away_mode:
-        return None
-    shades = _roles(system, "window_shades")
-    if not shades:
-        return None
-    return all(_attr(state, s, "windowShade") == "closed" for s in shades)
+def _p_shades_closed_when_away(b):
+    away_mode = b.away_mode
+    closed = b.all_equal("window_shades", "windowShade", "closed")
+
+    def check(state):
+        if state.mode != away_mode:
+            return None
+        return closed(state)
+    return check
 
 
-def _p_speaker_quiet_when_away(state, system):
-    away = nobody_home(state, system)
-    if away is not True:
-        return None
-    return _attr(state, _role(system, "speaker"), "status") != "playing"
+def _p_speaker_quiet_when_away(b):
+    return _when_nobody_home(b, "speaker", "status", _is_not("playing"))
 
 
 # ---------------------------------------------------------------------------
@@ -359,29 +356,29 @@ def _p_speaker_quiet_when_away(state, system):
 # ---------------------------------------------------------------------------
 
 
-def _p_humidity_in_range(state, system):
-    sensors = _roles(system, "humidity_sensors")
-    if not sensors:
-        return None
-    low = _threshold(system, "humidity_low", HUMIDITY_LOW)
-    high = _threshold(system, "humidity_high", HUMIDITY_HIGH)
-    for sensor in sensors:
-        value = _num(_attr(state, sensor, "humidity"))
-        if value is not None and not (low <= value <= high):
-            return False
-    return True
+def _p_humidity_in_range(b):
+    sensors = b.devices("humidity_sensors", "humidity")
+    low = b.threshold("humidity_low", HUMIDITY_LOW)
+    high = b.threshold("humidity_high", HUMIDITY_HIGH)
+
+    def check(state):
+        if not sensors:
+            return None
+        for sensor in sensors:
+            value = number(state.attribute(sensor, "humidity"))
+            if value is not None and not (low <= value <= high):
+                return False
+        return True
+    return check
 
 
-def _p_sprinkler_off_when_wet(state, system):
-    if not water_leak(state, system):
-        return None
-    return not _switch_on(state, _role(system, "sprinkler_outlet"))
+def _p_sprinkler_off_when_wet(b):
+    return _when_atom(b, "leak", "sprinkler_outlet", "switch", _is_not("on"))
 
 
-def _p_valve_closed_on_leak(state, system):
-    if not water_leak(state, system):
-        return None
-    return _attr(state, _role(system, "leak_shutoff_valve"), "valve") == "closed"
+def _p_valve_closed_on_leak(b):
+    return _when_atom(b, "leak", "leak_shutoff_valve", "valve",
+                      _is("closed"))
 
 
 # ---------------------------------------------------------------------------
@@ -389,45 +386,48 @@ def _p_valve_closed_on_leak(state, system):
 # ---------------------------------------------------------------------------
 
 
-def _p_switches_off_when_away(state, system):
-    away = nobody_home(state, system)
-    if away is not True:
-        return None
-    switches = _roles(system, "away_off_switches")
-    if not switches:
-        return None
-    return all(not _switch_on(state, s) for s in switches)
+def _p_switches_off_when_away(b):
+    away = b.atom("nobody_home")
+    off = b.none_equal("away_off_switches", "switch", "on")
+
+    def check(state):
+        if away(state) is not True:
+            return None
+        return off(state)
+    return check
 
 
-def _p_night_light_on_motion(state, system):
-    if state.mode != system.night_mode:
-        return None
-    motions = _roles(system, "motion_sensors")
-    if not any(_attr(state, m, "motion") == "active" for m in motions):
-        return None
-    return _switch_on(state, _role(system, "night_light"))
+def _p_night_light_on_motion(b):
+    night_mode = b.night_mode
+    motion = b.any_equals("motion_sensors", "motion", "active")
+    light = b.device("night_light", "switch")
+
+    def check(state):
+        if state.mode != night_mode or not motion(state):
+            return None
+        return state.attribute(light, "switch") == "on"
+    return check
 
 
-def _p_coffee_off_at_night(state, system):
-    if state.mode != system.night_mode:
-        return None
-    return not _switch_on(state, _role(system, "coffee_outlet"))
+def _p_coffee_off_at_night(b):
+    return _in_mode(b, b.night_mode, "coffee_outlet", "switch",
+                    _is_not("on"))
 
 
-def _p_space_heater_off_when_away(state, system):
-    away = nobody_home(state, system)
-    if away is not True:
-        return None
-    return not _switch_on(state, _role(system, "space_heater_outlet"))
+def _p_space_heater_off_when_away(b):
+    return _when_nobody_home(b, "space_heater_outlet", "switch",
+                             _is_not("on"))
 
 
-def _p_bulbs_off_in_away_mode(state, system):
-    if state.mode != system.away_mode:
-        return None
-    bulbs = _roles(system, "away_off_bulbs")
-    if not bulbs:
-        return None
-    return all(not _switch_on(state, b) for b in bulbs)
+def _p_bulbs_off_in_away_mode(b):
+    away_mode = b.away_mode
+    off = b.none_equal("away_off_bulbs", "switch", "on")
+
+    def check(state):
+        if state.mode != away_mode:
+            return None
+        return off(state)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +442,9 @@ _WATER = "Water and sprinkler"
 _OTHERS = "Others"
 
 
-def _inv(pid, name, category, description, predicate, roles, ltl,
+def _inv(pid, name, category, description, binder, roles, ltl,
          triggers=()):
-    return InvariantProperty(pid, name, category, description, predicate,
+    return InvariantProperty(pid, name, category, description, binder,
                              roles=roles, ltl=ltl, triggers=triggers)
 
 

@@ -271,12 +271,17 @@ class TestReplayPath:
 
 class TestExactModeHasNoHashShortcuts:
     def test_exact_store_disables_invariant_memo(self, alice_system):
+        """No memo and no inherited verdicts under ``exact``: every
+        quiescent state is evaluated; the default store uses both and
+        finds the same counterexamples."""
         exact = verify(alice_system, build_properties(), max_events=2,
                        visited="exact")
-        assert exact.property_stats.get("invariant_memo_misses", 0) == 0
-        assert exact.property_stats.get("invariant_memo_hits", 0) == 0
+        assert exact.property_stats["invariant_memo_misses"] == 0
+        assert exact.property_stats["invariant_memo_hits"] == 0
+        assert exact.property_stats["invariant_inherited"] == 0
         memoized = verify(alice_system, build_properties(), max_events=2)
         assert memoized.property_stats["invariant_memo_misses"] > 0
+        assert memoized.property_stats["invariant_inherited"] > 0
         assert (sorted(exact.counterexamples)
                 == sorted(memoized.counterexamples))
 

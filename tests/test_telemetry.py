@@ -189,6 +189,9 @@ class TestEngineSnapshots:
         # leaves; the count is telemetry only, never in the result JSON
         assert end["quiet_leaves"] > 0
         assert "quiet_leaves" not in json.dumps(result.to_dict())
+        # so are the quiet events whose verdict came from their parent
+        assert (end["invariant_inherited"]
+                == result.property_stats["invariant_inherited"] > 0)
         span_names = {e["name"] for e in events if e["kind"] == "span"}
         assert "explore" in span_names
 
@@ -349,7 +352,7 @@ class TestReportRenderer:
         assert "outcome: violated" in report
         assert "phases:" in report and "explore" in report
         assert "cascades: " in report and "replayed" in report
-        assert "quiet leaves" in report
+        assert "quiet leaves" in report and "inherited verdicts" in report
         assert render_report([]) == "empty telemetry sink (no events)"
 
     def test_progress_meter_renders_and_repaints(self):
