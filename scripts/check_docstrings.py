@@ -8,7 +8,7 @@ with the standard library's ``ast`` only, so the plain test environment
     python scripts/check_docstrings.py
 
 Scope: ``repro/engine``, ``repro/service``, ``repro/model/schema.py``,
-``repro/model/codegen.py`` and ``repro/model/replay.py``.  Required:
+``repro/model/lean.py`` and ``repro/model/replay.py``.  Required:
 
 * a module docstring per file;
 * a docstring on every *public* class and every public function/method
@@ -29,7 +29,7 @@ TARGETS = (
     "src/repro/engine",
     "src/repro/service",
     "src/repro/model/schema.py",
-    "src/repro/model/codegen.py",
+    "src/repro/model/lean.py",
     "src/repro/model/replay.py",
 )
 

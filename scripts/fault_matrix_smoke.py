@@ -2,17 +2,17 @@
 """CI smoke test for the fault-injection scenario matrix.
 
 Runs one small bundled system through **every scenario profile on both
-engine tiers** and diffs the semantic verdict JSON (verdict, violation
-set, state/transition counts, per-counterexample event paths and
-rendered traces - wall-clock and cache statistics stripped).  Any cell
-where the codegen tier disagrees with the interpreted oracle fails the
-job:
-the profiles are only trustworthy if the faulted relation is
-tier-independent.  It also pins the scope of cascade replay and of
+relations** (the lean default and the interpreted oracle) and diffs
+the semantic verdict JSON (verdict, violation set, state/transition
+counts, per-counterexample event paths and rendered traces -
+wall-clock and cache statistics stripped).  Any cell where the lean
+relation disagrees with the interpreted oracle fails the job: the
+profiles are only trustworthy if the faulted relation is
+relation-independent.  It also pins the scope of cascade replay and of
 stateless quiet leaves (unheard sensor events at the depth bound
-admitted by fingerprint alone): the clean profile's codegen run must
-replay at least one cascade and take at least one quiet leaf, and
-every faulted profile's must do neither (its quiet set is empty).
+admitted by fingerprint alone): every profile's lean run must replay
+at least one cascade, and only the clean profile's may (and must) take
+a quiet leaf - a faulted profile's quiet set is empty.
 
 Exit code 0 on success, 1 on any mismatch.
 
@@ -25,13 +25,13 @@ Usage::
 import argparse
 import json
 import sys
-import tempfile
 
-ENGINES = ("interpreted", "codegen")
+ENGINES = ("interpreted", "lean")
 
 
 def semantic_json(result):
-    """The observables every tier must agree on, as canonical JSON."""
+    """The observables both relations must agree on, as canonical
+    JSON."""
     view = {
         "verdict": result.verdict,
         "violated_property_ids": result.violated_property_ids,
@@ -47,7 +47,7 @@ def semantic_json(result):
     return json.dumps(view, sort_keys=True, indent=2)
 
 
-def run_cell(group, scenario, engine, max_events, codegen_cache):
+def run_cell(group, scenario, engine, max_events):
     """One matrix cell: ``(result, cascade_stats)``."""
     from repro import build_system
     from repro.corpus.groups import GROUP_BUILDERS
@@ -57,7 +57,7 @@ def run_cell(group, scenario, engine, max_events, codegen_cache):
     system = build_system(GROUP_BUILDERS[group]())
     properties = select_relevant(system, build_properties())
     options = EngineOptions(max_events=max_events, scenario=scenario,
-                            engine=engine, codegen_cache=codegen_cache)
+                            engine=engine)
     runner = ExplorationEngine(system, properties, options)
     return runner.run(), runner.cascade_stats
 
@@ -72,7 +72,6 @@ def main():
 
     mismatches = []
     scope_errors = []
-    codegen_cache = tempfile.mkdtemp(prefix="fault-matrix-codegen-")
     print("fault matrix: %s, max_events=%d" % (args.group, args.max_events))
     print("%-14s %-12s %10s %12s %8s" % ("scenario", "engine", "states",
                                          "transitions", "verdict"))
@@ -80,37 +79,40 @@ def main():
         cells = {}
         for engine in ENGINES:
             result, stats = run_cell(args.group, scenario, engine,
-                                     args.max_events, codegen_cache)
+                                     args.max_events)
             cells[engine] = semantic_json(result)
             print("%-14s %-12s %10d %12d %8s"
                   % (scenario, engine, result.states_explored,
                      result.transitions, result.verdict))
-            if engine == "codegen":
-                for counter in ("cascades_replayed", "quiet_leaves"):
-                    if (stats[counter] > 0) != (scenario == "clean"):
-                        scope_errors.append(scenario)
-                        print("SCOPE: %s/codegen has %s=%d; only the "
-                              "clean profile may (and must) take any"
-                              % (scenario, counter, stats[counter]))
-        if cells["codegen"] != cells["interpreted"]:
+            if engine == "lean":
+                if stats["cascades_replayed"] < 1:
+                    scope_errors.append(scenario)
+                    print("SCOPE: %s/lean replayed no cascade; every "
+                          "profile must" % scenario)
+                if (stats["quiet_leaves"] > 0) != (scenario == "clean"):
+                    scope_errors.append(scenario)
+                    print("SCOPE: %s/lean has quiet_leaves=%d; only the "
+                          "clean profile may (and must) take any"
+                          % (scenario, stats["quiet_leaves"]))
+        if cells["lean"] != cells["interpreted"]:
             mismatches.append(scenario)
-            print("MISMATCH: %s/codegen diverges from the interpreted "
+            print("MISMATCH: %s/lean diverges from the interpreted "
                   "oracle" % scenario)
             for line in _first_diff_lines(cells["interpreted"],
-                                          cells["codegen"]):
+                                          cells["lean"]):
                 print("  " + line)
     if mismatches:
         print("\nFAIL: %d matrix cell(s) diverged: %s"
               % (len(mismatches),
-                 ", ".join("%s/codegen" % cell for cell in mismatches)))
+                 ", ".join("%s/lean" % cell for cell in mismatches)))
     if scope_errors:
         print("\nFAIL: cascade replay or quiet leaves out of scope in: %s"
-              % ", ".join("%s/codegen" % cell for cell in scope_errors))
+              % ", ".join("%s/lean" % cell for cell in scope_errors))
     if mismatches or scope_errors:
         return 1
-    print("\nOK: every scenario verdict is identical across both "
-          "engine tiers, and only the clean profile replays cascades "
-          "and takes quiet leaves")
+    print("\nOK: every scenario verdict is identical on both "
+          "relations, every profile replays cascades and only the "
+          "clean profile takes quiet leaves")
     return 0
 
 

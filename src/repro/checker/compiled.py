@@ -20,7 +20,7 @@ shared by every monitor the engine creates:
   fingerprint visited store.
 
 :attr:`~CompiledProperties.reads` lets the lean relation
-(:meth:`repro.model.codegen.CodegenPlan.transitions`) skip the verdict
+(:meth:`repro.model.lean.LeanRelation.transitions`) skip the verdict
 altogether: a quiet sensor event writing a pair outside it cannot change
 what any check returns, so its successor inherits the parent's verdict
 (counted in ``invariant_inherited``).  With ``memoize`` off - the

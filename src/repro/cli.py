@@ -138,7 +138,7 @@ def cmd_check(args):
     phase_times["build"] = time.monotonic() - phase_started
     engine = ExplorationEngine(system, properties, options)
     result = engine.run()
-    # result.profile carries the engine-side phases (codegen, explore,
+    # result.profile carries the engine-side phases (explore,
     # canonicalize); the CLI prepends its own parse/build phases
     phase_times.update(result.profile)
     result.profile = phase_times
@@ -462,15 +462,12 @@ def _add_engine_arguments(parser):
                         help="frontier strategy (search order)")
     parser.add_argument("--max-states", type=int, default=200000)
     parser.add_argument("--engine", choices=list(ENGINE_MODES), default=None,
-                        help="execution tier for the transition relation: "
-                             "interpreted (tree-walking oracle) or codegen "
-                             "(per-app generated Python modules - the "
-                             "fastest tier; the default).  Verdicts and "
-                             "traces are identical across tiers")
-    parser.add_argument("--codegen-cache", default=None, metavar="DIR",
-                        help="directory for digest-keyed generated modules "
-                             "(default: $REPRO_CODEGEN_CACHE or "
-                             "~/.cache/repro/codegen)")
+                        help="transition relation the search expands: "
+                             "interpreted (the traced relation, every "
+                             "cascade run live - the oracle) or lean "
+                             "(skeleton traces, repeated cascades "
+                             "replayed; the default).  Verdicts and "
+                             "traces are identical on both")
     parser.add_argument("--failures", action="store_true",
                         help="enumerate device/communication failures")
     parser.add_argument("--scenario", choices=list(scenario_names()),
@@ -493,8 +490,7 @@ def _engine_options(args):
     return EngineOptions(max_events=args.max_events, mode=args.mode,
                          visited=args.visited, strategy=args.strategy,
                          max_states=args.max_states,
-                         engine=args.engine or "codegen",
-                         codegen_cache=args.codegen_cache,
+                         engine=args.engine or "lean",
                          scenario=args.scenario)
 
 
@@ -532,8 +528,7 @@ def build_parser():
     p_check.add_argument("--all-traces", action="store_true")
     p_check.add_argument("--profile", action="store_true",
                          help="print a per-phase wall-time breakdown "
-                              "(parse, build, codegen, explore, "
-                              "canonicalize)")
+                              "(parse, build, explore, canonicalize)")
     p_check.add_argument("--json", action="store_true",
                          help="emit the machine-readable result schema "
                               "(profile included) instead of the summary")

@@ -70,18 +70,19 @@ class ExplorationEngine:
         self._counterexample_cls = Counterexample
         #: live telemetry session (opened per run; None when disabled)
         self._telemetry = None
-        #: the codegen tier's plan (generated programs + pooled
-        #: executors + lean relation); None on the other tiers
-        self._plan = None
-        #: per-phase wall time (``codegen`` setup, ``canonicalize``);
-        #: merged into ``result.profile`` by ``_finish``
+        #: the lean relation (:class:`~repro.model.lean.LeanRelation`)
+        #: the search expands; None under ``engine="interpreted"``
+        self._lean = None
+        #: per-phase wall time (``canonicalize``); merged into
+        #: ``result.profile`` by ``_finish``
         self._phase_times = {}
-        #: whether the codegen relation may hand the search stateless
+        #: whether the lean relation may hand the search stateless
         #: quiet leaves (only the default fingerprint store takes them)
         self._quiet_leaf_stubs = False
-        #: the last run's cascade counts (:meth:`CodegenPlan.stats` and
-        #: ``invariant_inherited``; empty on the interpreted tier) - kept
-        #: off the result so its JSON does not depend on the tier
+        #: the last run's cascade counts (:meth:`LeanRelation.stats` and
+        #: ``invariant_inherited``; empty under ``engine="interpreted"``)
+        #: - kept off the result so its JSON does not depend on the
+        #: relation
         self.cascade_stats = {}
         # partition properties, resolve applicability and bind the
         # invariants once per engine; every per-cascade monitor shares
@@ -115,27 +116,14 @@ class ExplorationEngine:
     def _setup_search(self):
         """Assemble one run's moving parts.
 
-        Returns ``(visited, frontier)`` and applies the per-run
-        execution back-end choice to the system.
+        Returns ``(visited, frontier)`` and picks the relation the
+        search expands: the lean one unless ``engine="interpreted"``.
         """
         options = self.options
-        # the execution back-end is a per-run choice: without a codegen
-        # plan the same system runs on the tree-interpreter oracle
-        self.system.executor_factory = None
-        self._plan = None
-        if options.engine == "codegen":
-            # generation is digest-keyed and disk-cached, so this is a
-            # cache read on every run after the first for a given system
-            from repro.model.codegen import CodegenPlan
-            generation_started = time.monotonic()
-            self._plan = CodegenPlan(self.system,
-                                     cache_dir=options.codegen_cache)
-            # traced cascades (counterexample replay, canonicalization)
-            # run the generated modules too - one relation, two step
-            # recording modes
-            self.system.executor_factory = self._plan.executor_factory
-            self._phase_times["codegen"] = (time.monotonic()
-                                            - generation_started)
+        self._lean = None
+        if options.engine == "lean":
+            from repro.model.lean import LeanRelation
+            self._lean = LeanRelation(self.system)
         return options.make_visited(self.system), options.make_frontier()
 
     def _run(self):
@@ -224,16 +212,16 @@ class ExplorationEngine:
         return self._finish(result, visited, started)
 
     def _search_transitions_from(self, node):
-        """The relation the search loop expands: the codegen plan's
-        lean (skeleton-trace) relation when active, the traced relation
-        otherwise.  Replays and canonicalization always go through
-        :meth:`_transitions_from` for full traces."""
-        plan = self._plan
-        if plan is not None and self.options.mode != CONCURRENT:
+        """The relation the search loop expands: the lean
+        (skeleton-trace) relation on sequential runs when active, the
+        traced relation otherwise.  Replays and canonicalization always
+        go through :meth:`_transitions_from` for full traces."""
+        lean = self._lean
+        if lean is not None and self.options.mode != CONCURRENT:
             max_events = self.options.max_events
             if node.depth >= max_events:
                 return []
-            return plan.transitions(
+            return lean.transitions(
                 node.state, self._monitor_factory,
                 leaf=(self._quiet_leaf_stubs
                       and node.depth + 1 == max_events))
@@ -262,12 +250,12 @@ class ExplorationEngine:
         # (and the states/sec figures derived from it in the bench
         # artifact) must not hide the replay/permutation cost
         finalize_started = time.monotonic()
-        if self._plan is not None:
+        if self._lean is not None:
             self._rehydrate_lean_traces(result)
         self._canonicalize_traces(result)
-        if self._plan is not None:
-            self._plan.release()
-            self.cascade_stats = self._plan.stats()
+        if self._lean is not None:
+            self._lean.release()
+            self.cascade_stats = self._lean.stats()
             # beside the quiet leaves: the quiet events whose invariant
             # verdict the lean relation took from their parent
             self.cascade_stats["invariant_inherited"] = (
@@ -306,9 +294,8 @@ class ExplorationEngine:
         Lean search paths carry skeleton steps - enough for dedup keys
         and app attribution, nothing a human can read.  Each *reported*
         counterexample (a handful, against millions of transitions) has
-        its label sequence replayed through the traced relation - which
-        runs the same generated executors - and is re-recorded with the
-        full cascade steps.
+        its label sequence replayed through the traced relation and is
+        re-recorded with the full cascade steps.
         """
         backup = result.counterexamples
         result.counterexamples = {}

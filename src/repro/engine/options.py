@@ -14,8 +14,9 @@ CONCURRENT = "concurrent"
 #: the legal ``EngineOptions.mode`` values
 EXPLORATION_MODES = (SEQUENTIAL, CONCURRENT)
 
-#: execution tiers for the transition relation, slowest to fastest
-ENGINE_MODES = ("interpreted", "codegen")
+#: the relations a search may expand: the traced oracle, then the lean
+#: relation (the default)
+ENGINE_MODES = ("interpreted", "lean")
 
 
 def _make_exact(options, system):
@@ -61,26 +62,20 @@ class EngineOptions:
     ``bitstate_bits`` must be an integer in 3..34 (a one-byte to a
     2 GiB field).
 
-    The execution-tier knobs:
-
     ``engine``
-        Which execution tier evaluates the transition relation:
-        ``interpreted`` walks the handler IR through the tree
-        interpreter (the differential oracle), and ``codegen`` (the
-        default) generates one real Python module per app from the
-        lowered IR (:mod:`repro.model.codegen`), ``compile()``/
-        ``exec``'s it, and expands each search node through a traceless
-        lean cascade with pooled executors; an app the emitter cannot
-        handle runs on the interpreter.  A pure performance knob: both
-        tiers produce byte-identical verdicts, violation sets and
-        canonical traces (proven on the corpus and on generated handler
-        programs by the differential suite), so the choice is excluded
-        from the vetting service's semantic digests.
-    ``codegen_cache``
-        Directory for generated per-app modules, keyed by the system's
-        semantic digest (``None``: ``$REPRO_CODEGEN_CACHE`` or
-        ``~/.cache/repro/codegen``).  Runs at the default ``engine``
-        write there.
+        Which transition relation the search expands: ``interpreted``
+        (the traced relation, :meth:`IoTSystem.transitions
+        <repro.model.system.IoTSystem.transitions>`, which runs every
+        cascade live and records its full trace - the differential
+        oracle) or ``lean`` (the default,
+        :class:`~repro.model.lean.LeanRelation`: skeleton-trace
+        cascades, each distinct one run once per search and its repeats
+        replayed, under every sequential scenario).  Both run handlers
+        on the tree interpreter.  A pure performance knob: both produce
+        byte-identical verdicts, violation sets and canonical traces
+        (proven on the corpus and on generated handler programs by the
+        differential suite), so the choice is excluded from the vetting
+        service's semantic digests.
     ``scenario``
         Named fault-injection profile layered onto the transition
         relation (see :mod:`repro.model.faults`): ``clean`` (the
@@ -116,9 +111,8 @@ class EngineOptions:
     def __init__(self, max_events=3, mode=SEQUENTIAL, visited="fingerprint",
                  bitstate_bits=23, max_states=200000, max_transitions=None,
                  time_limit=None, stop_on_first=False, strategy="dfs",
-                 priority=None, engine="codegen",
-                 codegen_cache=None, check_interval=256, manage_gc=True,
-                 scenario="clean", telemetry=None):
+                 priority=None, engine="lean", check_interval=256,
+                 manage_gc=True, scenario="clean", telemetry=None):
         self.max_events = max_events
         if mode not in EXPLORATION_MODES:
             raise ValueError("unknown mode %r (known: %s)"
@@ -144,7 +138,6 @@ class EngineOptions:
             raise ValueError("unknown engine %r (known: %s)"
                              % (engine, ", ".join(ENGINE_MODES)))
         self.engine = engine
-        self.codegen_cache = codegen_cache
         self.check_interval = check_interval
         self.manage_gc = manage_gc
         # normalize to the profile *name*: options travel through JSON

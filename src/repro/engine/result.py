@@ -46,7 +46,7 @@ class ExplorationResult:
         #: store statistics snapshot ({} until the run finishes)
         self.visited_stats = {}
         #: per-phase wall time breakdown ({} until populated): keys are
-        #: phase names (``codegen``, ``explore``, ``canonicalize``, ...)
+        #: phase names (``explore``, ``canonicalize``, ...)
         self.profile = {}
         #: compiled-property statistics (invariant verdict memo)
         self.property_stats = {}

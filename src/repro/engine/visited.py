@@ -41,9 +41,13 @@ at an equal-or-smaller depth?" - through three methods:
     the same number for the same bounded space.
 """
 
+import itertools
 import sys
 
 __all__ = ["BitStateVisitedSet", "ExactVisitedSet", "FingerprintVisitedSet"]
+
+#: most stored entries :meth:`ExactVisitedSet.approx_bytes` walks
+APPROX_SAMPLE = 256
 
 _MASK64 = (1 << 64) - 1
 #: the 64-bit golden-ratio increment (splitmix64's gamma)
@@ -135,12 +139,30 @@ class ExactVisitedSet:
         counter (a depth-improved revisit does not grow it)."""
         return self._distinct
 
-    def approx_bytes(self):
-        """Recursive size of the stored keys (and pinned states).
+    def _entries(self):
+        """The stored entries as ``(key_or_state, resolved)`` pairs in
+        insertion order, key-protocol keys first."""
+        for key in self._min_depth:
+            yield key, True
+        for chain in self._by_fingerprint.values():
+            for entry in chain:
+                yield entry[0], entry[1]
 
-        Honest but O(stored): meant for end-of-run statistics, not the
-        hot path.  Shared sub-objects are counted once.
+    def approx_bytes(self):
+        """Estimated size of the stored keys (and pinned states).
+
+        Walks at most :data:`APPROX_SAMPLE` stored entries, evenly
+        spaced in insertion order, and scales their recursive size by
+        the stored count (exact up to that many entries).  Shared
+        sub-objects are counted once within the sample; an unresolved
+        entry pins a whole state and counts as its canonical key, the
+        comparable storage cost.
         """
+        tables = sys.getsizeof(self._min_depth) + sys.getsizeof(
+            self._by_fingerprint)
+        stored = len(self)
+        if not stored:
+            return tables
         seen = set()
 
         def size(obj):
@@ -154,19 +176,13 @@ class ExactVisitedSet:
                 total += sum(size(k) + size(v) for k, v in obj.items())
             return total
 
-        total = sys.getsizeof(self._min_depth) + sys.getsizeof(
-            self._by_fingerprint)
-        for key in self._min_depth:
-            total += size(key)
-        for chain in self._by_fingerprint.values():
-            for entry in chain:
-                if entry[1]:
-                    total += size(entry[0])
-                else:
-                    # an unresolved entry pins the whole state; count its
-                    # canonical key as the comparable storage cost
-                    total += size(entry[0].canonical_key())
-        return total
+        step = -(-stored // APPROX_SAMPLE)
+        walked = sampled = 0
+        for obj, resolved in itertools.islice(self._entries(), 0, None,
+                                              step):
+            walked += size(obj if resolved else obj.canonical_key())
+            sampled += 1
+        return tables + walked * stored // sampled
 
     def stats(self):
         """``stored``/``approx_bytes``/``bytes_per_state`` counters."""

@@ -243,24 +243,11 @@ class Cascade:
             if instance is not None:
                 device_handle = DeviceHandle(instance, self, app_instance.name)
         event_handle = EventHandle(event, self, device_handle)
-        interp = self._executor(app_instance)
         try:
-            interp.run_handler(handler, event_handle)
+            Interpreter(app_instance, self).run_handler(handler, event_handle)
         except ExecutionError as exc:
             self._step("log", "execution error in %s.%s: %s"
                        % (app_instance.name, handler, exc.message))
-
-    def _executor(self, app_instance):
-        """The execution back-end for one handler run: the system's
-        installed executor factory (the codegen tier), else the tree
-        interpreter (``--engine interpreted`` and codegen's per-app
-        fallback)."""
-        factory = getattr(self.system, "executor_factory", None)
-        if factory is not None:
-            executor = factory(app_instance, self)
-            if executor is not None:
-                return executor
-        return Interpreter(app_instance, self)
 
     def _step(self, kind, text, app=None, line=None):
         self.steps.append(TraceStep(kind, text, app=app, line=line))

@@ -74,76 +74,6 @@ class ClosureValue:
 DEFAULT_OP_BUDGET = 50000
 
 
-# ---------------------------------------------------------------------------
-# shared value semantics
-#
-# Pure value-level operations used identically by the tree interpreter and
-# by generated handler code (:mod:`repro.model.codegen`).  Keeping them as
-# module functions means both execution back-ends share one definition of
-# the semantics, which is what makes differential testing meaningful.
-# ---------------------------------------------------------------------------
-
-
-def get_property_value(obj, name):
-    """``obj.name`` for a non-``None`` receiver (the ``_eval_Property`` core)."""
-    if hasattr(obj, "get_property"):
-        handled, value = obj.get_property(name)
-        if handled:
-            return value
-    if isinstance(obj, dict):
-        return obj.get(name)
-    if isinstance(obj, handles.DeviceGroup):
-        return [get_property_value(h, name) for h in obj.handles]
-    if isinstance(obj, list):
-        if name == "size":
-            return len(obj)
-        return [get_property_value(item, name) for item in obj]
-    if isinstance(obj, str) and name == "length":
-        return len(obj)
-    return None
-
-
-def index_value(obj, index):
-    """``obj[index]`` (the ``_eval_Index`` core)."""
-    if isinstance(obj, (list, tuple, str)):
-        if isinstance(index, (int, float)) and -len(obj) <= index < len(obj):
-            return obj[int(index)]
-        return None
-    if isinstance(obj, dict):
-        return obj.get(index)
-    if isinstance(obj, handles.AppStateMap):
-        return obj.mapping.get(index)
-    if isinstance(obj, handles.DeviceGroup):
-        return obj[int(index)] if int(index) < len(obj) else None
-    return None
-
-
-def assign_property_value(obj, name, value, node):
-    """``obj.name = value`` (the property branch of ``_exec_Assign``)."""
-    if hasattr(obj, "set_property") and obj.set_property(name, value):
-        pass
-    elif isinstance(obj, dict):
-        obj[name] = value
-    else:
-        raise ExecutionError(
-            "cannot assign property %r on %r" % (name, obj),
-            node.line, node.col)
-
-
-def assign_index_value(obj, index, value, node):
-    """``obj[index] = value`` (the index branch of ``_exec_Assign``)."""
-    if isinstance(obj, list):
-        while len(obj) <= index:
-            obj.append(None)
-        obj[index] = value
-    elif isinstance(obj, dict):
-        obj[index] = value
-    elif isinstance(obj, handles.AppStateMap):
-        obj.mapping[index] = value
-    else:
-        raise ExecutionError("cannot index-assign %r" % (obj,),
-                             node.line, node.col)
-
 #: platform APIs that register subscriptions at runtime (already statically
 #: extracted, so they are no-ops during model execution)
 _RUNTIME_NOOPS = frozenset([
@@ -209,15 +139,6 @@ class Interpreter:
 
     def invoke_closure(self, closure, args):
         """Invoke a closure value (used by built-ins like ``each``)."""
-        try:
-            return self.exec_block(closure.body,
-                                   self._closure_scopes(closure, args))
-        except _Return as ret:
-            return ret.value
-
-    def _closure_scopes(self, closure, args):
-        """The scope chain one closure call runs in: the captured scopes
-        plus a fresh scope binding ``it`` or the declared parameters."""
         scope = {}
         params = closure.params
         if not params:
@@ -230,7 +151,11 @@ class Interpreter:
                     args = [entry.name, entry.value]
             for index, param in enumerate(params):
                 scope[param.name] = args[index] if index < len(args) else None
-        return list(closure.scopes) + [scope]
+        scopes = list(closure.scopes) + [scope]
+        try:
+            return self.exec_block(closure.body, scopes)
+        except _Return as ret:
+            return ret.value
 
     # ------------------------------------------------------------------
     # environment
@@ -343,11 +268,29 @@ class Interpreter:
             obj = self.eval(target.obj, scopes)
             if obj is None and target.safe:
                 return None
-            assign_property_value(obj, target.name, value, stmt)
+            if hasattr(obj, "set_property") and obj.set_property(
+                    target.name, value):
+                pass
+            elif isinstance(obj, dict):
+                obj[target.name] = value
+            else:
+                raise ExecutionError(
+                    "cannot assign property %r on %r" % (target.name, obj),
+                    stmt.line, stmt.col)
         elif isinstance(target, ast.Index):
             obj = self.eval(target.obj, scopes)
             index = self.eval(target.index, scopes)
-            assign_index_value(obj, index, value, stmt)
+            if isinstance(obj, list):
+                while len(obj) <= index:
+                    obj.append(None)
+                obj[index] = value
+            elif isinstance(obj, dict):
+                obj[index] = value
+            elif isinstance(obj, handles.AppStateMap):
+                obj.mapping[index] = value
+            else:
+                raise ExecutionError("cannot index-assign %r" % (obj,),
+                                     stmt.line, stmt.col)
         else:
             raise ExecutionError("invalid assignment target", stmt.line, stmt.col)
         return None
@@ -501,12 +444,36 @@ class Interpreter:
         return self._get_property(obj, expr.name, expr)
 
     def _get_property(self, obj, name, node):
-        return get_property_value(obj, name)
+        if hasattr(obj, "get_property"):
+            handled, value = obj.get_property(name)
+            if handled:
+                return value
+        if isinstance(obj, dict):
+            return obj.get(name)
+        if isinstance(obj, handles.DeviceGroup):
+            return [self._get_property(h, name, node) for h in obj.handles]
+        if isinstance(obj, list):
+            if name == "size":
+                return len(obj)
+            return [self._get_property(item, name, node) for item in obj]
+        if isinstance(obj, str) and name == "length":
+            return len(obj)
+        return None
 
     def _eval_Index(self, expr, scopes):
         obj = self.eval(expr.obj, scopes)
         index = self.eval(expr.index, scopes)
-        return index_value(obj, index)
+        if isinstance(obj, (list, tuple, str)):
+            if isinstance(index, (int, float)) and -len(obj) <= index < len(obj):
+                return obj[int(index)]
+            return None
+        if isinstance(obj, dict):
+            return obj.get(index)
+        if isinstance(obj, handles.AppStateMap):
+            return obj.mapping.get(index)
+        if isinstance(obj, handles.DeviceGroup):
+            return obj[int(index)] if int(index) < len(obj) else None
+        return None
 
     def _eval_Closure(self, expr, scopes):
         return ClosureValue(expr.params, expr.body, list(scopes))
@@ -565,9 +532,7 @@ class Interpreter:
 
     def _eval_New(self, expr, scopes):
         args = [self.eval(a, scopes) for a in expr.args]
-        return self._construct(expr.type_name, args, expr)
-
-    def _construct(self, type_name, args, node):
+        type_name = expr.type_name
         if type_name == "Date":
             if args:
                 millis = args[0]
@@ -584,7 +549,7 @@ class Interpreter:
         if type_name in ("String", "StringBuilder", "StringBuffer"):
             return to_groovy_string(args[0]) if args else ""
         raise ExecutionError("cannot construct %r" % type_name,
-                             node.line, node.col)
+                             expr.line, expr.col)
 
     def _eval_Binary(self, expr, scopes):
         op = expr.op

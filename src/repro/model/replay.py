@@ -1,23 +1,25 @@
 """Cascade replay: run each distinct cascade once per search.
 
-A cascade's outcome depends only on its external event and on the
-values it reads from the model state: handlers are deterministic, the
-executors are re-armed from a pristine environment for every run and
-the monitor hooks read no state.  So two cascades of one event label
-that read the same values at the same locations, in the same order,
-write the same values, call the same monitor hooks and record the same
-skeleton steps.
+A cascade's outcome depends only on its external event, its failure
+scenario and the values it reads from the model state: handlers are
+deterministic, each handler run builds a fresh interpreter environment
+and the monitor hooks read no state.  A scenario adds nothing else: a
+dropped report or command and the delivery order depend on the
+scenario alone, and the duplicate check and the stale value are read
+from the state like any other value.  So two cascades of one event
+label and scenario that read the same values at the same locations, in
+the same order, write the same values, call the same monitor hooks and
+record the same skeleton steps.
 
-The codegen tier's lean relation (:meth:`CodegenPlan._run_clean
-<repro.model.codegen.CodegenPlan>`) uses that on clean sequential
-runs:
+The lean relation (:meth:`LeanRelation._run_event
+<repro.model.lean.LeanRelation>`) uses that on every sequential run:
 
 * a cascade the trie cannot serve runs live against a
   :class:`RecordingState` view of its successor state and a
   :class:`RecordingMonitor`, which record its first reads, its writes,
   its monitor hooks and its skeleton steps as one :class:`Replay`;
-* a :class:`ReplayTrie` files the record under its label and the
-  values it read, in order;
+* a :class:`ReplayTrie` files the record under its label (event label
+  plus scenario label) and the values it read, in order;
 * a later cascade of the label walks the trie, reading each location
   from its own successor state before any write, and on a match
   :meth:`Replay.apply` re-applies the record.

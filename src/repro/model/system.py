@@ -121,10 +121,6 @@ class IoTSystem:
                  enable_failures=False, user_mode_events=False):
         #: name -> DeviceInstance
         self.devices = dict(devices)
-        #: optional ``(app_instance, ctx) -> executor-or-None`` hook; the
-        #: codegen tier installs one so cascades run generated modules
-        #: (without it, or on ``None``, handlers run on the interpreter)
-        self.executor_factory = None
         #: installed apps in install order
         self.apps = list(apps)
         self.contacts = list(contacts)

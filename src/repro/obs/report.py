@@ -49,7 +49,7 @@ def throughput_series(snapshots):
 
 def cascade_line(stats):
     """``N live, M replayed (P%), K replay leaves, Q quiet leaves, I
-    inherited verdicts`` for a codegen run's cascade counts (a
+    inherited verdicts`` for a lean run's cascade counts (a
     ``run_end`` event or the engine's ``cascade_stats``)."""
     live = stats.get("cascades_live", 0)
     replayed = stats.get("cascades_replayed", 0)

@@ -350,7 +350,7 @@ class TelemetrySession:
     def run_end(self, result, cascade_stats=None):
         """The run's outcome; also published as the final board state.
 
-        ``cascade_stats`` (the codegen plan's live/replayed cascade and
+        ``cascade_stats`` (the lean relation's live/replayed cascade and
         replay-leaf counts) joins the fields when given."""
         fields = {
             "verdict": result.verdict,

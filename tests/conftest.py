@@ -1,7 +1,5 @@
 """Shared fixtures: the corpus registry and small bound systems."""
 
-import os
-
 import pytest
 
 from repro.config.schema import SystemConfiguration
@@ -25,24 +23,6 @@ def _load_or_skip(loader):
         return loader()
     except CorpusMissingError as exc:
         pytest.skip("bundled corpus unavailable: %s" % exc)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _private_codegen_cache(tmp_path_factory):
-    """Point the default codegen source cache at a session temp dir.
-
-    Default-option runs generate modules into ``$REPRO_CODEGEN_CACHE``
-    (else ``~/.cache/repro/codegen``); the suite must not litter the
-    user's home.  Subprocesses inherit the variable.
-    """
-    previous = os.environ.get("REPRO_CODEGEN_CACHE")
-    os.environ["REPRO_CODEGEN_CACHE"] = str(
-        tmp_path_factory.mktemp("codegen-default"))
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_CODEGEN_CACHE", None)
-    else:
-        os.environ["REPRO_CODEGEN_CACHE"] = previous
 
 
 @pytest.fixture(scope="session")

@@ -5,14 +5,24 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sys
+
 import pytest
 
+from repro.corpus import load_all_apps
+from repro.corpus.groups import GROUP_BUILDERS
+from repro.engine import EngineOptions, ExplorationEngine
 from repro.engine.visited import (
+    APPROX_SAMPLE,
     BitStateVisitedSet,
     ExactVisitedSet,
     FingerprintVisitedSet,
 )
+from repro.model.generator import ModelGenerator
 from repro.model.state import ModelState
+from repro.properties import build_properties, select_relevant
+
+from tests.conftest import _load_or_skip
 
 
 class TestExactVisitedSet:
@@ -45,6 +55,70 @@ class TestExactVisitedSet:
         store.seen_before(("b",), 0)
         store.seen_before(("a",), 5)
         assert len(store) == 2
+
+
+def _full_walk(store):
+    """Every stored key's recursive size (shared sub-objects once), an
+    unresolved entry's as its canonical key: what
+    :meth:`ExactVisitedSet.approx_bytes` estimates."""
+    seen = set()
+
+    def size(obj):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        total = sys.getsizeof(obj)
+        if isinstance(obj, (tuple, list)):
+            total += sum(size(item) for item in obj)
+        elif isinstance(obj, dict):
+            total += sum(size(k) + size(v) for k, v in obj.items())
+        return total
+
+    total = (sys.getsizeof(store._min_depth)
+             + sys.getsizeof(store._by_fingerprint))
+    total += sum(size(key) for key in store._min_depth)
+    for chain in store._by_fingerprint.values():
+        for key, resolved, _depth in chain:
+            total += size(key if resolved else key.canonical_key())
+    return total
+
+
+class TestExactApproxBytes:
+    """The exact store's ``approx_bytes`` walks a bounded sample."""
+
+    def test_small_store_is_walked_whole(self):
+        """Up to APPROX_SAMPLE entries - keys and pinned states alike -
+        the estimate is the full walk."""
+        store = ExactVisitedSet()
+        for index in range(APPROX_SAMPLE // 2):
+            store.seen_before(("k", index, (index, "x")), 0)
+            state = ModelState()
+            state.set_attribute("d", "level", index)
+            store.seen_state(state, 0)
+        assert len(store) == APPROX_SAMPLE
+        assert store.approx_bytes() == _full_walk(store) > 0
+
+    def test_sample_tracks_the_full_walk_on_group1(self):
+        """group1 at depth 3 stores thousands of states: the sampled
+        estimate lands within 15% of the full walk."""
+        registry = _load_or_skip(load_all_apps)
+        system = ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]())
+        properties = select_relevant(system, build_properties())
+        stores = []
+
+        class Capture(ExplorationEngine):
+            def _setup_search(self):
+                parts = super()._setup_search()
+                stores.append(parts[0])
+                return parts
+
+        Capture(system, properties,
+                EngineOptions(max_events=3, visited="exact")).run()
+        (store,) = stores
+        assert len(store) > 10 * APPROX_SAMPLE
+        full = _full_walk(store)
+        assert abs(store.approx_bytes() - full) <= 0.15 * full
 
 
 class TestBitStateTable:

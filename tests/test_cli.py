@@ -39,6 +39,19 @@ class TestParser:
                 ["check", "group1-entry-and-mode"] + argv)
         assert "error:" in capsys.readouterr().err
 
+    # the generated-code tier is gone: the lean relation runs on the
+    # interpreter.  Spelled in pieces for the same reason as above
+    @pytest.mark.parametrize("argv", [
+        ["check", "group1-entry-and-mode", "--engine", "code" "gen"],
+        ["batch", "group1-entry-and-mode", "--engine", "code" "gen"],
+        ["check", "group1-entry-and-mode", "--code" "gen-cache", "d"],
+        ["submit", "group1-entry-and-mode", "--code" "gen-cache", "d"],
+    ])
+    def test_retired_codegen_tier_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "error:" in capsys.readouterr().err
+
     # intra-run sharding is gone: every run searches in one process.
     # Spelled in pieces for the same reason as above
     @pytest.mark.parametrize("argv", [
@@ -127,17 +140,15 @@ class TestCheck:
                             "--properties", "P39", "P40", capsys=capsys)
         assert "P06" not in out
 
-    def test_engine_codegen_matches_default(self, tmp_path, capsys):
-        """`--engine codegen` (with a private source cache) must render
-        the identical violation log as the interpreted oracle."""
+    def test_engine_lean_matches_interpreted(self, capsys):
+        """`--engine lean` must render the identical violation log as
+        the interpreted oracle."""
         code, out = run_cli("check", "group1-entry-and-mode",
                             "--max-events", "2", "--trace",
                             "--engine", "interpreted", capsys=capsys)
         code2, out2 = run_cli("check", "group1-entry-and-mode",
                               "--max-events", "2", "--trace",
-                              "--engine", "codegen",
-                              "--codegen-cache", str(tmp_path),
-                              capsys=capsys)
+                              "--engine", "lean", capsys=capsys)
         assert (code, code2) == (1, 1)
 
         def tail(text):

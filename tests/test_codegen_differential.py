@@ -1,14 +1,13 @@
-"""Codegen-tier differential tests: generated modules vs the oracle.
+"""Lean-relation differential tests: the default search vs the oracle.
 
-The codegen tier (:mod:`repro.model.codegen`) is a pure performance
-knob: per-app Python source generation, pooled executors, a lean
-traceless cascade, replay of repeated cascades, a cascade-free path
-for sensor events no app hears and, at the depth bound, stateless
-leaves for them.  None of that
-may move a single observable - these suites prove verdicts, violation
-sets, per-counterexample event paths and rendered traces byte-identical
-to the interpreted oracle across the whole bundled corpus, every
-visited store and failure enumeration, and
+The lean relation (:mod:`repro.model.lean`) is a pure performance
+knob: traceless cascades, replay of repeated cascades under every
+sequential scenario, a cascade-free path for sensor events no app hears
+and, at the depth bound, stateless leaves for them.  None of that may
+move a single observable - these suites prove verdicts, violation sets,
+per-counterexample event paths and rendered traces byte-identical to
+the traced (``interpreted``) oracle across the whole bundled corpus,
+every visited store, the fault profiles and failure enumeration, and
 beyond the corpus on generated handler programs.
 """
 
@@ -28,14 +27,13 @@ from repro.corpus import load_all_apps, load_discovery_apps
 from repro.corpus.groups import GROUP_BUILDERS
 from repro.devices.catalog import DEVICE_TYPES
 from repro.engine import EngineOptions, ExplorationEngine
-from repro.model import codegen, replay
-from repro.model.codegen import CodegenError, CodegenPlan
+from repro.model import replay
 from repro.model.cascade import TIME_QUANTUM_MS
 from repro.model.faults import scenario_names
 from repro.model.generator import ModelGenerator
+from repro.model.lean import LeanRelation
 from repro.model.state import ModelState, QuietLeaf
 from repro.properties import build_properties, select_relevant
-from repro.translator.lowering import lower_program
 
 from tests.conftest import _load_or_skip
 from tests.helpers import make_app
@@ -59,25 +57,17 @@ def corpus():
     return registry
 
 
-@pytest.fixture(scope="module")
-def codegen_cache(tmp_path_factory):
-    """A private on-disk source cache, one per test module run."""
-    return str(tmp_path_factory.mktemp("codegen-cache"))
-
-
-def _verify_both(system, properties, codegen_cache, cascade_stats=None,
-                 **option_kwargs):
-    """Run both tiers; the codegen run's cascade counts are appended to
+def _verify_both(system, properties, cascade_stats=None, **option_kwargs):
+    """Run both relations; the lean run's cascade counts are appended to
     ``cascade_stats`` when a list is given."""
     results = {}
-    for engine in ("codegen", "interpreted"):
-        options = EngineOptions(engine=engine, codegen_cache=codegen_cache,
-                                **option_kwargs)
+    for engine in ("lean", "interpreted"):
+        options = EngineOptions(engine=engine, **option_kwargs)
         runner = ExplorationEngine(system, properties, options)
         results[engine] = runner.run()
-        if engine == "codegen" and cascade_stats is not None:
+        if engine == "lean" and cascade_stats is not None:
             cascade_stats.append(runner.cascade_stats)
-    return results["codegen"], results["interpreted"]
+    return results["lean"], results["interpreted"]
 
 
 def _trace_view(result):
@@ -88,54 +78,21 @@ def _trace_view(result):
         for key, ce in result.counterexamples.items()}
 
 
-def _assert_equivalent(codegen, interpreted, context, traces=True):
-    assert codegen.states_explored == interpreted.states_explored, context
-    assert codegen.transitions == interpreted.transitions, context
-    assert (sorted(codegen.counterexamples)
+def _assert_equivalent(lean, interpreted, context, traces=True):
+    assert lean.states_explored == interpreted.states_explored, context
+    assert lean.transitions == interpreted.transitions, context
+    assert (sorted(lean.counterexamples)
             == sorted(interpreted.counterexamples)), context
     if traces:
-        assert _trace_view(codegen) == _trace_view(interpreted), context
-
-
-class TestWholeCorpusGenerates:
-    def test_every_corpus_app_generates_compilable_source(self, corpus):
-        """The emitter must handle every construct the corpus uses - no
-        app may silently fall back to the interpreter - and the emitted
-        text must be real, compilable Python."""
-        failures = []
-        for name, app in sorted(corpus.items()):
-            try:
-                ir = lower_program(app.program)
-                source = _Emitted(ir, name).source
-                compile(source, "<codegen:%s>" % name, "exec")
-            except Exception as exc:
-                failures.append("%s: %s" % (name, exc))
-        assert not failures, "ungeneratable corpus apps:\n" + "\n".join(
-            failures)
-
-    def test_emission_is_deterministic(self, corpus):
-        """Identical IR must emit byte-identical source (the disk cache
-        depends on it: a re-generation must reproduce the cached file)."""
-        for name, app in sorted(corpus.items())[:10]:
-            ir = lower_program(app.program)
-            assert _Emitted(ir, name).source == _Emitted(ir, name).source
-
-
-class _Emitted:
-    """Tiny adapter: emit a module for a lowered program by name."""
-
-    def __init__(self, ir, name):
-        from repro.model.codegen import SourceEmitter
-        self.source = SourceEmitter(ir).emit_module(name, "test-digest")
+        assert _trace_view(lean) == _trace_view(interpreted), context
 
 
 class TestPerAppDifferential:
     """Every corpus app, auto-configured into the zoo home, explored by
-    the codegen tier and the interpreted oracle with identical
+    the lean relation and the interpreted oracle with identical
     outcomes."""
 
-    def test_full_corpus_codegen_equals_interpreted(self, corpus,
-                                                    codegen_cache):
+    def test_full_corpus_lean_equals_interpreted(self, corpus):
         enumerator = ConfigurationEnumerator(_zoo_deployment())
         checked = 0
         for name, smart_app in sorted(corpus.items()):
@@ -150,97 +107,73 @@ class TestPerAppDifferential:
             except Exception:
                 continue  # un-installable in the zoo (strict build issues)
             properties = select_relevant(system, build_properties())
-            codegen, interpreted = _verify_both(
-                system, properties, codegen_cache,
-                max_events=2, max_states=300)
-            _assert_equivalent(codegen, interpreted, "app %r" % name)
+            lean, interpreted = _verify_both(
+                system, properties, max_events=2, max_states=300)
+            _assert_equivalent(lean, interpreted, "app %r" % name)
             checked += 1
         # the bundled corpus is 57 market + 9 malicious + 4 discovery
         # apps; virtually all of them must be installable in the zoo
         assert checked >= 60, "only %d corpus apps exercised" % checked
 
-    def test_no_corpus_app_falls_back(self, corpus, codegen_cache):
-        """Plan build over a fully-loaded zoo: every installable app
-        must come out generated, not on the fallback list."""
-        config = _zoo_deployment()
-        enumerator = ConfigurationEnumerator(_zoo_deployment())
-        installed = 0
-        for name, smart_app in sorted(corpus.items()):
-            if installed >= 10:
-                break
-            bindings = next(iter(
-                enumerator.enumerate_bindings(smart_app, limit=1)), None)
-            if bindings is None:
-                continue
-            config.add_app(name, bindings)
-            installed += 1
-        system = ModelGenerator(corpus).build(config, strict=False)
-        plan = CodegenPlan(system, cache_dir=codegen_cache)
-        assert plan.fallbacks == []
-        assert plan.generated == len(system.apps)
-
 
 class TestGroupDifferential:
     """The six §10.1 expert groups: multi-app interaction, real
-    violation sets, identical under the codegen tier."""
+    violation sets, identical under the lean relation."""
 
     @pytest.mark.parametrize("group_name", sorted(GROUP_BUILDERS))
-    def test_group_codegen_equals_interpreted(self, group_name,
-                                              codegen_cache):
+    def test_group_codegen_equals_interpreted(self, group_name):
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(GROUP_BUILDERS[group_name]())
         properties = select_relevant(system, build_properties())
-        codegen, interpreted = _verify_both(
-            system, properties, codegen_cache, max_events=2, max_states=5000)
-        _assert_equivalent(codegen, interpreted, group_name)
+        lean, interpreted = _verify_both(
+            system, properties, max_events=2, max_states=5000)
+        _assert_equivalent(lean, interpreted, group_name)
 
     @pytest.mark.parametrize("visited", ["exact"])
-    def test_group1_every_exact_store(self, visited, codegen_cache):
+    def test_group1_every_exact_store(self, visited):
         """The lean path consults the visited store through the same
         engine hooks; the exact stores must agree state-for-state."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
         properties = select_relevant(system, build_properties())
-        codegen, interpreted = _verify_both(
-            system, properties, codegen_cache,
-            max_events=2, max_states=5000, visited=visited)
-        _assert_equivalent(codegen, interpreted, "group1+" + visited)
+        lean, interpreted = _verify_both(
+            system, properties, max_events=2, max_states=5000,
+            visited=visited)
+        _assert_equivalent(lean, interpreted, "group1+" + visited)
 
-    def test_group1_bitstate_verdict(self, codegen_cache):
+    def test_group1_bitstate_verdict(self):
         """The bitstate store is probabilistic in coverage but the
         verdict on this violating workload must not flip."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
         properties = select_relevant(system, build_properties())
-        codegen, interpreted = _verify_both(
-            system, properties, codegen_cache,
-            max_events=2, max_states=5000, visited="bitstate",
-            bitstate_bits=20)
-        assert codegen.verdict == interpreted.verdict
-        assert (codegen.violated_property_ids
+        lean, interpreted = _verify_both(
+            system, properties, max_events=2, max_states=5000,
+            visited="bitstate", bitstate_bits=20)
+        assert lean.verdict == interpreted.verdict
+        assert (lean.violated_property_ids
                 == interpreted.violated_property_ids)
 
-    def test_group1_with_failures_and_concurrent(self, codegen_cache):
+    def test_group1_with_failures_and_concurrent(self):
         """Failure enumeration disables the quiet-sensor path and the
         concurrent design bypasses the lean relation entirely; both
-        must stay back-end independent."""
+        must stay relation independent."""
         registry = _load_or_skip(load_all_apps)
         config = GROUP_BUILDERS["group1-entry-and-mode"]()
         system = ModelGenerator(registry).build(config,
                                                 enable_failures=True)
         properties = select_relevant(system, build_properties())
-        codegen, interpreted = _verify_both(
-            system, properties, codegen_cache, max_events=1,
-            max_states=2000)
-        _assert_equivalent(codegen, interpreted, "group1+failures")
+        lean, interpreted = _verify_both(
+            system, properties, max_events=1, max_states=2000)
+        _assert_equivalent(lean, interpreted, "group1+failures")
 
         system = ModelGenerator(registry).build(config)
-        codegen, interpreted = _verify_both(
-            system, properties, codegen_cache, max_events=2,
-            max_states=2000, mode="concurrent")
-        _assert_equivalent(codegen, interpreted, "group1+concurrent")
+        lean, interpreted = _verify_both(
+            system, properties, max_events=2, max_states=2000,
+            mode="concurrent")
+        _assert_equivalent(lean, interpreted, "group1+concurrent")
 
 
 #: result-JSON fields that measure the run rather than the answer
@@ -261,7 +194,7 @@ class TestTierAgreement:
     def test_check_json_identical_on_every_tier(self, group_name, capsys):
         """`repro check --json` at its defaults prints the same answer,
         counterexample order included, on the interpreted oracle and the
-        default tier."""
+        default lean relation."""
         outputs = []
         for tier in (["--engine", "interpreted"], []):
             cli_main(["check", group_name, "--json"] + tier)
@@ -271,18 +204,18 @@ class TestTierAgreement:
 
 
 class TestRunLeavesNoCycle:
-    def test_system_dies_with_engine_and_result(self, codegen_cache):
-        """A codegen run must not leave the system in a reference cycle:
+    def test_system_dies_with_engine_and_result(self):
+        """A lean run must not leave the system in a reference cycle:
         with the cyclic collector off, dropping the engine and the result
-        frees it (the pooled executors let go of their last cascade)."""
+        frees it."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
         properties = select_relevant(system, build_properties())
         engine = ExplorationEngine(
             system, properties,
-            EngineOptions(max_events=2, codegen_cache=codegen_cache))
-        assert engine.options.engine == "codegen"
+            EngineOptions(max_events=2))
+        assert engine.options.engine == "lean"
         gc.collect()
         gc.disable()
         try:
@@ -305,32 +238,66 @@ def _transition_view(system, transition):
             [(step.kind, step.text, step.app) for step in steps])
 
 
-def _plan_and_monitors(system, codegen_cache):
+def _relation_and_monitors(system, **option_kwargs):
+    """A fresh :class:`LeanRelation` and the monitor factory of an
+    engine configured by ``option_kwargs`` (which applies the scenario
+    profile to ``system``)."""
     properties = select_relevant(system, build_properties())
     engine = ExplorationEngine(system, properties,
-                               EngineOptions(codegen_cache=codegen_cache))
-    return (CodegenPlan(system, cache_dir=codegen_cache),
-            engine._monitor_factory)
+                               EngineOptions(**option_kwargs))
+    return LeanRelation(system), engine._monitor_factory
+
+
+#: the faulted sequential variants replay runs under: each non-clean
+#: profile, and the paper's failure enumeration on the clean profile
+_FAULTED = tuple(sorted(name for name in scenario_names()
+                        if name != "clean")) + ("failures",)
+
+
+def _faulted_system(registry, group_name, variant):
+    """``(system, option_kwargs)`` for one group under one faulted
+    variant (a profile name, or ``"failures"``)."""
+    config = GROUP_BUILDERS[group_name]()
+    if variant == "failures":
+        return (ModelGenerator(registry).build(config, enable_failures=True),
+                {})
+    return ModelGenerator(registry).build(config), {"scenario": variant}
+
+
+#: clean runs of every group keep the group name as their test id;
+#: the faulted variants run on one group each
+_REPLAY_CASES = ([pytest.param(name, "clean", id=name)
+                  for name in sorted(GROUP_BUILDERS)]
+                 + [pytest.param("group1-entry-and-mode", variant,
+                                 id="group1-entry-and-mode-" + variant)
+                    for variant in _FAULTED])
 
 
 class TestCascadeReplay:
     """Cascade replay must be invisible: a replayed successor equals the
     live one in everything the search and its reports read."""
 
-    @pytest.mark.parametrize("group_name", sorted(GROUP_BUILDERS))
-    def test_replayed_expansions_equal_live_ones(self, group_name,
-                                                 codegen_cache):
+    @pytest.mark.parametrize("group_name, variant", _REPLAY_CASES)
+    def test_replayed_expansions_equal_live_ones(self, group_name, variant):
         """Every state reachable within max_events=2 expands twice
-        through one plan: the second pass is all replay and equals the
-        first.  The states the search expands (depth < 2) also get a
+        through one relation: the second pass is all replay and equals
+        the first.  The states the search expands (depth < 2) also get a
         fully live reference, each on an empty trie."""
         registry = _load_or_skip(load_all_apps)
-        system = ModelGenerator(registry).build(GROUP_BUILDERS[group_name]())
-        live, monitors = _plan_and_monitors(system, codegen_cache)
-        plan, _ = _plan_and_monitors(system, codegen_cache)
+        if variant == "clean":
+            system = ModelGenerator(registry).build(
+                GROUP_BUILDERS[group_name]())
+            option_kwargs = {}
+        else:
+            system, option_kwargs = _faulted_system(registry, group_name,
+                                                    variant)
+        live, monitors = _relation_and_monitors(system, **option_kwargs)
+        relation = LeanRelation(system)
+        if variant != "clean":
+            assert not relation._quiet
 
         # the cascade-free path for unheard sensor events never replays
-        quiet = {ext.label() for ext in plan._quiet}
+        quiet = {ext.label() for ext in relation._quiet}
 
         def views(transitions):
             return [_transition_view(system, t) for t in transitions
@@ -356,20 +323,21 @@ class TestCascadeReplay:
 
         passes = []
         for _pass in range(2):
-            before = plan.stats()
-            passes.append([views(plan.transitions(state, monitors))
+            before = relation.stats()
+            passes.append([views(relation.transitions(state, monitors))
                            for state in states])
-        after = plan.stats()
-        assert after["cascades_live"] == before["cascades_live"]
+        after = relation.stats()
+        context = (group_name, variant)
+        assert after["cascades_live"] == before["cascades_live"], context
         assert (after["cascades_replayed"]
-                > before["cascades_replayed"]), group_name
+                > before["cascades_replayed"]), context
         assert after["replay_leaves"] == before["replay_leaves"] > 0
         first, second = passes
-        assert second == first, group_name
+        assert second == first, context
         for state, want, got in zip(states, expected, second):
-            assert got == want, (group_name, state)
+            assert got == want, (context, state)
 
-    def test_clock_reads_key_the_replay(self, codegen_cache):
+    def test_clock_reads_key_the_replay(self):
         """A handler that reads ``now()`` sees the clock, so two states
         differing only in time must not share its cascade; a handler
         that never reads it must."""
@@ -379,18 +347,18 @@ class TestCascadeReplay:
                 'definition(name: "Gen", namespace: "t", author: "t", '
                 'description: "d", category: "c")' + _GEN_PREFS
                 + "def h(evt) { %s }\ndef later() { }" % body)
-            plan, monitors = _plan_and_monitors(system, codegen_cache)
+            relation, monitors = _relation_and_monitors(system)
             early = system.initial_state()
             late = early.copy()
             late.time += 5 * TIME_QUANTUM_MS
             app = system.apps[0].name
             counts = []
             for state in (early, late):
-                before = plan.stats()
+                before = relation.stats()
                 (transition,) = [
-                    t for t in plan.transitions(state, monitors)
+                    t for t in relation.transitions(state, monitors)
                     if t[0].startswith("m/motion=")]
-                after = plan.stats()
+                after = relation.stats()
                 counts.append((
                     after["cascades_live"] - before["cascades_live"],
                     after["cascades_replayed"] - before["cascades_replayed"]))
@@ -419,29 +387,29 @@ class TestCascadeReplay:
         view.set_attribute("d", "switch", "on")
         assert view.attribute("d", "switch") == "on"
 
-    def test_faults_replay_nothing(self, codegen_cache):
-        """Only clean single-scenario cascades replay: failure
-        enumeration and every non-clean profile run each one live."""
+    def test_faults_replay_cascades(self):
+        """Every sequential scenario replays: each faulted profile and
+        failure enumeration replay repeated cascades, while the quiet
+        leaves stay clean-only (faults fork every sensor event)."""
         registry = _load_or_skip(load_all_apps)
-        config = GROUP_BUILDERS["group1-entry-and-mode"]()
-        runs = {}
-        for scenario in scenario_names():
-            system = ModelGenerator(registry).build(config)
-            runs[scenario] = system, {"scenario": scenario}
-        runs["failures"] = (ModelGenerator(registry).build(
-            config, enable_failures=True), {})
+        runs = {"clean": (ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]()), {})}
+        for variant in _FAULTED:
+            runs[variant] = _faulted_system(
+                registry, "group1-entry-and-mode", variant)
         for name, (system, option_kwargs) in runs.items():
             properties = select_relevant(system, build_properties())
             engine = ExplorationEngine(system, properties, EngineOptions(
-                max_events=2, codegen_cache=codegen_cache, **option_kwargs))
+                max_events=2, **option_kwargs))
             engine.run()
             stats = engine.cascade_stats
             assert stats["cascades_live"] > 0, name
+            assert stats["cascades_replayed"] >= 1, name
+            assert stats["replay_leaves"] >= 1, name
             if name == "clean":
-                assert stats["cascades_replayed"] > 0
+                assert stats["quiet_leaves"] > 0
             else:
-                assert stats["cascades_replayed"] == 0, name
-                assert stats["replay_leaves"] == 0, name
+                assert stats["quiet_leaves"] == 0, name
 
 
 def _volunteer_systems(group):
@@ -496,8 +464,7 @@ class TestStatelessQuietLeaves:
     @pytest.mark.parametrize("source, parent_depth",
                              [("expert", 2), ("vgroup08", 1)])
     def test_stateless_keys_equal_built_successors(self, source,
-                                                   parent_depth,
-                                                   codegen_cache):
+                                                   parent_depth):
         """Every quiet event from every state within ``parent_depth``
         events - the parents the workload's search takes stubs from
         (expert groups at bound 3, volunteer jobs at bound 2): the
@@ -508,10 +475,9 @@ class TestStatelessQuietLeaves:
                    else _volunteer_systems(source))
         checked = 0
         for name, system, properties in systems:
-            plan = CodegenPlan(system, cache_dir=codegen_cache)
+            relation = LeanRelation(system)
             monitors = ExplorationEngine(
-                system, properties,
-                EngineOptions(codegen_cache=codegen_cache))._monitor_factory
+                system, properties, EngineOptions())._monitor_factory
             exact = CompiledProperties(system, properties, memoize=False)
             verdicts = {}
             frontier = [system.initial_state()]
@@ -520,7 +486,7 @@ class TestStatelessQuietLeaves:
                 successors = []
                 for state in frontier:
                     for ext in system.external_choices(state):
-                        if ext not in plan._quiet:
+                        if ext not in relation._quiet:
                             continue
                         keys = state.replaced_keys(ext.device, ext.attribute,
                                                    ext.value)
@@ -547,13 +513,14 @@ class TestStatelessQuietLeaves:
                                 == verdicts[keys[1]]), (name, ext)
                     if depth == parent_depth:
                         continue
-                    for transition in plan.transitions(state, monitors):
+                    for transition in relation.transitions(state,
+                                                           monitors):
                         key = transition[1].canonical_key()
                         if key not in seen:
                             seen.add(key)
                             successors.append(transition[1])
                 frontier = successors
-            plan.release()
+            relation.release()
         assert checked > 1000, checked
 
     def test_overlay_exposes_only_attribute_and_mode(self):
@@ -568,44 +535,44 @@ class TestStatelessQuietLeaves:
             with pytest.raises(AttributeError):
                 getattr(overlay, name)
 
-    def test_escaped_parent_takes_the_full_path(self, codegen_cache):
+    def test_escaped_parent_takes_the_full_path(self):
         """A parent whose raw maps were handed out has no trustworthy
         cached hashes: no stateless keys, no stubs, and the successors
         built instead equal a clean parent's."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
-        plan, monitors = _plan_and_monitors(system, codegen_cache)
+        relation, monitors = _relation_and_monitors(system)
         clean = system.initial_state()
         escaped = clean.copy()
         escaped.devices  # handing out the raw maps escapes them
         quiet = [ext for ext in system.external_choices(escaped)
-                 if ext in plan._quiet]
+                 if ext in relation._quiet]
         assert quiet
         for ext in quiet:
             assert escaped.replaced_keys(ext.device, ext.attribute,
                                          ext.value) is None
-        transitions = plan.transitions(escaped, monitors, leaf=True)
-        assert plan.stats()["quiet_leaves"] == 0
+        transitions = relation.transitions(escaped, monitors, leaf=True)
+        assert relation.stats()["quiet_leaves"] == 0
         assert all(isinstance(t[1], ModelState) for t in transitions)
         assert ([_transition_view(system, t) for t in transitions]
                 == [_transition_view(system, t)
-                    for t in plan.transitions(clean, monitors)])
+                    for t in relation.transitions(clean, monitors)])
 
-    def test_default_store_takes_stubs(self, codegen_cache):
+    def test_default_store_takes_stubs(self):
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
         properties = select_relevant(system, build_properties())
         spy = _StoreSpy(system, properties, EngineOptions(
-            max_events=2, codegen_cache=codegen_cache))
+            max_events=2))
         result = spy.run()
         assert spy.cascade_stats["quiet_leaves"] > 0
         assert QuietLeaf in spy.admitted
         assert result.states_explored == 467
 
     @pytest.mark.parametrize("visited", ["exact", "bitstate"])
-    def test_other_stores_receive_built_states(self, visited, codegen_cache):
+    def test_other_stores_receive_built_states(self, visited):
         """Only the default fingerprint store takes stubs: every other
         store is handed full successors and matches the oracle."""
         registry = _load_or_skip(load_all_apps)
@@ -613,7 +580,7 @@ class TestStatelessQuietLeaves:
             GROUP_BUILDERS["group1-entry-and-mode"]())
         properties = select_relevant(system, build_properties())
         spy = _StoreSpy(system, properties, EngineOptions(
-            max_events=2, codegen_cache=codegen_cache, visited=visited))
+            max_events=2, visited=visited))
         result = spy.run()
         assert spy.admitted == {ModelState}, visited
         assert spy.cascade_stats["quiet_leaves"] == 0
@@ -641,13 +608,12 @@ def h(evt) {
 
 
 class TestSettingsCopiedPerRun:
-    def test_list_setting_mutated_in_place_does_not_leak(self,
-                                                         codegen_cache):
+    def test_list_setting_mutated_in_place_does_not_leak(self):
         """A handler growing a ``multiple: true`` enum setting in place
         mutates its own copy: every run sees the configured value, on
-        both tiers, so cascade replay (which skips the handler) agrees
-        with a live run.  Shared, the list grew for good and the tiers
-        disagreed (101 states interpreted, 59 codegen)."""
+        both relations, so cascade replay (which skips the handler)
+        agrees with a live run.  Shared, the list grew for good and the
+        replayed search lost states against the oracle."""
         config = SystemConfiguration(contacts=["+1-555-0100"])
         config.add_device("m", "smartsense-motion")
         config.add_device("s1", "smart-outlet")
@@ -655,47 +621,14 @@ class TestSettingsCopiedPerRun:
                                  "names": ["a"]})
         system = ModelGenerator({"Names": make_app(_NAMES_APP)}).build(config)
         properties = select_relevant(system, build_properties())
-        codegen_run, interpreted = _verify_both(
-            system, properties, codegen_cache, max_events=3)
-        _assert_equivalent(codegen_run, interpreted, "names << x")
-        assert codegen_run.states_explored == 58
-        assert codegen_run.transitions == 203
+        lean, interpreted = _verify_both(system, properties, max_events=3)
+        _assert_equivalent(lean, interpreted, "names << x")
+        assert lean.states_explored == 58
+        assert lean.transitions == 203
         plan = {name: payload
                 for name, _is_device, payload, _group
                 in system.apps[0].binding_plan()}
         assert plan["names"] == ["a"]
-
-
-class TestFallback:
-    def test_ungeneratable_app_runs_on_the_interpreter(self, monkeypatch):
-        """An app whose IR defeats the emitter is listed on the plan's
-        fallbacks and runs on the interpreter, in the lean relation and
-        in traced replays alike: the run equals the interpreted one."""
-        registry = _load_or_skip(load_all_apps)
-        system = ModelGenerator(registry).build(
-            GROUP_BUILDERS["group1-entry-and-mode"]())
-        properties = select_relevant(system, build_properties())
-        victim = system.apps[0].name
-        real_generate = codegen.generate_source
-
-        def generate_source(app_instance, digest=""):
-            if app_instance.name == victim:
-                raise CodegenError("unsupported construct")
-            return real_generate(app_instance, digest)
-
-        monkeypatch.setattr(codegen, "generate_source", generate_source)
-        # a private in-process memo: the patched outcome must neither
-        # come from nor leak into other tests' generated programs
-        monkeypatch.setattr(codegen.load_program, "__defaults__", (None, {}))
-        plan = CodegenPlan(system, cache_dir=False)
-        assert plan.fallbacks == [victim]
-        assert plan.generated == len(system.apps) - 1
-        plan.release()
-        fallback, interpreted = _verify_both(system, properties, False,
-                                             max_events=2)
-        assert fallback.states_explored == 467
-        assert fallback.transitions == 812
-        _assert_equivalent(fallback, interpreted, "fallback " + victim)
 
 
 # ----------------------------------------------------------------------
@@ -873,28 +806,29 @@ def _generated_system(source):
 
 
 class TestGeneratedPrograms:
-    def test_tiers_agree_on_generated_handlers(self, codegen_cache):
+    def test_tiers_agree_on_generated_handlers(self):
         """Commands, branches, early returns, switches, bounded loops,
         local closures, state, modes, schedules and messages in random
-        combination: the default tier must reproduce the interpreted
-        oracle's states, transitions, dedup keys and rendered traces -
-        with cascade replay exercised along the way."""
-        cascade_stats = []
+        combination, under a drawn scenario profile: the lean relation
+        must reproduce the interpreted oracle's states, transitions,
+        dedup keys and rendered traces - with cascade replay exercised
+        along the way, on clean and faulted runs alike."""
+        cascade_stats = {}
 
         @settings(derandomize=True, max_examples=300, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
-        @given(_handler_programs())
-        def tiers_agree(source):
+        @given(_handler_programs(), st.sampled_from(sorted(scenario_names())))
+        def tiers_agree(source, scenario):
             system = _generated_system(source)
-            # the emitter must take every drawn construct: a fallback app
-            # would compare the interpreter with itself
-            compile(codegen.generate_source(system.apps[0]), "<gen>", "exec")
             properties = select_relevant(system, build_properties())
-            codegen_run, interpreted = _verify_both(
-                system, properties, codegen_cache, cascade_stats,
-                max_events=2)
-            assert not interpreted.truncated, source
-            _assert_equivalent(codegen_run, interpreted, source)
+            lean, interpreted = _verify_both(
+                system, properties,
+                cascade_stats.setdefault(scenario == "clean", []),
+                max_events=2, scenario=scenario)
+            assert not interpreted.truncated, (scenario, source)
+            _assert_equivalent(lean, interpreted, (scenario, source))
 
         tiers_agree()
-        assert sum(stats["cascades_replayed"] for stats in cascade_stats) > 0
+        for clean in (True, False):
+            assert sum(stats["cascades_replayed"]
+                       for stats in cascade_stats[clean]) > 0, clean

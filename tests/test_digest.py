@@ -149,7 +149,7 @@ class TestContentSensitivity:
         digests = {
             alice_system.digest(options=EngineOptions(engine=engine,
                                                       check_interval=8))
-            for engine in ("interpreted", "codegen")}
+            for engine in ("interpreted", "lean")}
         assert len(digests) == 1
         assert digests == {alice_system.digest(options=EngineOptions())}
 
@@ -235,7 +235,8 @@ class TestOptionClassification:
     def test_retired_knobs_are_not_options(self):
         from repro.service.digest import SEMANTIC_OPTION_FIELDS
 
-        for name in ("reduction", "seed", "swarm_members", "bitstate_salt"):
+        for name in ("reduction", "seed", "swarm_members", "bitstate_salt",
+                     "code" "gen_cache"):
             assert name not in SEMANTIC_OPTION_FIELDS
             with pytest.raises(TypeError):
                 EngineOptions(**{name: 1})

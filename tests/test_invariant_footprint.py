@@ -5,7 +5,7 @@ Each invariant binds once per system to a check and the exact
 (:class:`~repro.properties.base.SystemBinding`).  The lean relation
 trusts the declaration: a quiet sensor event writing a pair no bound
 check reads takes its parent's verdict
-(:meth:`~repro.model.codegen.CodegenPlan.transitions`).  These tests
+(:meth:`~repro.model.lean.LeanRelation.transitions`).  These tests
 hold the declaration against every state the 76 configurations - the six
 expert groups and the 70 volunteer configurations - reach within two
 events, with every applicable invariant bound, one invariant at a time
@@ -22,8 +22,8 @@ from repro.engine import EngineOptions, ExplorationEngine
 from repro.engine.batch import resolve_job_registry
 from repro.ifttt.table9 import TABLE9_PROPERTIES
 from repro.model.cascade import TIME_QUANTUM_MS
-from repro.model.codegen import CodegenPlan
 from repro.model.generator import ModelGenerator
+from repro.model.lean import LeanRelation
 from repro.properties.base import SystemBinding
 from repro.properties.physical import PHYSICAL_PROPERTIES
 
@@ -78,7 +78,7 @@ def _systems():
                 user_mode_events=job.user_mode_events)
 
 
-def _reach(system, plan, monitors, parent_depth, views, parents):
+def _reach(system, relation, monitors, parent_depth, views, parents):
     """Add every state within two events to ``views`` and the built
     states within ``parent_depth`` events to ``parents``, both keyed by
     physical key.
@@ -96,12 +96,12 @@ def _reach(system, plan, monitors, parent_depth, views, parents):
         successors = []
         for state in frontier:
             if depth <= parent_depth:
-                out = plan.transitions(state, monitors)
+                out = relation.transitions(state, monitors)
             else:
                 out = []
                 for ext in system.external_choices(state):
-                    if ext not in plan._quiet:
-                        plan._run_event(out, state, ext, monitors)
+                    if ext not in relation._quiet:
+                        relation._run_event(out, state, ext, monitors)
                         continue
                     keys = state.replaced_keys(ext.device, ext.attribute,
                                                ext.value)
@@ -120,25 +120,24 @@ def _reach(system, plan, monitors, parent_depth, views, parents):
 
 
 @pytest.fixture(scope="module")
-def reached(tmp_path_factory):
+def reached():
     """``[(source, system, quiet labels, views, parents)]``: the
     configurations of one source with one association (the binding's
     only input besides the physical state) pooled, since what a check
     reads and returns is a function of those two alone."""
-    cache = str(tmp_path_factory.mktemp("codegen-cache"))
     pooled = {}
     for source, system in _systems():
-        plan = CodegenPlan(system, cache_dir=cache)
+        relation = LeanRelation(system)
         # no properties: the relation's own invariant work stays out
         monitors = ExplorationEngine(
-            system, [], EngineOptions(codegen_cache=cache))._monitor_factory
+            system, [], EngineOptions())._monitor_factory
         key = (source, repr(sorted(system.association.items())))
         if key not in pooled:
             pooled[key] = (source, system, set(), {}, {})
         _source, _system, quiet, views, parents = pooled[key]
-        _reach(system, plan, monitors, PARENT_DEPTH[source], views, parents)
-        plan.release()
-        quiet.update(ext.label() for ext in plan._quiet)
+        _reach(system, relation, monitors, PARENT_DEPTH[source], views, parents)
+        relation.release()
+        quiet.update(ext.label() for ext in relation._quiet)
     return list(pooled.values())
 
 

@@ -7,8 +7,8 @@ reads).  These suites pin down the contract:
 
 - ``clean`` is byte-identical to a run that never mentions scenarios;
 - every profile produces identical verdicts, violation sets, state
-  counts and canonical traces across the interpreted and codegen tiers
-  (the differential oracle extended to faulted relations);
+  counts and canonical traces on the traced (interpreted) and lean
+  relations (the differential oracle extended to faulted relations);
 - profiles survive the visited-store choices;
 - profiles are digest-distinguished - a lossy verdict can never be
   served from the clean result cache.
@@ -27,18 +27,13 @@ from repro.properties import build_properties, select_relevant
 from tests.conftest import _load_or_skip
 
 GROUP1 = "group1-entry-and-mode"
-ENGINES = ("interpreted", "codegen")
+ENGINES = ("interpreted", "lean")
 NON_CLEAN = tuple(name for name in scenario_names() if name != "clean")
 
 
 @pytest.fixture(scope="module")
 def registry():
     return _load_or_skip(load_all_apps)
-
-
-@pytest.fixture(scope="module")
-def codegen_cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("scenario-codegen-cache"))
 
 
 def _context(registry, group_name):
@@ -69,24 +64,23 @@ def _assert_equivalent(left, right, context):
 
 
 class TestScenarioTierDifferential:
-    """Every profile x every execution tier on the canonical violating
-    group: the scenario layer lives in the shared cascade/relation code,
-    so no tier may observe a different faulted world."""
+    """Every profile x both relations on the canonical violating group:
+    the scenario layer lives in the shared cascade/relation code, so
+    neither relation may observe a different faulted world."""
 
     @pytest.mark.parametrize("scenario", sorted(scenario_names()))
-    def test_group1_all_tiers_agree(self, registry, codegen_cache, scenario):
+    def test_group1_all_tiers_agree(self, registry, scenario):
         results = {}
         for engine in ENGINES:
             results[engine] = _run(
                 registry, GROUP1, engine=engine, scenario=scenario,
-                codegen_cache=codegen_cache, max_events=2, max_states=20000)
+                max_events=2, max_states=20000)
         oracle = results["interpreted"]
         assert not oracle.truncated, scenario
-        _assert_equivalent(results["codegen"], oracle, scenario)
+        _assert_equivalent(results["lean"], oracle, scenario)
 
     @pytest.mark.parametrize("group_name", sorted(GROUP_BUILDERS))
-    def test_corpus_groups_every_scenario(self, registry, codegen_cache,
-                                          group_name):
+    def test_corpus_groups_every_scenario(self, registry, group_name):
         """The whole bundled group corpus under every profile, one event
         of depth: cheap enough to sweep the full cross product."""
         for scenario in scenario_names():
@@ -94,25 +88,21 @@ class TestScenarioTierDifferential:
             for engine in ENGINES:
                 results[engine] = _run(
                     registry, group_name, engine=engine, scenario=scenario,
-                    codegen_cache=codegen_cache, max_events=1,
-                    max_states=5000)
-            _assert_equivalent(results["codegen"], results["interpreted"],
+                    max_events=1, max_states=5000)
+            _assert_equivalent(results["lean"], results["interpreted"],
                                (group_name, scenario))
 
     @pytest.mark.parametrize("visited", ("exact", "fingerprint"))
-    def test_group1_stores_per_scenario(self, registry, codegen_cache,
-                                        visited):
+    def test_group1_stores_per_scenario(self, registry, visited):
         """Faulted relations meet every dedup store through the same
-        engine hooks; the codegen tier must agree state-for-state."""
+        engine hooks; the lean relation must agree state-for-state."""
         for scenario in NON_CLEAN:
-            codegen = _run(registry, GROUP1, engine="codegen",
-                           scenario=scenario, visited=visited,
-                           codegen_cache=codegen_cache,
-                           max_events=2, max_states=20000)
+            lean = _run(registry, GROUP1, engine="lean", scenario=scenario,
+                        visited=visited, max_events=2, max_states=20000)
             oracle = _run(registry, GROUP1, engine="interpreted",
                           scenario=scenario, visited=visited,
                           max_events=2, max_states=20000)
-            _assert_equivalent(codegen, oracle, (scenario, visited))
+            _assert_equivalent(lean, oracle, (scenario, visited))
 
 
 class TestScenarioSemantics:

@@ -430,6 +430,14 @@ class TestHTTPAPI:
         assert excinfo.value.status == 400
         assert "bad 'engine' option 'compiled'" in str(excinfo.value)
 
+    def test_retired_codegen_tier_is_rejected(self, service_client):
+        with pytest.raises(ServiceError) as excinfo:
+            service_client.submit({"group": self.GROUP,
+                                   "options": {"engine": "code" "gen"}})
+        assert excinfo.value.status == 400
+        assert ("bad 'engine' option 'code" "gen' (allowed: interpreted, "
+                "lean)") in str(excinfo.value)
+
     def test_retired_swarm_mode_is_rejected(self, service_client):
         with pytest.raises(ServiceError) as excinfo:
             service_client.submit({"group": self.GROUP,
@@ -474,7 +482,7 @@ _ENGINE_ONLY_SCRIPT = textwrap.dedent("""
 
     result = execute_job(VerificationJob(
         "group2", GROUP_BUILDERS["group2-lighting"](),
-        EngineOptions(max_events=1, engine="codegen")))
+        EngineOptions(max_events=1, engine="lean")))
     assert result.states_explored > 1
     print(" ".join(name for name in
                    ("http.server", "urllib.request", "ssl", "sqlite3")
@@ -483,10 +491,9 @@ _ENGINE_ONLY_SCRIPT = textwrap.dedent("""
 
 
 def test_engine_run_does_not_import_the_service_stacks():
-    """Every codegen plan digests its system through
-    :mod:`repro.service.digest`; importing that must not load the HTTP,
-    urllib, ssl and sqlite3 stacks the rest of the package needs.  A
-    subprocess, because this process has long imported all of them."""
+    """A verification run must not load the HTTP, urllib, ssl and
+    sqlite3 stacks only the service needs.  A subprocess, because this
+    process has long imported all of them."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run(

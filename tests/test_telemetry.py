@@ -180,7 +180,7 @@ class TestEngineSnapshots:
         end = [e for e in events if e["kind"] == "run_end"][-1]
         assert end["states"] == result.states_explored
         assert end["transitions"] == result.transitions
-        # the default codegen tier reports its cascade counts; a depth-2
+        # the default lean relation reports its cascade counts; a depth-2
         # search meets most cascades a second time and replays them
         assert end["cascades_live"] > 0
         assert end["cascades_replayed"] > end["cascades_live"]
@@ -227,7 +227,7 @@ class TestTelemetryNeutrality:
             assert job_cache_key(_group_job(telemetry=telemetry)) \
                 == baseline, telemetry
 
-    @pytest.mark.parametrize("engine", ["interpreted", "codegen"])
+    @pytest.mark.parametrize("engine", ["interpreted", "lean"])
     def test_outcomes_identical_across_tiers(self, engine, tmp_path):
         plain = execute_job(_group_job(engine=engine))
         observed = execute_job(_group_job(
