@@ -40,7 +40,7 @@ def check_configuration(config, registry=None, properties=None,
     the 45-property catalog (filtered for relevance unless
     ``relevant_only=False``).  Remaining keyword arguments become
     :class:`~repro.engine.EngineOptions` (``max_events``, ``mode``,
-    ``visited``, ``strategy``, ...).  Returns an
+    ``visited``, ``scenario``, ...).  Returns an
     :class:`~repro.engine.ExplorationResult`.
     """
     from repro.engine import ExplorationEngine

@@ -35,7 +35,6 @@ from repro.engine import (
     EngineOptions,
     ExplorationEngine,
     VerificationJob,
-    strategy_names,
     verify_many,
     visited_store_names,
 )
@@ -319,7 +318,6 @@ def _submit_payload(args):
             "max_events": args.max_events,
             "mode": args.mode,
             "visited": args.visited,
-            "strategy": args.strategy,
             "max_states": args.max_states,
             "scenario": args.scenario,
         },
@@ -455,18 +453,17 @@ def _add_engine_arguments(parser):
                              "word per state, ~2^-64 false positives; the "
                              "default), exact (full canonical keys, no hash "
                              "shortcuts - the oracle) or bitstate (Spin "
-                             "supertrace: a k-hash bit field, fixed here "
-                             "at 2^23 bits (1 MiB); coverage=partial)")
-    parser.add_argument("--strategy", choices=strategy_names(),
-                        default="dfs",
-                        help="frontier strategy (search order)")
+                             "supertrace: a depth-tagged k-hash bit "
+                             "field, fixed here at 2^23 bits (1 MiB); "
+                             "coverage=partial)")
     parser.add_argument("--max-states", type=int, default=200000)
     parser.add_argument("--engine", choices=list(ENGINE_MODES), default=None,
                         help="transition relation the search expands: "
                              "interpreted (the traced relation, every "
                              "cascade run live - the oracle) or lean "
-                             "(skeleton traces, repeated cascades "
-                             "replayed; the default).  Verdicts and "
+                             "(each distinct cascade run once, its "
+                             "repeats replayed with their recorded "
+                             "traces; the default).  Verdicts and "
                              "traces are identical on both")
     parser.add_argument("--failures", action="store_true",
                         help="enumerate device/communication failures")
@@ -488,7 +485,7 @@ def _add_engine_arguments(parser):
 def _engine_options(args):
     """Build :class:`EngineOptions` from the shared CLI arguments."""
     return EngineOptions(max_events=args.max_events, mode=args.mode,
-                         visited=args.visited, strategy=args.strategy,
+                         visited=args.visited,
                          max_states=args.max_states,
                          engine=args.engine or "lean",
                          scenario=args.scenario)

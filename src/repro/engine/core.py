@@ -6,10 +6,11 @@ to exhaustively verify the system." (§8, Algorithm 1.)
 
 Used as a *falsifier* (§2.3): the search records a counterexample per
 violated property and keeps exploring until the bounded state space is
-exhausted or a limit trips.  The engine is assembled from three pluggable
-parts - a :class:`~repro.engine.frontier.Frontier` (expansion order), a
-VisitedStore (pruning) and the transition relation of the system under
-test - so strategies and stores swap without touching the search itself.
+exhausted or a limit trips.  The search is a depth-bounded DFS over a
+plain stack; a VisitedStore (:mod:`repro.engine.visited`) prunes
+revisits that are no shallower than before, and the transition
+relation of the system under test - lean or traced - yields the
+successors, each with its full cascade trace.
 """
 
 import gc
@@ -20,7 +21,6 @@ from repro.checker.monitor import SafetyMonitor
 from repro.checker.violations import Counterexample
 from repro.engine.options import CONCURRENT, EngineOptions
 from repro.engine.result import ExplorationResult
-from repro.engine.visited import FingerprintVisitedSet
 
 #: longest counterexample the trace canonicalization will permute
 #: (factorial growth; beyond this the recorded path is kept as-is)
@@ -55,19 +55,18 @@ class _Node:
 
 
 class ExplorationEngine:
-    """Runs the bounded search on one :class:`~repro.model.system.IoTSystem`."""
+    """Runs the depth-bounded DFS on one
+    :class:`~repro.model.system.IoTSystem`."""
 
     def __init__(self, system, properties, options=None):
         self.system = system
         self.properties = list(properties)
         self.options = options or EngineOptions()
-        # applied at construction (not _setup_search) so replay engines —
-        # counterexample rehydration and canonicalization — execute the
-        # same faulted relation as the search itself
+        # applied at construction (not _setup_search) so the trace
+        # canonicalization's replays execute the same faulted relation
+        # as the search itself
         from repro.model.faults import resolve_scenario
         system.scenario_profile = resolve_scenario(self.options.scenario)
-        self._monitor_cls = SafetyMonitor
-        self._counterexample_cls = Counterexample
         #: live telemetry session (opened per run; None when disabled)
         self._telemetry = None
         #: the lean relation (:class:`~repro.model.lean.LeanRelation`)
@@ -77,7 +76,7 @@ class ExplorationEngine:
         #: ``result.profile`` by ``_finish``
         self._phase_times = {}
         #: whether the lean relation may hand the search stateless
-        #: quiet leaves (only the default fingerprint store takes them)
+        #: quiet leaves (every store but ``exact`` takes them)
         self._quiet_leaf_stubs = False
         #: the last run's cascade counts (:meth:`LeanRelation.stats` and
         #: ``invariant_inherited``; empty under ``engine="interpreted"``)
@@ -96,8 +95,8 @@ class ExplorationEngine:
             memoize=self.options.visited != "exact")
 
     def _monitor_factory(self):
-        return self._monitor_cls(self.system, self.properties,
-                                 compiled=self._compiled_properties)
+        return SafetyMonitor(self.system, self.properties,
+                             compiled=self._compiled_properties)
 
     def run(self):
         """Explore; returns an :class:`ExplorationResult`."""
@@ -116,15 +115,15 @@ class ExplorationEngine:
     def _setup_search(self):
         """Assemble one run's moving parts.
 
-        Returns ``(visited, frontier)`` and picks the relation the
-        search expands: the lean one unless ``engine="interpreted"``.
+        Returns the visited store and picks the relation the search
+        expands: the lean one unless ``engine="interpreted"``.
         """
         options = self.options
         self._lean = None
         if options.engine == "lean":
             from repro.model.lean import LeanRelation
             self._lean = LeanRelation(self.system)
-        return options.make_visited(self.system), options.make_frontier()
+        return options.make_visited(self.system)
 
     def _run(self):
         options = self.options
@@ -133,12 +132,12 @@ class ExplorationEngine:
         telemetry = self._telemetry = self._open_telemetry()
         if telemetry is not None:
             telemetry.run_start(options)
-        visited, frontier = self._setup_search()
-        # the fingerprint store reads nothing of an admitted state but
-        # its fingerprint, so quiet successors at the bound need not be
-        # built; every other store keeps full successors - the exact one
+        visited = self._setup_search()
+        # the fingerprint and bitstate stores read nothing of an admitted
+        # state but its fingerprint, so quiet successors at the bound
+        # need not be built; the exact store keeps full successors - it
         # stays an independent oracle
-        self._quiet_leaf_stubs = isinstance(visited, FingerprintVisitedSet)
+        self._quiet_leaf_stubs = options.visited != "exact"
 
         # the distinct counter is only sampled on *fresh* admissions (a
         # pruned revisit can never have grown the store), keeping the
@@ -148,7 +147,7 @@ class ExplorationEngine:
         visited.seen_state(root.state, 0)
         last_distinct = count_distinct()
         result.states_explored = 1
-        frontier.push(root)
+        stack = [root]
 
         # wall-clock reads are hoisted out of the transition loop: the
         # cheap integer limits stay exact per transition, the time limit
@@ -165,10 +164,10 @@ class ExplorationEngine:
             snapshot_gap = telemetry.config.snapshot_gap(check_interval)
             next_snapshot = snapshot_gap
 
-        while frontier:
+        while stack:
             if self._limits_hit(result, started):
                 break
-            node = frontier.pop()
+            node = stack.pop()
             for transition in self._search_transitions_from(node):
                 label, new_state, consumed, violations, steps = transition
                 result.transitions += 1
@@ -195,7 +194,7 @@ class ExplorationEngine:
                         if child is None:
                             child = _Node(new_state, depth, parent=node,
                                           label=label, steps=steps)
-                        frontier.push(child)
+                        stack.append(child)
                 if self._cheap_limits_hit(result):
                     return self._finish(result, visited, started)
                 if result.transitions >= next_time_check:
@@ -204,7 +203,7 @@ class ExplorationEngine:
                             and result.transitions >= next_snapshot):
                         next_snapshot = result.transitions + snapshot_gap
                         telemetry.snapshot(self._progress_fields(
-                            result, frontier, visited, node.depth,
+                            result, stack, visited, node.depth,
                             time.monotonic() - started))
                     if self._time_limit_hit(result, started):
                         return self._finish(result, visited, started)
@@ -212,10 +211,9 @@ class ExplorationEngine:
         return self._finish(result, visited, started)
 
     def _search_transitions_from(self, node):
-        """The relation the search loop expands: the lean
-        (skeleton-trace) relation on sequential runs when active, the
-        traced relation otherwise.  Replays and canonicalization always
-        go through :meth:`_transitions_from` for full traces."""
+        """The relation the search loop expands: the lean relation on
+        sequential runs when active, the traced relation otherwise.
+        Canonicalization replays go through :meth:`_transitions_from`."""
         lean = self._lean
         if lean is not None and self.options.mode != CONCURRENT:
             max_events = self.options.max_events
@@ -233,13 +231,14 @@ class ExplorationEngine:
         return open_session(self.options.telemetry)
 
     @staticmethod
-    def _progress_fields(result, frontier, visited, depth, elapsed):
+    def _progress_fields(result, stack, visited, depth, elapsed):
         """One progress snapshot's payload (read-only observations: the
-        search must be byte-identical with telemetry on or off)."""
+        search must be byte-identical with telemetry on or off);
+        ``frontier`` is the DFS stack's length."""
         return {
             "states": result.states_explored,
             "transitions": result.transitions,
-            "frontier": len(frontier),
+            "frontier": len(stack),
             "depth": depth,
             "elapsed": round(elapsed, 6),
             "visited_bytes": visited.stats().get("approx_bytes", 0),
@@ -250,9 +249,12 @@ class ExplorationEngine:
         # (and the states/sec figures derived from it in the bench
         # artifact) must not hide the replay/permutation cost
         finalize_started = time.monotonic()
-        if self._lean is not None:
-            self._rehydrate_lean_traces(result)
         self._canonicalize_traces(result)
+        # one order for the list: by path, then by violation - a
+        # function of the state space, not of the order of recording
+        result.counterexamples = dict(sorted(
+            result.counterexamples.items(),
+            key=lambda item: (path_order_key(item[1].path), item[0])))
         if self._lean is not None:
             self._lean.release()
             self.cascade_stats = self._lean.stats()
@@ -287,32 +289,6 @@ class ExplorationEngine:
             telemetry.close()
         return result
 
-    def _rehydrate_lean_traces(self, result):
-        """Regenerate full traces for counterexamples found by the lean
-        relation.
-
-        Lean search paths carry skeleton steps - enough for dedup keys
-        and app attribution, nothing a human can read.  Each *reported*
-        counterexample (a handful, against millions of transitions) has
-        its label sequence replayed through the traced relation and is
-        re-recorded with the full cascade steps.
-        """
-        backup = result.counterexamples
-        result.counterexamples = {}
-        for key, counterexample in backup.items():
-            replayed = replay_path(self, tuple(counterexample.event_labels()))
-            if replayed is not None:
-                node, violations = replayed
-                self._record(result, node, violations)
-            elif key not in result.counterexamples:
-                # replay fell short (e.g. a truncated search recorded a
-                # path the bounded replay cannot reach): keep the
-                # skeleton rather than dropping the finding.  A
-                # *successful* replay speaks for itself - keeping the
-                # skeleton too would duplicate the violation under a
-                # stale key whenever the replayed steps refine it
-                result.counterexamples[key] = counterexample
-
     def _canonicalize_traces(self, result):
         """Make recorded traces independent of the expansion order.
 
@@ -323,8 +299,8 @@ class ExplorationEngine:
         This pass replays every valid permutation of each recorded event
         sequence and keeps the canonical minimum via :meth:`_record`'s
         ordering, so the rendered trace is a function of the state space
-        alone - the property that lets every strategy and tier report
-        the same trace.
+        alone - the property that lets both relations and every store
+        report the same trace.
 
         Keys never appear or disappear: permutations only compete for
         the trace of violations the search itself proved.
@@ -379,8 +355,7 @@ class ExplorationEngine:
             # Content-based selection (instead of first-found) makes the
             # reported trace independent of expansion order
             if existing is None or order < path_order_key(existing.path):
-                result.counterexamples[key] = self._counterexample_cls(
-                    violation, path)
+                result.counterexamples[key] = Counterexample(violation, path)
 
     def _role_actors(self, violation, path):
         """For invariant violations: the apps that commanded the property's
@@ -443,8 +418,8 @@ def replay_path(engine, labels):
     ``None`` when the sequence does not replay to a violating
     transition.  Labels deterministically identify transitions, so a
     successful replay regenerates the exact cascade steps - this is how
-    the lean-trace rehydration and the trace canonicalization rebuild
-    rendered counterexamples without trusting any recorded path.
+    the trace canonicalization rebuilds rendered counterexamples without
+    trusting any recorded path.
 
     A transition's label is its external event's label plus an optional
     failure-scenario suffix, so only the externals whose label starts

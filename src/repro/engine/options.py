@@ -1,6 +1,5 @@
 """Tunables for one exploration run."""
 
-from repro.engine import strategy as _strategy
 from repro.engine.visited import (
     BitStateVisitedSet,
     ExactVisitedSet,
@@ -48,8 +47,6 @@ def visited_store_names():
 class EngineOptions:
     """Tunables for one exploration run.
 
-    ``strategy`` selects the frontier by registry name (``dfs``/``bfs``/
-    ``priority`` built in; see :func:`repro.engine.register_strategy`).
     ``visited`` selects the store (:mod:`repro.engine.visited`):
     ``fingerprint`` (the default: one 64-bit word per state,
     depth-aware - the hash-compact trade-off Spin makes at scale,
@@ -57,7 +54,8 @@ class EngineOptions:
     (full canonical keys and no hash shortcuts anywhere, including the
     invariant-verdict memo - the differential oracle) or ``bitstate``
     (Spin's supertrace: a k-hash bit field of
-    ``2**bitstate_bits`` bits over the same fingerprints, with O(1)
+    ``2**bitstate_bits`` bits over the same fingerprints, each probe
+    tagged with its depth so a shallower revisit re-expands, with O(1)
     fill-ratio saturation reporting; its runs are ``partial``).
     ``bitstate_bits`` must be an integer in 3..34 (a one-byte to a
     2 GiB field).
@@ -68,9 +66,9 @@ class EngineOptions:
         <repro.model.system.IoTSystem.transitions>`, which runs every
         cascade live and records its full trace - the differential
         oracle) or ``lean`` (the default,
-        :class:`~repro.model.lean.LeanRelation`: skeleton-trace
-        cascades, each distinct one run once per search and its repeats
-        replayed, under every sequential scenario).  Both run handlers
+        :class:`~repro.model.lean.LeanRelation`: each distinct cascade
+        run once per search and its repeats replayed, trace included,
+        under every sequential scenario).  Both run handlers
         on the tree interpreter.  A pure performance knob: both produce
         byte-identical verdicts, violation sets and canonical traces
         (proven on the corpus and on generated handler programs by the
@@ -110,8 +108,8 @@ class EngineOptions:
 
     def __init__(self, max_events=3, mode=SEQUENTIAL, visited="fingerprint",
                  bitstate_bits=23, max_states=200000, max_transitions=None,
-                 time_limit=None, stop_on_first=False, strategy="dfs",
-                 priority=None, engine="lean", check_interval=256,
+                 time_limit=None, stop_on_first=False, engine="lean",
+                 check_interval=256,
                  manage_gc=True, scenario="clean", telemetry=None):
         self.max_events = max_events
         if mode not in EXPLORATION_MODES:
@@ -132,8 +130,6 @@ class EngineOptions:
         self.max_transitions = max_transitions
         self.time_limit = time_limit
         self.stop_on_first = stop_on_first
-        self.strategy = strategy
-        self.priority = priority
         if engine not in ENGINE_MODES:
             raise ValueError("unknown engine %r (known: %s)"
                              % (engine, ", ".join(ENGINE_MODES)))
@@ -157,7 +153,3 @@ class EngineOptions:
             raise KeyError("unknown visited store %r (known: %s)"
                            % (self.visited, ", ".join(sorted(_VISITED_STORES))))
         return factory(self, system)
-
-    def make_frontier(self):
-        """Build the frontier selected by ``strategy`` (registry name)."""
-        return _strategy.make_frontier(self.strategy, self)

@@ -11,8 +11,9 @@ Three stores implement the VisitedStore protocol:
     The default: one 64-bit word per state, depth-aware - the
     hash-compact trade-off Spin makes at scale.
 ``bitstate``  (:class:`BitStateVisitedSet`)
-    Holzmann's supertrace: a k-hash bit field of fixed size;
-    its runs are reported with ``coverage="partial"``.
+    Holzmann's supertrace: a k-hash bit field of fixed size whose
+    probes are tagged with the depth; its runs are reported with
+    ``coverage="partial"``.
 
 A visited store answers one question - "was this state already expanded
 at an equal-or-smaller depth?" - through three methods:
@@ -37,8 +38,8 @@ at an equal-or-smaller depth?" - through three methods:
     O(1) count of distinct states stored so far (a depth-improved
     revisit does not grow it).  The engine samples it around each
     ``seen_state`` call to keep ``states_explored`` a *distinct-state*
-    count - an order-independent metric, so every strategy reports
-    the same number for the same bounded space.
+    count - an order-independent metric, so every store reports the
+    same number for the same bounded space.
 """
 
 import itertools
@@ -50,8 +51,6 @@ __all__ = ["BitStateVisitedSet", "ExactVisitedSet", "FingerprintVisitedSet"]
 APPROX_SAMPLE = 256
 
 _MASK64 = (1 << 64) - 1
-#: the 64-bit golden-ratio increment (splitmix64's gamma)
-_GAMMA = 0x9E3779B97F4A7C15
 
 
 def _mix64(value):
@@ -227,29 +226,33 @@ class FingerprintVisitedSet(ExactVisitedSet):
 class BitStateVisitedSet:
     """Holzmann-style supertrace store over 64-bit state fingerprints.
 
-    Each admitted state sets ``hash_count`` bits (independent splitmix64
-    mixes of the fingerprint) in a ``2**bits_log2``-bit field; a state
-    is pruned when *all* its bits were already set.  Like every bitstate
-    scheme it trades exactness for a fixed memory footprint: distinct
-    states may collide on a full bit pattern and be wrongly pruned
-    (missed coverage - why its runs are *partial*), but a state the
-    store has admitted is never forgotten, so there are no false
-    negatives on revisits.  Unlike the exact stores it keeps no
-    per-state depth - a revisit at smaller depth is pruned too, another
-    (deliberate, Spin-compatible) source of partial coverage.
+    A state submitted at depth ``d`` sets the *tag* ``(fingerprint, d)``:
+    ``hash_count`` bits of a ``2**bits_log2``-bit field.  It is pruned
+    when the tag of some depth ``d' <= d`` is fully set - the
+    fingerprint store's rule, so a state reached again closer to the
+    root is re-expanded and a depth-bounded DFS loses states to hash
+    collisions only (Spin's ``-DREACH`` problem).  All tags of a key
+    come from one splitmix64 ``h`` by double hashing (Kirsch and
+    Mitzenmacher): probe ``j`` is ``h + j * step``, ``step`` the odd
+    rotation of ``h``, and tag ``d`` owns probes ``d*k .. d*k + k-1``.
+    Distinct tags may collide on a full bit pattern and be wrongly
+    pruned (why its runs are *partial*), but a set tag is never
+    forgotten.  ``hash_count`` is 5 because a submission probes a tag
+    per depth: with 3, group1 at depth 4 in a 2^23-bit field lost
+    states at 2 of 13 hash seeds; with 5, at none of 22.
 
-    ``pruned`` counts every pruned submission.  A bit field cannot tell
-    an ordinary revisit from a hash collision, so that count is not a
-    measure of missed states; the fill ratio is the saturation signal.
-    It is tracked incrementally (O(1) per insert) so telemetry can
-    report saturation live rather than recompute it by popcount.
+    ``stored`` counts states with no tag set before (scanning up to
+    the deepest tag set so far), so it stays a distinct-state count.
+    ``pruned`` counts every pruned submission; a bit field cannot tell
+    a revisit from a collision, so the fill ratio is the saturation
+    signal, kept incrementally (O(1) per insert) for live telemetry.
     """
 
     #: supported ``bits_log2`` range: a one-byte field up to 2 GiB
     MIN_BITS_LOG2 = 3
     MAX_BITS_LOG2 = 34
 
-    def __init__(self, bits_log2=23, hash_count=3):
+    def __init__(self, bits_log2=23, hash_count=5):
         if not self.MIN_BITS_LOG2 <= bits_log2 <= self.MAX_BITS_LOG2:
             raise ValueError("bits_log2 must be in %d..%d, got %r"
                              % (self.MIN_BITS_LOG2, self.MAX_BITS_LOG2,
@@ -264,6 +267,8 @@ class BitStateVisitedSet:
         self.stored = 0
         self.pruned = 0
         self._set_bits = 0
+        #: the deepest tag set so far (-1: none)
+        self._deepest = -1
 
     @staticmethod
     def state_key(state):
@@ -271,36 +276,65 @@ class BitStateVisitedSet:
         return state.fingerprint()
 
     def seen_state(self, state, depth):
-        """Record by fingerprint; True when all its bits were set."""
+        """Record by fingerprint; True when prunable at this depth."""
         return self.seen_before(state.fingerprint(), depth)
 
-    def bit_positions(self, key):
-        """The ``hash_count`` field positions of one key (test hook)."""
+    @staticmethod
+    def _probe(key):
+        """``(h, step)`` of one key's double-hashed probe sequence."""
         value = _mix64(int(key) & _MASK64)
-        positions = []
-        for _ in range(self.hash_count):
-            positions.append(value & self._mask)
-            value = _mix64((value + _GAMMA) & _MASK64)
-        return positions
+        return value, ((value >> 32) | (value << 32)) & _MASK64 | 1
+
+    def bit_positions(self, key, depth=0):
+        """The ``hash_count`` field positions of one key's tag at
+        ``depth`` (test hook)."""
+        value, step = self._probe(key)
+        first = depth * self.hash_count
+        return [(value + (first + index) * step) & self._mask
+                for index in range(self.hash_count)]
 
     def seen_before(self, key, depth):
-        """Record an explicit key; True prunes (depth is ignored - the
-        bit field stores no per-state depth, see the class doc)."""
-        field = self._field
-        missing = []
-        for position in self.bit_positions(key):
-            byte, bit = position >> 3, 1 << (position & 7)
-            # two hashes can land on one bit (likely in a small or
-            # saturated field); dedup so the fill count stays honest
-            if not field[byte] & bit and (byte, bit) not in missing:
-                missing.append((byte, bit))
-        if not missing:
-            self.pruned += 1
-            return True
-        for byte, bit in missing:
-            field[byte] |= bit
-        self._set_bits += len(missing)
-        self.stored += 1
+        """Record an explicit key at ``depth``; True prunes (a tag at
+        an equal or smaller depth is set), False means the state must
+        be (re)expanded at this depth."""
+        value, step = self._probe(key)
+        field, mask, count = self._field, self._mask, self.hash_count
+        stride = step * count
+        deepest = self._deepest
+        # tags 0..depth decide pruning; a set tag beyond them (up to the
+        # deepest one set so far) marks a depth-improved revisit, which
+        # is re-expanded but is no new distinct state
+        fresh = True
+        start = value
+        for tag in range(max(depth, deepest) + 1):
+            position = start
+            start += stride
+            for _ in range(count):
+                bit = position & mask
+                if not field[bit >> 3] >> (bit & 7) & 1:
+                    break
+                position += step
+            else:
+                if tag <= depth:
+                    self.pruned += 1
+                    return True
+                fresh = False
+                break
+        position = value + depth * stride
+        for _ in range(count):
+            bit = position & mask
+            byte, flag = bit >> 3, 1 << (bit & 7)
+            # two probes can land on one bit (likely in a small or
+            # saturated field); count each bit once so the fill stays
+            # honest
+            if not field[byte] & flag:
+                field[byte] |= flag
+                self._set_bits += 1
+            position += step
+        if depth > deepest:
+            self._deepest = depth
+        if fresh:
+            self.stored += 1
         return False
 
     @property
@@ -309,7 +343,8 @@ class BitStateVisitedSet:
         return self._set_bits / self.bits
 
     def distinct_count(self):
-        """Admitted states so far (pruned submissions excluded) - O(1)."""
+        """Distinct states stored so far (pruned submissions and
+        depth-improved revisits excluded) - O(1)."""
         return self.stored
 
     def stats(self):

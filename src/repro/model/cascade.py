@@ -58,6 +58,16 @@ class Cascade:
     def run_external(self, ext):
         """Apply one external event; returns the violations found."""
         self.state.time += TIME_QUANTUM_MS
+        self.apply_external(ext)
+        if not self.defer_dispatch:
+            self._drain()
+            return self.monitor.finish(self.state)
+        return self.monitor.violations
+
+    def apply_external(self, ext):
+        """Record one external event's step and inject it, on a state
+        whose clock has already advanced: nothing is dispatched yet and
+        no final invariant check runs."""
         suffix = self.scenario.label()
         self.steps.append(TraceStep(
             "external", ext.describe() + suffix if suffix
@@ -114,10 +124,6 @@ class Cascade:
         elif ext.kind == "environment":
             self._enqueue(Event(LOCATION, attribute=ext.attribute,
                                 value=ext.attribute))
-        if not self.defer_dispatch:
-            self._drain()
-            return self.monitor.finish(self.state)
-        return self.monitor.violations
 
     def dispatch_one_pending(self, index):
         """Concurrent design: dispatch the ``index``-th pending event."""

@@ -115,14 +115,6 @@ class FailureScenario:
             return self.device == device_name
         return False
 
-    def drops_report(self, device_name):
-        """True when ``device_name``'s sensor report is silently lost."""
-        if self.kind == self.SENSOR_DROP or self.kind == self.EVENT_DROP:
-            return True
-        if self.kind == self.DEVICE_DEATH:
-            return self.device == device_name
-        return False
-
     def __repr__(self):
         return "FailureScenario(%s, %r)" % (self.kind, self.device)
 

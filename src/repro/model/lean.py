@@ -1,157 +1,36 @@
-"""The lean transition relation: traceless cascades, replayed repeats.
+"""The lean transition relation: each distinct cascade run once.
 
 The traced relation (:meth:`~repro.model.system.IoTSystem.transitions`)
-records a full ``TraceStep`` log for every cascade it runs, and runs
-every cascade.  Search needs neither: it reads successor states,
-violations and the few steps violation attribution uses.  So the
-engine's default search expands nodes through :class:`LeanRelation`:
+runs every cascade of every expanded node.  Most of them repeat: the
+same event meets the same values it reads.  So the engine's default
+search expands nodes through :class:`LeanRelation`:
 
-* a :class:`_LeanCascade` runs each cascade with a *skeleton* trace
-  (violating paths are replayed through the traced relation by the
-  engine, so reported traces are byte-identical to the oracle's);
 * under every sequential scenario - clean runs, the faulted profiles
-  and failure enumeration alike - each distinct cascade runs live once
-  on a recording view, and a later cascade of the same label and
-  scenario whose first reads find the same values re-applies the
-  recorded writes and monitor hooks instead of running the handlers
-  again (:mod:`repro.model.replay` gives the soundness argument);
+  and failure enumeration alike - each distinct cascade runs live once,
+  as the traced :class:`~repro.model.cascade.Cascade` itself on a
+  recording view, and a later cascade of the same label and scenario
+  whose first reads find the same values re-applies the recorded
+  writes, monitor hooks and trace steps instead of running the
+  handlers again (:mod:`repro.model.replay` gives the soundness
+  argument);
 * on clean runs, a sensor event no installed app hears takes a
   cascade-free path, and at the depth bound may become a stateless
   :class:`~repro.model.state.QuietLeaf`.
 
+Every transition carries the traced relation's full steps, so a
+violating search path is a reportable counterexample as it stands.
 Handlers run on the tree :class:`~repro.model.interpreter.Interpreter`,
 a fresh one per handler run, exactly as in the traced relation.
 """
 
 from repro.checker.compiled import ReplacedAttribute
 from repro.checker.violations import TraceStep
-from repro.model.cascade import (
-    MAX_INTERNAL_EVENTS,
-    TIME_QUANTUM_MS,
-    Cascade,
-    FailureScenario,
-    _coerce_attribute_value,
-    _freeze_arg,
-)
-from repro.model.events import APP, DEVICE, LOCATION, Event
+from repro.model.cascade import TIME_QUANTUM_MS, Cascade
+from repro.model.events import DEVICE, Event
 from repro.model.replay import RecordingMonitor, RecordingState, ReplayTrie
 from repro.model.state import QuietLeaf
 
 __all__ = ["LeanRelation"]
-
-
-class _LeanCascade(Cascade):
-    """A :class:`Cascade` that records a *skeleton* trace.
-
-    Every state mutation, event, handler run and monitor callback is
-    identical to the traced cascade; the full ``TraceStep`` log (and
-    its per-step label formatting) is dropped.  Only the steps that
-    feed violation attribution survive - app-attributed
-    ``command``/``mode`` records, whose text carries exactly the
-    ``device.command`` prefix the engine's actor refinement splits on -
-    so dedup keys and app lists match the traced relation, and the
-    engine regenerates the full rendered trace for the few *reported*
-    counterexamples by replaying their label sequences through the
-    traced relation.
-    """
-
-    def apply_external(self, ext):
-        """The cascade of one external event, drained, on a state whose
-        clock has already advanced (no final invariant check)."""
-        if ext.kind == "sensor":
-            if self.scenario.drops_report(ext.device):
-                # SENSOR_DROP / EVENT_DROP / DEVICE_DEATH of the origin:
-                # ground truth updates silently, no app is notified
-                self.state.set_attribute(ext.device, ext.attribute, ext.value)
-            elif self.scenario.kind == FailureScenario.DUPLICATE:
-                changed = (self.state.attribute(ext.device, ext.attribute)
-                           != ext.value)
-                self.sensor_state_update(ext.device, ext.attribute, ext.value)
-                if changed:
-                    self._enqueue(Event(DEVICE, device=ext.device,
-                                        attribute=ext.attribute,
-                                        value=ext.value))
-            elif self.scenario.kind == FailureScenario.STALE_READ:
-                stale = self.get_attribute(ext.device, ext.attribute)
-                self.sensor_state_update(ext.device, ext.attribute, ext.value)
-                self._stale_reads = {(ext.device, ext.attribute): stale}
-            else:
-                self.sensor_state_update(ext.device, ext.attribute, ext.value)
-        elif ext.kind == "touch":
-            self._enqueue(Event(APP, app=ext.app))
-        elif ext.kind == "mode":
-            if ext.value != self.state.mode:
-                self.state.mode = ext.value
-                self._enqueue(Event(LOCATION, attribute="mode",
-                                    value=ext.value))
-        elif ext.kind == "timer":
-            self._fire_timer(ext.app, ext.handler)
-        elif ext.kind == "environment":
-            self._enqueue(Event(LOCATION, attribute=ext.attribute,
-                                value=ext.attribute))
-        self._drain()
-
-    def sensor_state_update(self, device_name, attribute, value):
-        """:meth:`Cascade.sensor_state_update` without its trace step."""
-        if self.state.attribute(device_name, attribute) == value:
-            return
-        self.state.set_attribute(device_name, attribute, value)
-        self.state.record_event(device_name, attribute, value)
-        self._enqueue(Event(DEVICE, device=device_name, attribute=attribute,
-                            value=value))
-
-    def actuator_command(self, device_name, command, args, app_name):
-        """:meth:`Cascade.actuator_command` keeping only the skeleton
-        ``command`` step that violation attribution reads."""
-        instance = self.system.devices.get(device_name)
-        effect = instance.command(command) if instance is not None else None
-        payload = tuple(_freeze_arg(a) for a in args)
-        self._step("command", "%s.%s" % (device_name, command),
-                   app=app_name)
-        self.monitor.on_command(device_name, command, payload, app_name,
-                                effect)
-        self.state.cascade_commands = self.state.cascade_commands + (
-            (device_name, command, payload, app_name),)
-        if effect is None:
-            return
-        if self.scenario.drops_command(device_name):
-            reason = ("device dead"
-                      if self.scenario.kind == FailureScenario.DEVICE_DEATH
-                      else "actuator offline")
-            self.monitor.on_command_dropped(device_name, command, app_name,
-                                            reason)
-            return
-        value = effect.value
-        if effect.takes_arg:
-            value = payload[0] if payload else None
-        value = _coerce_attribute_value(instance, effect.attribute, value)
-        if self.state.attribute(device_name, effect.attribute) == value:
-            return
-        self.state.set_attribute(device_name, effect.attribute, value)
-        self.state.record_event(device_name, effect.attribute, value)
-        self._enqueue(Event(DEVICE, device=device_name,
-                            attribute=effect.attribute, value=value))
-
-    def dispatch_event(self, event):
-        """:meth:`Cascade.dispatch_event` without the notify and
-        budget-exhausted trace steps."""
-        self._dispatched += 1
-        if self._dispatched > MAX_INTERNAL_EVENTS:
-            return
-        for app_instance, handler, value_filter in (
-                self.system.subscribers_for(event)):
-            if (value_filter is not None
-                    and str(event.value) != str(value_filter)):
-                continue
-            self._run_handler(app_instance, handler, event)
-
-    def _step(self, kind, text, app=None, line=None):
-        # skeleton trace: keep only what violation attribution reads
-        if app is not None and (kind == "command" or kind == "mode"):
-            self.steps.append(TraceStep(kind, text, app=app))
-
-    def log(self, app_name, level, message):
-        pass
 
 
 class LeanRelation:
@@ -171,11 +50,13 @@ class LeanRelation:
         # would run for a concrete (device, attribute, value) sensor
         # event is decided here, once.  Those no installed app hears
         # take a cascade-free path in :meth:`transitions` (the dominant
-        # case on sensor-rich systems); it replicates exactly one lean
+        # case on sensor-rich systems); it replicates exactly one
         # cascade shape - single NO_FAILURE scenario, one sensor update,
         # nothing dispatched - so failure enumeration or a faulted
-        # profile, which fork every sensor event, leave the set empty
-        self._quiet = set()
+        # profile, which fork every sensor event, leave the map empty.
+        # Each quiet event maps to the steps the traced cascade records
+        # for it: the external event, the state write, the notify
+        self._quiet = {}
         #: the subset of ``_quiet`` whose verdict is inherited, for the
         #: compiled property set it was computed for
         self._unread = frozenset()
@@ -196,7 +77,11 @@ class LeanRelation:
                                or str(value) == str(value_filter)
                                for _app, _handler, value_filter
                                in system.subscribers_for(event)):
-                        self._quiet.add(ext)
+                        self._quiet[ext] = (
+                            TraceStep("external", ext.describe()),
+                            TraceStep("state", "%s.%s = %s"
+                                      % (device, attribute, value)),
+                            TraceStep("notify", event.describe()))
 
     def release(self):
         """End of run: drop the replay trie (the counts stay for
@@ -213,8 +98,8 @@ class LeanRelation:
                 "quiet_leaves": self.quiet_leaves}
 
     def transitions(self, state, monitor_factory, leaf=False):
-        """Traceless mirror of :meth:`IoTSystem.transitions` (labels,
-        successor states, violations identical; ``steps`` a skeleton).
+        """Mirror of :meth:`IoTSystem.transitions`: labels, successor
+        states, violations and steps identical.
 
         ``leaf`` says the successors lie at the depth bound and the
         caller reads only their ``fingerprint()`` and ``pending``: a
@@ -225,12 +110,13 @@ class LeanRelation:
         compiled = unread = None
         parent_failed = None
         for ext in self.system.external_choices(state):
-            if ext not in quiet:
+            steps = quiet.get(ext)
+            if steps is None:
                 self._run_event(out, state, ext, monitor_factory)
                 continue
             # cascade-free: time quantum, the sensor write, the event
             # record, the final invariant check - byte-identical to a
-            # lean cascade with an empty dispatch.  Such a cascade
+            # cascade with an empty dispatch.  Such a cascade
             # reports exactly its invariant failures, so the compiled
             # invariant verdict decides whether a monitor is needed at
             # all; when it is, the monitor re-checks through the
@@ -262,7 +148,7 @@ class LeanRelation:
                         # admitted by its fingerprint alone, never built
                         self.quiet_leaves += 1
                         out.append((ext.label(), QuietLeaf(keys[0]), True,
-                                    [], []))
+                                    [], steps))
                         continue
             new_state = state.copy()
             new_state.cascade_commands = ()
@@ -273,7 +159,7 @@ class LeanRelation:
                 failed = compiled.failed_invariants(new_state)
             violations = monitor_factory().finish(new_state) if failed else []
             new_state.seal()
-            out.append((ext.label(), new_state, True, violations, []))
+            out.append((ext.label(), new_state, True, violations, steps))
         return out
 
     def _unread_quiet(self, compiled):
@@ -316,8 +202,9 @@ class LeanRelation:
                 self.cascades_live += 1
                 view = RecordingState(new_state)
                 recorder = RecordingMonitor(monitor)
-                cascade = _LeanCascade(system, view, recorder, scenario)
+                cascade = Cascade(system, view, recorder, scenario)
                 cascade.apply_external(ext)
+                cascade._drain()
                 steps = cascade.steps
                 record = view.record(recorder.calls, steps)
                 if (record is not None

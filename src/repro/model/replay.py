@@ -9,7 +9,11 @@ scenario alone, and the duplicate check and the stale value are read
 from the state like any other value.  So two cascades of one event
 label and scenario that read the same values at the same locations, in
 the same order, write the same values, call the same monitor hooks and
-record the same skeleton steps.
+record the same trace steps.  The steps need no argument of their own:
+each step's text is a function of the event label, the scenario and
+values the cascade read through the recording view (or computed from
+them, as a handler's log message or a written value is), so equal
+reads give equal text.
 
 The lean relation (:meth:`LeanRelation._run_event
 <repro.model.lean.LeanRelation>`) uses that on every sequential run:
@@ -17,7 +21,7 @@ The lean relation (:meth:`LeanRelation._run_event
 * a cascade the trie cannot serve runs live against a
   :class:`RecordingState` view of its successor state and a
   :class:`RecordingMonitor`, which record its first reads, its writes,
-  its monitor hooks and its skeleton steps as one :class:`Replay`;
+  its monitor hooks and its trace steps as one :class:`Replay`;
 * a :class:`ReplayTrie` files the record under its label (event label
   plus scenario label) and the values it read, in order;
 * a later cascade of the label walks the trie, reading each location
@@ -118,7 +122,7 @@ class Replay:
 
     ``writes`` are ``(fn, args)`` calls of :class:`ModelState` methods
     in cascade order, ``calls`` the monitor's ``(on_*, args)`` hooks and
-    ``steps`` the skeleton trace."""
+    ``steps`` the cascade's trace."""
 
     __slots__ = ("writes", "calls", "steps")
 
@@ -129,12 +133,13 @@ class Replay:
 
     def apply(self, state, monitor):
         """Re-apply the writes to ``state`` and the hooks to a fresh
-        ``monitor``; returns the cascade's skeleton steps."""
+        ``monitor``; returns the cascade's recorded steps (shared, not
+        copied: a trace is never mutated)."""
         for fn, args in self.writes:
             fn(state, *args)
         for name, args in self.calls:
             getattr(monitor, name)(*args)
-        return list(self.steps)
+        return self.steps
 
 
 class _Probe:
@@ -210,7 +215,7 @@ class RecordingMonitor:
 class RecordingState:
     """A :class:`ModelState` view that records one cascade for replay.
 
-    Exposes only the members the lean cascade uses; any other access
+    Exposes only the members a sequential cascade uses; any other access
     raises :class:`UnrecordedAccess`.  Every call goes through to the
     real state.  Alongside, the view keeps:
 

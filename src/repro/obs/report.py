@@ -85,11 +85,9 @@ def _render_run(job, events):
     lines = ["run%s" % (" %s" % job if job else "")]
     if start is not None:
         lines.append(
-            "  shape: depth %s, engine %s, visited %s, strategy %s, "
-            "scenario %s" % (
+            "  shape: depth %s, engine %s, visited %s, scenario %s" % (
                 start.get("max_events", "?"), start.get("engine", "?"),
-                start.get("visited", "?"), start.get("strategy", "?"),
-                start.get("scenario", "?")))
+                start.get("visited", "?"), start.get("scenario", "?")))
     if end is not None:
         verdict = end.get("verdict", "?")
         elapsed = end.get("run_elapsed", end.get("elapsed", 0.0))

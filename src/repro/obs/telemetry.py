@@ -318,7 +318,6 @@ class TelemetrySession:
                 "mode": options.mode,
                 "engine": options.engine,
                 "visited": options.visited,
-                "strategy": options.strategy,
                 "scenario": options.scenario,
             })
         self._emit("run_start", fields)

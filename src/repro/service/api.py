@@ -49,8 +49,8 @@ from repro.service.store import STORE_SCHEMA_VERSION, ResultStore
 #: EngineOptions keyword arguments a submission may set
 _ALLOWED_OPTIONS = (
     "max_events", "mode", "visited", "bitstate_bits", "max_states",
-    "max_transitions", "time_limit", "stop_on_first", "strategy",
-    "engine", "scenario",
+    "max_transitions", "time_limit", "stop_on_first", "engine",
+    "scenario",
 )
 # deliberately NOT accepted: ``telemetry`` (a live-handle/filesystem
 # concern of the host)
@@ -145,11 +145,9 @@ class VettingService:
         # reject bad values at the API boundary instead of erroring the job
         from repro.engine.options import ENGINE_MODES, EXPLORATION_MODES
         from repro.engine.options import visited_store_names
-        from repro.engine.strategy import strategy_names
         from repro.model.faults import scenario_names
 
         enums = {"visited": visited_store_names(),
-                 "strategy": strategy_names(),
                  "mode": list(EXPLORATION_MODES),
                  "engine": list(ENGINE_MODES),
                  "scenario": list(scenario_names())}

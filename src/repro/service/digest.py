@@ -50,14 +50,16 @@ import json
 #: v6: ``reduction`` and the bitstate salt left the semantic fields
 #: with the options themselves, as did the sampled runs' seed and
 #: member count)
-DIGEST_SCHEMA_VERSION = 6
+#: v7: ``strategy`` (and the ``priority`` callable's qualname) left the
+#: semantic fields with the options themselves, and ``bitstate`` now
+#: tags its probes with the depth, so it misses a different state set
+DIGEST_SCHEMA_VERSION = 7
 
 #: EngineOptions fields that can change verdicts, traces or reported
 #: exploration statistics; everything else is a performance knob
 SEMANTIC_OPTION_FIELDS = (
     "max_events", "mode", "visited", "bitstate_bits", "max_states",
-    "max_transitions", "time_limit", "stop_on_first", "strategy",
-    "scenario",
+    "max_transitions", "time_limit", "stop_on_first", "scenario",
 )
 
 
@@ -159,14 +161,8 @@ def properties_payload(properties):
 
 def options_payload(options):
     """Canonical form of the semantic engine options."""
-    payload = {name: getattr(options, name, None)
-               for name in SEMANTIC_OPTION_FIELDS}
-    priority = getattr(options, "priority", None)
-    if priority is not None:
-        # a custom priority function changes the search order; its
-        # qualname is the best stable identity available
-        payload["priority"] = getattr(priority, "__qualname__", repr(priority))
-    return payload
+    return {name: getattr(options, name, None)
+            for name in SEMANTIC_OPTION_FIELDS}
 
 
 def system_digest(system, properties=None, options=None):

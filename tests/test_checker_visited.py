@@ -109,9 +109,9 @@ class TestExactApproxBytes:
 
         class Capture(ExplorationEngine):
             def _setup_search(self):
-                parts = super()._setup_search()
-                stores.append(parts[0])
-                return parts
+                store = super()._setup_search()
+                stores.append(store)
+                return store
 
         Capture(system, properties,
                 EngineOptions(max_events=3, visited="exact")).run()
@@ -421,12 +421,25 @@ class TestBitStateVisitedSet:
         state.set_attribute("d", "switch", "on")
         assert BitStateVisitedSet.state_key(state) == state.fingerprint()
 
-    def test_depth_is_ignored(self):
-        """Spin-compatible partial coverage: no per-state depth, so even
-        a *shallower* revisit is pruned (unlike the exact stores)."""
+    def test_shallower_revisit_readmits(self):
+        """Probes are tagged with the depth: like the fingerprint store,
+        a *shallower* revisit is re-expanded, an equal or deeper one is
+        pruned, and the re-expansion is not a new distinct state."""
         store = BitStateVisitedSet(bits_log2=16)
         assert store.seen_before(0xBEEF, 3) is False
-        assert store.seen_before(0xBEEF, 1) is True
+        assert store.seen_before(0xBEEF, 1) is False
+        assert store.seen_before(0xBEEF, 2) is True
+        assert store.seen_before(0xBEEF, 3) is True
+        assert store.distinct_count() == 1
+        assert store.pruned == 2
+
+    def test_depth_tags_take_disjoint_probe_slots(self):
+        """Each depth owns its own ``hash_count`` slots of one key's
+        probe sequence."""
+        store = BitStateVisitedSet(bits_log2=20, hash_count=3)
+        shallow = store.bit_positions(12345, 0)
+        deep = store.bit_positions(12345, 1)
+        assert not set(shallow) & set(deep)
 
     @given(st.lists(_U64, unique=True, max_size=120))
     def test_no_false_negatives_on_admitted_keys(self, keys):
@@ -461,12 +474,17 @@ class TestBitStateVisitedSet:
         assert len(set(positions)) == 8
 
     def test_bit_positions_are_pinned(self):
-        """The positions the store set when it still took a salt
-        (defaulting to 0): dropping the salt moved no bit."""
+        """The double-hashed positions of one splitmix64 per key: the
+        first is the mix itself, as before double hashing.  Moving a
+        bit changes bitstate verdicts, so it must bump the service's
+        digest schema version."""
         store = BitStateVisitedSet(bits_log2=20)
-        assert store.bit_positions(12345) == [384337, 95608, 144638]
+        assert store.bit_positions(12345) == [
+            384337, 183912, 1032063, 831638, 631213]
         assert store.bit_positions(0xDEADBEEFCAFEF00D) == [
-            872899, 156192, 919151]
+            872899, 892070, 911241, 930412, 949583]
+        assert store.bit_positions(12345, 1) == [
+            430788, 230363, 29938, 878089, 677664]
 
     def test_stats_and_distinct_count(self):
         store = BitStateVisitedSet(bits_log2=16)
@@ -479,5 +497,5 @@ class TestBitStateVisitedSet:
         assert stats["stored"] == 2 and stats["pruned"] == 1
         assert stats["approx_bytes"] == (1 << 16) // 8
         assert 0.0 < stats["fill_ratio"] <= 1.0
-        assert stats["hash_count"] == 3
+        assert stats["hash_count"] == 5
         assert "salt" not in stats and "collisions" not in stats

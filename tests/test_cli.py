@@ -64,9 +64,12 @@ class TestParser:
             build_parser().parse_args(argv)
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    # one bounded exhaustive search: no sleep-set reduction, no swarm
+    # one bounded exhaustive search: no sleep-set reduction, no swarm,
+    # one expansion order
     @pytest.mark.parametrize("argv", [
         ["check", "group1-entry-and-mode", "--reduction"],
+        ["check", "group1-entry-and-mode", "--strategy", "bfs"],
+        ["submit", "group1-entry-and-mode", "--strategy", "dfs"],
         ["check", "group1-entry-and-mode", "--seed", "3"],
         ["batch", "group1-entry-and-mode", "--swarm-members", "4"],
         ["check", "group1-entry-and-mode", "--mode", "swarm"],

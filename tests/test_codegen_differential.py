@@ -202,6 +202,18 @@ class TestTierAgreement:
                 json.loads(capsys.readouterr().out))))
         assert outputs[0] == outputs[1]
 
+    def test_counterexample_list_order_is_canonical(self, capsys):
+        """The relations record group5's ``duplicated`` counterexamples
+        in different orders; the result lists them by path, then by
+        violation, so the JSON is the same on both."""
+        outputs = []
+        for tier in (["--engine", "interpreted"], []):
+            cli_main(["check", "group5-water-presence", "--json",
+                      "--scenario", "duplicated"] + tier)
+            outputs.append(json.dumps(_without_timing(
+                json.loads(capsys.readouterr().out))))
+        assert outputs[0] == outputs[1]
+
 
 class TestRunLeavesNoCycle:
     def test_system_dies_with_engine_and_result(self):
@@ -445,15 +457,14 @@ class _StoreSpy(ExplorationEngine):
         self.admitted = set()
 
     def _setup_search(self):
-        parts = super()._setup_search()
-        store = parts[0]
+        store = super()._setup_search()
         seen_state = store.seen_state
 
         def spy(state, depth):
             self.admitted.add(type(state))
             return seen_state(state, depth)
         store.seen_state = spy
-        return parts
+        return store
 
 
 class TestStatelessQuietLeaves:
@@ -571,10 +582,27 @@ class TestStatelessQuietLeaves:
         assert QuietLeaf in spy.admitted
         assert result.states_explored == 467
 
-    @pytest.mark.parametrize("visited", ["exact", "bitstate"])
+    def test_bitstate_takes_stubs(self):
+        """The bitstate store reads only fingerprints too: it takes the
+        stubs and still finds the traced relation's answer."""
+        registry = _load_or_skip(load_all_apps)
+        system = ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]())
+        properties = select_relevant(system, build_properties())
+        spy = _StoreSpy(system, properties, EngineOptions(
+            max_events=2, visited="bitstate"))
+        result = spy.run()
+        assert spy.cascade_stats["quiet_leaves"] > 0
+        assert QuietLeaf in spy.admitted
+        interpreted = ExplorationEngine(system, properties, EngineOptions(
+            max_events=2, engine="interpreted", visited="bitstate")).run()
+        _assert_equivalent(result, interpreted, "bitstate")
+
+    @pytest.mark.parametrize("visited", ["exact"])
     def test_other_stores_receive_built_states(self, visited):
-        """Only the default fingerprint store takes stubs: every other
-        store is handed full successors and matches the oracle."""
+        """The exact store, the independent oracle, is never given
+        stubs: it is handed full successors and matches the traced
+        relation."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())

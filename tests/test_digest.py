@@ -210,8 +210,8 @@ class TestOptionClassification:
     """How the exploration knobs map onto semantic digests.
 
     ``mode`` decides *which relation* is explored (interleaved or
-    concurrent), so it is semantic; the retired reduction, salt and
-    sampling knobs are no options at all any more.
+    concurrent), so it is semantic; the retired reduction, salt,
+    sampling and search-order knobs are no options at all any more.
     """
 
     def test_mode_is_semantic(self, alice_system):
@@ -221,14 +221,15 @@ class TestOptionClassification:
     def test_schema_version_retires_old_bitstate_verdicts(self, alice_system,
                                                           monkeypatch):
         """The version is hashed into every digest: ``bitstate`` named a
-        different hash scheme under v4 and took a salt until v5, so a
-        key from either can never serve a v6 ``bitstate`` run."""
+        different hash scheme under v4, took a salt until v5 and kept no
+        depths until v6, so a key from any of them can never serve a v7
+        ``bitstate`` run."""
         from repro.service import digest
 
         options = EngineOptions(visited="bitstate")
         current = alice_system.digest(options=options)
-        assert digest.DIGEST_SCHEMA_VERSION == 6
-        for retired in (4, 5):
+        assert digest.DIGEST_SCHEMA_VERSION == 7
+        for retired in (4, 5, 6):
             monkeypatch.setattr(digest, "DIGEST_SCHEMA_VERSION", retired)
             assert alice_system.digest(options=options) != current
 
@@ -236,7 +237,7 @@ class TestOptionClassification:
         from repro.service.digest import SEMANTIC_OPTION_FIELDS
 
         for name in ("reduction", "seed", "swarm_members", "bitstate_salt",
-                     "code" "gen_cache"):
+                     "code" "gen_cache", "strategy", "priority"):
             assert name not in SEMANTIC_OPTION_FIELDS
             with pytest.raises(TypeError):
                 EngineOptions(**{name: 1})

@@ -1,6 +1,6 @@
-"""Tests for the pluggable exploration engine (frontiers, strategies,
-visited protocol wiring, parallel batch verification, and the depth-5
-search under a hard memory cap)."""
+"""Tests for the exploration engine (visited protocol wiring, store
+parity, parallel batch verification, and the depth-5 search under a
+hard memory cap)."""
 
 import os
 import subprocess
@@ -10,110 +10,49 @@ import textwrap
 import pytest
 
 from repro.engine import (
-    BreadthFirstFrontier,
-    DepthFirstFrontier,
     EngineOptions,
     ExactVisitedSet,
     ExplorationEngine,
-    PriorityFrontier,
     VerificationJob,
-    make_frontier,
-    register_strategy,
-    strategy_names,
     verify,
     verify_many,
     visited_store_names,
 )
 from repro.corpus import load_all_apps
-from repro.engine.core import _Node, replay_path
+from repro.corpus.groups import GROUP_BUILDERS
+from repro.engine.core import replay_path
+from repro.model.generator import ModelGenerator
 from repro.model.state import ModelState
-from repro.properties import build_properties
+from repro.properties import build_properties, select_relevant
 
 from tests.conftest import _load_or_skip
 
 
-def _node(depth, pending=()):
-    state = ModelState(pending=pending)
-    return _Node(state, depth)
+class TestStoreParity:
+    """The depth-bounded DFS loses bitstate states to hash collisions
+    only: the store tags each probe with its depth, so it re-expands a
+    state reached shallower than before as the fingerprint store does.
+    group1 at depth 4 is where a bit field without depths misses a
+    third of the states and two of the seven violations."""
 
-
-class TestFrontiers:
-    def test_dfs_is_lifo(self):
-        frontier = DepthFirstFrontier()
-        first, second = _node(1), _node(2)
-        frontier.push(first)
-        frontier.push(second)
-        assert frontier.pop() is second
-        assert frontier.pop() is first
-
-    def test_bfs_is_fifo(self):
-        frontier = BreadthFirstFrontier()
-        first, second = _node(1), _node(2)
-        frontier.push(first)
-        frontier.push(second)
-        assert frontier.pop() is first
-        assert frontier.pop() is second
-
-    def test_priority_orders_by_key(self):
-        frontier = PriorityFrontier(priority=lambda node: -node.depth)
-        shallow, deep = _node(1), _node(5)
-        frontier.push(shallow)
-        frontier.push(deep)
-        assert frontier.pop() is deep
-
-    def test_default_priority_prefers_shallow(self):
-        frontier = PriorityFrontier()
-        shallow, deep = _node(0), _node(3)
-        frontier.push(deep)
-        frontier.push(shallow)
-        assert frontier.pop() is shallow
-
-    def test_len_and_bool(self):
-        frontier = DepthFirstFrontier()
-        assert not frontier and len(frontier) == 0
-        frontier.push(_node(0))
-        assert frontier and len(frontier) == 1
-
-
-class TestStrategyRegistry:
-    def test_builtins_registered(self):
-        assert {"dfs", "bfs", "priority"} <= set(strategy_names())
-
-    def test_unknown_strategy_raises(self):
-        with pytest.raises(KeyError):
-            make_frontier("simulated-annealing", EngineOptions())
-
-    def test_registration_is_pluggable(self):
-        calls = []
-
-        def factory(options):
-            calls.append(options)
-            return DepthFirstFrontier()
-
-        register_strategy("test-strategy", factory)
-        try:
-            options = EngineOptions(strategy="test-strategy")
-            assert isinstance(options.make_frontier(), DepthFirstFrontier)
-            assert calls == [options]
-        finally:
-            from repro.engine.strategy import _STRATEGIES
-            _STRATEGIES.pop("test-strategy", None)
-
-    def test_options_build_frontier_by_name(self):
-        assert isinstance(EngineOptions(strategy="bfs").make_frontier(),
-                          BreadthFirstFrontier)
+    def test_bitstate_finds_the_fingerprint_space_on_group1_depth4(self):
+        registry = _load_or_skip(load_all_apps)
+        system = ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]())
+        properties = select_relevant(system, build_properties())
+        results = {
+            visited: verify(system, properties, max_events=4,
+                            visited=visited, bitstate_bits=23)
+            for visited in ("fingerprint", "bitstate")}
+        fingerprint, bitstate = results["fingerprint"], results["bitstate"]
+        assert bitstate.states_explored == fingerprint.states_explored
+        assert set(bitstate.counterexamples) == set(
+            fingerprint.counterexamples)
+        assert len(fingerprint.counterexamples) == 7
 
 
 class TestEngineStrategies:
-    """All strategies explore the same bounded space (order differs)."""
-
-    @pytest.mark.parametrize("strategy", ["dfs", "bfs", "priority"])
-    def test_same_coverage_and_findings(self, alice_system, strategy):
-        baseline = verify(alice_system, build_properties(), max_events=2)
-        result = verify(alice_system, build_properties(), max_events=2,
-                        strategy=strategy)
-        assert result.states_explored == baseline.states_explored
-        assert result.violated_property_ids == baseline.violated_property_ids
+    """The visited stores and their options."""
 
     def test_fingerprint_store_matches_exact(self, alice_system):
         exact = verify(alice_system, build_properties(), max_events=2,

@@ -100,6 +100,8 @@ class TestCoverage:
         properties = select_relevant(system, build_properties())
         # a 2^10-bit field saturates on group1's 4,316 depth-3 states:
         # the supertrace store drops most of them and misses violations
+        # (each state sets a five-bit tag per depth it is reached at, so
+        # the field fills to about 0.90-0.93)
         return {visited: ExplorationEngine(
                     system, properties,
                     EngineOptions(max_events=3, visited=visited,
@@ -129,8 +131,8 @@ class TestCoverage:
             assert (len(result.counterexamples)
                     == len(exhaustive.counterexamples))
             return
-        assert result.visited_stats["fill_ratio"] > 0.9
-        assert result.states_explored < exhaustive.states_explored
+        assert result.visited_stats["fill_ratio"] > 0.85
+        assert result.states_explored < exhaustive.states_explored // 4
         assert len(result.counterexamples) < len(exhaustive.counterexamples)
 
     def test_v1_payload_with_shard_fields_loads(self):

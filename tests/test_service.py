@@ -414,7 +414,7 @@ class TestHTTPAPI:
                                         "cache_min_hit_rate", "cache_warmup",
                                         "compiled", "workers", "partition",
                                         "reduction", "seed", "swarm_members",
-                                        "bitstate_salt"])
+                                        "bitstate_salt", "strategy"])
     def test_retired_cache_options_are_rejected(self, service_client,
                                                 option):
         with pytest.raises(ServiceError) as excinfo:
