@@ -8,7 +8,9 @@ with the standard library's ``ast`` only, so the plain test environment
     python scripts/check_docstrings.py
 
 Scope: ``repro/engine``, ``repro/service``, ``repro/model/schema.py``,
-``repro/model/lean.py`` and ``repro/model/replay.py``.  Required:
+``repro/model/lean.py``, ``repro/model/replay.py`` and
+``repro/properties/formula.py`` (the language every invariant is
+written in).  Required:
 
 * a module docstring per file;
 * a docstring on every *public* class and every public function/method
@@ -31,6 +33,7 @@ TARGETS = (
     "src/repro/model/schema.py",
     "src/repro/model/lean.py",
     "src/repro/model/replay.py",
+    "src/repro/properties/formula.py",
 )
 
 

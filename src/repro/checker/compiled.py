@@ -8,11 +8,14 @@ shared by every monitor the engine creates:
 
 * it partitions the properties into monitored kinds and applicable
   invariants a single time;
-* it binds each applicable invariant once, through one
+* it binds each applicable invariant's formula once, through one
   :class:`~repro.properties.base.SystemBinding`, to a check over
   constants (device names, thresholds, mode names) and records the
   ``(device, attribute)`` pairs that check can read; the union is
   :attr:`CompiledProperties.reads`;
+* it resolves each invariant's role devices and *obligation apps* (the
+  apps bound to its role actuators) once, for the monitor and the
+  engine to attribute violations with;
 * with ``memoize`` on, it memoizes the bound checks' verdicts keyed by
   the state's :meth:`~repro.model.state.ModelState.physical_key` - the
   projection (device attributes + location mode) that the checks read.
@@ -42,8 +45,8 @@ class CompiledProperties:
     """
 
     __slots__ = ("invariants", "by_kind", "memoize", "reads",
-                 "_checks", "_verdicts", "memo_hits", "memo_misses",
-                 "inherited")
+                 "role_devices", "obligation_apps", "_checks", "_verdicts",
+                 "memo_hits", "memo_misses", "inherited")
 
     def __init__(self, system, properties, memoize=True):
         self.memoize = memoize
@@ -59,10 +62,25 @@ class CompiledProperties:
         binding = SystemBinding(system)
         checks = []
         reads = set()
+        #: invariant -> the frozenset of its installed role devices
+        self.role_devices = {}
+        #: invariant -> the apps bound to its role actuators, in install
+        #: order: who an obligation falls on when no app acted
+        self.obligation_apps = {}
+        app_devices = [(app.name, {name for input_name in app.binding_names()
+                                   for name in app.bound_devices(input_name)})
+                       for app in system.apps]
         for prop in self.invariants:
-            check, prop_reads = binding.bind(prop.binder)
+            check, prop_reads = binding.bind(prop.formula)
             checks.append(check)
             reads |= prop_reads
+            devices, actuators = prop.role_devices(system)
+            self.role_devices[prop] = devices
+            apps = []
+            for app_name, bound in app_devices:
+                if app_name not in apps and not bound.isdisjoint(actuators):
+                    apps.append(app_name)
+            self.obligation_apps[prop] = tuple(apps)
         self._checks = checks
         #: every ``(device, attribute)`` pair some bound check can read
         self.reads = frozenset(reads)

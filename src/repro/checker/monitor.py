@@ -147,8 +147,12 @@ class SafetyMonitor:
         Violations are attributed to the apps that acted during the
         cascade that produced the state (Table 5's "apps related to
         example" column)."""
-        for prop in self._compiled.failed_invariants(state):
-            apps = tuple(self._actors) or self._responsible_apps(prop)
+        compiled = self._compiled
+        for prop in compiled.failed_invariants(state):
+            # when no app acted, an *obligation* invariant (actuator must
+            # be in some state) falls on the apps wired to its role
+            # actuators
+            apps = tuple(self._actors) or compiled.obligation_apps[prop]
             self._report(prop,
                          "unsafe physical state: %s" % prop.description,
                          apps=apps)
@@ -168,25 +172,6 @@ class SafetyMonitor:
                     apps=(app_name,))
         self.check_invariants(state)
         return self.violations
-
-    def _responsible_apps(self, prop):
-        """When no app acted, an *obligation* invariant (actuator must be in
-        some state) falls on the apps wired to its role actuators."""
-        roles = getattr(prop, "roles", ())
-        devices = set()
-        for role in roles:
-            for name in self.system.role_list(role):
-                if isinstance(name, str) and name in self.system.devices:
-                    if self.system.devices[name].spec.is_actuator:
-                        devices.add(name)
-        apps = []
-        for app in self.system.apps:
-            for input_name in app.binding_names():
-                if devices.intersection(app.bound_devices(input_name)):
-                    if app.name not in apps:
-                        apps.append(app.name)
-                    break
-        return tuple(apps)
 
     def _report(self, prop, message, apps=()):
         violation = Violation(prop, message, apps=apps)

@@ -7,7 +7,8 @@ Commands mirror the IotSan pipeline:
   print the dependency graph and related sets (§5);
 * ``check`` - model-check a configuration (JSON file or bundled group)
   against the safety properties and print violations (§8);
-* ``emit`` - emit the Promela model for a configuration (§8);
+* ``emit`` - emit the Promela model for a configuration (§8), for
+  inspection: this tool never runs SPIN on it;
 * ``attribute`` - run the Output Analyzer on a newly installed app (§9);
 * ``batch`` - verify several configurations in parallel across a process
   pool (``verify_many``); ``--json`` emits the machine-readable schema;
@@ -643,7 +644,15 @@ def build_parser():
                       help="retain only the N most recently used entries")
     p_gc.set_defaults(func=cmd_gc)
 
-    p_emit = sub.add_parser("emit", help="emit the Promela model")
+    p_emit = sub.add_parser(
+        "emit", help="emit the Promela model (for inspection; this tool "
+        "does not run SPIN)",
+        description="Emit the Promela model of a configuration: device "
+        "typedefs, app handlers, the event loop, and one #define per atom "
+        "plus an ltl block per applicable invariant.  The model is "
+        "generated for inspection and is not checked by SPIN: this tool "
+        "never runs SPIN, and the verdicts of `repro check` come from the "
+        "Python checker.")
     p_emit.add_argument("config")
     p_emit.add_argument("--mode", choices=["sequential", "concurrent"],
                         default="sequential")

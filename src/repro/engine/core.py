@@ -361,14 +361,8 @@ class ExplorationEngine:
         """For invariant violations: the apps that commanded the property's
         role devices anywhere along the violating run (Table 5/9's "apps
         related to example")."""
-        roles = getattr(violation.property, "roles", ())
-        if not roles:
-            return ()
-        role_devices = set()
-        for role in roles:
-            for name in self.system.role_list(role):
-                if isinstance(name, str) and name in self.system.devices:
-                    role_devices.add(name)
+        role_devices = self._compiled_properties.role_devices.get(
+            violation.property)
         if not role_devices:
             return ()
         actors = []

@@ -21,88 +21,45 @@ from repro.corpus.loader import corpus_path
 from repro.ifttt.applet import load_applets
 from repro.ifttt.translator import IFTTTTranslator
 from repro.properties.base import InvariantProperty
+from repro.properties.formula import (
+    CONTACT_OPEN,
+    MOTION,
+    NOBODY_HOME,
+    Always,
+    Device,
+    Implies,
+    Or,
+)
+from repro.properties.physical import ALARM_SOUNDING, DOOR_LOCKED
 
 _CATEGORY = "IFTTT rule safety"
 
-
-_SOUNDING = ("strobe", "siren", "both")
-
-
-def _p_siren_on_intrusion(b):
-    """Siren/strobe must be activated when motion (intruder) is detected."""
-    motion = b.any_equals("motion_sensors", "motion", "active")
-    alarm = b.device("alarm", "alarm")
-
-    def check(state):
-        if not motion(state):
-            return None
-        return state.attribute(alarm, "alarm") in _SOUNDING
-    return check
-
-
-def _p_siren_only_on_intrusion(b):
-    """Siren/strobe must not be activated without an intruder."""
-    motion = b.any_equals("motion_sensors", "motion", "active")
-    alarm = b.device("alarm", "alarm")
-
-    def check(state):
-        if state.attribute(alarm, "alarm") not in _SOUNDING:
-            return None
-        return motion(state)
-    return check
-
-
-def _p_door_locked_when_away(b):
-    """The front door must be locked when nobody is home."""
-    away = b.atom("nobody_home")
-    lock = b.device("main_door_lock", "lock")
-
-    def check(state):
-        if away(state) is not True:
-            return None
-        return state.attribute(lock, "lock") == "locked"
-    return check
-
-
-def _p_call_on_intrusion(b):
-    """A phone call must be triggered when an intruder is detected.
-
-    Motion or an entry contact opening counts as an intruder (§11)."""
-    motion = b.any_equals("motion_sensors", "motion", "active")
-    contact = b.any_equals("entry_contacts", "contact", "open")
-    phone = b.device("voip_call", "call")
-
-    def check(state):
-        if not (motion(state) or contact(state)):
-            return None
-        return state.attribute(phone, "call") == "calling"
-    return check
-
+CALL_ACTIVE = Device("call_active", "voip_call", "call", "==", "calling")
 
 TABLE9_PROPERTIES = [
     InvariantProperty(
         "I01", "siren/strobe activated when intruder detected", _CATEGORY,
         "The siren/strobe must be activated when an intruder (motion) is "
         "detected.",
-        _p_siren_on_intrusion, roles=("motion_sensors", "alarm"),
-        ltl="[] (motion_active -> alarm_sounding)"),
+        Always(Implies(MOTION, ALARM_SOUNDING)),
+        roles=("motion_sensors", "alarm")),
     InvariantProperty(
         "I02", "siren/strobe silent without intruder", _CATEGORY,
         "The siren/strobe must not be activated when no intruder is "
         "detected.",
-        _p_siren_only_on_intrusion, roles=("motion_sensors", "alarm"),
-        ltl="[] (alarm_sounding -> motion_active)"),
+        Always(Implies(ALARM_SOUNDING, MOTION)),
+        roles=("motion_sensors", "alarm")),
     InvariantProperty(
         "I03", "front door locked when nobody home", _CATEGORY,
         "The main/front door must not be unlocked when no one is at home.",
-        _p_door_locked_when_away,
-        roles=("presence_sensors", "main_door_lock"),
-        ltl="[] (nobody_home -> door_locked)"),
+        Always(Implies(NOBODY_HOME, DOOR_LOCKED)),
+        roles=("presence_sensors", "main_door_lock")),
+    # motion or an entry contact opening counts as an intruder (§11)
     InvariantProperty(
         "I04", "phone call triggered on intrusion", _CATEGORY,
         "A phone call must be triggered when an intruder is detected.",
-        _p_call_on_intrusion, roles=("motion_sensors", "voip_call"),
-        ltl="[] (motion_active -> call_active)"),
+        Always(Implies(Or(MOTION, CONTACT_OPEN), CALL_ACTIVE)),
+        roles=("motion_sensors", "voip_call")),
 ]
 
 #: Table 9's expected violation attribution: property id -> rule-id groups

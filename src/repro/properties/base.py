@@ -47,16 +47,18 @@ def number(value, default=None):
 class SystemBinding:
     """One system's invariant vocabulary, resolved to constants.
 
-    An invariant is written as a *binder*: ``binder(binding)`` resolves
-    the roles, thresholds and mode names it needs through this object,
-    once, and returns a check ``check(state) -> True/False/None`` that
-    reads nothing but ``state.attribute()`` and ``state.mode``.  Every
-    ``(device, attribute)`` pair the binding hands out is registered, so
-    :meth:`bind` returns each check with the exact pairs it can read.
+    An invariant is a formula (:mod:`repro.properties.formula`);
+    :meth:`bind` resolves the roles, thresholds and mode names its nodes
+    need through this object, once, and returns a check
+    ``check(state) -> True/False/None`` that reads nothing but
+    ``state.attribute()`` and ``state.mode``.  Every ``(device,
+    attribute)`` pair the binding hands out is registered, so the check
+    comes with the exact pairs it can read.
 
-    The atoms several invariants share (``nobody_home``, ``smoke``, ...)
-    are built once per binding by :meth:`atom`; a check that uses one
-    declares the atom's pairs too.
+    Bound nodes are memoized per binding (:meth:`bound`): the atoms
+    several invariants share (``nobody_home``, ``smoke_detected``, ...)
+    bind once per system, and a check that uses one declares the atom's
+    pairs too.
     """
 
     def __init__(self, system):
@@ -64,21 +66,35 @@ class SystemBinding:
         self.away_mode = system.away_mode
         self.home_mode = system.home_mode
         self.night_mode = system.night_mode
-        # the pairs registered by the binder now running
+        # the pairs registered by the node now binding
         self._reads = set()
-        self._atoms = {}
+        # node -> (check, reads)
+        self._bound = {}
 
-    def bind(self, binder):
-        """``(check, reads)``: the check ``binder`` builds over this
-        binding and the frozenset of ``(device, attribute)`` pairs it
-        can read."""
+    def bind(self, formula):
+        """``(check, reads)``: the check of ``formula`` over this binding
+        and the frozenset of ``(device, attribute)`` pairs it can read."""
         outer, self._reads = self._reads, set()
         try:
-            check = binder(self)
+            check = self.bound(formula)
             reads = frozenset(self._reads)
         finally:
             self._reads = outer
         return check, reads
+
+    def bound(self, node):
+        """The check of ``node``, built on first use; its reads join
+        those of the node now binding."""
+        entry = self._bound.get(node)
+        if entry is None:
+            outer, self._reads = self._reads, set()
+            try:
+                check = node.bind(self)
+                entry = self._bound[node] = (check, frozenset(self._reads))
+            finally:
+                self._reads = outer
+        self._reads |= entry[1]
+        return entry[0]
 
     def device(self, role, attribute):
         """The device playing ``role`` (the first of a list; ``None``
@@ -98,124 +114,24 @@ class SystemBinding:
         """The association value ``name`` as a number, else ``default``."""
         return number(self.system.role(name), default)
 
-    def any_equals(self, role, attribute, value):
-        """``state -> bool``: some device of ``role`` has ``attribute``
-        equal to ``value`` (``False`` when the role is unbound)."""
-        names = self.devices(role, attribute)
-        if len(names) == 1:
-            (name,) = names
-            return lambda state: state.attribute(name, attribute) == value
-
-        def check(state):
-            for name in names:
-                if state.attribute(name, attribute) == value:
-                    return True
-            return False
-        return check
-
-    def all_equal(self, role, attribute, value):
-        """``state -> bool|None``: every device of ``role`` has
-        ``attribute`` equal to ``value`` (``None`` when the role is
-        unbound)."""
-        names = self.devices(role, attribute)
-        if not names:
-            return _unknown
-        if len(names) == 1:
-            (name,) = names
-            return lambda state: state.attribute(name, attribute) == value
-
-        def check(state):
-            for name in names:
-                if state.attribute(name, attribute) != value:
-                    return False
-            return True
-        return check
-
-    def none_equal(self, role, attribute, value):
-        """``state -> bool|None``: no device of ``role`` has
-        ``attribute`` equal to ``value`` (``None`` when the role is
-        unbound)."""
-        if not self.system.role_list(role):
-            return _unknown
-        some = self.any_equals(role, attribute, value)
-        return lambda state: not some(state)
-
-    def atom(self, name):
-        """The shared atom ``name`` (see ``_ATOMS``), built on first use;
-        its reads join those of the binder now running."""
-        entry = self._atoms.get(name)
-        if entry is None:
-            entry = self._atoms[name] = self.bind(_ATOMS[name])
-        self._reads |= entry[1]
-        return entry[0]
-
-
-def _unknown(state):
-    return None
-
-
-def _bind_nobody_home(binding):
-    """True/False from presence sensors; ``None`` when unknowable."""
-    return binding.all_equal("presence_sensors", "presence", "not present")
-
-
-def _bind_somebody_home(binding):
-    away = binding.atom("nobody_home")
-
-    def check(state):
-        nobody = away(state)
-        if nobody is None:
-            return None
-        return not nobody
-    return check
-
-
-def _bind_intrusion(binding):
-    """Contact opens or motion while the home is in Away mode."""
-    away_mode = binding.away_mode
-    contact = binding.any_equals("entry_contacts", "contact", "open")
-    motion = binding.any_equals("motion_sensors", "motion", "active")
-
-    def check(state):
-        if state.mode != away_mode:
-            return False
-        return contact(state) or motion(state)
-    return check
-
-
-def _bind_temperature(binding):
-    sensor = binding.device("temp_sensor", "temperature")
-    return lambda state: number(state.attribute(sensor, "temperature"))
-
-
-_ATOMS = {
-    "nobody_home": _bind_nobody_home,
-    "somebody_home": _bind_somebody_home,
-    "smoke": lambda binding: binding.any_equals(
-        "smoke_detectors", "smoke", "detected"),
-    "co": lambda binding: binding.any_equals(
-        "co_detectors", "carbonMonoxide", "detected"),
-    "leak": lambda binding: binding.any_equals(
-        "water_sensors", "water", "wet"),
-    "intrusion": _bind_intrusion,
-    "temperature": _bind_temperature,
-}
-
 
 class InvariantProperty(SafetyProperty):
-    """A safe-physical-state property: an LTL ``G``-invariant.
+    """A safe-physical-state property: an LTL ``[]``-invariant.
 
-    ``binder(binding)`` takes a :class:`SystemBinding` and returns the
-    check ``check(state) -> True`` (holds), ``False`` (violated) or
-    ``None`` (not applicable in this state, treated as holding).
-    ``roles`` lists the association roles the check reads - the property
-    only applies to systems where all of them are bound.
+    ``formula`` (:mod:`repro.properties.formula`) is the one definition:
+    ``SystemBinding(system).bind(formula)`` gives the check
+    ``check(state) -> True`` (holds), ``False`` (violated) or ``None``
+    (not applicable in this state, treated as holding), and
+    ``ltl = str(formula)`` is its text.  ``roles`` lists the association
+    roles the property needs - it only applies to systems where all of
+    them are bound.
     """
 
-    def __init__(self, id, name, category, description, binder,  # noqa: A002
-                 roles=(), ltl=None, triggers=()):
-        super().__init__(id, name, category, KIND_INVARIANT, description, ltl=ltl)
-        self.binder = binder
+    def __init__(self, id, name, category, description, formula,  # noqa: A002
+                 roles=(), triggers=()):
+        super().__init__(id, name, category, KIND_INVARIANT, description,
+                         ltl=str(formula))
+        self.formula = formula
         self.roles = tuple(roles)
         #: sensor attributes whose events trigger the *obligation* this
         #: invariant states (empty for pure restrictions).  An obligation is
@@ -232,9 +148,21 @@ class InvariantProperty(SafetyProperty):
                 return False
         return True
 
+    def role_devices(self, system):
+        """``(devices, actuators)``: frozensets of the installed devices
+        playing this property's roles and of the actuators among them
+        (role values that are not installed devices - thresholds, mode
+        names - are left out)."""
+        devices = frozenset(
+            name for role in self.roles for name in system.role_list(role)
+            if isinstance(name, str) and name in system.devices)
+        return devices, frozenset(
+            name for name in devices
+            if system.devices[name].spec.is_actuator)
+
     def holds(self, state, system):
         """Evaluate on one (quiescent) state, binding from scratch (the
         engine binds once per system through
         :class:`~repro.checker.compiled.CompiledProperties`)."""
-        check, _reads = SystemBinding(system).bind(self.binder)
+        check, _reads = SystemBinding(system).bind(self.formula)
         return check(state) is not False

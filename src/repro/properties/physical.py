@@ -11,13 +11,37 @@ only when the roles it mentions are bound, which is how "the LTL format of
 the selected properties are automatically generated" from association
 info (§8).
 
-Each invariant is a *binder* over a
-:class:`~repro.properties.base.SystemBinding`: it resolves its roles,
-thresholds and mode names once per system and returns a check over
-constants, whose ``(device, attribute)`` reads the binding records.
+Each invariant is one formula (:mod:`repro.properties.formula`) over
+role-bound atoms: the engine's check, the LTL text and the emitted
+Promela all come from it.
 """
 
-from repro.properties.base import InvariantProperty, number
+from repro.properties.base import InvariantProperty
+from repro.properties.formula import (
+    CO,
+    CONTACT_OPEN,
+    INTRUSION,
+    LEAK,
+    MODE_AWAY,
+    MODE_HOME,
+    MODE_NIGHT,
+    MOTION,
+    NOBODY_HOME,
+    SMOKE,
+    SOMEBODY_HOME,
+    TEMPERATURE,
+    AllOf,
+    Always,
+    And,
+    AnyOf,
+    Device,
+    Implies,
+    InRange,
+    NoneOf,
+    Not,
+    Or,
+    Threshold,
+)
 
 # Threshold defaults; overridable via association values.
 TEMP_LOW = 65
@@ -25,409 +49,58 @@ TEMP_HIGH = 85
 HUMIDITY_LOW = 20
 HUMIDITY_HIGH = 80
 
-_SOUNDING = ("strobe", "siren", "both")
-
-
-# ---------------------------------------------------------------------------
-# Thermostat, AC, and Heater (5)
-# ---------------------------------------------------------------------------
-
-
-def _p_heater_not_on_when_hot(b):
-    temperature = b.atom("temperature")
-    high = b.threshold("temp_high", TEMP_HIGH)
-    heater = b.device("heater_outlet", "switch")
-
-    def check(state):
-        temp = temperature(state)
-        if temp is None or temp < high:
-            return None
-        return state.attribute(heater, "switch") != "on"
-    return check
-
-
-def _p_ac_not_on_when_cold(b):
-    temperature = b.atom("temperature")
-    low = b.threshold("temp_low", TEMP_LOW)
-    ac = b.device("ac_outlet", "switch")
-
-    def check(state):
-        temp = temperature(state)
-        if temp is None or temp > low:
-            return None
-        return state.attribute(ac, "switch") != "on"
-    return check
-
-
-def _p_ac_heater_not_both_on(b):
-    heater = b.device("heater_outlet", "switch")
-    ac = b.device("ac_outlet", "switch")
-
-    def check(state):
-        return not (state.attribute(heater, "switch") == "on"
-                    and state.attribute(ac, "switch") == "on")
-    return check
-
-
-def _cold_at_home(b):
-    """``state -> bool``: cold (at or below the low threshold) while
-    somebody is home - the guard of P04 and P05."""
-    temperature = b.atom("temperature")
-    home = b.atom("somebody_home")
-    low = b.threshold("temp_low", TEMP_LOW)
-
-    def cold(state):
-        temp = temperature(state)
-        return (temp is not None and home(state) is True
-                and not temp > low)
-    return cold
-
-
-def _p_heater_on_when_cold_at_home(b):
-    cold = _cold_at_home(b)
-    heater = b.device("heater_outlet", "switch")
-
-    def check(state):
-        if not cold(state):
-            return None
-        return state.attribute(heater, "switch") == "on"
-    return check
-
-
-def _p_thermostat_not_off_when_cold_at_home(b):
-    cold = _cold_at_home(b)
-    thermostat = b.device("thermostat", "thermostatMode")
-
-    def check(state):
-        if not cold(state):
-            return None
-        return state.attribute(thermostat, "thermostatMode") != "off"
-    return check
-
+SOUNDING = ("strobe", "siren", "both")
 
 # ---------------------------------------------------------------------------
-# Lock and door control (8)
+# atoms
 # ---------------------------------------------------------------------------
 
-
-def _when_nobody_home(b, role, attribute, test):
-    """``[] (nobody_home -> test(role's attribute))``."""
-    away = b.atom("nobody_home")
-    device = b.device(role, attribute)
-
-    def check(state):
-        if away(state) is not True:
-            return None
-        return test(state.attribute(device, attribute))
-    return check
-
-
-def _in_mode(b, mode, role, attribute, test):
-    """``[] (mode == mode -> test(role's attribute))``."""
-    device = b.device(role, attribute)
-
-    def check(state):
-        if state.mode != mode:
-            return None
-        return test(state.attribute(device, attribute))
-    return check
-
-
-def _is(value):
-    return lambda current: current == value
-
-
-def _is_not(value):
-    return lambda current: current != value
-
-
-def _p_main_door_locked_when_away(b):
-    return _when_nobody_home(b, "main_door_lock", "lock", _is("locked"))
-
-
-def _p_main_door_locked_at_night(b):
-    return _in_mode(b, b.night_mode, "main_door_lock", "lock",
-                    _is("locked"))
-
-
-def _p_main_door_locked_in_away_mode(b):
-    return _in_mode(b, b.away_mode, "main_door_lock", "lock", _is("locked"))
-
-
-def _p_garage_closed_when_away(b):
-    return _when_nobody_home(b, "garage_door", "door", _is("closed"))
-
-
-def _p_garage_closed_at_night(b):
-    return _in_mode(b, b.night_mode, "garage_door", "door", _is("closed"))
-
-
-def _p_all_locks_locked_in_away_mode(b):
-    away_mode = b.away_mode
-    locked = b.all_equal("locks", "lock", "locked")
-
-    def check(state):
-        if state.mode != away_mode:
-            return None
-        return locked(state)
-    return check
-
-
-def _p_door_locked_when_sleeping(b):
-    night_mode = b.night_mode
-    sleeping = b.any_equals("sleep_sensors", "sleeping", "sleeping")
-    lock = b.device("main_door_lock", "lock")
-
-    def check(state):
-        # night mode is the usual stand-in for "everyone asleep"
-        if not sleeping(state) and state.mode != night_mode:
-            return None
-        return state.attribute(lock, "lock") == "locked"
-    return check
-
-
-def _p_entry_door_not_open_when_away(b):
-    """Not open when nobody is home, nor at night while people sleep."""
-    away = b.atom("nobody_home")
-    night_mode = b.night_mode
-    door = b.device("entry_door_control", "door")
-
-    def check(state):
-        if away(state) is not True and state.mode != night_mode:
-            return None
-        return state.attribute(door, "door") != "open"
-    return check
-
-
-# ---------------------------------------------------------------------------
-# Location mode (3)
-# ---------------------------------------------------------------------------
-
-
-def _p_mode_away_when_nobody_home(b):
-    away = b.atom("nobody_home")
-    away_mode = b.away_mode
-
-    def check(state):
-        if away(state) is not True:
-            return None
-        return state.mode == away_mode
-    return check
-
-
-def _p_mode_not_away_when_somebody_home(b):
-    home = b.atom("somebody_home")
-    away_mode = b.away_mode
-
-    def check(state):
-        if home(state) is not True:
-            return None
-        return state.mode != away_mode
-    return check
-
-
-def _p_mode_home_when_arriving(b):
-    home = b.atom("somebody_home")
-    night_mode = b.night_mode
-    home_mode = b.home_mode
-
-    def check(state):
-        if home(state) is not True:
-            return None
-        if state.mode == night_mode:
-            return None  # being home at night is fine
-        return state.mode == home_mode
-    return check
-
-
-# ---------------------------------------------------------------------------
-# Security and alarming (14)
-# ---------------------------------------------------------------------------
-
-
-def _when_atom(b, atom, role, attribute, test):
-    """``[] (atom -> test(role's attribute))``."""
-    cause = b.atom(atom)
-    device = b.device(role, attribute)
-
-    def check(state):
-        if not cause(state):
-            return None
-        return test(state.attribute(device, attribute))
-    return check
-
-
-def _sounding(current):
-    return current in _SOUNDING
-
-
-def _p_alarm_on_smoke(b):
-    return _when_atom(b, "smoke", "alarm", "alarm", _sounding)
-
-
-def _p_alarm_on_co(b):
-    return _when_atom(b, "co", "alarm", "alarm", _sounding)
-
-
-def _p_alarm_quiet_without_cause(b):
-    alarm = b.device("alarm", "alarm")
-    smoke = b.atom("smoke")
-    co = b.atom("co")
-    intrusion = b.atom("intrusion")
-    leak = b.atom("leak")
-
-    def check(state):
-        if state.attribute(alarm, "alarm") not in _SOUNDING:
-            return None
-        return smoke(state) or co(state) or intrusion(state) or leak(state)
-    return check
-
-
-def _p_valve_open_when_smoke(b):
-    """The sprinkler water supply must not be cut while smoke is detected."""
-    return _when_atom(b, "smoke", "water_valve", "valve", _is("open"))
-
-
-def _alarm_on_away_sensor(b, role, attribute, value):
-    """``[] ((mode == Away && some role device reads value) ->
-    alarm_sounding)``."""
-    away_mode = b.away_mode
-    triggered = b.any_equals(role, attribute, value)
-    alarm = b.device("alarm", "alarm")
-
-    def check(state):
-        if state.mode != away_mode or not triggered(state):
-            return None
-        return state.attribute(alarm, "alarm") in _SOUNDING
-    return check
-
-
-def _p_alarm_on_intrusion_contact(b):
-    return _alarm_on_away_sensor(b, "entry_contacts", "contact", "open")
-
-
-def _p_alarm_on_intrusion_motion(b):
-    return _alarm_on_away_sensor(b, "motion_sensors", "motion", "active")
-
-
-def _p_alarm_not_silenced_during_smoke(b):
-    # Equivalent shape to _p_alarm_on_smoke but over the dedicated siren.
-    return _when_atom(b, "smoke", "siren", "alarm", _sounding)
-
-
-def _p_door_unlocked_when_smoke(b):
-    """Fire escape: the main door must not stay locked during a fire."""
-    return _when_atom(b, "smoke", "main_door_lock", "lock", _is("unlocked"))
-
-
-def _p_heater_off_when_smoke(b):
-    return _when_atom(b, "smoke", "heater_outlet", "switch", _is_not("on"))
-
-
-def _p_fan_on_when_co(b):
-    return _when_atom(b, "co", "fan_outlet", "switch", _is("on"))
-
-
-def _p_camera_capture_on_intrusion(b):
-    return _when_atom(b, "intrusion", "camera", "image", _is("captured"))
-
-
-def _p_garage_closed_in_away_mode(b):
-    return _in_mode(b, b.away_mode, "garage_door", "door", _is("closed"))
-
-
-def _p_shades_closed_when_away(b):
-    away_mode = b.away_mode
-    closed = b.all_equal("window_shades", "windowShade", "closed")
-
-    def check(state):
-        if state.mode != away_mode:
-            return None
-        return closed(state)
-    return check
-
-
-def _p_speaker_quiet_when_away(b):
-    return _when_nobody_home(b, "speaker", "status", _is_not("playing"))
-
-
-# ---------------------------------------------------------------------------
-# Water and sprinkler (3)
-# ---------------------------------------------------------------------------
-
-
-def _p_humidity_in_range(b):
-    sensors = b.devices("humidity_sensors", "humidity")
-    low = b.threshold("humidity_low", HUMIDITY_LOW)
-    high = b.threshold("humidity_high", HUMIDITY_HIGH)
-
-    def check(state):
-        if not sensors:
-            return None
-        for sensor in sensors:
-            value = number(state.attribute(sensor, "humidity"))
-            if value is not None and not (low <= value <= high):
-                return False
-        return True
-    return check
-
-
-def _p_sprinkler_off_when_wet(b):
-    return _when_atom(b, "leak", "sprinkler_outlet", "switch", _is_not("on"))
-
-
-def _p_valve_closed_on_leak(b):
-    return _when_atom(b, "leak", "leak_shutoff_valve", "valve",
-                      _is("closed"))
-
-
-# ---------------------------------------------------------------------------
-# Others (5)
-# ---------------------------------------------------------------------------
-
-
-def _p_switches_off_when_away(b):
-    away = b.atom("nobody_home")
-    off = b.none_equal("away_off_switches", "switch", "on")
-
-    def check(state):
-        if away(state) is not True:
-            return None
-        return off(state)
-    return check
-
-
-def _p_night_light_on_motion(b):
-    night_mode = b.night_mode
-    motion = b.any_equals("motion_sensors", "motion", "active")
-    light = b.device("night_light", "switch")
-
-    def check(state):
-        if state.mode != night_mode or not motion(state):
-            return None
-        return state.attribute(light, "switch") == "on"
-    return check
-
-
-def _p_coffee_off_at_night(b):
-    return _in_mode(b, b.night_mode, "coffee_outlet", "switch",
-                    _is_not("on"))
-
-
-def _p_space_heater_off_when_away(b):
-    return _when_nobody_home(b, "space_heater_outlet", "switch",
-                             _is_not("on"))
-
-
-def _p_bulbs_off_in_away_mode(b):
-    away_mode = b.away_mode
-    off = b.none_equal("away_off_bulbs", "switch", "on")
-
-    def check(state):
-        if state.mode != away_mode:
-            return None
-        return off(state)
-    return check
+TEMP_HIGH_REACHED = Threshold("temp_high", TEMPERATURE, ">=", "temp_high",
+                              TEMP_HIGH)
+TEMP_LOW_REACHED = Threshold("temp_low", TEMPERATURE, "<=", "temp_low",
+                             TEMP_LOW)
+HEATER_ON = Device("heater_on", "heater_outlet", "switch", "==", "on")
+HEATER_OFF = Device("heater_off", "heater_outlet", "switch", "!=", "on")
+AC_ON = Device("ac_on", "ac_outlet", "switch", "==", "on")
+AC_OFF = Device("ac_off", "ac_outlet", "switch", "!=", "on")
+THERMOSTAT_NOT_OFF = Device("thermostat_not_off", "thermostat",
+                            "thermostatMode", "!=", "off")
+DOOR_LOCKED = Device("door_locked", "main_door_lock", "lock", "==", "locked")
+DOOR_UNLOCKED = Device("door_unlocked", "main_door_lock", "lock", "==",
+                       "unlocked")
+GARAGE_CLOSED = Device("garage_closed", "garage_door", "door", "==", "closed")
+ENTRY_DOOR_NOT_OPEN = Device("entry_door_not_open", "entry_door_control",
+                             "door", "!=", "open")
+ALL_LOCKED = AllOf("all_locked", "locks", "lock", "locked")
+RESIDENTS_ASLEEP = AnyOf("residents_asleep", "sleep_sensors", "sleeping",
+                         "sleeping")
+ALARM_SOUNDING = Device("alarm_sounding", "alarm", "alarm", "in", SOUNDING)
+SIREN_SOUNDING = Device("siren_sounding", "siren", "alarm", "in", SOUNDING)
+VALVE_OPEN = Device("valve_open", "water_valve", "valve", "==", "open")
+FAN_ON = Device("fan_on", "fan_outlet", "switch", "==", "on")
+IMAGE_CAPTURED = Device("image_captured", "camera", "image", "==", "captured")
+SHADES_CLOSED = AllOf("shades_closed", "window_shades", "windowShade",
+                      "closed")
+SPEAKER_NOT_PLAYING = Device("speaker_not_playing", "speaker", "status",
+                             "!=", "playing")
+HUMIDITY_IN_RANGE = InRange("humidity_in_range", "humidity_sensors",
+                            "humidity", low=("humidity_low", HUMIDITY_LOW),
+                            high=("humidity_high", HUMIDITY_HIGH))
+SPRINKLER_OFF = Device("sprinkler_off", "sprinkler_outlet", "switch", "!=",
+                       "on")
+SUPPLY_VALVE_CLOSED = Device("supply_valve_closed", "leak_shutoff_valve",
+                             "valve", "==", "closed")
+SWITCHES_OFF = NoneOf("switches_off", "away_off_switches", "switch", "on")
+NIGHT_LIGHT_ON = Device("night_light_on", "night_light", "switch", "==", "on")
+COFFEE_OFF = Device("coffee_off", "coffee_outlet", "switch", "!=", "on")
+SPACE_HEATER_OFF = Device("space_heater_off", "space_heater_outlet",
+                          "switch", "!=", "on")
+BULBS_OFF = NoneOf("bulbs_off", "away_off_bulbs", "switch", "on")
+
+
+def _always(guard, body):
+    """``[] (guard -> body)``."""
+    return Always(Implies(guard, body))
 
 
 # ---------------------------------------------------------------------------
@@ -442,202 +115,232 @@ _WATER = "Water and sprinkler"
 _OTHERS = "Others"
 
 
-def _inv(pid, name, category, description, binder, roles, ltl,
-         triggers=()):
-    return InvariantProperty(pid, name, category, description, binder,
-                             roles=roles, ltl=ltl, triggers=triggers)
-
-
 PHYSICAL_PROPERTIES = [
-    # Thermostat, AC, and Heater --------------------------------------------
-    _inv("P01", "heater not on when temperature above threshold", _THERMO,
-         "A heater must not be (left) on when the measured temperature is at "
-         "or above the high threshold.",
-         _p_heater_not_on_when_hot, ("temp_sensor", "heater_outlet"),
-         "[] (temp >= TEMP_HIGH -> heater_off)"),
-    _inv("P02", "AC not on when temperature below threshold", _THERMO,
-         "An air conditioner must not be on when the temperature is at or "
-         "below the low threshold.",
-         _p_ac_not_on_when_cold, ("temp_sensor", "ac_outlet"),
-         "[] (temp <= TEMP_LOW -> ac_off)"),
-    _inv("P03", "AC and heater not both on", _THERMO,
-         "An AC and a heater must never run simultaneously.",
-         _p_ac_heater_not_both_on, ("heater_outlet", "ac_outlet"),
-         "[] !(heater_on && ac_on)"),
-    _inv("P04", "heater on when cold and people home", _THERMO,
-         "A heater must not be (turned) off when the temperature is below "
-         "the low threshold while people are at home.",
-         _p_heater_on_when_cold_at_home,
-         ("temp_sensor", "heater_outlet", "presence_sensors"),
-         "[] ((temp <= TEMP_LOW && home) -> heater_on)",
-         triggers=("temperature",)),
-    _inv("P05", "thermostat not off when cold and people home", _THERMO,
-         "The thermostat must not be off when it is cold and people are home.",
-         _p_thermostat_not_off_when_cold_at_home,
-         ("temp_sensor", "thermostat", "presence_sensors"),
-         "[] ((temp <= TEMP_LOW && home) -> tstat_mode != off)",
-         triggers=("temperature",)),
+    # Thermostat, AC, and Heater ---------------------------------------------
+    InvariantProperty(
+        "P01", "heater not on when temperature above threshold", _THERMO,
+        "A heater must not be (left) on when the measured temperature is at"
+        " or above the high threshold.",
+        _always(TEMP_HIGH_REACHED, HEATER_OFF),
+        roles=("temp_sensor", "heater_outlet")),
+    InvariantProperty(
+        "P02", "AC not on when temperature below threshold", _THERMO,
+        "An air conditioner must not be on when the temperature is at or "
+        "below the low threshold.",
+        _always(TEMP_LOW_REACHED, AC_OFF),
+        roles=("temp_sensor", "ac_outlet")),
+    InvariantProperty(
+        "P03", "AC and heater not both on", _THERMO,
+        "An AC and a heater must never run simultaneously.",
+        Always(Not(And(HEATER_ON, AC_ON))),
+        roles=("heater_outlet", "ac_outlet")),
+    InvariantProperty(
+        "P04", "heater on when cold and people home", _THERMO,
+        "A heater must not be (turned) off when the temperature is below "
+        "the low threshold while people are at home.",
+        _always(And(TEMP_LOW_REACHED, SOMEBODY_HOME), HEATER_ON),
+        roles=("temp_sensor", "heater_outlet", "presence_sensors"),
+        triggers=("temperature",)),
+    InvariantProperty(
+        "P05", "thermostat not off when cold and people home", _THERMO,
+        "The thermostat must not be off when it is cold and people are "
+        "home.",
+        _always(And(TEMP_LOW_REACHED, SOMEBODY_HOME), THERMOSTAT_NOT_OFF),
+        roles=("temp_sensor", "thermostat", "presence_sensors"),
+        triggers=("temperature",)),
 
     # Lock and door control --------------------------------------------------
-    _inv("P06", "main door locked when nobody home", _LOCK,
-         "The main door must be locked when no one is at home.",
-         _p_main_door_locked_when_away, ("main_door_lock", "presence_sensors"),
-         "[] (nobody_home -> door_locked)"),
-    _inv("P07", "main door locked at night", _LOCK,
-         "The main door must be locked when the home is in night mode "
-         "(people are sleeping).",
-         _p_main_door_locked_at_night, ("main_door_lock",),
-         "[] (mode == Night -> door_locked)"),
-    _inv("P08", "main door locked in Away mode", _LOCK,
-         "The main door must be locked whenever the location mode is Away.",
-         _p_main_door_locked_in_away_mode, ("main_door_lock",),
-         "[] (mode == Away -> door_locked)"),
-    _inv("P09", "garage door closed when nobody home", _LOCK,
-         "The garage door must be closed when no one is at home.",
-         _p_garage_closed_when_away, ("garage_door", "presence_sensors"),
-         "[] (nobody_home -> garage_closed)"),
-    _inv("P10", "garage door closed at night", _LOCK,
-         "The garage door must be closed during night mode.",
-         _p_garage_closed_at_night, ("garage_door",),
-         "[] (mode == Night -> garage_closed)"),
-    _inv("P11", "all locks locked in Away mode", _LOCK,
-         "Every lock must be locked whenever the location mode is Away.",
-         _p_all_locks_locked_in_away_mode, ("locks",),
-         "[] (mode == Away -> all_locked)"),
-    _inv("P12", "main door locked while sleeping", _LOCK,
-         "The main door must be locked while residents are asleep.",
-         _p_door_locked_when_sleeping, ("main_door_lock",),
-         "[] (sleeping -> door_locked)"),
-    _inv("P13", "entry door control not open when nobody home or at night",
-         _LOCK,
-         "A controlled entry door must not stand open when no one is home or while the home sleeps (night mode).",
-         _p_entry_door_not_open_when_away,
-         ("entry_door_control", "presence_sensors"),
-         "[] (nobody_home -> entry_door != open)"),
+    InvariantProperty(
+        "P06", "main door locked when nobody home", _LOCK,
+        "The main door must be locked when no one is at home.",
+        _always(NOBODY_HOME, DOOR_LOCKED),
+        roles=("main_door_lock", "presence_sensors")),
+    InvariantProperty(
+        "P07", "main door locked at night", _LOCK,
+        "The main door must be locked when the home is in night mode "
+        "(people are sleeping).",
+        _always(MODE_NIGHT, DOOR_LOCKED),
+        roles=("main_door_lock",)),
+    InvariantProperty(
+        "P08", "main door locked in Away mode", _LOCK,
+        "The main door must be locked whenever the location mode is Away.",
+        _always(MODE_AWAY, DOOR_LOCKED),
+        roles=("main_door_lock",)),
+    InvariantProperty(
+        "P09", "garage door closed when nobody home", _LOCK,
+        "The garage door must be closed when no one is at home.",
+        _always(NOBODY_HOME, GARAGE_CLOSED),
+        roles=("garage_door", "presence_sensors")),
+    InvariantProperty(
+        "P10", "garage door closed at night", _LOCK,
+        "The garage door must be closed during night mode.",
+        _always(MODE_NIGHT, GARAGE_CLOSED),
+        roles=("garage_door",)),
+    InvariantProperty(
+        "P11", "all locks locked in Away mode", _LOCK,
+        "Every lock must be locked whenever the location mode is Away.",
+        _always(MODE_AWAY, ALL_LOCKED),
+        roles=("locks",)),
+    InvariantProperty(
+        "P12", "main door locked while sleeping", _LOCK,
+        "The main door must be locked while residents are asleep.",
+        _always(Or(RESIDENTS_ASLEEP, MODE_NIGHT), DOOR_LOCKED),
+        roles=("main_door_lock",)),
+    InvariantProperty(
+        "P13", "entry door control not open when nobody home or at night",
+        _LOCK,
+        "A controlled entry door must not stand open when no one is home or"
+        " while the home sleeps (night mode).",
+        _always(Or(NOBODY_HOME, MODE_NIGHT), ENTRY_DOOR_NOT_OPEN),
+        roles=("entry_door_control", "presence_sensors")),
 
-    # Location mode -----------------------------------------------------------
-    _inv("P14", "mode Away when nobody home", _MODE,
-         "The location mode must change to Away when no one is at home.",
-         _p_mode_away_when_nobody_home, ("presence_sensors", "@mode_app"),
-         "[] (nobody_home -> mode == Away)"),
-    _inv("P15", "mode not Away when somebody home", _MODE,
-         "The location mode must not be Away while someone is at home.",
-         _p_mode_not_away_when_somebody_home, ("presence_sensors", "@mode_app"),
-         "[] (somebody_home -> mode != Away)"),
-    _inv("P16", "mode Home when somebody home (day)", _MODE,
-         "Outside night mode, the location mode must be Home while someone "
-         "is at home.",
-         _p_mode_home_when_arriving, ("presence_sensors", "@mode_app"),
-         "[] ((somebody_home && mode != Night) -> mode == Home)"),
+    # Location mode ----------------------------------------------------------
+    InvariantProperty(
+        "P14", "mode Away when nobody home", _MODE,
+        "The location mode must change to Away when no one is at home.",
+        _always(NOBODY_HOME, MODE_AWAY),
+        roles=("presence_sensors", "@mode_app")),
+    InvariantProperty(
+        "P15", "mode not Away when somebody home", _MODE,
+        "The location mode must not be Away while someone is at home.",
+        _always(SOMEBODY_HOME, Not(MODE_AWAY)),
+        roles=("presence_sensors", "@mode_app")),
+    InvariantProperty(
+        "P16", "mode Home when somebody home (day)", _MODE,
+        "Outside night mode, the location mode must be Home while someone "
+        "is at home.",
+        _always(And(SOMEBODY_HOME, Not(MODE_NIGHT)), MODE_HOME),
+        roles=("presence_sensors", "@mode_app")),
 
-    # Security and alarming ---------------------------------------------------
-    _inv("P17", "alarm sounds on smoke", _SECURITY,
-         "An alarm must strobe/siren when smoke is detected.",
-         _p_alarm_on_smoke, ("smoke_detectors", "alarm"),
-         "[] (smoke -> alarm_sounding)",
-         triggers=("smoke",)),
-    _inv("P18", "alarm sounds on carbon monoxide", _SECURITY,
-         "An alarm must strobe/siren when carbon monoxide is detected.",
-         _p_alarm_on_co, ("co_detectors", "alarm"),
-         "[] (co -> alarm_sounding)",
-         triggers=("carbonMonoxide",)),
-    _inv("P19", "alarm quiet without cause", _SECURITY,
-         "The alarm must not sound when there is no smoke, CO, leak or "
-         "intrusion.",
-         _p_alarm_quiet_without_cause, ("alarm",),
-         "[] (alarm_sounding -> cause)"),
-    _inv("P20", "water valve open during smoke", _SECURITY,
-         "A water valve (sprinkler supply) must not be shut off while smoke "
-         "is detected.",
-         _p_valve_open_when_smoke, ("smoke_detectors", "water_valve"),
-         "[] (smoke -> valve_open)",
-         triggers=("smoke",)),
-    _inv("P21", "alarm on entry contact breach in Away", _SECURITY,
-         "Opening an entry contact in Away mode must sound the alarm.",
-         _p_alarm_on_intrusion_contact, ("entry_contacts", "alarm"),
-         "[] ((mode == Away && contact_open) -> alarm_sounding)",
-         triggers=("contact",)),
-    _inv("P22", "alarm on motion in Away", _SECURITY,
-         "Motion in Away mode must sound the alarm.",
-         _p_alarm_on_intrusion_motion, ("motion_sensors", "alarm"),
-         "[] ((mode == Away && motion) -> alarm_sounding)",
-         triggers=("motion",)),
-    _inv("P23", "siren not silenced during smoke", _SECURITY,
-         "A dedicated siren must keep sounding while smoke is detected.",
-         _p_alarm_not_silenced_during_smoke, ("smoke_detectors", "siren"),
-         "[] (smoke -> siren_sounding)",
-         triggers=("smoke",)),
-    _inv("P24", "fire escape: door unlocked during smoke", _SECURITY,
-         "The main door must be unlocked while smoke is detected (escape "
-         "route).",
-         _p_door_unlocked_when_smoke, ("smoke_detectors", "main_door_lock"),
-         "[] (smoke -> door_unlocked)",
-         triggers=("smoke",)),
-    _inv("P25", "heater off during smoke", _SECURITY,
-         "A heater must be switched off while smoke is detected.",
-         _p_heater_off_when_smoke, ("smoke_detectors", "heater_outlet"),
-         "[] (smoke -> heater_off)",
-         triggers=("smoke",)),
-    _inv("P26", "ventilation on during CO", _SECURITY,
-         "A ventilation fan must run while carbon monoxide is detected.",
-         _p_fan_on_when_co, ("co_detectors", "fan_outlet"),
-         "[] (co -> fan_on)",
-         triggers=("carbonMonoxide",)),
-    _inv("P27", "camera captures on intrusion", _SECURITY,
-         "A camera must capture an image upon intrusion.",
-         _p_camera_capture_on_intrusion, ("camera",),
-         "[] (intrusion -> image_captured)",
-         triggers=("motion", "contact")),
-    _inv("P28", "garage closed in Away mode", _SECURITY,
-         "The garage door must be closed whenever the mode is Away.",
-         _p_garage_closed_in_away_mode, ("garage_door",),
-         "[] (mode == Away -> garage_closed)"),
-    _inv("P29", "window shades closed in Away mode", _SECURITY,
-         "Window shades must be closed whenever the mode is Away.",
-         _p_shades_closed_when_away, ("window_shades",),
-         "[] (mode == Away -> shades_closed)"),
-    _inv("P30", "speaker quiet when nobody home", _SECURITY,
-         "A media player must not be playing when no one is at home.",
-         _p_speaker_quiet_when_away, ("speaker", "presence_sensors"),
-         "[] (nobody_home -> !playing)"),
+    # Security and alarming --------------------------------------------------
+    InvariantProperty(
+        "P17", "alarm sounds on smoke", _SECURITY,
+        "An alarm must strobe/siren when smoke is detected.",
+        _always(SMOKE, ALARM_SOUNDING),
+        roles=("smoke_detectors", "alarm"),
+        triggers=("smoke",)),
+    InvariantProperty(
+        "P18", "alarm sounds on carbon monoxide", _SECURITY,
+        "An alarm must strobe/siren when carbon monoxide is detected.",
+        _always(CO, ALARM_SOUNDING),
+        roles=("co_detectors", "alarm"),
+        triggers=("carbonMonoxide",)),
+    InvariantProperty(
+        "P19", "alarm quiet without cause", _SECURITY,
+        "The alarm must not sound when there is no smoke, CO, leak or "
+        "intrusion.",
+        _always(ALARM_SOUNDING, Or(SMOKE, CO, INTRUSION, LEAK)),
+        roles=("alarm",)),
+    InvariantProperty(
+        "P20", "water valve open during smoke", _SECURITY,
+        "A water valve (sprinkler supply) must not be shut off while smoke "
+        "is detected.",
+        _always(SMOKE, VALVE_OPEN),
+        roles=("smoke_detectors", "water_valve"),
+        triggers=("smoke",)),
+    InvariantProperty(
+        "P21", "alarm on entry contact breach in Away", _SECURITY,
+        "Opening an entry contact in Away mode must sound the alarm.",
+        _always(And(MODE_AWAY, CONTACT_OPEN), ALARM_SOUNDING),
+        roles=("entry_contacts", "alarm"),
+        triggers=("contact",)),
+    InvariantProperty(
+        "P22", "alarm on motion in Away", _SECURITY,
+        "Motion in Away mode must sound the alarm.",
+        _always(And(MODE_AWAY, MOTION), ALARM_SOUNDING),
+        roles=("motion_sensors", "alarm"),
+        triggers=("motion",)),
+    InvariantProperty(
+        "P23", "siren not silenced during smoke", _SECURITY,
+        "A dedicated siren must keep sounding while smoke is detected.",
+        _always(SMOKE, SIREN_SOUNDING),
+        roles=("smoke_detectors", "siren"),
+        triggers=("smoke",)),
+    InvariantProperty(
+        "P24", "fire escape: door unlocked during smoke", _SECURITY,
+        "The main door must be unlocked while smoke is detected (escape "
+        "route).",
+        _always(SMOKE, DOOR_UNLOCKED),
+        roles=("smoke_detectors", "main_door_lock"),
+        triggers=("smoke",)),
+    InvariantProperty(
+        "P25", "heater off during smoke", _SECURITY,
+        "A heater must be switched off while smoke is detected.",
+        _always(SMOKE, HEATER_OFF),
+        roles=("smoke_detectors", "heater_outlet"),
+        triggers=("smoke",)),
+    InvariantProperty(
+        "P26", "ventilation on during CO", _SECURITY,
+        "A ventilation fan must run while carbon monoxide is detected.",
+        _always(CO, FAN_ON),
+        roles=("co_detectors", "fan_outlet"),
+        triggers=("carbonMonoxide",)),
+    InvariantProperty(
+        "P27", "camera captures on intrusion", _SECURITY,
+        "A camera must capture an image upon intrusion.",
+        _always(INTRUSION, IMAGE_CAPTURED),
+        roles=("camera",),
+        triggers=("motion", "contact")),
+    InvariantProperty(
+        "P28", "garage closed in Away mode", _SECURITY,
+        "The garage door must be closed whenever the mode is Away.",
+        _always(MODE_AWAY, GARAGE_CLOSED),
+        roles=("garage_door",)),
+    InvariantProperty(
+        "P29", "window shades closed in Away mode", _SECURITY,
+        "Window shades must be closed whenever the mode is Away.",
+        _always(MODE_AWAY, SHADES_CLOSED),
+        roles=("window_shades",)),
+    InvariantProperty(
+        "P30", "speaker quiet when nobody home", _SECURITY,
+        "A media player must not be playing when no one is at home.",
+        _always(NOBODY_HOME, SPEAKER_NOT_PLAYING),
+        roles=("speaker", "presence_sensors")),
 
-    # Water and sprinkler -----------------------------------------------------
-    _inv("P31", "soil moisture within range", _WATER,
-         "Soil moisture (humidity) must stay within the configured range.",
-         _p_humidity_in_range, ("humidity_sensors",),
-         "[] (HUM_LOW <= humidity <= HUM_HIGH)",
-         triggers=("humidity",)),
-    _inv("P32", "sprinkler off while wet", _WATER,
-         "The sprinkler must not run while the rain/moisture sensor is wet.",
-         _p_sprinkler_off_when_wet, ("water_sensors", "sprinkler_outlet"),
-         "[] (wet -> sprinkler_off)"),
-    _inv("P33", "supply valve closed on leak", _WATER,
-         "The water supply valve must be closed when a leak is detected.",
-         _p_valve_closed_on_leak, ("water_sensors", "leak_shutoff_valve"),
-         "[] (leak -> valve_closed)",
-         triggers=("water",)),
+    # Water and sprinkler ----------------------------------------------------
+    InvariantProperty(
+        "P31", "soil moisture within range", _WATER,
+        "Soil moisture (humidity) must stay within the configured range.",
+        Always(HUMIDITY_IN_RANGE),
+        roles=("humidity_sensors",),
+        triggers=("humidity",)),
+    InvariantProperty(
+        "P32", "sprinkler off while wet", _WATER,
+        "The sprinkler must not run while the rain/moisture sensor is wet.",
+        _always(LEAK, SPRINKLER_OFF),
+        roles=("water_sensors", "sprinkler_outlet")),
+    InvariantProperty(
+        "P33", "supply valve closed on leak", _WATER,
+        "The water supply valve must be closed when a leak is detected.",
+        _always(LEAK, SUPPLY_VALVE_CLOSED),
+        roles=("water_sensors", "leak_shutoff_valve"),
+        triggers=("water",)),
 
-    # Others --------------------------------------------------------------------
-    _inv("P34", "designated switches off when nobody home", _OTHERS,
-         "Designated devices must not be on when no one is at home.",
-         _p_switches_off_when_away, ("away_off_switches", "presence_sensors"),
-         "[] (nobody_home -> switches_off)"),
-    _inv("P35", "night light on with motion at night", _OTHERS,
-         "The night light must turn on when motion is sensed at night.",
-         _p_night_light_on_motion, ("motion_sensors", "night_light"),
-         "[] ((mode == Night && motion) -> light_on)",
-         triggers=("motion",)),
-    _inv("P36", "coffee machine off at night", _OTHERS,
-         "The coffee machine outlet must be off during night mode.",
-         _p_coffee_off_at_night, ("coffee_outlet",),
-         "[] (mode == Night -> coffee_off)"),
-    _inv("P37", "space heater off when nobody home", _OTHERS,
-         "A space heater must be off when no one is at home.",
-         _p_space_heater_off_when_away,
-         ("space_heater_outlet", "presence_sensors"),
-         "[] (nobody_home -> space_heater_off)"),
-    _inv("P38", "bulbs off in Away mode", _OTHERS,
-         "Designated bulbs must be off whenever the mode is Away.",
-         _p_bulbs_off_in_away_mode, ("away_off_bulbs",),
-         "[] (mode == Away -> bulbs_off)"),
+    # Others -----------------------------------------------------------------
+    InvariantProperty(
+        "P34", "designated switches off when nobody home", _OTHERS,
+        "Designated devices must not be on when no one is at home.",
+        _always(NOBODY_HOME, SWITCHES_OFF),
+        roles=("away_off_switches", "presence_sensors")),
+    InvariantProperty(
+        "P35", "night light on with motion at night", _OTHERS,
+        "The night light must turn on when motion is sensed at night.",
+        _always(And(MODE_NIGHT, MOTION), NIGHT_LIGHT_ON),
+        roles=("motion_sensors", "night_light"),
+        triggers=("motion",)),
+    InvariantProperty(
+        "P36", "coffee machine off at night", _OTHERS,
+        "The coffee machine outlet must be off during night mode.",
+        _always(MODE_NIGHT, COFFEE_OFF),
+        roles=("coffee_outlet",)),
+    InvariantProperty(
+        "P37", "space heater off when nobody home", _OTHERS,
+        "A space heater must be off when no one is at home.",
+        _always(NOBODY_HOME, SPACE_HEATER_OFF),
+        roles=("space_heater_outlet", "presence_sensors")),
+    InvariantProperty(
+        "P38", "bulbs off in Away mode", _OTHERS,
+        "Designated bulbs must be off whenever the mode is Away.",
+        _always(MODE_AWAY, BULBS_OFF),
+        roles=("away_off_bulbs",)),
 ]

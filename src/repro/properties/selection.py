@@ -109,13 +109,5 @@ def _actuators_covered(prop, system, app_devices):
     Role values that are not installed devices (thresholds, mode names)
     and sensor devices never disqualify a property.
     """
-    for role in prop.roles:
-        for name in system.role_list(role):
-            if not isinstance(name, str):
-                continue
-            device = system.devices.get(name)
-            if device is None:
-                continue
-            if device.spec.is_actuator and name not in app_devices:
-                return False
-    return True
+    _devices, actuators = prop.role_devices(system)
+    return actuators <= app_devices

@@ -2,10 +2,12 @@
 
 The paper translates Groovy to Java (for Bandera) and onward to Promela,
 solving three problems on the way (§6): SmartThings' DSL syntax (handled in
-:mod:`repro.smartapp`), *type inference* for dynamically-typed Groovy
-(:mod:`repro.translator.types`), and *built-in utilities* like ``each`` /
-``find`` / ``findAll`` / ``collect`` / list ``+`` that the backend does not
-know (:mod:`repro.translator.builtins`, applied by
+:mod:`repro.smartapp`), type inference for dynamically-typed Groovy (not
+needed here: the interpreter runs Groovy's dynamic values directly, and
+the Promela emitter declares its types from the device specs), and
+*built-in utilities* like ``each`` / ``find`` / ``findAll`` / ``collect``
+/ list ``+`` that the backend does not know
+(:mod:`repro.translator.builtins`, applied by
 :mod:`repro.translator.lowering`).
 
 Our backend is the Python model checker in :mod:`repro.checker`, so the IR is
@@ -16,6 +18,5 @@ and the line map used for Fig-7 style violation logs.
 """
 
 from repro.translator.lowering import lower_program
-from repro.translator.types import TypeInference, infer_app_types
 
-__all__ = ["lower_program", "TypeInference", "infer_app_types"]
+__all__ = ["lower_program"]

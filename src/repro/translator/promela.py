@@ -4,10 +4,10 @@ The paper's pipeline ends in "the Promela model of the IoT system" (§8):
 device typedefs with event queues and subscriber notifiers, smart-app event
 handlers, an event-generator main loop, and the LTL properties.  Our checker
 executes the IR directly, but this module regenerates the equivalent
-``.prom`` file so that (i) the artifact users inspect matches the paper's
+``.prom`` file so that the artifact users inspect matches the paper's
 Figure 7 vocabulary (``g_STLockArr``, ``subNotifiers``, ``ST_Command``,
-``generatedEvent``) and (ii) the output can be handed to a real Spin
-install if one is available.
+``generatedEvent``).  The model is generated for inspection: this
+repository does not run Spin on it.
 
 Two designs, as in §8:
 
@@ -21,12 +21,18 @@ Two designs, as in §8:
 App handler bodies are translated statement-by-statement from the lowered
 IR; Groovy constructs with no Promela counterpart are preserved as comments
 next to a ``skip``, which keeps the artifact well-formed.
+
+Each applicable invariant ends the model as a Spin 6 ``ltl`` block - its
+formula's text (:mod:`repro.properties.formula`), from which Spin derives
+the never claim - after one ``#define`` per atom the formula uses, over
+the model's own globals.  Monitored properties (conflicts, leakage,
+robustness) have no claim: the checker watches them during cascades.
 """
 
 import re
 
-from repro.checker import ltl as ltl_mod
 from repro.groovy import ast
+from repro.properties.base import SystemBinding
 
 SEQUENTIAL = "sequential"
 CONCURRENT = "concurrent"
@@ -44,6 +50,8 @@ class PromelaEmitter:
         self.system = system
         self.properties = list(properties)
         self.mode = mode
+        #: mtype symbols the atom defines use
+        self._atom_symbols = set()
 
     # ------------------------------------------------------------------
     # entry point
@@ -51,6 +59,7 @@ class PromelaEmitter:
 
     def emit(self):
         """The full ``.prom`` source text."""
+        claims = self._ltl_claims()  # first: it adds mtype symbols
         sections = [
             self._header(),
             self._mtype_declarations(),
@@ -58,7 +67,7 @@ class PromelaEmitter:
             self._globals(),
             self._app_inlines(),
             self._main_process(),
-            self._ltl_claims(),
+            claims,
         ]
         return "\n\n".join(section for section in sections if section) + "\n"
 
@@ -72,6 +81,8 @@ class PromelaEmitter:
             " * devices: %d, apps: %d, subscriptions: %d"
             % (len(self.system.devices), len(self.system.apps),
                len(self.system.subscriptions)),
+            " * Generated for inspection: this tool does not run SPIN on",
+            " * it (its verdicts come from the Python checker).",
             " */",
         ]
         return "\n".join(lines)
@@ -84,6 +95,7 @@ class PromelaEmitter:
                     symbols.extend(_symbol(v) for v in attr.values)
             symbols.extend(_symbol(c) for c in instance.spec.commands)
         symbols.extend(_symbol(m) for m in self.system.modes)
+        symbols.extend(self._atom_symbols)
         symbols.extend(["appTouch", "timerFired", "nil"])
         unique = sorted(set(s for s in symbols if s))
         return "mtype = { %s };" % ", ".join(unique)
@@ -238,20 +250,45 @@ class PromelaEmitter:
         return "\n".join(lines)
 
     def _ltl_claims(self):
+        """``#define`` per atom, then one ``ltl`` block per applicable
+        invariant."""
+        binding = SystemBinding(self.system)
+        defines = {}
         blocks = []
         for prop in self.properties:
-            if not prop.ltl or not prop.ltl.startswith("[]"):
+            formula = getattr(prop, "formula", None)
+            if formula is None or not prop.applicable(self.system):
                 continue
-            if not prop.applicable(self.system):
-                continue
-            try:
-                formula = ltl_mod.parse(prop.ltl)
-            except ltl_mod.LTLSyntaxError:
-                continue
-            claim = ltl_mod.never_claim(
-                formula, comment="%s: %s" % (prop.id, prop.name))
-            blocks.append(claim)
-        return "\n\n".join(blocks)
+            for atom in formula.atoms():
+                defines[atom.name] = "#define %s (%s)" % (
+                    atom.name, atom.expression(binding, self))
+            blocks.append("ltl %s { %s }  /* %s */"
+                          % (prop.id, formula, prop.name))
+        if not blocks:
+            return ""
+        return "\n".join(list(defines.values()) + [""] + blocks)
+
+    # -- atom rendering (see repro.properties.formula.Atom.expression) ------
+
+    def attribute(self, device_name, attribute):
+        """The global holding a device attribute; ``0`` (no mtype
+        symbol) for a device or attribute the model does not declare."""
+        instance = self.system.devices.get(device_name)
+        if instance is None or attribute not in instance.spec.attributes:
+            return "0"
+        return "g_%sArr.element[%s_index].current%s" % (
+            _type_identifier(instance.spec.type_name),
+            _identifier(device_name), _camel(attribute))
+
+    def symbol(self, value):
+        """The mtype symbol of ``value``, declared with the model's."""
+        symbol = _symbol(value)
+        self._atom_symbols.add(symbol)
+        return symbol
+
+    def number(self, value):
+        """A numeric literal."""
+        return _literal(value)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +433,9 @@ class _StatementPrinter:
             declaration = self.app.smart_app.input(base)
             if declaration is not None and declaration.is_device:
                 devices = self.app.bound_devices(base)
-                if devices:
-                    instance = self.emitter.system.devices.get(devices[0])
-                    if instance is not None:
-                        array = "g_%sArr" % _type_identifier(
-                            instance.spec.type_name)
-                        attribute = _strip_current(node.name)
-                        return "%s.element[%s_index].current%s" % (
-                            array, _identifier(devices[0]), _camel(attribute))
+                if devices and devices[0] in self.emitter.system.devices:
+                    return self.emitter.attribute(
+                        devices[0], _strip_current(node.name))
         return "%s.%s" % (self.expr(node.obj), _identifier(node.name))
 
 

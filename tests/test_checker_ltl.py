@@ -1,284 +1,231 @@
-"""Unit + property-based tests for the LTL safety fragment."""
+"""Tests for the invariant formula language (:mod:`repro.properties.formula`).
+
+One formula tree per invariant gives the LTL text, the three-valued
+check the engine runs and the atoms' Promela; these tests pin the text,
+the connectives' semantics and the atoms as bound to one system.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.checker import ltl
-from repro.checker.ltl import (
+from repro.ifttt.table9 import TABLE9_PROPERTIES
+from repro.properties import build_properties
+from repro.properties.base import SystemBinding
+from repro.properties.formula import (
+    INTRUSION,
+    NOBODY_HOME,
+    SOMEBODY_HOME,
+    AllOf,
     Always,
+    And,
+    AnyOf,
     Atom,
-    Eventually,
-    LTLSyntaxError,
+    Device,
+    Implies,
+    Mode,
+    NoneOf,
     Not,
-    bad_prefix,
-    never_claim,
-    parse,
-    violates,
+    Or,
 )
+from repro.properties.physical import DOOR_LOCKED, PHYSICAL_PROPERTIES
+
+#: the binding's view of a system with no roles, for the test atoms
+_NO_ROLES = SimpleNamespace(away_mode="Away", home_mode="Home",
+                            night_mode="Night")
 
 
-def atoms(**predicates):
-    """Atom table stand-in: state is a dict, atoms read keys."""
-    table = {name: (lambda key: (lambda state: state.get(key)))(name)
-             for name in predicates or {}}
+class _Var(Atom):
+    """A test atom: the value the dict state holds under its name."""
 
-    class Table:
-        def get(self, name):
-            if name in table:
-                return table[name]
-            return lambda state: state.get(name)
+    __slots__ = ()
 
-    return Table()
+    def bind(self, binding):
+        name = self.name
+        return lambda state: state.get(name)
 
 
-A = atoms()
+P = _Var("p_var")
+Q = _Var("q_var")
 
 
-def trace(*states):
-    return list(states)
+def evaluate(formula, state):
+    check, _reads = SystemBinding(_NO_ROLES).bind(formula)
+    return check(state)
 
 
-class TestParser:
-    def test_atom(self):
-        formula = parse("p")
-        assert isinstance(formula, Atom)
-        assert formula.name == "p"
+class TestText:
+    def test_invariant_text(self):
+        assert str(Always(Implies(P, Q))) == "[] (p_var -> q_var)"
 
-    def test_always(self):
-        formula = parse("[] p")
-        assert isinstance(formula, Always)
+    def test_connectives_wrap_compound_operands(self):
+        formula = Always(Implies(And(P, Not(Q)), Or(P, Q)))
+        assert str(formula) == "[] ((p_var && !q_var) -> (p_var || q_var))"
+        assert str(Not(And(P, Q))) == "!(p_var && q_var)"
 
-    def test_word_aliases(self):
-        assert parse("G p") == parse("[] p")
-        assert parse("F p") == parse("<> p")
+    def test_named_atom_is_its_name(self):
+        assert str(Always(Implies(INTRUSION, SOMEBODY_HOME))) == (
+            "[] (away_intrusion -> somebody_home)")
 
-    def test_implication_right_associative(self):
-        formula = parse("a -> b -> c")
-        assert str(formula) == str(parse("a -> (b -> c)"))
+    def test_promela_expression(self):
+        assert INTRUSION.formula.promela() == (
+            "mode_away && (contact_open || motion_active)")
+        assert SOMEBODY_HOME.formula.promela() == "!nobody_home"
 
-    def test_precedence_and_over_or(self):
-        formula = parse("a || b && c")
-        assert str(formula) == str(parse("a || (b && c)"))
+    def test_atom_names_need_an_underscore(self):
+        with pytest.raises(ValueError):
+            Device("locked", "main_door_lock", "lock", "==", "locked")
 
-    def test_not_binds_tight(self):
-        formula = parse("!a && b")
-        assert str(formula) == str(parse("(!a) && b"))
+    def test_catalog_atom_names_are_unique(self):
+        """One name, one atom: the emitter writes one ``#define`` per
+        name."""
+        by_name = {}
+        for prop in PHYSICAL_PROPERTIES + TABLE9_PROPERTIES:
+            for atom in prop.formula.atoms():
+                assert by_name.setdefault(atom.name, atom) is atom, atom.name
+        assert len(by_name) > 30
 
-    def test_parentheses(self):
-        assert parse("(p)") == Atom("p")
+    def test_catalog_text_is_the_formula(self):
+        invariants = PHYSICAL_PROPERTIES + TABLE9_PROPERTIES
+        assert len(invariants) == 42
+        for prop in invariants:
+            assert prop.ltl == str(prop.formula), prop.id
+            assert prop.ltl.startswith("[] "), prop.id
 
-    def test_comparison_atom(self):
-        formula = parse("temp >= TEMP_HIGH")
-        assert isinstance(formula, Atom)
-        assert formula.name == "temp >= TEMP_HIGH"
+    def test_text_says_what_the_check_does(self):
+        """The texts that once omitted part of their check."""
+        ltl = {prop.id: prop.ltl
+               for prop in PHYSICAL_PROPERTIES + TABLE9_PROPERTIES}
+        assert ltl["P12"] == (
+            "[] ((residents_asleep || mode_night) -> door_locked)")
+        assert ltl["P13"] == (
+            "[] ((nobody_home || mode_night) -> entry_door_not_open)")
+        assert ltl["I04"] == (
+            "[] ((motion_active || contact_open) -> call_active)")
 
-    def test_chained_comparison_becomes_conjunction(self):
-        formula = parse("LOW <= x <= HIGH")
-        assert formula.atoms() == {"LOW <= x", "x <= HIGH"}
-
-    def test_until(self):
-        formula = parse("a U b")
-        assert isinstance(formula, ltl.Until)
-
-    def test_weak_until(self):
-        assert isinstance(parse("a W b"), ltl.WeakUntil)
-
-    def test_empty_raises(self):
-        with pytest.raises(LTLSyntaxError):
-            parse("")
-
-    def test_trailing_tokens_raise(self):
-        with pytest.raises(LTLSyntaxError):
-            parse("a b")
-
-    def test_unbalanced_paren_raises(self):
-        with pytest.raises(LTLSyntaxError):
-            parse("(a && b")
+    def test_monitored_properties_keep_label_text(self):
+        labels = {prop.id: prop.ltl for prop in build_properties()
+                  if not hasattr(prop, "formula")}
+        assert labels["P39"] == "per-cascade monitor"
+        assert labels["P45"] == "[] (command_dropped -> <> user_notified)"
 
 
 class TestSemantics:
     def test_atom_on_first_state(self):
-        assert parse("p").holds_on(trace({"p": True}), A)
-        assert not parse("p").holds_on(trace({"p": False}), A)
+        assert evaluate(P, {"p_var": True}) is True
+        assert evaluate(P, {"p_var": False}) is False
 
     def test_three_valued_none_counts_as_holding(self):
-        assert parse("p").holds_on(trace({}), A)
+        assert evaluate(Always(P), {}) is None
 
     def test_always(self):
-        formula = parse("[] p")
-        assert formula.holds_on(trace({"p": True}, {"p": True}), A)
-        assert not formula.holds_on(trace({"p": True}, {"p": False}), A)
-
-    def test_eventually(self):
-        formula = parse("<> p")
-        assert formula.holds_on(trace({"p": False}, {"p": True}), A)
-        assert not formula.holds_on(trace({"p": False}, {"p": False}), A)
-
-    def test_next_weak_at_end(self):
-        formula = parse("X p")
-        assert formula.holds_on(trace({"p": False}), A)  # no next state
-        assert formula.holds_on(trace({"p": False}, {"p": True}), A)
-        assert not formula.holds_on(trace({"p": True}, {"p": False}), A)
-
-    def test_until(self):
-        formula = parse("p U q")
-        assert formula.holds_on(
-            trace({"p": True, "q": False}, {"p": False, "q": True}), A)
-        assert not formula.holds_on(
-            trace({"p": True, "q": False}, {"p": True, "q": False}), A)
-
-    def test_weak_until_holds_forever(self):
-        formula = parse("p W q")
-        assert formula.holds_on(
-            trace({"p": True, "q": False}, {"p": True, "q": False}), A)
+        assert evaluate(Always(P), {"p_var": True}) is True
+        assert evaluate(Always(P), {"p_var": False}) is False
 
     def test_implication(self):
-        formula = parse("[] (p -> q)")
-        assert formula.holds_on(
-            trace({"p": False, "q": False}, {"p": True, "q": True}), A)
-        assert not formula.holds_on(trace({"p": True, "q": False}), A)
+        formula = Implies(P, Q)
+        assert evaluate(formula, {"p_var": True, "q_var": False}) is False
+        assert evaluate(formula, {"p_var": True, "q_var": True}) is True
+        # a guard holds only when it is True
+        assert evaluate(formula, {"p_var": False, "q_var": False}) is None
+        assert evaluate(formula, {"q_var": False}) is None
 
-    def test_response_property(self):
-        formula = parse("[] (p -> <> q)")
-        good = trace({"p": True, "q": False}, {"q": True})
-        bad = trace({"p": True, "q": False}, {"q": False})
-        assert formula.holds_on(good, A)
-        assert not formula.holds_on(bad, A)
-
-
-class TestBadPrefix:
-    def test_invariant_bad_prefix_index(self):
-        formula = parse("[] p")
-        states = trace({"p": True}, {"p": True}, {"p": False}, {"p": True})
-        assert bad_prefix(formula, states, A) == 2
-
-    def test_no_bad_prefix(self):
-        formula = parse("[] p")
-        assert bad_prefix(formula, trace({"p": True}, {"p": True}), A) is None
-
-    def test_violates(self):
-        formula = parse("[] p")
-        assert violates(formula, trace({"p": False}), A)
+    @pytest.mark.parametrize("p,q,conjunction,disjunction", [
+        (True, True, True, True),
+        (True, False, False, True),
+        (False, None, False, None),
+        (True, None, None, True),
+        (None, None, None, None),
+        (False, False, False, False),
+    ])
+    def test_kleene_tables(self, p, q, conjunction, disjunction):
+        state = {"p_var": p, "q_var": q}
+        assert evaluate(And(P, Q), state) is conjunction
+        assert evaluate(And(Q, P), state) is conjunction
+        assert evaluate(Or(P, Q), state) is disjunction
+        assert evaluate(Or(Q, P), state) is disjunction
+        assert evaluate(Not(P), state) is (None if p is None else not p)
 
 
-class TestSafetyClassification:
-    def test_invariant_is_safety(self):
-        assert parse("[] (a -> b)").is_safety()
+class TestBoundAtoms:
+    """The shared and catalog atoms bound to Alice's home."""
 
-    def test_eventually_not_safety(self):
-        assert not parse("<> a").is_safety()
-
-    def test_response_not_safety(self):
-        assert not parse("[] (a -> <> b)").is_safety()
-
-    def test_negated_eventually_is_safety(self):
-        assert parse("! <> a").is_safety()
-
-
-class TestNeverClaim:
-    def test_invariant_claim_shape(self):
-        claim = never_claim(parse("[] (nobody_home -> door_locked)"))
-        assert claim.startswith("never {")
-        assert "accept_init" in claim
-        assert "nobody_home" in claim
-        assert claim.rstrip().endswith("}")
-
-    def test_claim_comment(self):
-        claim = never_claim(parse("[] p"), comment="P06: door locked")
-        assert "P06" in claim
-
-
-class TestAtomTable:
     @pytest.fixture()
-    def table(self, alice_system):
-        return ltl.AtomTable(alice_system)
+    def binding(self, alice_system):
+        return SystemBinding(alice_system)
 
-    def test_builtin_atoms_present(self, table):
-        for name in ("nobody_home", "somebody_home", "mode_away",
-                     "door_locked", "smoke_detected"):
-            assert table.get(name) is not None
-
-    def test_nobody_home_on_initial_state(self, table, alice_system):
+    def test_nobody_home_on_initial_state(self, binding, alice_system):
         state = alice_system.initial_state()
-        assert table.get("nobody_home")(state) is False
+        assert binding.bind(NOBODY_HOME)[0](state) is False
+        assert binding.bind(SOMEBODY_HOME)[0](state) is True
 
-    def test_door_locked_initially(self, table, alice_system):
+    def test_door_locked_initially(self, binding, alice_system):
+        assert binding.bind(DOOR_LOCKED)[0](
+            alice_system.initial_state()) is True
+
+    def test_mode_atom(self, binding, alice_system):
         state = alice_system.initial_state()
-        assert table.get("door_locked")(state) is True
+        assert binding.bind(Mode("mode_home", "home"))[0](state) is True
+        assert binding.bind(Mode("mode_away", "away"))[0](state) is False
 
-    def test_composite_comparison_atom(self, table, alice_system):
+    def test_unbound_role_quantifiers(self, binding, alice_system):
         state = alice_system.initial_state()
-        assert table.get("mode == Home")(state) is True
-        assert table.get("mode == Away")(state) is False
+        assert binding.bind(AnyOf(
+            "no_smoke", "smoke_detectors", "smoke", "detected"))[0](
+                state) is False
+        for atom in (AllOf("all_x", "window_shades", "windowShade", "closed"),
+                     NoneOf("none_x", "away_off_bulbs", "switch", "on")):
+            check, reads = binding.bind(atom)
+            assert check(state) is None
+            assert reads == frozenset()
 
-    def test_derived_negation_atom(self, table, alice_system):
-        state = alice_system.initial_state()
-        heater_off = table.get("heater_off")
-        # no heater role bound -> three-valued None
-        assert heater_off(state) is None
+    def test_reads_are_declared(self, binding, alice_system):
+        _check, reads = binding.bind(Always(Implies(NOBODY_HOME,
+                                                    DOOR_LOCKED)))
+        presence = {(name, "presence")
+                    for name in alice_system.role_list("presence_sensors")}
+        assert reads == presence | {(alice_system.role("main_door_lock"),
+                                     "lock")}
 
-    def test_user_defined_atom(self, table, alice_system):
-        table.define("always_true", lambda state: True)
-        assert table.get("always_true")(alice_system.initial_state())
+    def test_shared_atoms_bind_once_per_system(self, binding):
+        assert binding.bound(NOBODY_HOME) is binding.bound(NOBODY_HOME)
+        assert binding.bind(SOMEBODY_HOME)[1] == binding.bind(NOBODY_HOME)[1]
 
-    def test_unknown_atom_is_none(self, table):
-        assert table.get("no_such_atom_xyz") is None
-
-    def test_paper_formula_on_violating_trace(self, table, alice_system):
+    def test_paper_formula_on_violating_state(self, binding, alice_system):
         """[] (nobody_home -> door_locked) fails on the Fig-7 end state."""
+        check, _reads = binding.bind(Always(Implies(NOBODY_HOME,
+                                                    DOOR_LOCKED)))
         state = alice_system.initial_state()
         bad = state.copy()
-        bad.set_attribute("alicePresence", "presence", "not present")
-        bad.set_attribute("doorLock", "lock", "unlocked")
-        formula = parse("[] (nobody_home -> door_locked)")
-        assert formula.holds_on([state], table)
-        assert not formula.holds_on([state, bad], table)
-        assert bad_prefix(formula, [state, bad], table) == 1
+        for name in alice_system.role_list("presence_sensors"):
+            bad.set_attribute(name, "presence", "not present")
+        bad.set_attribute(alice_system.role("main_door_lock"), "lock",
+                          "unlocked")
+        assert check(state) is not False
+        assert check(bad) is False
 
 
 # ---------------------------------------------------------------------------
-# property-based: semantic dualities
+# property-based: dualities of the three-valued connectives
 # ---------------------------------------------------------------------------
 
-_BOOLS = st.booleans()
-_TRACES = st.lists(
-    st.fixed_dictionaries({"p": _BOOLS, "q": _BOOLS}), min_size=1,
-    max_size=6)
+_VALUES = st.sampled_from([True, False, None])
+_STATES = st.fixed_dictionaries({"p_var": _VALUES, "q_var": _VALUES})
 
 
 class TestDualities:
-    @given(_TRACES)
-    def test_always_dual_of_eventually(self, states):
-        always_p = parse("[] p")
-        not_ev_not_p = Not(Eventually(Not(Atom("p"))))
-        assert always_p.holds_on(states, A) == not_ev_not_p.holds_on(
-            states, A)
+    @given(_STATES)
+    def test_de_morgan(self, state):
+        assert evaluate(Not(And(P, Q)), state) is evaluate(
+            Or(Not(P), Not(Q)), state)
+        assert evaluate(Not(Or(P, Q)), state) is evaluate(
+            And(Not(P), Not(Q)), state)
 
-    @given(_TRACES)
-    def test_de_morgan(self, states):
-        lhs = parse("!(p && q)")
-        rhs = parse("!p || !q")
-        assert lhs.holds_on(states, A) == rhs.holds_on(states, A)
-
-    @given(_TRACES)
-    def test_implication_material(self, states):
-        lhs = parse("p -> q")
-        rhs = parse("!p || q")
-        assert lhs.holds_on(states, A) == rhs.holds_on(states, A)
-
-    @given(_TRACES)
-    def test_weak_until_decomposition(self, states):
-        # p W q  ==  (p U q) || [] p
-        lhs = parse("p W q")
-        rhs_u = parse("p U q")
-        rhs_g = parse("[] p")
-        assert lhs.holds_on(states, A) == (
-            rhs_u.holds_on(states, A) or rhs_g.holds_on(states, A))
-
-    @given(_TRACES)
-    def test_bad_prefix_iff_violates_for_invariant(self, states):
-        formula = parse("[] p")
-        assert (bad_prefix(formula, states, A) is not None) == violates(
-            formula, states, A)
+    @given(_STATES)
+    def test_implication_material(self, state):
+        """``p -> q`` is violated exactly where ``!p || q`` is False."""
+        assert (evaluate(Implies(P, Q), state) is False) == (
+            evaluate(Or(Not(P), Q), state) is False)

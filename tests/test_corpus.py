@@ -57,13 +57,6 @@ class TestEveryApp:
                 assert capability(declaration.capability), (
                     name, declaration.capability)
 
-    def test_every_app_type_inferable(self, registry):
-        from repro.translator.types import infer_app_types
-
-        for app in registry.values():
-            engine = infer_app_types(app)
-            assert engine.globals
-
 
 class TestGroups:
     def test_six_expert_groups(self):

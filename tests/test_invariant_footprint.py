@@ -61,7 +61,7 @@ class _DeclaredReads:
 def _bind(system):
     """``[(prop, check, reads)]`` for every applicable invariant."""
     binding = SystemBinding(system)
-    return [(prop,) + binding.bind(prop.binder) for prop in INVARIANTS
+    return [(prop,) + binding.bind(prop.formula) for prop in INVARIANTS
             if prop.applicable(system)]
 
 

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from repro.corpus.groups import GROUP_BUILDERS
 from repro.properties import build_properties, select_relevant
 from repro.translator.promela import (
     CONCURRENT,
@@ -83,15 +84,81 @@ class TestConcurrentMode:
 
 
 class TestNeverClaims:
+    """Invariants end the model as Spin 6 ``ltl`` blocks (Spin derives
+    the never claim from each) over ``#define``d atoms."""
+
     def test_claims_emitted_for_invariants(self, model):
-        assert "never {" in model
-        assert "accept_init:" in model
+        assert "ltl P06 { [] (nobody_home -> door_locked) }" in model
+        assert "#define nobody_home (" in model
+        assert ("#define door_locked "
+                "(g_STZwaveLockArr.element[doorLock_index].currentLock"
+                " == locked)") in model
 
     def test_claim_carries_property_id(self, model):
-        assert re.search(r"never \{  /\* !\(P06", model)
+        assert re.search(r"^ltl P06 \{", model, re.M)
+        assert "never {" not in model
 
     def test_inapplicable_properties_skipped(self, model):
         assert "P01" not in model  # no heater in Alice's home
+
+    def test_monitored_properties_get_no_claim(self, alice_system):
+        model = emit_promela(alice_system, build_properties())
+        assert "ltl P45" not in model
+        assert "<>" not in model
+
+
+def _undefined_ltl_identifiers(model):
+    """Identifiers in the model's ``ltl`` blocks that are neither
+    ``#define``d in it nor a declared mtype symbol."""
+    defined = set(re.findall(r"^#define (\w+)", model, re.M))
+    symbols = {symbol.strip() for symbol in re.search(
+        r"mtype = \{ (.+) \};", model).group(1).split(",")}
+    blocks = re.findall(r"^ltl \w+ \{(.*)\}", model, re.M)
+    used = set(re.findall(r"[A-Za-z_]\w*", " ".join(blocks)))
+    return used - defined - symbols
+
+
+#: ltl blocks `repro emit` writes per expert group: its selected
+#: invariants (the monitored properties get none)
+CLAIMS = {"group1-entry-and-mode": 9, "group2-lighting": 0,
+          "group3-climate": 6, "group4-security": 15,
+          "group5-water-presence": 12, "group6-schedules-misc": 13}
+
+
+class TestClaimIdentifiers:
+    """Every identifier an ``ltl`` block names is defined in the same
+    model text, and no atom define renames an mtype symbol."""
+
+    @pytest.mark.parametrize("group", sorted(GROUP_BUILDERS))
+    def test_expert_groups(self, generator, group):
+        system = generator.build(GROUP_BUILDERS[group]())
+        model = emit_promela(system,
+                             select_relevant(system, build_properties()))
+        assert model.count("\nltl P") == CLAIMS[group]
+        assert not _undefined_ltl_identifiers(model)
+        self._defines_rename_no_symbol(model)
+
+    def test_table9(self):
+        from repro.ifttt.table9 import (
+            TABLE9_PROPERTIES,
+            table9_configuration,
+            table9_registry,
+        )
+        from repro.model.generator import ModelGenerator
+
+        system = ModelGenerator(table9_registry()).build(
+            table9_configuration())
+        model = emit_promela(system, TABLE9_PROPERTIES)
+        assert model.count("\nltl I0") == 4
+        assert not _undefined_ltl_identifiers(model)
+        self._defines_rename_no_symbol(model)
+
+    @staticmethod
+    def _defines_rename_no_symbol(model):
+        defined = set(re.findall(r"^#define (\w+)", model, re.M))
+        symbols = {symbol.strip() for symbol in re.search(
+            r"mtype = \{ (.+) \};", model).group(1).split(",")}
+        assert not defined & symbols
 
 
 class TestEventChoices:
