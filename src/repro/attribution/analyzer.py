@@ -176,13 +176,6 @@ class OutputAnalyzer:
         return AttributionReport(app_name, verdict, phase1, phase2,
                                  threshold=self.threshold)
 
-    def attribute_many(self, app_names, deployment, installed=(),
-                       origin="unknown"):
-        """Attribute several candidate apps against the same deployment."""
-        return {name: self.attribute(name, deployment, installed=installed,
-                                     origin=origin)
-                for name in app_names}
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------

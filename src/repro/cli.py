@@ -138,8 +138,8 @@ def cmd_check(args):
     phase_times["build"] = time.monotonic() - phase_started
     engine = ExplorationEngine(system, properties, options)
     result = engine.run()
-    # result.profile carries the engine-side phases (explore,
-    # canonicalize); the CLI prepends its own parse/build phases
+    # result.profile carries the engine's explore phase; the CLI
+    # prepends its own parse/build phases
     phase_times.update(result.profile)
     result.profile = phase_times
     if getattr(args, "json", False):
@@ -526,7 +526,7 @@ def build_parser():
     p_check.add_argument("--all-traces", action="store_true")
     p_check.add_argument("--profile", action="store_true",
                          help="print a per-phase wall-time breakdown "
-                              "(parse, build, explore, canonicalize)")
+                              "(parse, build, explore)")
     p_check.add_argument("--json", action="store_true",
                          help="emit the machine-readable result schema "
                               "(profile included) instead of the summary")

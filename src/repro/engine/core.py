@@ -22,10 +22,6 @@ from repro.checker.violations import Counterexample
 from repro.engine.options import CONCURRENT, EngineOptions
 from repro.engine.result import ExplorationResult
 
-#: longest counterexample the trace canonicalization will permute
-#: (factorial growth; beyond this the recorded path is kept as-is)
-PERMUTE_TRACE_LIMIT = 6
-
 #: bitstate fill ratio beyond which the store is saturating (missed
 #: states become likely) and telemetry emits a warning event
 BITSTATE_SATURATION_WARN = 0.5
@@ -62,9 +58,6 @@ class ExplorationEngine:
         self.system = system
         self.properties = list(properties)
         self.options = options or EngineOptions()
-        # applied at construction (not _setup_search) so the trace
-        # canonicalization's replays execute the same faulted relation
-        # as the search itself
         from repro.model.faults import resolve_scenario
         system.scenario_profile = resolve_scenario(self.options.scenario)
         #: live telemetry session (opened per run; None when disabled)
@@ -72,9 +65,6 @@ class ExplorationEngine:
         #: the lean relation (:class:`~repro.model.lean.LeanRelation`)
         #: the search expands; None under ``engine="interpreted"``
         self._lean = None
-        #: per-phase wall time (``canonicalize``); merged into
-        #: ``result.profile`` by ``_finish``
-        self._phase_times = {}
         #: whether the lean relation may hand the search stateless
         #: quiet leaves (every store but ``exact`` takes them)
         self._quiet_leaf_stubs = False
@@ -100,12 +90,11 @@ class ExplorationEngine:
 
     def run(self):
         """Explore; returns an :class:`ExplorationResult`."""
-        restore_gc = self.options.manage_gc and gc.isenabled()
-        if restore_gc:
-            # the search churns through millions of short-lived acyclic
-            # objects; gen-0 sweeps cost ~1/3 of wall clock and reclaim
-            # nothing that reference counting doesn't
-            gc.disable()
+        restore_gc = gc.isenabled()
+        # the search churns through millions of short-lived acyclic
+        # objects; gen-0 sweeps cost ~1/3 of wall clock and reclaim
+        # nothing that reference counting doesn't
+        gc.disable()
         try:
             return self._run()
         finally:
@@ -168,7 +157,7 @@ class ExplorationEngine:
             if self._limits_hit(result, started):
                 break
             node = stack.pop()
-            for transition in self._search_transitions_from(node):
+            for transition in self._transitions_from(node):
                 label, new_state, consumed, violations, steps = transition
                 result.transitions += 1
                 depth = node.depth + (1 if consumed else 0)
@@ -210,20 +199,22 @@ class ExplorationEngine:
 
         return self._finish(result, visited, started)
 
-    def _search_transitions_from(self, node):
-        """The relation the search loop expands: the lean relation on
-        sequential runs when active, the traced relation otherwise.
-        Canonicalization replays go through :meth:`_transitions_from`."""
-        lean = self._lean
-        if lean is not None and self.options.mode != CONCURRENT:
-            max_events = self.options.max_events
-            if node.depth >= max_events:
-                return []
-            return lean.transitions(
+    def _transitions_from(self, node):
+        """The successors of ``node``: the lean relation on sequential
+        runs when active, the traced relation otherwise."""
+        options = self.options
+        if options.mode == CONCURRENT:
+            return self.system.transitions_concurrent(
+                node.state, self._monitor_factory,
+                options.max_events - node.depth)
+        if node.depth >= options.max_events:
+            return []
+        if self._lean is not None:
+            return self._lean.transitions(
                 node.state, self._monitor_factory,
                 leaf=(self._quiet_leaf_stubs
-                      and node.depth + 1 == max_events))
-        return self._transitions_from(node)
+                      and node.depth + 1 == options.max_events))
+        return self.system.transitions(node.state, self._monitor_factory)
 
     def _open_telemetry(self):
         """The run's telemetry session, or None when disabled."""
@@ -245,11 +236,6 @@ class ExplorationEngine:
         }
 
     def _finish(self, result, visited, started):
-        # trace finalization is part of the run, so it is timed: elapsed
-        # (and the states/sec figures derived from it in the bench
-        # artifact) must not hide the replay/permutation cost
-        finalize_started = time.monotonic()
-        self._canonicalize_traces(result)
         # one order for the list: by path, then by violation - a
         # function of the state space, not of the order of recording
         result.counterexamples = dict(sorted(
@@ -262,20 +248,14 @@ class ExplorationEngine:
             # verdict the lean relation took from their parent
             self.cascade_stats["invariant_inherited"] = (
                 self._compiled_properties.inherited)
-        self._phase_times["canonicalize"] = (time.monotonic()
-                                             - finalize_started)
         result.elapsed = time.monotonic() - started
         result.visited_stats = visited.stats()
         result.property_stats = self._compiled_properties.stats()
-        profile = dict(self._phase_times)
-        profile["explore"] = max(0.0, result.elapsed
-                                 - sum(self._phase_times.values()))
-        result.profile = profile
+        result.profile = {"explore": result.elapsed}
         telemetry = self._telemetry
         if telemetry is not None:
             self._telemetry = None
-            for name in sorted(profile):
-                telemetry.span(name, profile[name])
+            telemetry.span("explore", result.elapsed)
             fill_ratio = result.visited_stats.get("fill_ratio")
             if (fill_ratio is not None
                     and fill_ratio > BITSTATE_SATURATION_WARN):
@@ -289,55 +269,6 @@ class ExplorationEngine:
             telemetry.close()
         return result
 
-    def _canonicalize_traces(self, result):
-        """Make recorded traces independent of the expansion order.
-
-        The search records, per violation, the path of whichever
-        expansion reached it - under commuting events the same
-        violating state can hang below several equal-length prefixes,
-        and which one got recorded is an artifact of search order.
-        This pass replays every valid permutation of each recorded event
-        sequence and keeps the canonical minimum via :meth:`_record`'s
-        ordering, so the rendered trace is a function of the state space
-        alone - the property that lets both relations and every store
-        report the same trace.
-
-        Keys never appear or disappear: permutations only compete for
-        the trace of violations the search itself proved.
-        """
-        if not result.counterexamples:
-            return
-        import itertools
-
-        keys_before = set(result.counterexamples)
-        for counterexample in list(result.counterexamples.values()):
-            labels = counterexample.event_labels()
-            if not 1 < len(labels) <= PERMUTE_TRACE_LIMIT:
-                continue
-            for permuted in sorted(set(itertools.permutations(labels))):
-                if list(permuted) == labels:
-                    continue
-                replayed = replay_path(self, permuted)
-                if replayed is None:
-                    continue
-                node, violations = replayed
-                self._record(result, node, violations)
-        # a permuted path may end in a violation the (e.g. truncated)
-        # search never recorded; canonicalization must not invent keys
-        for key in set(result.counterexamples) - keys_before:
-            del result.counterexamples[key]
-
-    def _transitions_from(self, node, event_filter=None):
-        if self.options.mode == CONCURRENT:
-            externals_left = self.options.max_events - node.depth
-            return self.system.transitions_concurrent(
-                node.state, self._monitor_factory, externals_left,
-                event_filter=event_filter)
-        if node.depth >= self.options.max_events:
-            return []
-        return self.system.transitions(node.state, self._monitor_factory,
-                                       event_filter=event_filter)
-
     def _record(self, result, node, violations):
         path = node.path()
         order = path_order_key(path)
@@ -350,10 +281,10 @@ class ExplorationEngine:
                 violation.apps = _path_actors(path)
             key = violation.dedup_key()
             existing = result.counterexamples.get(key)
-            # keep the *canonical* counterexample per distinct violation:
-            # the shortest path, ties broken by the event-label sequence.
-            # Content-based selection (instead of first-found) makes the
-            # reported trace independent of expansion order
+            # keep the shortest path per distinct violation, ties broken
+            # by the event-label sequence: the depth-aware store
+            # re-expands every state at its minimal depth, so the DFS
+            # reaches each violation along some shortest path
             if existing is None or order < path_order_key(existing.path):
                 result.counterexamples[key] = Counterexample(violation, path)
 
@@ -405,47 +336,12 @@ class ExplorationEngine:
                 or self._time_limit_hit(result, started))
 
 
-def replay_path(engine, labels):
-    """Drive the transition relation along one event-label sequence.
-
-    Returns ``(final node, violations of the final transition)`` or
-    ``None`` when the sequence does not replay to a violating
-    transition.  Labels deterministically identify transitions, so a
-    successful replay regenerates the exact cascade steps - this is how
-    the trace canonicalization rebuilds rendered counterexamples without
-    trusting any recorded path.
-
-    A transition's label is its external event's label plus an optional
-    failure-scenario suffix, so only the externals whose label starts
-    the wanted one run their cascades; the exact label comparison still
-    decides the match.
-    """
-    node = _Node(engine.system.initial_state(), 0)
-    violations = []
-    for label in labels:
-        matched = None
-        for transition in engine._transitions_from(
-                node, lambda ext: label.startswith(ext.label())):
-            if transition[0] == label:
-                matched = transition
-                break
-        if matched is None:
-            return None
-        _label, new_state, consumed, violations, steps = matched
-        node = _Node(new_state, node.depth + (1 if consumed else 0),
-                     parent=node, label=label, steps=steps)
-    if not violations:
-        return None
-    return node, violations
-
-
 def path_order_key(path):
-    """The canonical order of counterexample paths: shortest first, then
-    by the external-event label sequence.
+    """The order of counterexample paths: shortest first, then by the
+    external-event label sequence.
 
-    The recorder selects the minimum under this key, so every run of the
-    same system reports the same trace per violation regardless of
-    expansion order.
+    The recorder keeps the minimum under this key among the paths the
+    DFS reaches, and the result lists its counterexamples in this order.
     """
     return (len(path), tuple(label for label, _steps in path))
 

@@ -70,7 +70,7 @@ class EngineOptions:
         run once per search and its repeats replayed, trace included,
         under every sequential scenario).  Both run handlers
         on the tree interpreter.  A pure performance knob: both produce
-        byte-identical verdicts, violation sets and canonical traces
+        byte-identical verdicts, violation sets and counterexample traces
         (proven on the corpus and on generated handler programs by the
         differential suite), so the choice is excluded from the vetting
         service's semantic digests.
@@ -94,12 +94,6 @@ class EngineOptions:
         A pure *observer*: verdicts, violation sets, traces and the
         vetting service's semantic digests are byte-identical with
         telemetry on or off, so it is excluded from the content digests.
-    ``manage_gc``
-        Suspend Python's cyclic garbage collector for the duration of a
-        run (restored on exit).  The search allocates millions of
-        short-lived, almost entirely acyclic objects, so generation-0
-        sweeps cost ~30% of wall clock while reclaiming nothing that
-        reference counting does not already reclaim.
     ``mode``
         The exploration semantics: ``sequential`` (the default
         interleaving model) or ``concurrent`` (simultaneous event
@@ -109,8 +103,7 @@ class EngineOptions:
     def __init__(self, max_events=3, mode=SEQUENTIAL, visited="fingerprint",
                  bitstate_bits=23, max_states=200000, max_transitions=None,
                  time_limit=None, stop_on_first=False, engine="lean",
-                 check_interval=256,
-                 manage_gc=True, scenario="clean", telemetry=None):
+                 check_interval=256, scenario="clean", telemetry=None):
         self.max_events = max_events
         if mode not in EXPLORATION_MODES:
             raise ValueError("unknown mode %r (known: %s)"
@@ -135,7 +128,6 @@ class EngineOptions:
                              % (engine, ", ".join(ENGINE_MODES)))
         self.engine = engine
         self.check_interval = check_interval
-        self.manage_gc = manage_gc
         # normalize to the profile *name*: options travel through JSON
         # payloads and semantic digests, both of which want the string
         self.scenario = resolve_scenario(scenario).name

@@ -45,8 +45,9 @@ class ExplorationResult:
         self.truncated_reason = None
         #: store statistics snapshot ({} until the run finishes)
         self.visited_stats = {}
-        #: per-phase wall time breakdown ({} until populated): keys are
-        #: phase names (``explore``, ``canonicalize``, ...)
+        #: per-phase wall time breakdown ({} until populated): the
+        #: engine fills ``explore``, ``repro check`` adds ``parse``
+        #: and ``build``
         self.profile = {}
         #: compiled-property statistics (invariant verdict memo)
         self.property_stats = {}

@@ -151,7 +151,3 @@ def service(name):
         raise KeyError("unknown IFTTT service %r (modeled: %s)"
                        % (name, ", ".join(sorted(SERVICES))))
     return svc
-
-
-def service_names():
-    return sorted(SERVICES)

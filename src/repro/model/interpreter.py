@@ -340,25 +340,28 @@ class Interpreter:
         return self.exec_block(stmt, scopes + [{}])
 
     def _exec_Switch(self, stmt, scopes):
+        """Groovy's switch: run the body of the first matching case (of
+        ``default`` when none matches) and every later body in order,
+        until a ``break``."""
         subject = self.eval(stmt.subject, scopes)
-        default_case = None
-        for case in stmt.cases:
-            if not case.values:
-                default_case = case
-                continue
-            for value_expr in case.values:
-                value = self.eval(value_expr, scopes)
-                if self._case_matches(subject, value):
-                    try:
-                        return self.exec_block(case.body, scopes + [{}])
-                    except _Break:
-                        return None
-        if default_case is not None:
-            try:
-                return self.exec_block(default_case.body, scopes + [{}])
-            except _Break:
-                return None
-        return None
+        cases = stmt.cases
+        start = next((index for index, case in enumerate(cases)
+                      if any(self._case_matches(subject,
+                                                self.eval(value, scopes))
+                             for value in case.values)), None)
+        if start is None:
+            start = next((index for index, case in enumerate(cases)
+                          if not case.values), None)
+        if start is None:
+            return None
+        scope = scopes + [{}]
+        last = None
+        try:
+            for case in cases[start:]:
+                last = self.exec_block(case.body, scope)
+        except _Break:
+            return None
+        return last
 
     def _case_matches(self, subject, value):
         if isinstance(value, list):

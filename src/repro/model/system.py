@@ -11,7 +11,6 @@ from repro.groovy import ast
 from repro.model.cascade import Cascade, FailureScenario, NO_FAILURE
 from repro.model.events import APP, DEVICE, FAKE, LOCATION, ExternalEvent
 from repro.model.faults import CLEAN
-from repro.model.handles import DeviceGroup, DeviceHandle
 from repro.model.state import ModelState
 from repro.translator.lowering import lower_program
 
@@ -37,33 +36,11 @@ class AppInstance:
     def binding(self, input_name):
         return self.bindings.get(input_name)
 
-    def materialize(self, input_name, ctx):
-        """Turn one binding into the runtime value app code sees.
-
-        Single-input view over :meth:`binding_plan` (the executors build
-        their whole environment from the plan directly); both paths share
-        one definition of the binding -> runtime-value rules.
-        """
-        for name, is_device, payload, wants_group in self.binding_plan():
-            if name != input_name:
-                continue
-            if not is_device:
-                return payload
-            bound = []
-            for device_name in payload:
-                instance = ctx.system.devices.get(device_name)
-                if instance is not None:
-                    bound.append(DeviceHandle(instance, ctx, self.name))
-            if wants_group or len(bound) > 1:
-                return DeviceGroup(bound)
-            return bound[0] if bound else None
-        return None
-
     def binding_plan(self):
         """Static shape of every binding: ``(name, is_device, payload,
         wants_group)`` tuples, computed once per instance.
 
-        The executors rebuild their environment per handler run (handles
+        The interpreter rebuilds its environment per handler run (handles
         wrap the per-cascade context); this plan hoists the per-input
         declaration lookups and shape checks out of that inner loop.
         """
@@ -434,16 +411,9 @@ class IoTSystem:
     # transition relations
     # ------------------------------------------------------------------
 
-    def transitions(self, state, monitor_factory, event_filter=None):
-        """Sequential design: yield (label, new_state, violations, steps).
-
-        ``event_filter`` (optional) vetoes external events *before* their
-        cascades execute - the engine's label replay plugs in here so
-        events that cannot match the wanted label cost nothing.
-        """
+    def transitions(self, state, monitor_factory):
+        """Sequential design: yield (label, new_state, violations, steps)."""
         for ext in self.external_choices(state):
-            if event_filter is not None and not event_filter(ext):
-                continue
             for scenario in self.failure_scenarios(ext):
                 new_state = state.copy()
                 new_state.cascade_commands = ()
@@ -458,8 +428,7 @@ class IoTSystem:
                 yield (ext.label() + suffix if suffix else ext.label(),
                        new_state, True, violations, cascade.steps)
 
-    def transitions_concurrent(self, state, monitor_factory, externals_left,
-                               event_filter=None):
+    def transitions_concurrent(self, state, monitor_factory, externals_left):
         """Concurrent design: interleave pending dispatches and injections."""
         for index in range(len(state.pending)):
             new_state = state.copy()
@@ -477,8 +446,6 @@ class IoTSystem:
         # preserved (Algorithm 1 line 16).
         if externals_left > 0 and not state.pending:
             for ext in self.external_choices(state):
-                if event_filter is not None and not event_filter(ext):
-                    continue
                 for scenario in self.failure_scenarios(ext):
                     new_state = state.copy()
                     new_state.cascade_commands = ()

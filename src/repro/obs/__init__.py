@@ -29,7 +29,6 @@ from repro.obs.telemetry import (
     Gauge,
     MetricsRegistry,
     ProgressBoard,
-    Span,
     TelemetryConfig,
     TelemetrySession,
     read_events,
@@ -42,7 +41,6 @@ __all__ = [
     "MetricsRegistry",
     "PROGRESS_BOARD",
     "ProgressBoard",
-    "Span",
     "TELEMETRY_SCHEMA_VERSION",
     "TelemetryConfig",
     "TelemetrySession",

@@ -193,31 +193,6 @@ class MetricsRegistry:
             return list(self._metrics.values())
 
 
-class Span:
-    """Monotonic-clock phase timer: ``with Span(session, "explore"): ...``.
-
-    Emits one ``span`` event on exit.  The engine's own phases reuse its
-    existing ``_phase_times`` accounting and emit spans at finish, so
-    this context manager is for callers timing work *around* a run.
-    """
-
-    def __init__(self, session, name):
-        self.session = session
-        self.name = name
-        self.seconds = None
-        self._started = None
-
-    def __enter__(self):
-        self._started = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.seconds = time.monotonic() - self._started
-        if self.session is not None:
-            self.session.span(self.name, self.seconds)
-        return False
-
-
 # ---------------------------------------------------------------------------
 # the in-process progress board
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ Canonicalization rules:
   (domains and defaults), so a catalog change invalidates old results;
 * only *semantic* engine options are part of the key
   (:data:`SEMANTIC_OPTION_FIELDS`); pure performance knobs (execution
-  tier, GC management, limit-check quantization) cannot change verdicts
+  tier, limit-check quantization) cannot change verdicts
   or traces and therefore do not invalidate cached results.
 
 Bump :data:`DIGEST_SCHEMA_VERSION` whenever the canonical layout
@@ -53,7 +53,10 @@ import json
 #: v7: ``strategy`` (and the ``priority`` callable's qualname) left the
 #: semantic fields with the options themselves, and ``bitstate`` now
 #: tags its probes with the depth, so it misses a different state set
-DIGEST_SCHEMA_VERSION = 7
+#: v8: counterexample paths are the DFS's own shortest paths (no
+#: permutation replay picks among equal-length orders), so some
+#: violations carry a different trace than a v7 entry stored
+DIGEST_SCHEMA_VERSION = 8
 
 #: EngineOptions fields that can change verdicts, traces or reported
 #: exploration statistics; everything else is a performance knob

@@ -205,12 +205,6 @@ class ResultStore:
                  result.elapsed, result.to_json(), config_json, sources_json,
                  now, now))
 
-    def delete(self, cache_key):
-        with self._lock, self._conn:
-            cursor = self._conn.execute(
-                "DELETE FROM results WHERE cache_key=?", (cache_key,))
-            return cursor.rowcount
-
     # ------------------------------------------------------------------
     # enumeration & accounting
     # ------------------------------------------------------------------

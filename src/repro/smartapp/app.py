@@ -60,14 +60,6 @@ class Subscription:
         self.handler = handler
         self.line = line
 
-    @property
-    def is_location(self):
-        return self.source == "location"
-
-    @property
-    def is_app_touch(self):
-        return self.source == "app"
-
     def __repr__(self):
         return "Subscription(%s/%s/%s -> %s)" % (
             self.source, self.attribute, self.value or "...", self.handler)
@@ -101,10 +93,6 @@ class SmartApp:
     @property
     def device_inputs(self):
         return [i for i in self.inputs if i.is_device]
-
-    @property
-    def value_inputs(self):
-        return [i for i in self.inputs if not i.is_device]
 
     def input(self, name):
         """Look up an input declaration by name."""

@@ -65,6 +65,7 @@ class PromelaEmitter:
             self._mtype_declarations(),
             self._typedefs(),
             self._globals(),
+            _STATE_UPDATE_INLINES,
             self._app_inlines(),
             self._main_process(),
             claims,
@@ -128,7 +129,8 @@ class PromelaEmitter:
                 % (typedef, typedef, len(instances)))
         blocks.append("typedef STLocation {\n"
                       "    mtype mode;\n"
-                      "    byte subNotifiers[%d];\n}" % _NOTIFIER_SLOTS)
+                      "    byte subNotifiers[%d];\n}"
+                      % max(_NOTIFIER_SLOTS, len(self._location_apps())))
         blocks.append("typedef STEvent {\n"
                       "    mtype evtType;\n"
                       "    byte deviceIndex;\n}")
@@ -143,12 +145,25 @@ class PromelaEmitter:
                 lines.append("#define %s_index %d"
                              % (_identifier(instance.name), index))
         lines.append("STLocation location;")
+        for index, app_name in enumerate(self._location_apps()):
+            lines.append("#define %s_location %d" % (app_name, index))
         lines.append("STEvent generatedEvent;")
         lines.append("STEvent ST_Command;")
         if self.mode == CONCURRENT:
             lines.append("chan eventBus = [%d] of { mtype, byte };"
                          % max(4, len(self.system.devices)))
         return "\n".join(lines)
+
+    def _location_apps(self):
+        """The identifiers of the apps with a location subscription, in
+        subscription order: each owns one slot of
+        ``location.subNotifiers``."""
+        names = []
+        for sub in self.system.subscriptions:
+            name = _identifier(sub.app.name)
+            if sub.source_kind == "location" and name not in names:
+                names.append(name)
+        return names
 
     def _app_inlines(self):
         blocks = []
@@ -204,8 +219,9 @@ class PromelaEmitter:
             if ext.kind == "sensor":
                 choices.append(
                     "generatedEvent.evtType = %s; "
-                    "sensor_state_update(%s_index)"
-                    % (_symbol(ext.value), _identifier(ext.device)))
+                    "sensor_state_update(%s)"
+                    % (_symbol(ext.value), ", ".join(self.device_slot(
+                        ext.device, ext.attribute))))
             elif ext.kind == "touch":
                 choices.append("generatedEvent.evtType = appTouch  "
                                "/* %s */" % ext.app)
@@ -249,6 +265,14 @@ class PromelaEmitter:
         lines.append("}")
         return "\n".join(lines)
 
+    def device_slot(self, device_name, attribute):
+        """``(array, index, field)`` naming one device attribute's
+        global, the arguments of the state-update inlines."""
+        instance = self.system.devices[device_name]
+        return ("g_%sArr" % _type_identifier(instance.spec.type_name),
+                "%s_index" % _identifier(device_name),
+                "current%s" % _camel(attribute))
+
     def _ltl_claims(self):
         """``#define`` per atom, then one ``ltl`` block per applicable
         invariant."""
@@ -289,6 +313,27 @@ class PromelaEmitter:
     def number(self, value):
         """A numeric literal."""
         return _literal(value)
+
+
+#: Algorithm 1's device updates (lines 14-21 for commands): an attribute
+#: takes its new value and the device's subscribers are notified - on a
+#: sensor report always, on a command only when the value changes
+_STATE_UPDATE_INLINES = """\
+inline sensor_state_update(devices, index, attribute) {
+    generatedEvent.deviceIndex = index;
+    devices.element[index].attribute = generatedEvent.evtType;
+    devices.element[index].subNotifiers[0]++
+}
+
+inline actuator_state_update(devices, index, attribute, value) {
+    ST_Command.deviceIndex = index;
+    if
+    :: devices.element[index].attribute != value ->
+        devices.element[index].attribute = value;
+        devices.element[index].subNotifiers[0]++
+    :: else -> skip
+    fi
+}"""
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +407,8 @@ class _StatementPrinter:
         if isinstance(expr, ast.MethodCall):
             command = self._device_command(expr)
             if command is not None:
-                return ["%sST_Command.evtType = %s;" % (indent, command),
-                        "%sactuator_state_update(ST_Command);" % indent]
+                return (["%sST_Command.evtType = %s;" % (indent, command)]
+                        + self._command_updates(expr, indent))
         if isinstance(expr, ast.Call):
             if expr.name == "setLocationMode" and expr.args:
                 return ["%slocation.mode = %s;"
@@ -374,6 +419,28 @@ class _StatementPrinter:
             if expr.name.startswith("http"):
                 return ["%s/* network: %s */ skip;" % (indent, expr.name)]
         return ["%s%s;" % (indent, self.expr(expr))]
+
+    def _command_updates(self, call, indent):
+        """One ``actuator_state_update`` per bound device the command
+        changes (a comment for a device without the command)."""
+        lines = []
+        devices = self.emitter.system.devices
+        for device_name in self.app.bound_devices(call.obj.id):
+            instance = devices.get(device_name)
+            effect = (instance.command(call.name)
+                      if instance is not None else None)
+            if effect is None:
+                lines.append("%s/* %s has no command %s */ skip;"
+                             % (indent, device_name, call.name))
+                continue
+            if effect.takes_arg:
+                value = self.expr(call.args[0]) if call.args else "0"
+            else:
+                value = _literal(effect.value)
+            lines.append("%sactuator_state_update(%s, %s);" % (
+                indent, ", ".join(self.emitter.device_slot(
+                    device_name, effect.attribute)), value))
+        return lines
 
     def _device_command(self, call):
         """mtype symbol for obj.command() when obj is a bound device."""

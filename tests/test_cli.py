@@ -163,7 +163,7 @@ class TestCheck:
                             "--max-events", "1", "--profile",
                             capsys=capsys)
         assert "phase breakdown:" in out
-        for phase in ("parse", "build", "explore", "canonicalize"):
+        for phase in ("parse", "build", "explore"):
             assert phase in out
         assert "cascades: " in out and "replay leaves" in out
         assert "quiet leaves" in out

@@ -659,6 +659,100 @@ class TestSettingsCopiedPerRun:
         assert plan["names"] == ["a"]
 
 
+_GAPS_APP = """
+definition(name: "Gaps", namespace: "t", author: "t", description: "d",
+           category: "c")
+preferences { section("s") {
+    input "motion1", "capability.motionSensor"
+    input "switch1", "capability.switch"
+    input "switches", "capability.switch", multiple: true
+    input "lock1", "capability.lock"
+} }
+def installed() {
+    subscribe(motion1, "motion", h)
+    subscribe(switch1, "switch", onSwitch)
+}
+def updated() { installed() }
+def h(evt) {
+    def seen = state.seen ?: [:]
+    seen[evt.value] = (seen[evt.value] ?: 0) + 1
+    state.seen = seen
+    def lit = 0
+    for (i in 0..2) {
+        if (i == 1) { continue }
+        lit = lit + i
+    }
+    state.lit = lit
+    try {
+        if (seen.size() > 1) { throw new Exception("both values seen") }
+        switch1.on()
+    } catch (e) {
+        lock1.unlock()
+    }
+    switch (evt.value) {
+        case "active": switches.on()
+        case "inactive": state.last = evt.value
+            break
+        default: switch1.off()
+    }
+}
+def onSwitch(evt) {
+    switch (evt.value) {
+        case "on":
+            if ((state.seen?.active ?: 0) > 1) { lock1.lock() }
+        default:
+            state.switched = (state.switched ?: 0) + 1
+    }
+}
+"""
+
+
+class TestGrammarGaps:
+    """A hand-written app on the constructs the generated programs do
+    not draw: ``continue``, ``try``/``catch`` around a ``throw``, a
+    falling-through ``switch`` and a map kept in ``state``."""
+
+    @staticmethod
+    def _system():
+        config = SystemConfiguration(contacts=["+1-555-0100"])
+        config.add_device("m", "smartsense-motion")
+        config.add_device("s1", "smart-outlet")
+        config.add_device("s2", "smart-outlet")
+        config.add_device("lk", "zwave-lock")
+        config.add_app("Gaps", {"motion1": "m", "switch1": "s1",
+                                "switches": ["s1", "s2"], "lock1": "lk"})
+        return ModelGenerator({"Gaps": make_app(_GAPS_APP)}).build(config)
+
+    def test_handlers_take_every_construct(self):
+        from repro.checker.monitor import SafetyMonitor
+        from repro.model.cascade import Cascade
+        from repro.model.events import ExternalEvent
+
+        system = self._system()
+        state = system.initial_state()
+        for value in ("active", "inactive"):
+            Cascade(system, state,
+                    SafetyMonitor(system, build_properties())).run_external(
+                ExternalEvent("sensor", device="m", attribute="motion",
+                              value=value))
+        app_state = state.app_state("Gaps")
+        assert app_state["lit"] == 2                   # continue skipped 1
+        assert dict(app_state["seen"]) == {"active": 1, "inactive": 1}
+        assert app_state["last"] == "inactive"
+        assert state.attribute("s2", "switch") == "on"      # fall-through
+        assert state.attribute("lk", "lock") == "unlocked"  # catch ran
+
+    def test_lean_json_equals_interpreted(self):
+        system = self._system()
+        properties = select_relevant(system, build_properties())
+        cascade_stats = []
+        lean, interpreted = _verify_both(system, properties, cascade_stats,
+                                         max_events=3)
+        assert (_without_timing(lean.to_dict())
+                == _without_timing(interpreted.to_dict()))
+        assert cascade_stats[0]["cascades_replayed"] > 0
+
+
 # ----------------------------------------------------------------------
 # generated handler programs: tier agreement beyond the corpus
 # ----------------------------------------------------------------------

@@ -139,8 +139,7 @@ class TestContentSensitivity:
 
     def test_performance_knobs_do_not_change_digest(self, alice_system):
         assert alice_system.digest(options=EngineOptions(check_interval=1)) \
-            == alice_system.digest(options=EngineOptions(check_interval=7,
-                                                         manage_gc=False))
+            == alice_system.digest(options=EngineOptions(check_interval=7))
 
     def test_engine_tier_does_not_change_digest(self, alice_system):
         """Both execution tiers are proven observationally identical, so
@@ -222,14 +221,14 @@ class TestOptionClassification:
                                                           monkeypatch):
         """The version is hashed into every digest: ``bitstate`` named a
         different hash scheme under v4, took a salt until v5 and kept no
-        depths until v6, so a key from any of them can never serve a v7
+        depths until v6, so a key from any of them can never serve a v8
         ``bitstate`` run."""
         from repro.service import digest
 
         options = EngineOptions(visited="bitstate")
         current = alice_system.digest(options=options)
-        assert digest.DIGEST_SCHEMA_VERSION == 7
-        for retired in (4, 5, 6):
+        assert digest.DIGEST_SCHEMA_VERSION == 8
+        for retired in (4, 5, 6, 7):
             monkeypatch.setattr(digest, "DIGEST_SCHEMA_VERSION", retired)
             assert alice_system.digest(options=options) != current
 

@@ -20,7 +20,6 @@ from repro.engine import (
 )
 from repro.corpus import load_all_apps
 from repro.corpus.groups import GROUP_BUILDERS
-from repro.engine.core import replay_path
 from repro.model.generator import ModelGenerator
 from repro.model.state import ModelState
 from repro.properties import build_properties, select_relevant
@@ -175,39 +174,6 @@ class TestEngineOption:
                 == sorted(interpreted.counterexamples))
 
 
-class TestReplayPath:
-    def test_step_runs_only_the_matching_externals_cascades(
-            self, generator, alice_config):
-        """A replay step builds monitors only for the failure scenarios
-        of the external whose label it replays, up to the matching one,
-        and none for the other externals."""
-        system = generator.build(alice_config, enable_failures=True)
-        engine = ExplorationEngine(system, build_properties(),
-                                   EngineOptions(max_events=1))
-        factory = engine._monitor_factory
-        calls = []
-
-        def counting_factory():
-            calls.append(1)
-            return factory()
-        engine._monitor_factory = counting_factory
-        choices = system.external_choices(system.initial_state())
-        assert len(choices) > 1
-        for position, ext in enumerate(choices):
-            label = ext.label()
-            # an earlier external whose label starts this one ("battery=5"
-            # before "battery=50") runs its cascades too, matching none
-            earlier = sum(len(system.failure_scenarios(other))
-                          for other in choices[:position]
-                          if label.startswith(other.label()))
-            scenarios = system.failure_scenarios(ext)
-            assert len(scenarios) > 1
-            for index, scenario in enumerate(scenarios):
-                del calls[:]
-                replay_path(engine, (label + scenario.label(),))
-                assert len(calls) == earlier + index + 1
-
-
 class TestExactModeHasNoHashShortcuts:
     def test_exact_store_disables_invariant_memo(self, alice_system):
         """No memo and no inherited verdicts under ``exact``: every
@@ -231,13 +197,6 @@ class TestEngineGc:
 
         assert gc.isenabled()
         verify(alice_system, build_properties(), max_events=1)
-        assert gc.isenabled()
-
-    def test_gc_left_alone_when_unmanaged(self, alice_system):
-        import gc
-
-        verify(alice_system, build_properties(), max_events=1,
-               manage_gc=False)
         assert gc.isenabled()
 
 

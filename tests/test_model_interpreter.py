@@ -130,6 +130,40 @@ def h(evt) {
 ''')
         assert state.attribute("s1", "switch") == "on"
 
+    def test_switch_falls_through_until_break(self):
+        """Groovy runs the matching case's body and every later body in
+        order until a ``break``."""
+        state, _ = run_app('''
+def installed() { subscribe(motion1, "motion", h) }
+def h(evt) {
+    switch (evt.value) {
+        case "active": switch1.on()
+        case "inactive": switches[1].on()
+            break
+        default: switch1.off()
+    }
+}
+''')
+        assert state.attribute("s1", "switch") == "on"
+        assert state.attribute("s2", "switch") == "on"
+
+    @pytest.mark.parametrize("subject, s1, s2", [("a", "on", "on"),
+                                                 ("b", "off", "on")])
+    def test_switch_default_falls_through(self, subject, s1, s2):
+        """Without a matching case the run starts at ``default`` and
+        falls through the bodies after it."""
+        state, _ = run_app('''
+def installed() { subscribe(motion1, "motion.active", h) }
+def h(evt) {
+    switch ("%s") {
+        default: switch1.on()
+        case "b": switches[1].on()
+    }
+}
+''' % subject)
+        assert state.attribute("s1", "switch") == s1
+        assert state.attribute("s2", "switch") == s2
+
     def test_ternary_and_elvis(self):
         state, _ = run_app('''
 def installed() { subscribe(motion1, "motion.active", h) }

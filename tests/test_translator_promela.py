@@ -66,7 +66,8 @@ class TestHandlers:
 
     def test_unlock_command_translated(self, model):
         assert "ST_Command.evtType = unlock;" in model
-        assert "actuator_state_update(ST_Command);" in model
+        assert ("actuator_state_update(g_STZwaveLockArr, doorLock_index, "
+                "currentLock, unlocked);") in model
 
     def test_dispatch_inline(self, model):
         assert "inline dispatch_pending()" in model
@@ -125,9 +126,24 @@ CLAIMS = {"group1-entry-and-mode": 9, "group2-lighting": 0,
           "group5-water-presence": 12, "group6-schedules-misc": 13}
 
 
+def _undefined_model_names(model):
+    """Inlines the model calls (the device state updates, the dispatch
+    and the handlers it dispatches to) and ``*_location`` notifier
+    indices it uses, that it does not define."""
+    inlines = set(re.findall(r"^inline (\w+)\(", model, re.M))
+    called = set(re.findall(
+        r"\b(\w+_state_update|dispatch_pending)\(", model))
+    called |= set(re.findall(r"\b(\w+)\(generatedEvent\)", model))
+    defined = set(re.findall(r"^#define (\w+)", model, re.M))
+    locations = set(re.findall(r"\b(\w+_location)\b", model))
+    return (called - inlines) | (locations - defined)
+
+
 class TestClaimIdentifiers:
     """Every identifier an ``ltl`` block names is defined in the same
-    model text, and no atom define renames an mtype symbol."""
+    model text, and no atom define renames an mtype symbol; every
+    inline the model calls and every location notifier index it uses
+    is defined there too."""
 
     @pytest.mark.parametrize("group", sorted(GROUP_BUILDERS))
     def test_expert_groups(self, generator, group):
@@ -136,6 +152,7 @@ class TestClaimIdentifiers:
                              select_relevant(system, build_properties()))
         assert model.count("\nltl P") == CLAIMS[group]
         assert not _undefined_ltl_identifiers(model)
+        assert not _undefined_model_names(model)
         self._defines_rename_no_symbol(model)
 
     def test_table9(self):
@@ -151,6 +168,7 @@ class TestClaimIdentifiers:
         model = emit_promela(system, TABLE9_PROPERTIES)
         assert model.count("\nltl I0") == 4
         assert not _undefined_ltl_identifiers(model)
+        assert not _undefined_model_names(model)
         self._defines_rename_no_symbol(model)
 
     @staticmethod
