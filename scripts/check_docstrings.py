@@ -8,6 +8,7 @@ with the standard library's ``ast`` only, so the plain test environment
     python scripts/check_docstrings.py
 
 Scope: ``repro/engine``, ``repro/service``, ``repro/model/schema.py``,
+``repro/model/state.py`` (the state vector every cascade writes),
 ``repro/model/lean.py``, ``repro/model/replay.py`` and
 ``repro/properties/formula.py`` (the language every invariant is
 written in).  Required:
@@ -31,6 +32,7 @@ TARGETS = (
     "src/repro/engine",
     "src/repro/service",
     "src/repro/model/schema.py",
+    "src/repro/model/state.py",
     "src/repro/model/lean.py",
     "src/repro/model/replay.py",
     "src/repro/properties/formula.py",

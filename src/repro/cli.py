@@ -232,7 +232,7 @@ def cmd_emit(args):
     config = _load_configuration(args.config)
     system = build_system(config, registry=registry)
     properties = select_relevant(system, build_properties())
-    text = emit_promela(system, properties, mode=args.mode)
+    text = emit_promela(system, properties)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -649,13 +649,12 @@ def build_parser():
         "does not run SPIN)",
         description="Emit the Promela model of a configuration: device "
         "typedefs, app handlers, the event loop, and one #define per atom "
-        "plus an ltl block per applicable invariant.  The model is "
+        "plus an ltl block per applicable invariant, in the sequential "
+        "design (one process, handlers as inlines).  The model is "
         "generated for inspection and is not checked by SPIN: this tool "
         "never runs SPIN, and the verdicts of `repro check` come from the "
         "Python checker.")
     p_emit.add_argument("config")
-    p_emit.add_argument("--mode", choices=["sequential", "concurrent"],
-                        default="sequential")
     p_emit.add_argument("-o", "--output")
     p_emit.add_argument("--ifttt", action="store_true")
     p_emit.set_defaults(func=cmd_emit)

@@ -65,9 +65,9 @@ class ExactVisitedSet:
 
     Two entry points share one depth table semantics:
 
-    * the legacy key protocol (``state_key`` + ``seen_before``) hashes the
-      full canonical key - exact, but re-canonicalizing every state is the
-      single largest per-state cost of the search;
+    * the explicit key protocol (``state_key`` + ``seen_before``) records
+      a key the caller computed - exact, but canonicalizing every state
+      is the single largest per-state cost of the search;
     * :meth:`seen_state` is the engine's fast path: states are bucketed by
       their incremental 64-bit fingerprint first, and the canonical key is
       only computed when a fingerprint was already present (i.e. for
@@ -82,7 +82,7 @@ class ExactVisitedSet:
     switches the canonical form from ``canonical_key()``'s sorting walk to
     the schema's precompiled packed layout - same exactness, fixed slot
     order instead of per-state sorting.  The engine passes the system's
-    schema; key-protocol callers without one keep the legacy form.
+    schema; without one, ``state_key`` is ``canonical_key()``.
     """
 
     def __init__(self, schema=None):

@@ -163,9 +163,10 @@ class Interpreter:
 
     def _build_globals(self):
         # "state"/"atomicState" bind lazily in _lookup: ctx.app_state()
-        # escapes the app's persistent map (forcing the model state to
-        # deep-copy it on every branch), so stateless handlers must not
-        # pay for a handle they never touch
+        # hands out the app's live persistent map, which the model state
+        # must deep-copy on every copy and rehash on every fingerprint
+        # until the cascade seals it, so stateless handlers must not pay
+        # for a handle they never touch
         ctx = self.ctx
         app_name = self.app.name
         env = {

@@ -88,7 +88,8 @@ def _peek_app_state(state, loc):
 
 
 #: location kind -> ``fn(state, loc)`` giving the location's replay key
-#: without touching the state's copy-on-write or escape bookkeeping
+#: through reads that unshare and escape nothing (an app map is read by
+#: ``peek_app_state``, never by the escaping ``app_state``)
 _PEEKS = {
     "attribute": lambda state, loc: exact_key(
         state.attribute(loc[1], loc[2])),

@@ -13,9 +13,9 @@ for any two states over the schema's system, which is what lets the
 exact visited store use it as a cheaper canonical key than
 ``canonical_key()``'s per-state sorting walk.
 
-States are allowed to wander off-schema - a test may hand-build a state
-with devices the system never declared, or an app may grow an attribute
-the spec does not list.  Those components land in sorted *overflow*
+States are allowed to wander off-schema - a test may build a state with
+devices the system never declared, or an app may grow an attribute the
+spec does not list.  Those components land in sorted *overflow*
 sections, so exactness is preserved at the price of the old sorting walk
 for just the off-schema part.
 
@@ -28,10 +28,9 @@ where ``device_blocks[i]`` is the i-th schema device's self-contained
 ``(value_vector, extra_attributes)`` block (:data:`ABSENT`-padded vector,
 ``()`` extras in the common all-on-schema case, or :data:`ABSENT` itself
 when the state has no entry for the device at all) and ``app_values[i]``
-the frozen state map of the i-th schema app.  :meth:`unpack` inverts
-the mapping up to canonical equality (frozen app maps stay frozen;
-``canonical_key`` freezes idempotently, so equality is preserved) - the
-round trip is the exactness proof of the exact store's key.
+the frozen state map of the i-th schema app.  Every component of
+``canonical_key()`` has its own slot or section, so the packed tuple
+separates states exactly as the canonical key does.
 """
 
 
@@ -50,18 +49,9 @@ class _Absent:
     def __repr__(self):
         return "<absent>"
 
-    def __reduce__(self):
-        # ABSENT is compared by identity (unpack), so crossing a pickle
-        # boundary must yield the module singleton, not a fresh instance
-        return (_restore_absent, ())
-
 
 #: slot filler for attributes/devices/apps missing from a state
 ABSENT = _Absent()
-
-
-def _restore_absent():
-    return ABSENT
 
 
 class StateSchema:
@@ -89,10 +79,10 @@ class StateSchema:
     def pack(self, state):
         """The canonical packed tuple of one state (hashable).
 
-        Reads the state's containers without marking them escaped (the
-        schema lives in the same package and the walk never leaks a
-        reference), so packing a state keeps its copy-on-write sharing
-        intact.
+        Reads the state's containers directly, without unsharing or
+        escaping any of them (the schema lives in the same package and
+        the walk never leaks a reference), so packing a state keeps its
+        copy-on-write sharing intact.
         """
         devices = state._devices
         vectors, dev_overflow = self._pack_devices(devices)
@@ -158,49 +148,6 @@ class StateSchema:
                 (name, _freeze(mapping)) for name, mapping in apps.items()
                 if name not in self._app_index))
         return tuple(values), overflow
-
-    # ------------------------------------------------------------------
-    # unpacking
-    # ------------------------------------------------------------------
-
-    def unpack(self, packed, time=0):
-        """A :class:`ModelState` canonically equal to the packed one.
-
-        App state maps are restored in their *frozen* form
-        (``canonical_key`` freezes idempotently, so equality holds); the
-        clock defaults to 0 because the canonical form excludes it.
-        """
-        from repro.model.state import ModelState
-
-        (blocks, unknown_devices, mode, values, app_overflow,
-         schedules, pending, cascade_commands) = packed
-        state = ModelState(mode=mode, time=time, schedules=schedules,
-                           pending=pending,
-                           cascade_commands=cascade_commands)
-        for (name, attrs, _), block in zip(self.device_layout, blocks):
-            if block is ABSENT:
-                continue
-            vector, extras = block
-            # an all-ABSENT vector with no extras is a present-but-empty
-            # device map: the loops add nothing, but the entry must exist
-            state._devices.setdefault(name, {})
-            for attr, value in zip(attrs, vector):
-                if value is not ABSENT:
-                    state.set_attribute(name, attr, value)
-            for attr, value in extras:
-                state.set_attribute(name, attr, value)
-        for name, items in unknown_devices:
-            state._devices.setdefault(name, {})
-            for attr, value in items:
-                state.set_attribute(name, attr, value)
-        for name, frozen in zip(self.app_names, values):
-            if frozen is not ABSENT:
-                state._app_states[name] = frozen
-                state._dirty_apps.add(name)
-        for name, frozen in app_overflow:
-            state._app_states[name] = frozen
-            state._dirty_apps.add(name)
-        return state
 
     def __repr__(self):
         return "StateSchema(devices=%d, slots=%d, apps=%d)" % (

@@ -20,14 +20,13 @@ Two properties make the exploration hot path cheap:
   exact visited store and for collision audits; equal canonical keys are
   guaranteed to have equal fingerprints.
 
-Raw access to the underlying containers (the :attr:`devices` /
-:attr:`app_states` properties, or the dict handed out by
-:meth:`app_state`) stays supported - app code mutates its state map in
-place - but such a reference *escapes* the bookkeeping.  Escaped maps
-are therefore treated pessimistically: their fingerprint contribution is
-recomputed on every :meth:`fingerprint` call (staleness cannot be
-tracked), and :meth:`copy` gives the child its own deep copy instead of
-sharing them (a pre-copy reference must never alias the clone).
+The state is written only through the methods a cascade uses - the
+ones :class:`~repro.model.replay.RecordingState` records.  The one live
+reference it hands out is an app's ``state`` map (:meth:`app_state`):
+app code mutates it in place, so until :meth:`seal` that map counts as
+*escaped*: its fingerprint contribution is recomputed on every
+:meth:`fingerprint` call, and :meth:`copy` gives the child its own deep
+copy of it instead of sharing it.
 """
 
 _MASK = (1 << 64) - 1
@@ -60,88 +59,44 @@ class ModelState:
         # copy-on-write bookkeeping: names whose inner maps are shared
         # with another state and must be copied before mutation
         "_shared_devices", "_shared_apps", "_history_shared",
-        "_history_escaped",
-        # escape bookkeeping: raw references handed out (see module doc)
-        "_devices_escaped", "_escaped_apps", "_apps_escaped_all",
+        # app maps handed out by app_state() since the last seal()
+        "_escaped_apps",
         # fingerprint caches
-        "_dev_hash", "_dev_hash_valid", "_app_hashes", "_dirty_apps",
-        "_fp_cache", "_sched_hash",
+        "_dev_hash", "_app_hashes", "_dirty_apps", "_fp_cache",
+        "_sched_hash",
     )
 
     #: bounded history length per device (enough for `eventsSince` guards)
     HISTORY_LIMIT = 4
 
-    def __init__(self, devices=None, mode="Home", app_states=None, time=0,
-                 schedules=(), history=None, pending=(), cascade_commands=()):
-        self._devices = devices or {}
+    def __init__(self, mode="Home", time=0):
+        self._devices = {}
         self._mode = mode
-        self._app_states = app_states or {}
+        self._app_states = {}
         self.time = time
-        self._schedules = tuple(schedules)
-        self._history = history or {}
+        self._schedules = ()
+        self._history = {}
         self._history_shared = False
-        self._history_escaped = history is not None
-        self._pending = tuple(pending)
+        self._pending = ()
         # commands sent since the last external event (concurrent design
         # needs this in-state; the sequential cascade keeps its own log)
-        self._cascade_commands = tuple(cascade_commands)
+        self._cascade_commands = ()
         self._shared_devices = set()
         self._shared_apps = set()
-        # constructor-supplied dicts are caller-owned references
-        self._devices_escaped = devices is not None
         self._escaped_apps = set()
-        self._apps_escaped_all = app_states is not None
+        # XOR of hash((device, attribute, value)) over every attribute,
+        # kept current by set_attribute
         self._dev_hash = 0
-        self._dev_hash_valid = False
         self._app_hashes = {}
         self._dirty_apps = set()
         self._fp_cache = None
         self._sched_hash = None
 
-    # -- raw-container views ---------------------------------------------------
-
-    @property
-    def devices(self):
-        if self._shared_devices:
-            for name in self._shared_devices:
-                self._devices[name] = dict(self._devices[name])
-            self._shared_devices.clear()
-        self._devices_escaped = True
-        self._fp_cache = None
-        return self._devices
-
-    @property
-    def app_states(self):
-        if self._shared_apps:
-            for name in self._shared_apps:
-                self._app_states[name] = _copy_value(self._app_states[name])
-            self._shared_apps.clear()
-        self._apps_escaped_all = True
-        self._fp_cache = None
-        return self._app_states
-
-    @property
-    def history(self):
-        """The per-device event history map (unshared on access).
-
-        The outer dict is shared copy-on-write between parent and child
-        states; handing out the raw reference forces a private copy so
-        direct writes can never leak into a sibling branch.
-        """
-        if self._history_shared:
-            self._history = dict(self._history)
-            self._history_shared = False
-        self._history_escaped = True
-        return self._history
-
-    @history.setter
-    def history(self, value):
-        self._history = value
-        self._history_shared = False
-        self._history_escaped = True
+    # -- scalar components ---------------------------------------------------
 
     @property
     def mode(self):
+        """The location mode."""
         return self._mode
 
     @mode.setter
@@ -151,16 +106,14 @@ class ModelState:
 
     @property
     def schedules(self):
+        """Pending ``(app, handler, periodic)`` callbacks, in the order
+        they were added (written by :meth:`add_schedule` and
+        :meth:`remove_schedule`)."""
         return self._schedules
-
-    @schedules.setter
-    def schedules(self, value):
-        self._schedules = tuple(value)
-        self._fp_cache = None
-        self._sched_hash = None
 
     @property
     def pending(self):
+        """The queue of undelivered cyber events (concurrent design)."""
         return self._pending
 
     @pending.setter
@@ -170,6 +123,7 @@ class ModelState:
 
     @property
     def cascade_commands(self):
+        """The commands sent since the last external event."""
         return self._cascade_commands
 
     @cascade_commands.setter
@@ -184,11 +138,14 @@ class ModelState:
         return self._devices.get(device_name, {}).get(attribute)
 
     def device_history(self, device_name):
+        """One device's bounded ``(attribute, value, time)`` history,
+        oldest first."""
         return self._history.get(device_name, ())
 
     # -- writes --------------------------------------------------------------
 
     def set_attribute(self, device_name, attribute, value):
+        """Write one device attribute, keeping the device hash current."""
         attrs = self._devices.get(device_name)
         if attrs is None:
             attrs = {}
@@ -197,11 +154,10 @@ class ModelState:
             attrs = dict(attrs)
             self._devices[device_name] = attrs
             self._shared_devices.discard(device_name)
-        if self._dev_hash_valid and not self._devices_escaped:
-            old = attrs.get(attribute, _MISSING)
-            if old is not _MISSING:
-                self._dev_hash ^= hash((device_name, attribute, old))
-            self._dev_hash ^= hash((device_name, attribute, value))
+        old = attrs.get(attribute, _MISSING)
+        if old is not _MISSING:
+            self._dev_hash ^= hash((device_name, attribute, old))
+        self._dev_hash ^= hash((device_name, attribute, value))
         attrs[attribute] = value
         self._fp_cache = None
 
@@ -217,6 +173,7 @@ class ModelState:
         history[device_name] = (old + (entry,))[-self.HISTORY_LIMIT:]
 
     def add_schedule(self, app_name, handler, periodic=False):
+        """Schedule ``handler`` of ``app_name`` (once per entry)."""
         entry = (app_name, handler, periodic)
         if entry not in self._schedules:
             self._schedules = self._schedules + (entry,)
@@ -224,6 +181,8 @@ class ModelState:
             self._sched_hash = None
 
     def remove_schedule(self, app_name, handler=None):
+        """Drop an app's scheduled ``handler``, or all its schedules when
+        ``handler`` is ``None``."""
         self._schedules = tuple(
             (a, h, p) for (a, h, p) in self._schedules
             if not (a == app_name and (handler is None or h == handler)))
@@ -235,7 +194,7 @@ class ModelState:
 
         The returned dict is mutated freely by app code, so a map shared
         with a parent/child state is deep-copied here and the reference
-        counts as escaped from then on (recompute-on-fingerprint,
+        counts as escaped until :meth:`seal` (recompute-on-fingerprint,
         deep-copy-on-branch).
         """
         mapping = self._app_states.get(app_name)
@@ -260,36 +219,23 @@ class ModelState:
         return self._app_states.get(app_name)
 
     def seal(self):
-        """Declare every raw reference handed out so far dropped.
+        """Declare every app map handed out so far dropped.
 
         The transition relation calls this once a cascade has finished:
-        the executors' ``state``/``atomicState`` views and any raw
-        container references die with the cascade, so the pessimistic
-        escape treatment (recompute-per-fingerprint, deep-copy-on-branch)
-        can stop.  Escaped components are marked dirty so their hashes
-        recompute once, lazily; afterwards the state fingerprints from
-        cache and branches with copy-on-write sharing again.
+        the executors' ``state``/``atomicState`` views die with the
+        cascade, so the pessimistic escape treatment
+        (recompute-per-fingerprint, deep-copy-on-branch) can stop.  The
+        escaped maps are marked dirty so their hashes recompute once,
+        lazily; afterwards the state fingerprints from cache and branches
+        with copy-on-write sharing again.
 
-        Callers must guarantee no live raw reference remains - a write
+        Callers must guarantee no live map reference remains - a write
         through one after sealing could leak into shared children.
         """
-        if self._devices_escaped:
-            self._devices_escaped = False
-            self._dev_hash_valid = False
-            self._fp_cache = None
-        if self._apps_escaped_all:
-            # entries may have been removed through the escaped view;
-            # drop every memoized hash and rebuild on the next call
-            self._app_hashes.clear()
-            self._dirty_apps = set(self._app_states)
-            self._apps_escaped_all = False
-            self._escaped_apps = set()
-            self._fp_cache = None
-        elif self._escaped_apps:
+        if self._escaped_apps:
             self._dirty_apps |= self._escaped_apps
             self._escaped_apps = set()
             self._fp_cache = None
-        self._history_escaped = False
         return self
 
     # -- copy / hash -----------------------------------------------------------
@@ -299,8 +245,8 @@ class ModelState:
 
         Both sides mark the shared maps, so whichever state mutates first
         copies just the map it touches (copy-on-write in both directions).
-        Maps whose references escaped are deep-copied instead - an old
-        reference must keep writing into this state only, never the clone.
+        Escaped app maps are deep-copied instead - an old reference must
+        keep writing into this state only, never the clone.
         """
         clone = ModelState.__new__(ModelState)
         clone._mode = self._mode
@@ -308,36 +254,20 @@ class ModelState:
         clone._schedules = self._schedules
         clone._sched_hash = self._sched_hash
         # the history map is shared COW like the device maps: both sides
-        # mark it shared, whichever records an event first copies it; an
-        # escaped reference (raw .history access) forces a private copy
-        if self._history_escaped:
-            clone._history = dict(self._history)
-            clone._history_shared = False
-        else:
-            clone._history = self._history
-            clone._history_shared = True
-            self._history_shared = True
-        clone._history_escaped = False
+        # mark it shared, whichever records an event first copies it
+        clone._history = self._history
+        clone._history_shared = True
+        self._history_shared = True
         clone._pending = self._pending
         clone._cascade_commands = self._cascade_commands
 
-        if self._devices_escaped:
-            clone._devices = {name: dict(attrs)
-                              for name, attrs in self._devices.items()}
-            clone._shared_devices = set()
-            clone._dev_hash = 0
-            clone._dev_hash_valid = False
-        else:
-            clone._devices = dict(self._devices)
-            shared_devices = set(self._devices)
-            self._shared_devices |= shared_devices
-            clone._shared_devices = shared_devices
-            clone._dev_hash = self._dev_hash
-            clone._dev_hash_valid = self._dev_hash_valid
-        clone._devices_escaped = False
+        clone._devices = dict(self._devices)
+        shared_devices = set(self._devices)
+        self._shared_devices |= shared_devices
+        clone._shared_devices = shared_devices
+        clone._dev_hash = self._dev_hash
 
-        escaped = (set(self._app_states) if self._apps_escaped_all
-                   else self._escaped_apps)
+        escaped = self._escaped_apps
         if escaped:
             clone._app_states = {}
             shared_apps = set()
@@ -357,13 +287,11 @@ class ModelState:
         self._shared_apps |= shared_apps
         clone._shared_apps = set(shared_apps)
         clone._escaped_apps = set()
-        clone._apps_escaped_all = False
         clone._app_hashes = dict(self._app_hashes)
         # content is identical at copy time, so the clone inherits the
         # whole-state fingerprint when this state's is trustworthy (no
-        # escaped references that could mutate behind the caches)
-        if (self._fp_cache is not None and not self._devices_escaped
-                and not self._apps_escaped_all and not self._escaped_apps
+        # escaped app map that could mutate behind the caches)
+        if (self._fp_cache is not None and not self._escaped_apps
                 and not self._dirty_apps):
             clone._fp_cache = self._fp_cache
         else:
@@ -373,40 +301,22 @@ class ModelState:
     def fingerprint(self):
         """64-bit incremental hash of the canonical state.
 
-        Maintained through the mutator methods; components whose
-        references escaped are recomputed on every call.  Equal canonical
-        keys always produce equal fingerprints (the reverse may fail with
-        probability ~2^-64 per pair - the BITSTATE trade-off).
+        Maintained through the mutator methods; escaped app maps are
+        recomputed on every call.  Equal canonical keys always produce
+        equal fingerprints (the reverse may fail with probability ~2^-64
+        per pair - the BITSTATE trade-off).
 
         Built on Python's ``hash()``, so values are stable within a
         process but vary across processes (string hashing is seeded);
         set ``PYTHONHASHSEED`` to reproduce a fingerprint/BITSTATE run
         bit-for-bit.
         """
-        if (self._fp_cache is not None and not self._devices_escaped
-                and not self._apps_escaped_all and not self._escaped_apps
+        if (self._fp_cache is not None and not self._escaped_apps
                 and not self._dirty_apps):
             return self._fp_cache
-        if self._devices_escaped or not self._dev_hash_valid:
-            dev_hash = 0
-            for name, attrs in self._devices.items():
-                for attribute, value in attrs.items():
-                    dev_hash ^= hash((name, attribute, value))
-            self._dev_hash = dev_hash
-            self._dev_hash_valid = True
-        if self._apps_escaped_all:
-            # rebuild outright: entries removed through the escaped view
-            # must not leave stale hashes behind
-            self._app_hashes = {
-                name: hash((name, _freeze(mapping)))
-                for name, mapping in self._app_states.items()}
-        else:
-            for name in self._dirty_apps | self._escaped_apps:
-                mapping = self._app_states.get(name)
-                if mapping is None:
-                    self._app_hashes.pop(name, None)
-                else:
-                    self._app_hashes[name] = hash((name, _freeze(mapping)))
+        for name in self._dirty_apps | self._escaped_apps:
+            self._app_hashes[name] = hash((name,
+                                           _freeze(self._app_states[name])))
         self._dirty_apps.clear()
         apps_hash = 0
         for value in self._app_hashes.values():
@@ -427,17 +337,14 @@ class ModelState:
         :meth:`seal`, computed from the cached component hashes without
         building the state: the old ``(device, attribute, value)`` hash
         is XORed out of the device hash and the new one in.  History and
-        time are in neither key.  ``None`` when references have escaped
-        (their hashes cannot be trusted); the caller then builds the
-        state.
+        time are in neither key.  ``None`` while an app map is live
+        (:meth:`app_state` since the last :meth:`seal`: its hash cannot
+        be trusted); the caller then builds the state.
         """
-        if (self._devices_escaped or self._apps_escaped_all
-                or self._escaped_apps):
+        if self._escaped_apps:
             return None
         if self._dirty_apps or self._sched_hash is None:
             self.fingerprint()
-        if not self._dev_hash_valid:
-            self.physical_key()
         dev_hash = self._dev_hash ^ hash((device_name, attribute, value))
         attrs = self._devices.get(device_name)
         if attrs is not None:
@@ -459,13 +366,6 @@ class ModelState:
         Shares the incremental device hash with :meth:`fingerprint` (same
         ~2^-64 collision trade-off on the device component).
         """
-        if self._devices_escaped or not self._dev_hash_valid:
-            dev_hash = 0
-            for name, attrs in self._devices.items():
-                for attribute, value in attrs.items():
-                    dev_hash ^= hash((name, attribute, value))
-            self._dev_hash = dev_hash
-            self._dev_hash_valid = True
         return (self._dev_hash, self._mode)
 
     def canonical_key(self):
@@ -506,6 +406,8 @@ class QuietLeaf:
         self._fingerprint = fingerprint
 
     def fingerprint(self):
+        """The successor's fingerprint, as :meth:`ModelState.replaced_keys`
+        computed it."""
         return self._fingerprint
 
 

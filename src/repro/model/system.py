@@ -212,9 +212,6 @@ class IoTSystem:
     # ------------------------------------------------------------------
 
     def initial_state(self):
-        # seeded through the mutator methods, not the raw dict views:
-        # a raw view marks the root state escaped, which would disable
-        # copy-on-write sharing for every depth-1 branch
         state = ModelState(mode=self.initial_mode)
         for name, instance in self.devices.items():
             for attribute, value in instance.initial_attributes().items():

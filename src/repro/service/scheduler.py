@@ -5,7 +5,8 @@ batch runner (:func:`repro.engine.batch.verify_many`):
 
 1. **cache short-circuit** - a submission whose content key is already
    in the :class:`~repro.service.store.ResultStore` completes
-   immediately with the stored result; no engine runs, no worker wakes;
+   immediately with the stored result; no engine runs, no worker wakes.
+   Only results that pass :func:`cacheable` are ever stored;
 2. **in-flight dedup** - submissions sharing a cache key with a queued
    or running job attach to that job instead of re-verifying (market
    uploads arrive in bursts of identical configurations);
@@ -97,6 +98,20 @@ class ScheduledJob:
     def __repr__(self):
         return "ScheduledJob(%s, %s%s)" % (
             self.id, self.status, ", cached" if self.from_cache else "")
+
+
+def cacheable(result):
+    """Whether ``result`` may be stored under its job's cache key and
+    served to every later submission of that key.
+
+    Not when a ``time_limit`` truncated it, whoever set the limit: where
+    a wall-clock deadline cuts the search depends on the host and its
+    load, not on the job.  Nor for a ``bitstate`` result (one with a
+    ``fill_ratio``): the states its bit field misses depend on the
+    process's string-hash seed.
+    """
+    return (result.truncated_reason != "time_limit"
+            and "fill_ratio" not in result.visited_stats)
 
 
 def estimate_cost(job):
@@ -289,26 +304,22 @@ class Scheduler:
         for record in batch:
             result = outcome.results.get(record.id)
             if result is not None:
-                if (record.id in tightened and result.truncated
-                        and result.truncated_reason == "time_limit"):
-                    # the *injected* deadline cut the search short.
-                    # Violations found before the cutoff are real, so a
-                    # violated verdict stands (uncached - the partial
-                    # coverage is not reproducible under the cache key);
-                    # a "safe" verdict from partial coverage would be
-                    # unsound, so the record errors instead
-                    record.result = result
-                    if result.counterexamples:
-                        record.status = DONE
-                    else:
-                        record.error = ("timed out after %gs "
-                                        "(scheduler job timeout); partial "
-                                        "coverage, no verdict"
-                                        % self.job_timeout)
-                        record.status = ERROR
-                    continue
                 record.result = result
                 record.status = DONE
+                if (record.id in tightened and not result.counterexamples
+                        and result.truncated_reason == "time_limit"):
+                    # the *injected* deadline cut the search short before
+                    # any violation: a "safe" verdict from partial
+                    # coverage would be unsound, so the record errors
+                    # (violations found before a cutoff are real and
+                    # stand)
+                    record.error = ("timed out after %gs "
+                                    "(scheduler job timeout); partial "
+                                    "coverage, no verdict"
+                                    % self.job_timeout)
+                    record.status = ERROR
+                if not cacheable(result):
+                    continue
                 try:
                     self.store.put(record.cache_key, result,
                                    name=record.job.name,

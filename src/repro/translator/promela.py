@@ -9,14 +9,12 @@ Figure 7 vocabulary (``g_STLockArr``, ``subNotifiers``, ``ST_Command``,
 ``generatedEvent``).  The model is generated for inspection: this
 repository does not run Spin on it.
 
-Two designs, as in §8:
-
-* ``sequential`` - "a single process for the whole system ... using inline
-  methods to model the behavior of devices and smart apps", shared global
-  variables;
-* ``concurrent`` - "each device and smart app is modeled by a process
-  (proctype) ... processes communicate with each other using message
-  passing (chan)".
+The model uses §8's sequential design only: "a single process for the
+whole system ... using inline methods to model the behavior of devices
+and smart apps", over shared global variables.  The concurrent design
+(one proctype per device and app, message passing over channels) is not
+emitted; ``repro check --mode concurrent`` explores it in the Python
+checker.
 
 App handler bodies are translated statement-by-statement from the lowered
 IR; Groovy constructs with no Promela counterpart are preserved as comments
@@ -34,9 +32,6 @@ import re
 from repro.groovy import ast
 from repro.properties.base import SystemBinding
 
-SEQUENTIAL = "sequential"
-CONCURRENT = "concurrent"
-
 #: width of each device's subscriber-notifier array
 _NOTIFIER_SLOTS = 8
 
@@ -44,12 +39,9 @@ _NOTIFIER_SLOTS = 8
 class PromelaEmitter:
     """Emit a Promela model for one bound IoT system."""
 
-    def __init__(self, system, properties=(), mode=SEQUENTIAL):
-        if mode not in (SEQUENTIAL, CONCURRENT):
-            raise ValueError("mode must be sequential or concurrent")
+    def __init__(self, system, properties=()):
         self.system = system
         self.properties = list(properties)
-        self.mode = mode
         #: mtype symbols the atom defines use
         self._atom_symbols = set()
 
@@ -78,7 +70,7 @@ class PromelaEmitter:
 
     def _header(self):
         lines = [
-            "/* Generated by IotSan (reproduction) - %s design" % self.mode,
+            "/* Generated by IotSan (reproduction) - sequential design",
             " * devices: %d, apps: %d, subscriptions: %d"
             % (len(self.system.devices), len(self.system.apps),
                len(self.system.subscriptions)),
@@ -149,9 +141,6 @@ class PromelaEmitter:
             lines.append("#define %s_location %d" % (app_name, index))
         lines.append("STEvent generatedEvent;")
         lines.append("STEvent ST_Command;")
-        if self.mode == CONCURRENT:
-            lines.append("chan eventBus = [%d] of { mtype, byte };"
-                         % max(4, len(self.system.devices)))
         return "\n".join(lines)
 
     def _location_apps(self):
@@ -188,9 +177,6 @@ class PromelaEmitter:
     def _emit_handler(self, app, method):
         label = "%s_%s" % (_identifier(app.name), method.name)
         body = _StatementPrinter(self, app).print_block(method.body, depth=1)
-        if self.mode == CONCURRENT:
-            return ("proctype %s() {\n"
-                    "    (g_eventReady > 0);\n%s\n}" % (label, body))
         return "inline %s(evt) {\n%s\n}" % (label, body)
 
     def _main_process(self):
@@ -561,6 +547,6 @@ def _operator(op):
     return mapping.get(op, op)
 
 
-def emit_promela(system, properties=(), mode=SEQUENTIAL):
+def emit_promela(system, properties=()):
     """Emit the Promela model text for one system."""
-    return PromelaEmitter(system, properties, mode=mode).emit()
+    return PromelaEmitter(system, properties).emit()

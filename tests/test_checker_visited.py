@@ -294,14 +294,15 @@ class TestFingerprintConsistency:
             state.mode = "Night"
             clone = state.copy()
             clone.set_attribute("dev1", "lock", "unlocked")
-            rebuilt = ModelState()
-            for name, attrs in clone.devices.items():
-                for attribute, value in attrs.items():
+            devices, mode, apps, schedules, _, _ = clone.canonical_key()
+            rebuilt = ModelState(mode=mode)
+            for name, attrs in devices:
+                for attribute, value in attrs:
                     rebuilt.set_attribute(name, attribute, value)
-            rebuilt.mode = clone.mode
-            for name, mapping in clone.app_states.items():
-                rebuilt.app_state(name).update(mapping)
-            rebuilt.schedules = clone.schedules
+            for name, _frozen in apps:
+                rebuilt.app_state(name).update(clone.peek_app_state(name))
+            for app_name, handler, periodic in schedules:
+                rebuilt.add_schedule(app_name, handler, periodic=periodic)
             assert rebuilt.canonical_key() == clone.canonical_key()
             assert rebuilt.fingerprint() == clone.fingerprint()
 

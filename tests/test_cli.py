@@ -65,7 +65,7 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     # one bounded exhaustive search: no sleep-set reduction, no swarm,
-    # one expansion order
+    # one expansion order; and one emitted Promela design (sequential)
     @pytest.mark.parametrize("argv", [
         ["check", "group1-entry-and-mode", "--reduction"],
         ["check", "group1-entry-and-mode", "--strategy", "bfs"],
@@ -74,6 +74,7 @@ class TestParser:
         ["batch", "group1-entry-and-mode", "--swarm-members", "4"],
         ["check", "group1-entry-and-mode", "--mode", "swarm"],
         ["submit", "group1-entry-and-mode", "--mode", "swarm"],
+        ["emit", "group1-entry-and-mode", "--mode", "concurrent"],
     ])
     def test_retired_search_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):

@@ -399,6 +399,26 @@ class TestCascadeReplay:
         view.set_attribute("d", "switch", "on")
         assert view.attribute("d", "switch") == "on"
 
+    def test_state_surface_is_the_recording_view(self):
+        """Every public ModelState member a cascade can reach is one the
+        recording view exposes (a writable property stays writable
+        there); the rest is the search's own fixed list.  A new raw
+        accessor fails here instead of silently escaping the replay
+        key."""
+        search_only = {"copy", "seal", "fingerprint", "replaced_keys",
+                       "physical_key", "canonical_key", "peek_app_state",
+                       "HISTORY_LIMIT"}
+        public = {name for name in dir(ModelState)
+                  if not name.startswith("_")}
+        recorded = {name for name in dir(replay.RecordingState)
+                    if not name.startswith("_")}
+        assert search_only <= public
+        assert public - search_only <= recorded, public - recorded
+        for name in public - search_only:
+            member = getattr(ModelState, name)
+            if isinstance(member, property) and member.fset is not None:
+                assert getattr(replay.RecordingState, name).fset, name
+
     def test_faults_replay_cascades(self):
         """Every sequential scenario replays: each faulted profile and
         failure enumeration replay repeated cascades, while the quiet
@@ -547,16 +567,19 @@ class TestStatelessQuietLeaves:
                 getattr(overlay, name)
 
     def test_escaped_parent_takes_the_full_path(self):
-        """A parent whose raw maps were handed out has no trustworthy
-        cached hashes: no stateless keys, no stubs, and the successors
-        built instead equal a clean parent's."""
+        """A parent with a live app map (handed out by ``app_state`` and
+        not yet sealed) has no trustworthy cached hashes: no stateless
+        keys, no stubs, and the successors built instead equal a clean
+        parent's."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
         relation, monitors = _relation_and_monitors(system)
         clean = system.initial_state()
         escaped = clean.copy()
-        escaped.devices  # handing out the raw maps escapes them
+        # handing out the map escapes it; initial_state() already
+        # created it, so the content stays the clean parent's
+        escaped.app_state(system.apps[0].name)
         quiet = [ext for ext in system.external_choices(escaped)
                  if ext in relation._quiet]
         assert quiet

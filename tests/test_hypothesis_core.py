@@ -47,13 +47,17 @@ class TestModelStateProperties:
     @given(_WRITES, _WRITES)
     def test_key_equality_iff_same_writes(self, writes_a, writes_b):
         def final(writes):
-            state = ModelState()
+            state, content = ModelState(), {}
             for device, attribute, value in writes:
                 state.set_attribute(device, attribute, value)
-            return state
+                content.setdefault(device, {})[attribute] = value
+            for device, attrs in content.items():
+                for attribute, value in attrs.items():
+                    assert state.attribute(device, attribute) == value
+            return state, content
 
-        a, b = final(writes_a), final(writes_b)
-        same_content = a.devices == b.devices
+        (a, content_a), (b, content_b) = final(writes_a), final(writes_b)
+        same_content = content_a == content_b
         assert (a.canonical_key() == b.canonical_key()) == same_content
 
     @given(st.lists(st.tuples(_IDENT, _VALUE), max_size=12))

@@ -15,8 +15,9 @@ class TestReadsWrites:
 
     def test_app_state_created_on_demand(self):
         state = ModelState()
+        assert state.peek_app_state("App") is None
         state.app_state("App")["count"] = 1
-        assert state.app_states["App"]["count"] == 1
+        assert state.peek_app_state("App") == {"count": 1}
 
 
 class TestHistory:

@@ -710,15 +710,35 @@ class TestSchedulerJobTimeout:
     def test_submissions_own_tighter_limit_wins(self, alice_config):
         """A job that already carries time_limit=0.01 truncates under its
         *own* limit; the scheduler must not reclassify that as a timeout
-        error (it did not tighten anything)."""
-        scheduler = Scheduler(ResultStore(":memory:"), workers=1,
-                              job_timeout=600.0)
+        error (it did not tighten anything), and must not cache it: the
+        cut depends on the host, so a later submission of the same key
+        would be served another run's coverage."""
+        store = ResultStore(":memory:")
+        scheduler = Scheduler(store, workers=1, job_timeout=600.0)
         record = scheduler.submit(_alice_job(alice_config, max_events=5,
                                              stop_on_first=False,
                                              time_limit=0.01))
         scheduler.run_pending()
         assert record.status == "done", record.error
         assert record.result.truncated_reason == "time_limit"
+        assert len(store) == 0
+
+    def test_bitstate_results_are_not_served_from_cache(self, alice_config):
+        """A bitstate run's misses depend on the string-hash seed, so a
+        repeated submission runs again instead of reading the store."""
+        store = ResultStore(":memory:")
+        scheduler = Scheduler(store, workers=1)
+        job = _alice_job(alice_config, visited="bitstate")
+        first = scheduler.submit(job)
+        scheduler.run_pending()
+        assert first.status == "done", first.error
+        assert "fill_ratio" in first.result.visited_stats
+        second = scheduler.submit(job)
+        scheduler.run_pending()
+        assert second.status == "done", second.error
+        assert not second.from_cache
+        assert len(store) == 0
+        assert scheduler.cache_hits == 0
 
     def test_pooled_hard_backstop_kills_a_hung_worker(self, alice_config,
                                                       monkeypatch):

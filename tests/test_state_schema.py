@@ -1,14 +1,11 @@
 """The packed state schema: the exact visited store's canonical key.
 
-Three contracts pin it down:
+Two contracts pin it down:
 
-* **Round-trip**: ``schema.unpack(schema.pack(state))`` is canonically
-  equal to ``state`` - exercised property-based over arbitrary device
-  grids, attribute values, app states, schedules and off-schema
-  components.
 * **Separation**: ``pack(a) == pack(b)`` exactly when
-  ``a.canonical_key() == b.canonical_key()``, over the same arbitrary
-  states.
+  ``a.canonical_key() == b.canonical_key()`` - exercised property-based
+  over arbitrary device grids, attribute values, app states, schedules
+  and off-schema components.
 * **Store equivalence**: the exact store and the fingerprint store agree
   on every verdict and state count over the whole bundled corpus.
 """
@@ -55,12 +52,6 @@ class TestSchemaShape:
             assert set(attrs) == set(system.devices[name].spec.attributes)
             assert attr_set == frozenset(attrs)
 
-    def test_initial_state_roundtrip(self, system, schema):
-        state = system.initial_state()
-        packed = schema.pack(state)
-        assert schema.unpack(packed).canonical_key() == state.canonical_key()
-        assert schema.pack(schema.unpack(packed)) == packed
-
     def test_pack_equality_matches_canonical_equality(self, system, schema):
         base = system.initial_state()
         twin = system.initial_state()
@@ -70,13 +61,23 @@ class TestSchemaShape:
 
     def test_pack_does_not_escape_containers(self, system, schema):
         state = system.initial_state()
+        state.app_state("Brighten My Path")["seen"] = 1
+        state.seal()
+        child = state.copy()
         schema.pack(state)
-        # packing must not disable COW sharing for subsequent branches
-        assert not state._devices_escaped
-        assert not state._apps_escaped_all and not state._escaped_apps
+        schema.pack(child)
+        # packing escapes nothing and keeps the copy-on-write sharing
+        # of every device and app map for subsequent branches
+        assert not state._escaped_apps and not child._escaped_apps
+        assert child._shared_devices == set(state._devices)
+        assert all(child._devices[name] is attrs
+                   for name, attrs in state._devices.items())
+        assert child._shared_apps == {"Brighten My Path"}
+        assert (child._app_states["Brighten My Path"]
+                is state._app_states["Brighten My Path"])
 
 
-# -- property-based round-trip ----------------------------------------------
+# -- property-based separation ----------------------------------------------
 
 _VALUES = st.one_of(
     st.none(),
@@ -125,16 +126,6 @@ def _arbitrary_states(schema):
 
 
 class TestPackRoundTripProperty:
-    @settings(max_examples=120, deadline=None)
-    @given(data=st.data())
-    def test_unpack_pack_is_canonical_identity(self, data, schema):
-        state = data.draw(_arbitrary_states(schema))
-        packed = schema.pack(state)
-        restored = schema.unpack(packed)
-        assert restored.canonical_key() == state.canonical_key()
-        # packing is stable through the round trip (pack o unpack = id)
-        assert schema.pack(restored) == packed
-
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_pack_separates_exactly_like_canonical(self, data, schema):

@@ -6,12 +6,7 @@ import pytest
 
 from repro.corpus.groups import GROUP_BUILDERS
 from repro.properties import build_properties, select_relevant
-from repro.translator.promela import (
-    CONCURRENT,
-    SEQUENTIAL,
-    PromelaEmitter,
-    emit_promela,
-)
+from repro.translator.promela import emit_promela
 
 
 @pytest.fixture()
@@ -71,17 +66,6 @@ class TestHandlers:
 
     def test_dispatch_inline(self, model):
         assert "inline dispatch_pending()" in model
-
-
-class TestConcurrentMode:
-    def test_proctypes_and_channel(self, alice_system):
-        model = emit_promela(alice_system, mode=CONCURRENT)
-        assert "chan eventBus" in model
-        assert re.search(r"proctype \w+_presenceHandler\(\)", model)
-
-    def test_invalid_mode_raises(self, alice_system):
-        with pytest.raises(ValueError):
-            PromelaEmitter(alice_system, mode="quantum")
 
 
 class TestNeverClaims:
