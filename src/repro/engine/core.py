@@ -65,9 +65,9 @@ class ExplorationEngine:
         #: the lean relation (:class:`~repro.model.lean.LeanRelation`)
         #: the search expands; None under ``engine="interpreted"``
         self._lean = None
-        #: whether the lean relation may hand the search stateless
-        #: quiet leaves (every store but ``exact`` takes them)
-        self._quiet_leaf_stubs = False
+        #: whether the lean relation may hand the search quiet leaves,
+        #: bare fingerprints (every store but ``exact`` takes them)
+        self._quiet_leaves = False
         #: the last run's cascade counts (:meth:`LeanRelation.stats` and
         #: ``invariant_inherited``; empty under ``engine="interpreted"``)
         #: - kept off the result so its JSON does not depend on the
@@ -126,7 +126,7 @@ class ExplorationEngine:
         # state but its fingerprint, so quiet successors at the bound
         # need not be built; the exact store keeps full successors - it
         # stays an independent oracle
-        self._quiet_leaf_stubs = options.visited != "exact"
+        self._quiet_leaves = options.visited != "exact"
 
         # the distinct counter is only sampled on *fresh* admissions (a
         # pruned revisit can never have grown the store), keeping the
@@ -158,32 +158,43 @@ class ExplorationEngine:
                 break
             node = stack.pop()
             for transition in self._transitions_from(node):
-                label, new_state, consumed, violations, steps = transition
                 result.transitions += 1
-                depth = node.depth + (1 if consumed else 0)
-                # nodes exist for path reconstruction; duplicates that
-                # neither violate nor get expanded never need one
-                child = None
-                if violations:
-                    child = _Node(new_state, depth, parent=node, label=label,
-                                  steps=steps)
-                    self._record(result, child, violations)
-                    if options.stop_on_first:
-                        return self._finish(result, visited, started)
-                if (depth <= options.max_events
-                        and not visited.seen_state(new_state, depth)):
-                    # states_explored counts *distinct* states:
-                    # depth-improved revisits re-expand but do not
-                    # re-count
-                    now = count_distinct()
-                    if now > last_distinct:
-                        result.states_explored += 1
-                    last_distinct = now
-                    if depth < options.max_events or new_state.pending:
-                        if child is None:
-                            child = _Node(new_state, depth, parent=node,
-                                          label=label, steps=steps)
-                        stack.append(child)
+                if transition.__class__ is int:
+                    # a quiet leaf: a violation-free successor at the
+                    # bound, never expanded, given as its fingerprint
+                    if not visited.seen_before(transition, node.depth + 1):
+                        now = count_distinct()
+                        if now > last_distinct:
+                            result.states_explored += 1
+                        last_distinct = now
+                else:
+                    label, new_state, consumed, violations, steps = (
+                        transition)
+                    depth = node.depth + (1 if consumed else 0)
+                    # nodes exist for path reconstruction; duplicates
+                    # that neither violate nor get expanded never need
+                    # one
+                    child = None
+                    if violations:
+                        child = _Node(new_state, depth, parent=node,
+                                      label=label, steps=steps)
+                        self._record(result, child, violations)
+                        if options.stop_on_first:
+                            return self._finish(result, visited, started)
+                    if (depth <= options.max_events
+                            and not visited.seen_state(new_state, depth)):
+                        # states_explored counts *distinct* states:
+                        # depth-improved revisits re-expand but do not
+                        # re-count
+                        now = count_distinct()
+                        if now > last_distinct:
+                            result.states_explored += 1
+                        last_distinct = now
+                        if depth < options.max_events or new_state.pending:
+                            if child is None:
+                                child = _Node(new_state, depth, parent=node,
+                                              label=label, steps=steps)
+                            stack.append(child)
                 if self._cheap_limits_hit(result):
                     return self._finish(result, visited, started)
                 if result.transitions >= next_time_check:
@@ -212,7 +223,7 @@ class ExplorationEngine:
         if self._lean is not None:
             return self._lean.transitions(
                 node.state, self._monitor_factory,
-                leaf=(self._quiet_leaf_stubs
+                leaf=(self._quiet_leaves
                       and node.depth + 1 == options.max_events))
         return self.system.transitions(node.state, self._monitor_factory)
 

@@ -14,8 +14,9 @@ search expands nodes through :class:`LeanRelation`:
   handlers again (:mod:`repro.model.replay` gives the soundness
   argument);
 * on clean runs, a sensor event no installed app hears takes a
-  cascade-free path, and at the depth bound may become a stateless
-  :class:`~repro.model.state.QuietLeaf`.
+  cascade-free path, and at the depth bound may become a quiet leaf:
+  the successor's bare fingerprint, one FNV round over per-parent and
+  per-value words (:meth:`~repro.model.state.ModelState.successor_base`).
 
 Every transition carries the traced relation's full steps, so a
 violating search path is a reportable counterexample as it stands.
@@ -28,7 +29,7 @@ from repro.checker.violations import TraceStep
 from repro.model.cascade import TIME_QUANTUM_MS, Cascade
 from repro.model.events import DEVICE, Event
 from repro.model.replay import RecordingMonitor, RecordingState, ReplayTrie
-from repro.model.state import QuietLeaf
+from repro.model.state import successor_fingerprint, word
 
 __all__ = ["LeanRelation"]
 
@@ -55,7 +56,9 @@ class LeanRelation:
         # nothing dispatched - so failure enumeration or a faulted
         # profile, which fork every sensor event, leave the map empty.
         # Each quiet event maps to the steps the traced cascade records
-        # for it: the external event, the state write, the notify
+        # for it (the external event, the state write, the notify), its
+        # written (device, attribute) pair and the word of the pair's new
+        # value
         self._quiet = {}
         #: the subset of ``_quiet`` whose verdict is inherited, for the
         #: compiled property set it was computed for
@@ -77,11 +80,13 @@ class LeanRelation:
                                or str(value) == str(value_filter)
                                for _app, _handler, value_filter
                                in system.subscribers_for(event)):
-                        self._quiet[ext] = (
+                        self._quiet[ext] = ((
                             TraceStep("external", ext.describe()),
                             TraceStep("state", "%s.%s = %s"
                                       % (device, attribute, value)),
-                            TraceStep("notify", event.describe()))
+                            TraceStep("notify", event.describe())),
+                            (device, attribute),
+                            word((device, attribute, value)))
 
     def release(self):
         """End of run: drop the replay trie (the counts stay for
@@ -103,17 +108,22 @@ class LeanRelation:
 
         ``leaf`` says the successors lie at the depth bound and the
         caller reads only their ``fingerprint()`` and ``pending``: a
-        quiet event whose successor violates nothing then yields a
-        :class:`~repro.model.state.QuietLeaf` instead of a built state."""
+        quiet event whose successor violates nothing then yields the
+        successor's fingerprint, a bare int, instead of a transition."""
         out = []
         quiet = self._quiet
         compiled = unread = None
         parent_failed = None
+        # per parent: the words its quiet successors share, and the old
+        # value's word per written pair
+        base = None
+        old_words = {}
         for ext in self.system.external_choices(state):
-            steps = quiet.get(ext)
-            if steps is None:
+            entry = quiet.get(ext)
+            if entry is None:
                 self._run_event(out, state, ext, monitor_factory)
                 continue
+            steps, pair, new_word = entry
             # cascade-free: time quantum, the sensor write, the event
             # record, the final invariant check - byte-identical to a
             # cascade with an empty dispatch.  Such a cascade
@@ -136,19 +146,23 @@ class LeanRelation:
                 failed = parent_failed
                 compiled.inherited += 1
             if leaf and not failed:
-                keys = state.replaced_keys(ext.device, ext.attribute,
-                                           ext.value)
-                if keys is not None:
+                if base is None:
+                    # False: an app map is live, build every successor
+                    base = state.successor_base() or False
+                if base:
+                    old = old_words.get(pair)
+                    if old is None:
+                        old = old_words[pair] = state.attribute_word(*pair)
+                    dev = base[1] ^ old ^ new_word
                     if failed is None:
                         failed = compiled.failed_indices(
-                            keys[1], ReplacedAttribute(
+                            (dev, state.mode), ReplacedAttribute(
                                 state, ext.device, ext.attribute, ext.value))
                     if not failed:
                         # at the bound, a violation-free successor is
                         # admitted by its fingerprint alone, never built
                         self.quiet_leaves += 1
-                        out.append((ext.label(), QuietLeaf(keys[0]), True,
-                                    [], steps))
+                        out.append(successor_fingerprint(base[0], dev))
                         continue
             new_state = state.copy()
             new_state.cascade_commands = ()

@@ -18,7 +18,11 @@ Two properties make the exploration hot path cheap:
   visited-set lookups need no full re-canonicalization.  The exact
   canonical form stays available behind :meth:`canonical_key` for the
   exact visited store and for collision audits; equal canonical keys are
-  guaranteed to have equal fingerprints.
+  guaranteed to have equal fingerprints.  The components mix as
+  fixed-key blake2b words (:func:`word`), so a fingerprint is the same
+  in every process, and with the device hash last, so the successors
+  of one parent that each change one attribute share all but the last
+  mixing round (:meth:`successor_base`).
 
 The state is written only through the methods a cascade uses - the
 ones :class:`~repro.model.replay.RecordingState` records.  The one live
@@ -29,25 +33,90 @@ app code mutates it in place, so until :meth:`seal` that map counts as
 copy of it instead of sharing it.
 """
 
+try:
+    # hashlib's blake2b is this builtin module; importing hashlib itself
+    # would also load OpenSSL, 3.6 MB of resident memory a search
+    # process otherwise never maps
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - interpreters without it
+    from hashlib import blake2b
+
 _MASK = (1 << 64) - 1
 
-#: FNV-1a constants used to mix the per-component hashes into one word.
+#: FNV-1a constants used to mix the per-component words into one word.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+#: the fixed key of the blake2b words: fingerprints are the same in
+#: every process, whatever ``PYTHONHASHSEED`` says
+_WORD_KEY = b"iotsan-state-word"
+
+#: most distinct values :func:`word` remembers before it starts over
+_WORDS_LIMIT = 1 << 16
+
+_WORDS = {}
 
 _MISSING = object()
 
 
-def _state_hash(dev_hash, mode, apps_hash, sched_hash, pending, commands):
-    """FNV-1a over the component hashes: the one mixing rule that
-    :meth:`ModelState.fingerprint` and :meth:`ModelState.replaced_keys`
-    share."""
-    acc = ((_FNV_OFFSET ^ (dev_hash & _MASK)) * _FNV_PRIME) & _MASK
-    acc = ((acc ^ (hash(mode) & _MASK)) * _FNV_PRIME) & _MASK
-    acc = ((acc ^ (apps_hash & _MASK)) * _FNV_PRIME) & _MASK
-    acc = ((acc ^ (sched_hash & _MASK)) * _FNV_PRIME) & _MASK
-    acc = ((acc ^ (hash(pending) & _MASK)) * _FNV_PRIME) & _MASK
-    return ((acc ^ (hash(commands) & _MASK)) * _FNV_PRIME) & _MASK
+def word(value):
+    """The 64-bit word of one state value: a keyed blake2b over its
+    canonical encoding, computed once per distinct value.
+
+    Values that compare equal get equal words (``1``, ``1.0`` and
+    ``True`` all encode as the integer 1), as they get equal ``hash()``
+    values, so the cache may answer for any of them."""
+    result = _WORDS.get(value)
+    if result is None:
+        if len(_WORDS) >= _WORDS_LIMIT:
+            _WORDS.clear()
+        out = bytearray()
+        _encode(value, out)
+        result = _WORDS[value] = int.from_bytes(blake2b(
+            out, digest_size=8, key=_WORD_KEY).digest(), "little")
+    return result
+
+
+def _encode(value, out):
+    """Append the canonical encoding of ``value`` to ``out``: tagged and
+    length-prefixed, numbers by their value (an integral float as the
+    integer it equals)."""
+    if value is None:
+        out += b"N"
+    elif isinstance(value, str):
+        data = value.encode("utf-8", "surrogatepass")
+        out += b"S%d:" % len(data)
+        out += data
+    elif isinstance(value, int):
+        out += b"I%d;" % value
+    elif isinstance(value, float):
+        if value.is_integer():
+            out += b"I%d;" % value
+        else:
+            out += b"F%s;" % value.hex().encode()
+    elif isinstance(value, tuple):
+        out += b"T%d:" % len(value)
+        for item in value:
+            _encode(item, out)
+    else:
+        # runtime objects kept in app state (dates, device handles):
+        # their repr names their value
+        data = ("%s:%r" % (type(value).__name__, value)).encode(
+            "utf-8", "surrogatepass")
+        out += b"O%d:" % len(data)
+        out += data
+
+
+#: the word of an empty command log, every quiet successor's
+_NO_COMMANDS = word(())
+
+
+def successor_fingerprint(prefix, dev_hash):
+    """The fingerprint of a state whose other components mix to
+    ``prefix`` (:meth:`ModelState.successor_base`) and whose device
+    hash is ``dev_hash``: the last FNV round, which
+    :meth:`ModelState.fingerprint` takes too."""
+    return ((prefix ^ dev_hash) * _FNV_PRIME) & _MASK
 
 
 class ModelState:
@@ -84,7 +153,7 @@ class ModelState:
         self._shared_devices = set()
         self._shared_apps = set()
         self._escaped_apps = set()
-        # XOR of hash((device, attribute, value)) over every attribute,
+        # XOR of word((device, attribute, value)) over every attribute,
         # kept current by set_attribute
         self._dev_hash = 0
         self._app_hashes = {}
@@ -156,8 +225,8 @@ class ModelState:
             self._shared_devices.discard(device_name)
         old = attrs.get(attribute, _MISSING)
         if old is not _MISSING:
-            self._dev_hash ^= hash((device_name, attribute, old))
-        self._dev_hash ^= hash((device_name, attribute, value))
+            self._dev_hash ^= word((device_name, attribute, old))
+        self._dev_hash ^= word((device_name, attribute, value))
         attrs[attribute] = value
         self._fp_cache = None
 
@@ -306,57 +375,65 @@ class ModelState:
         equal fingerprints (the reverse may fail with probability ~2^-64
         per pair - the BITSTATE trade-off).
 
-        Built on Python's ``hash()``, so values are stable within a
-        process but vary across processes (string hashing is seeded);
-        set ``PYTHONHASHSEED`` to reproduce a fingerprint/BITSTATE run
-        bit-for-bit.
+        Built on :func:`word`, a keyed blake2b, so a state has the same
+        fingerprint in every process; only the concurrent design's
+        ``pending`` queue mixes in through ``hash()``, whose events hash
+        by their integer serial.
         """
         if (self._fp_cache is not None and not self._escaped_apps
                 and not self._dirty_apps):
             return self._fp_cache
+        mixed = successor_fingerprint(
+            self._prefix(word(self._cascade_commands)), self._dev_hash)
+        self._fp_cache = mixed
+        return mixed
+
+    def successor_base(self):
+        """``(prefix, device hash)`` shared by this state's quiet
+        successors: the successors that differ from it in one attribute
+        and an empty command log.
+
+        A successor that sets ``attribute`` of ``device`` to ``value``
+        has the device hash ``dev = base[1] ^ old ^ new``, where ``old``
+        is :meth:`attribute_word` here and ``new`` is
+        ``word((device, attribute, value))``; its physical key is
+        ``(dev, mode)`` and its fingerprint
+        ``successor_fingerprint(base[0], dev)``: exactly the keys of
+        ``copy()`` followed by those writes and :meth:`seal`.  History
+        and time are in neither key.  ``None`` while an app map is live
+        (:meth:`app_state` since the last :meth:`seal`: its hash cannot
+        be trusted); the caller then builds the successors.
+        """
+        if self._escaped_apps:
+            return None
+        return self._prefix(_NO_COMMANDS), self._dev_hash
+
+    def attribute_word(self, device_name, attribute):
+        """The word one attribute's current value adds to the device
+        hash (0 while it is unset)."""
+        old = self._devices.get(device_name, {}).get(attribute, _MISSING)
+        if old is _MISSING:
+            return 0
+        return word((device_name, attribute, old))
+
+    def _prefix(self, commands_hash):
+        """FNV-1a over every component word but the device hash, which
+        :func:`successor_fingerprint` mixes in last, with the command
+        log's word given; refreshes the app and schedule words first."""
         for name in self._dirty_apps | self._escaped_apps:
-            self._app_hashes[name] = hash((name,
+            self._app_hashes[name] = word((name,
                                            _freeze(self._app_states[name])))
         self._dirty_apps.clear()
         apps_hash = 0
         for value in self._app_hashes.values():
             apps_hash ^= value
         if self._sched_hash is None:
-            self._sched_hash = hash(tuple(sorted(self._schedules)))
-        mixed = _state_hash(self._dev_hash, self._mode, apps_hash,
-                            self._sched_hash, self._pending,
-                            self._cascade_commands)
-        self._fp_cache = mixed
-        return mixed
-
-    def replaced_keys(self, device_name, attribute, value):
-        """``(fingerprint, physical_key)`` of this state with one
-        attribute set to ``value`` and the command log cleared.
-
-        Exactly the keys of ``copy()`` followed by those two writes and
-        :meth:`seal`, computed from the cached component hashes without
-        building the state: the old ``(device, attribute, value)`` hash
-        is XORed out of the device hash and the new one in.  History and
-        time are in neither key.  ``None`` while an app map is live
-        (:meth:`app_state` since the last :meth:`seal`: its hash cannot
-        be trusted); the caller then builds the state.
-        """
-        if self._escaped_apps:
-            return None
-        if self._dirty_apps or self._sched_hash is None:
-            self.fingerprint()
-        dev_hash = self._dev_hash ^ hash((device_name, attribute, value))
-        attrs = self._devices.get(device_name)
-        if attrs is not None:
-            old = attrs.get(attribute, _MISSING)
-            if old is not _MISSING:
-                dev_hash ^= hash((device_name, attribute, old))
-        apps_hash = 0
-        for app_hash in self._app_hashes.values():
-            apps_hash ^= app_hash
-        return (_state_hash(dev_hash, self._mode, apps_hash, self._sched_hash,
-                            self._pending, ()),
-                (dev_hash, self._mode))
+            self._sched_hash = word(tuple(sorted(self._schedules)))
+        acc = ((_FNV_OFFSET ^ word(self._mode)) * _FNV_PRIME) & _MASK
+        acc = ((acc ^ apps_hash) * _FNV_PRIME) & _MASK
+        acc = ((acc ^ self._sched_hash) * _FNV_PRIME) & _MASK
+        acc = ((acc ^ (hash(self._pending) & _MASK)) * _FNV_PRIME) & _MASK
+        return ((acc ^ commands_hash) * _FNV_PRIME) & _MASK
 
     def physical_key(self):
         """Hashable key of the *physical* projection: device attributes + mode.
@@ -389,26 +466,6 @@ class ModelState:
     def __repr__(self):
         return "ModelState(mode=%r, time=%d, devices=%d)" % (
             self._mode, self.time, len(self._devices))
-
-
-class QuietLeaf:
-    """Stands in for a violation-free successor at the depth bound
-    whose keys came from :meth:`ModelState.replaced_keys`: the
-    fingerprint visited store reads nothing of it but
-    :meth:`fingerprint`, and the engine only checks that nothing is
-    ``pending``."""
-
-    __slots__ = ("_fingerprint",)
-
-    pending = ()
-
-    def __init__(self, fingerprint):
-        self._fingerprint = fingerprint
-
-    def fingerprint(self):
-        """The successor's fingerprint, as :meth:`ModelState.replaced_keys`
-        computed it."""
-        return self._fingerprint
 
 
 def _copy_value(value):

@@ -56,7 +56,10 @@ import json
 #: v8: counterexample paths are the DFS's own shortest paths (no
 #: permutation replay picks among equal-length orders), so some
 #: violations carry a different trace than a v7 entry stored
-DIGEST_SCHEMA_VERSION = 8
+#: v9: state fingerprints come from keyed blake2b words, the same in
+#: every process, so a ``bitstate`` field misses another state set than
+#: under v8's seeded ``hash()``, and its results are now cached
+DIGEST_SCHEMA_VERSION = 9
 
 #: EngineOptions fields that can change verdicts, traces or reported
 #: exploration statistics; everything else is a performance knob

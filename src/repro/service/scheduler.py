@@ -106,12 +106,11 @@ def cacheable(result):
 
     Not when a ``time_limit`` truncated it, whoever set the limit: where
     a wall-clock deadline cuts the search depends on the host and its
-    load, not on the job.  Nor for a ``bitstate`` result (one with a
-    ``fill_ratio``): the states its bit field misses depend on the
-    process's string-hash seed.
+    load, not on the job.  A ``bitstate`` result is stored like any
+    other: state fingerprints are the same in every process, so the
+    states its bit field misses are a function of the job.
     """
-    return (result.truncated_reason != "time_limit"
-            and "fill_ratio" not in result.visited_stats)
+    return result.truncated_reason != "time_limit"
 
 
 def estimate_cost(job):

@@ -1,5 +1,6 @@
 """Unit + property-based tests for the visited-state stores."""
 
+import hashlib
 import random
 
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from repro.engine.visited import (
     ExactVisitedSet,
     FingerprintVisitedSet,
 )
+from repro.model import state as state_module
 from repro.model.generator import ModelGenerator
-from repro.model.state import ModelState
+from repro.model.handles import DateValue
+from repro.model.state import ModelState, word
 from repro.properties import build_properties, select_relevant
 
 from tests.conftest import _load_or_skip
@@ -316,6 +319,36 @@ class TestFingerprintConsistency:
         a.set_attribute("d", "switch", "on")
         b.set_attribute("d", "switch", "off")
         assert a.fingerprint() != b.fingerprint()
+
+    def test_equal_values_get_equal_words(self, monkeypatch):
+        """``1 == 1.0 == True`` and ``-0.0 == 0``, so they share a word
+        whichever of them the cache met first; unequal values differ."""
+        for first in (True, 1.0, 1):
+            monkeypatch.setattr(state_module, "_WORDS", {})
+            expected = word(("d", "level", first))
+            for other in (1, 1.0, True):
+                assert word(("d", "level", other)) == expected
+        assert word(-0.0) == word(0) == word(False)
+        values = [None, "1", 1, 1.5, "None", (), ("",), (None,), ((),),
+                  ("a", "b"), ("ab",), float("inf")]
+        assert len({word(value) for value in values}) == len(values)
+        # a runtime object app code may keep in ``state`` is worded by
+        # its value too
+        date_word = word(DateValue(5))
+        state_module._WORDS.clear()
+        assert word(DateValue(5)) == date_word
+        assert len({word(DateValue(5)), word(DateValue(6)), word(5)}) == 3
+        a, b = ModelState(), ModelState()
+        a.set_attribute("d", "level", 1)
+        b.set_attribute("d", "level", 1.0)
+        assert a.fingerprint() == b.fingerprint()
+
+    def test_words_are_fixed_across_processes(self):
+        """A keyed blake2b over a canonical encoding: the word of a
+        value is a constant, not a function of ``PYTHONHASHSEED``."""
+        assert word("Home") == int.from_bytes(hashlib.blake2b(
+            b"S4:Home", digest_size=8,
+            key=state_module._WORD_KEY).digest(), "little")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The lean relation (:mod:`repro.model.lean`) is a pure performance
 knob: traceless cascades, replay of repeated cascades under every
 sequential scenario, a cascade-free path for sensor events no app hears
-and, at the depth bound, stateless leaves for them.  None of that may
+and, at the depth bound, bare-fingerprint leaves for them.  None of that may
 move a single observable - these suites prove verdicts, violation sets,
 per-counterexample event paths and rendered traces byte-identical to
 the traced (``interpreted``) oracle across the whole bundled corpus,
@@ -32,7 +32,7 @@ from repro.model.cascade import TIME_QUANTUM_MS
 from repro.model.faults import scenario_names
 from repro.model.generator import ModelGenerator
 from repro.model.lean import LeanRelation
-from repro.model.state import ModelState, QuietLeaf
+from repro.model.state import ModelState, successor_fingerprint, word
 from repro.properties import build_properties, select_relevant
 
 from tests.conftest import _load_or_skip
@@ -405,8 +405,8 @@ class TestCascadeReplay:
         there); the rest is the search's own fixed list.  A new raw
         accessor fails here instead of silently escaping the replay
         key."""
-        search_only = {"copy", "seal", "fingerprint", "replaced_keys",
-                       "physical_key", "canonical_key", "peek_app_state",
+        search_only = {"copy", "seal", "fingerprint", "successor_base",
+                       "attribute_word", "physical_key", "canonical_key", "peek_app_state",
                        "HISTORY_LIMIT"}
         public = {name for name in dir(ModelState)
                   if not name.startswith("_")}
@@ -470,34 +470,58 @@ def _expert_systems():
 
 
 class _StoreSpy(ExplorationEngine):
-    """Records the type of every state the visited store is handed."""
+    """Records the type of every state the visited store is handed, and
+    counts the bare fingerprints the engine hands ``seen_before``
+    itself (not from inside ``seen_state``)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.admitted = set()
+        self.leaves = 0
+        self._in_seen_state = False
 
     def _setup_search(self):
         store = super()._setup_search()
-        seen_state = store.seen_state
+        seen_state, seen_before = store.seen_state, store.seen_before
 
-        def spy(state, depth):
+        def spy_state(state, depth):
             self.admitted.add(type(state))
-            return seen_state(state, depth)
-        store.seen_state = spy
+            self._in_seen_state = True
+            try:
+                return seen_state(state, depth)
+            finally:
+                self._in_seen_state = False
+
+        def spy_before(key, depth):
+            if not self._in_seen_state:
+                self.admitted.add(type(key))
+                self.leaves += 1
+            return seen_before(key, depth)
+        store.seen_state = spy_state
+        store.seen_before = spy_before
         return store
 
 
+def _leaf_keys(state, base, ext):
+    """``(fingerprint, physical_key)`` of the quiet successor of
+    ``state`` under ``ext``, from the parent's ``successor_base()``
+    ``base`` as the lean relation derives them."""
+    dev = (base[1] ^ state.attribute_word(ext.device, ext.attribute)
+           ^ word((ext.device, ext.attribute, ext.value)))
+    return successor_fingerprint(base[0], dev), (dev, state.mode)
+
+
 class TestStatelessQuietLeaves:
-    """A quiet event at the depth bound hands the fingerprint store a
-    stub carrying the successor's fingerprint: its keys and verdict must
-    equal those of the successor it stands for."""
+    """A quiet event at the depth bound hands the fingerprint store the
+    successor's bare fingerprint: its keys and verdict must equal those
+    of the successor it stands for."""
 
     @pytest.mark.parametrize("source, parent_depth",
                              [("expert", 2), ("vgroup08", 1)])
     def test_stateless_keys_equal_built_successors(self, source,
                                                    parent_depth):
         """Every quiet event from every state within ``parent_depth``
-        events - the parents the workload's search takes stubs from
+        events - the parents the workload's search takes leaves from
         (expert groups at bound 3, volunteer jobs at bound 2): the
         parent-derived ``(fingerprint, physical_key)`` equals the built,
         sealed successor's, and the overlay's verdict equals the exact
@@ -516,11 +540,11 @@ class TestStatelessQuietLeaves:
             for depth in range(parent_depth + 1):
                 successors = []
                 for state in frontier:
+                    base = state.successor_base()
                     for ext in system.external_choices(state):
                         if ext not in relation._quiet:
                             continue
-                        keys = state.replaced_keys(ext.device, ext.attribute,
-                                                   ext.value)
+                        keys = _leaf_keys(state, base, ext)
                         built = state.copy()
                         built.cascade_commands = ()
                         built.time += TIME_QUANTUM_MS
@@ -568,9 +592,9 @@ class TestStatelessQuietLeaves:
 
     def test_escaped_parent_takes_the_full_path(self):
         """A parent with a live app map (handed out by ``app_state`` and
-        not yet sealed) has no trustworthy cached hashes: no stateless
-        keys, no stubs, and the successors built instead equal a clean
-        parent's."""
+        not yet sealed) has no trustworthy cached hashes: no successor
+        base, no bare-fingerprint leaves, and the successors built
+        instead equal a clean parent's."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
@@ -583,9 +607,7 @@ class TestStatelessQuietLeaves:
         quiet = [ext for ext in system.external_choices(escaped)
                  if ext in relation._quiet]
         assert quiet
-        for ext in quiet:
-            assert escaped.replaced_keys(ext.device, ext.attribute,
-                                         ext.value) is None
+        assert escaped.successor_base() is None
         transitions = relation.transitions(escaped, monitors, leaf=True)
         assert relation.stats()["quiet_leaves"] == 0
         assert all(isinstance(t[1], ModelState) for t in transitions)
@@ -602,12 +624,14 @@ class TestStatelessQuietLeaves:
             max_events=2))
         result = spy.run()
         assert spy.cascade_stats["quiet_leaves"] > 0
-        assert QuietLeaf in spy.admitted
+        assert int in spy.admitted
+        assert spy.leaves == spy.cascade_stats["quiet_leaves"]
         assert result.states_explored == 467
 
     def test_bitstate_takes_stubs(self):
         """The bitstate store reads only fingerprints too: it takes the
-        stubs and still finds the traced relation's answer."""
+        bare-fingerprint leaves and still finds the traced relation's
+        answer."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
@@ -616,7 +640,8 @@ class TestStatelessQuietLeaves:
             max_events=2, visited="bitstate"))
         result = spy.run()
         assert spy.cascade_stats["quiet_leaves"] > 0
-        assert QuietLeaf in spy.admitted
+        assert int in spy.admitted
+        assert spy.leaves == spy.cascade_stats["quiet_leaves"]
         interpreted = ExplorationEngine(system, properties, EngineOptions(
             max_events=2, engine="interpreted", visited="bitstate")).run()
         _assert_equivalent(result, interpreted, "bitstate")
@@ -624,8 +649,8 @@ class TestStatelessQuietLeaves:
     @pytest.mark.parametrize("visited", ["exact"])
     def test_other_stores_receive_built_states(self, visited):
         """The exact store, the independent oracle, is never given
-        stubs: it is handed full successors and matches the traced
-        relation."""
+        bare fingerprints: it is handed full successors and matches the
+        traced relation."""
         registry = _load_or_skip(load_all_apps)
         system = ModelGenerator(registry).build(
             GROUP_BUILDERS["group1-entry-and-mode"]())
@@ -634,6 +659,7 @@ class TestStatelessQuietLeaves:
             max_events=2, visited=visited))
         result = spy.run()
         assert spy.admitted == {ModelState}, visited
+        assert spy.leaves == 0
         assert spy.cascade_stats["quiet_leaves"] == 0
         interpreted = ExplorationEngine(system, properties, EngineOptions(
             max_events=2, engine="interpreted", visited=visited)).run()

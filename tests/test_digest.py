@@ -220,15 +220,16 @@ class TestOptionClassification:
     def test_schema_version_retires_old_bitstate_verdicts(self, alice_system,
                                                           monkeypatch):
         """The version is hashed into every digest: ``bitstate`` named a
-        different hash scheme under v4, took a salt until v5 and kept no
-        depths until v6, so a key from any of them can never serve a v8
-        ``bitstate`` run."""
+        different hash scheme under v4, took a salt until v5, kept no
+        depths until v6 and probed seeded ``hash()`` fingerprints until
+        v8, so a key from any of them can never serve a v9 ``bitstate``
+        run."""
         from repro.service import digest
 
         options = EngineOptions(visited="bitstate")
         current = alice_system.digest(options=options)
-        assert digest.DIGEST_SCHEMA_VERSION == 8
-        for retired in (4, 5, 6, 7):
+        assert digest.DIGEST_SCHEMA_VERSION == 9
+        for retired in (4, 5, 6, 7, 8):
             monkeypatch.setattr(digest, "DIGEST_SCHEMA_VERSION", retired)
             assert alice_system.digest(options=options) != current
 

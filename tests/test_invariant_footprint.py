@@ -24,6 +24,7 @@ from repro.ifttt.table9 import TABLE9_PROPERTIES
 from repro.model.cascade import TIME_QUANTUM_MS
 from repro.model.generator import ModelGenerator
 from repro.model.lean import LeanRelation
+from repro.model.state import word
 from repro.properties.base import SystemBinding
 from repro.properties.physical import PHYSICAL_PROPERTIES
 
@@ -99,13 +100,15 @@ def _reach(system, relation, monitors, parent_depth, views, parents):
                 out = relation.transitions(state, monitors)
             else:
                 out = []
+                base = state.successor_base()
                 for ext in system.external_choices(state):
                     if ext not in relation._quiet:
                         relation._run_event(out, state, ext, monitors)
                         continue
-                    keys = state.replaced_keys(ext.device, ext.attribute,
-                                               ext.value)
-                    views.setdefault(keys[1], ReplacedAttribute(
+                    dev = (base[1]
+                           ^ state.attribute_word(ext.device, ext.attribute)
+                           ^ word((ext.device, ext.attribute, ext.value)))
+                    views.setdefault((dev, state.mode), ReplacedAttribute(
                         state, ext.device, ext.attribute, ext.value))
             for transition in out:
                 successor = transition[1]

@@ -1,6 +1,10 @@
 """JSON round-trip of results + the cache-hit-rate regression."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -89,6 +93,31 @@ class TestExplorationResultRoundTrip:
             ExplorationResult.from_dict({"schema": 999})
 
 
+#: group1 at depth 3 on a 2^10-bit bitstate field and on fingerprint,
+#: printed as one JSON object of the results without their timings
+_SEED_SCRIPT = textwrap.dedent("""
+    import json
+    from repro.corpus import load_all_apps
+    from repro.corpus.groups import GROUP_BUILDERS
+    from repro.engine import EngineOptions, ExplorationEngine
+    from repro.model.generator import ModelGenerator
+    from repro.properties import build_properties, select_relevant
+
+    system = ModelGenerator(load_all_apps()).build(
+        GROUP_BUILDERS["group1-entry-and-mode"]())
+    properties = select_relevant(system, build_properties())
+    out = {}
+    for visited in ("bitstate", "fingerprint"):
+        result = ExplorationEngine(system, properties, EngineOptions(
+            max_events=3, visited=visited, bitstate_bits=10)).run()
+        payload = result.to_dict()
+        payload.pop("elapsed")
+        payload.pop("profile")
+        out[visited] = payload
+    print(json.dumps(out, sort_keys=True))
+""")
+
+
 class TestCoverage:
     """``coverage`` never claims more than the search did."""
 
@@ -134,6 +163,25 @@ class TestCoverage:
         assert result.visited_stats["fill_ratio"] > 0.85
         assert result.states_explored < exhaustive.states_explored // 4
         assert len(result.counterexamples) < len(exhaustive.counterexamples)
+
+    def test_results_do_not_depend_on_the_string_hash_seed(self):
+        """Fingerprints are keyed blake2b words, so a saturated bit
+        field misses the same states in every process: group1 at depth
+        3 on a 2^10-bit ``bitstate`` field and on ``fingerprint`` gives
+        the same JSON, timings aside, at two ``PYTHONHASHSEED`` values
+        (one subprocess each, since the seed is fixed at start-up)."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        outputs = []
+        for seed in ("0", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", _SEED_SCRIPT], capture_output=True,
+                text=True, env=env, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["bitstate"]["coverage"] == "partial"
 
     def test_v1_payload_with_shard_fields_loads(self):
         """Results stored before schema v2 still load; the retired

@@ -625,6 +625,16 @@ class TestBatchJson:
 # ---------------------------------------------------------------------------
 
 
+def _expert_slow_job(name="group1", **option_kwargs):
+    """A violating workload no host searches inside a 10 ms deadline:
+    expert group1 at four events (27,271 states, about a second)."""
+    from repro.corpus.groups import GROUP_BUILDERS
+
+    option_kwargs.setdefault("max_events", 4)
+    return VerificationJob(name, GROUP_BUILDERS["group1-entry-and-mode"](),
+                           EngineOptions(**option_kwargs), strict=False)
+
+
 def _safe_slow_job(name="slow-safe", max_events=4):
     """A violation-free workload big enough to outlive a tiny deadline:
     a timed-out run of it has no counterexamples, so a partial 'safe'
@@ -674,13 +684,12 @@ class TestSchedulerJobTimeout:
         # partial coverage must never be served to future submissions
         assert len(store) == 0
 
-    def test_violations_found_before_the_deadline_stand(self, alice_config):
+    def test_violations_found_before_the_deadline_stand(self):
         """Violations are real whatever coverage found them: a deadline
         cut with counterexamples keeps its violated verdict (uncached)."""
         store = ResultStore(":memory:")
         scheduler = Scheduler(store, workers=1, job_timeout=0.01)
-        record = scheduler.submit(_alice_job(alice_config, max_events=5,
-                                             stop_on_first=False))
+        record = scheduler.submit(_expert_slow_job(stop_on_first=False))
         scheduler.run_pending()
         if record.result is not None and record.result.counterexamples:
             assert record.status == "done"
@@ -707,7 +716,7 @@ class TestSchedulerJobTimeout:
                 == sorted(baseline.result.counterexamples))
         assert len(store) == 1  # complete runs still cache
 
-    def test_submissions_own_tighter_limit_wins(self, alice_config):
+    def test_submissions_own_tighter_limit_wins(self):
         """A job that already carries time_limit=0.01 truncates under its
         *own* limit; the scheduler must not reclassify that as a timeout
         error (it did not tighten anything), and must not cache it: the
@@ -715,17 +724,17 @@ class TestSchedulerJobTimeout:
         would be served another run's coverage."""
         store = ResultStore(":memory:")
         scheduler = Scheduler(store, workers=1, job_timeout=600.0)
-        record = scheduler.submit(_alice_job(alice_config, max_events=5,
-                                             stop_on_first=False,
-                                             time_limit=0.01))
+        record = scheduler.submit(_expert_slow_job(stop_on_first=False,
+                                                   time_limit=0.01))
         scheduler.run_pending()
         assert record.status == "done", record.error
         assert record.result.truncated_reason == "time_limit"
         assert len(store) == 0
 
-    def test_bitstate_results_are_not_served_from_cache(self, alice_config):
-        """A bitstate run's misses depend on the string-hash seed, so a
-        repeated submission runs again instead of reading the store."""
+    def test_bitstate_results_are_served_from_cache(self, alice_config):
+        """A bitstate run's misses are a function of the job (its
+        fingerprints do not depend on the string-hash seed), so a
+        repeated submission reads the store."""
         store = ResultStore(":memory:")
         scheduler = Scheduler(store, workers=1)
         job = _alice_job(alice_config, visited="bitstate")
@@ -736,9 +745,11 @@ class TestSchedulerJobTimeout:
         second = scheduler.submit(job)
         scheduler.run_pending()
         assert second.status == "done", second.error
-        assert not second.from_cache
-        assert len(store) == 0
-        assert scheduler.cache_hits == 0
+        assert second.from_cache
+        assert len(store) == 1
+        assert scheduler.cache_hits == 1
+        assert (second.result.visited_stats
+                == first.result.visited_stats)
 
     def test_pooled_hard_backstop_kills_a_hung_worker(self, alice_config,
                                                       monkeypatch):
