@@ -7,7 +7,8 @@ with the standard library's ``ast`` only, so the plain test environment
 
     python scripts/check_docstrings.py
 
-Scope: ``repro/engine``, ``repro/service``, ``repro/model/schema.py``,
+Scope: ``repro/engine``, ``repro/service``, ``repro/model/cascade.py``
+(the context app code runs against), ``repro/model/schema.py``,
 ``repro/model/state.py`` (the state vector every cascade writes),
 ``repro/model/lean.py``, ``repro/model/replay.py`` and
 ``repro/properties/formula.py`` (the language every invariant is
@@ -31,6 +32,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TARGETS = (
     "src/repro/engine",
     "src/repro/service",
+    "src/repro/model/cascade.py",
     "src/repro/model/schema.py",
     "src/repro/model/state.py",
     "src/repro/model/lean.py",

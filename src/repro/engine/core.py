@@ -14,6 +14,7 @@ successors, each with its full cascade trace.
 """
 
 import gc
+import sys
 import time
 
 from repro.checker.compiled import CompiledProperties
@@ -25,6 +26,9 @@ from repro.engine.result import ExplorationResult
 #: bitstate fill ratio beyond which the store is saturating (missed
 #: states become likely) and telemetry emits a warning event
 BITSTATE_SATURATION_WARN = 0.5
+
+#: the integer limit standing in for "no limit" (no search reaches it)
+_UNLIMITED = sys.maxsize
 
 
 class _Node:
@@ -139,9 +143,14 @@ class ExplorationEngine:
         stack = [root]
 
         # wall-clock reads are hoisted out of the transition loop: the
-        # cheap integer limits stay exact per transition, the time limit
-        # is only sampled every ``check_interval`` transitions and once
-        # per expansion
+        # integer limits stay exact per transition, compared against
+        # locals, the time limit is only sampled every
+        # ``check_interval`` transitions and once per expansion
+        max_states = options.max_states or _UNLIMITED
+        max_transitions = options.max_transitions or _UNLIMITED
+        if max_states <= 1:
+            # the root alone fills the bound
+            return self._finish(result, visited, started, "max_states")
         check_interval = max(1, options.check_interval)
         next_time_check = check_interval
         # progress snapshots piggyback on the same sampling; their own
@@ -154,8 +163,8 @@ class ExplorationEngine:
             next_snapshot = snapshot_gap
 
         while stack:
-            if self._limits_hit(result, started):
-                break
+            if self._time_limit_hit(started):
+                return self._finish(result, visited, started, "time_limit")
             node = stack.pop()
             for transition in self._transitions_from(node):
                 result.transitions += 1
@@ -195,8 +204,12 @@ class ExplorationEngine:
                                 child = _Node(new_state, depth, parent=node,
                                               label=label, steps=steps)
                             stack.append(child)
-                if self._cheap_limits_hit(result):
-                    return self._finish(result, visited, started)
+                if result.states_explored >= max_states:
+                    return self._finish(result, visited, started,
+                                        "max_states")
+                if result.transitions >= max_transitions:
+                    return self._finish(result, visited, started,
+                                        "max_transitions")
                 if result.transitions >= next_time_check:
                     next_time_check = result.transitions + check_interval
                     if (telemetry is not None
@@ -205,8 +218,9 @@ class ExplorationEngine:
                         telemetry.snapshot(self._progress_fields(
                             result, stack, visited, node.depth,
                             time.monotonic() - started))
-                    if self._time_limit_hit(result, started):
-                        return self._finish(result, visited, started)
+                    if self._time_limit_hit(started):
+                        return self._finish(result, visited, started,
+                                            "time_limit")
 
         return self._finish(result, visited, started)
 
@@ -246,7 +260,12 @@ class ExplorationEngine:
             "visited_bytes": visited.stats().get("approx_bytes", 0),
         }
 
-    def _finish(self, result, visited, started):
+    def _finish(self, result, visited, started, truncated_reason=None):
+        """Close the run; ``truncated_reason`` names the limit that
+        stopped it, if one did."""
+        if truncated_reason is not None:
+            result.truncated = True
+            result.truncated_reason = truncated_reason
         # one order for the list: by path, then by violation - a
         # function of the state space, not of the order of recording
         result.counterexamples = dict(sorted(
@@ -320,31 +339,9 @@ class ExplorationEngine:
                     actors.append(step.app)
         return tuple(actors)
 
-    def _cheap_limits_hit(self, result):
-        """The integer limits - checked exactly, every transition."""
-        options = self.options
-        if options.max_states and result.states_explored >= options.max_states:
-            result.truncated = True
-            result.truncated_reason = "max_states"
-            return True
-        if (options.max_transitions
-                and result.transitions >= options.max_transitions):
-            result.truncated = True
-            result.truncated_reason = "max_transitions"
-            return True
-        return False
-
-    def _time_limit_hit(self, result, started):
-        options = self.options
-        if options.time_limit and time.monotonic() - started > options.time_limit:
-            result.truncated = True
-            result.truncated_reason = "time_limit"
-            return True
-        return False
-
-    def _limits_hit(self, result, started):
-        return (self._cheap_limits_hit(result)
-                or self._time_limit_hit(result, started))
+    def _time_limit_hit(self, started):
+        time_limit = self.options.time_limit
+        return bool(time_limit) and time.monotonic() - started > time_limit
 
 
 def path_order_key(path):

@@ -18,6 +18,7 @@ from repro.model.events import (APP, DEVICE, FAKE, LOCATION, TIMER, Event,
                                 FailureScenario, NO_FAILURE)
 from repro.model.handles import DeviceHandle, EventHandle
 from repro.model.interpreter import ExecutionError, Interpreter
+from repro.model.state import _copy_value
 
 __all__ = ["Cascade", "FailureScenario", "NO_FAILURE", "TIME_QUANTUM_MS",
            "MAX_INTERNAL_EVENTS"]
@@ -50,6 +51,9 @@ class Cascade:
         #: (device, attribute) -> pre-event value, set by the stale-reads
         #: scenario; app reads through :meth:`get_attribute` see these
         self._stale_reads = None
+        #: app name -> this cascade's working copy of its ``state`` map,
+        #: stored back by :meth:`write_back`
+        self._apps = {}
 
     # ------------------------------------------------------------------
     # entry points
@@ -59,10 +63,12 @@ class Cascade:
         """Apply one external event; returns the violations found."""
         self.state.time += TIME_QUANTUM_MS
         self.apply_external(ext)
-        if not self.defer_dispatch:
-            self._drain()
-            return self.monitor.finish(self.state)
-        return self.monitor.violations
+        if self.defer_dispatch:
+            self.write_back()
+            return self.monitor.violations
+        self._drain()
+        self.write_back()
+        return self.monitor.finish(self.state)
 
     def apply_external(self, ext):
         """Record one external event's step and inject it, on a state
@@ -132,6 +138,7 @@ class Cascade:
         self.state.pending = tuple(pending)
         self._replay_command_log()
         self.dispatch_event(event)
+        self.write_back()
         if not self.state.pending:
             return self.monitor.finish(self.state)
         return self.monitor.violations
@@ -263,6 +270,9 @@ class Cascade:
     # ------------------------------------------------------------------
 
     def get_attribute(self, device_name, attribute):
+        """A device attribute as app code sees it: the stale value
+        under the stale-reads scenario, else the state's value, else
+        the attribute's declared default."""
         if self._stale_reads is not None:
             stale = self._stale_reads.get((device_name, attribute),
                                           _NO_STALE)
@@ -278,24 +288,48 @@ class Cascade:
         return value
 
     def get_history(self, device_name):
+        """One device's bounded event history (for ``eventsSince``)."""
         return self.state.device_history(device_name)
 
     def get_mode(self):
+        """The current location mode."""
         return self.state.mode
 
     def modes(self):
+        """The location modes the system declares."""
         return self.system.modes
 
     def now_millis(self):
+        """The model clock, in milliseconds."""
         return self.state.time
 
     def app_state(self, app_name):
-        return self.state.app_state(app_name)
+        """This cascade's working copy of one app's ``state`` map: a
+        deep copy of the stored map (a new empty one when the app has
+        none), taken on first access.  App code mutates it freely;
+        :meth:`write_back` stores it."""
+        mapping = self._apps.get(app_name)
+        if mapping is None:
+            stored = self.state.app_state(app_name)
+            mapping = self._apps[app_name] = (
+                {} if stored is None else _copy_value(stored))
+        return mapping
+
+    def write_back(self):
+        """Store every app map this cascade handed out back into the
+        state (:meth:`ModelState.set_app_state`); the cascade ends
+        here, so the copies are never touched again."""
+        for app_name, mapping in self._apps.items():
+            self.state.set_app_state(app_name, mapping)
+        self._apps = {}
 
     def log(self, app_name, level, message):
+        """Record an app's ``log.<level>`` call as a trace step."""
         self._step("log", "[%s] %s: %s" % (level, app_name, message))
 
     def set_location_mode(self, mode, app_name):
+        """An app's ``setLocationMode``: change the mode and raise a
+        mode event, unless the mode is current or undeclared."""
         if mode == self.state.mode:
             return
         if self.system.modes and mode not in self.system.modes:
@@ -308,26 +342,34 @@ class Cascade:
         self._enqueue(Event(LOCATION, attribute="mode", value=mode))
 
     def send_sms(self, app_name, recipient, message, line=None):
+        """An app's ``sendSms``: a trace step and a monitor hook."""
         self._step("message", "%s sends SMS to %s: %r"
                    % (app_name, recipient, message), app=app_name, line=line)
         self.monitor.on_sms(app_name, recipient, message)
 
     def send_push(self, app_name, message, line=None):
+        """An app's ``sendPush``: a trace step and a monitor hook."""
         self._step("message", "%s sends push: %r" % (app_name, message),
                    app=app_name, line=line)
         self.monitor.on_push(app_name, message)
 
     def http_request(self, app_name, api, url, line=None):
+        """An app's HTTP call: a trace step and a monitor hook."""
         self._step("message", "%s calls %s(%r)" % (app_name, api, url),
                    app=app_name, line=line)
         self.monitor.on_http(app_name, api, url)
 
     def security_sensitive_command(self, app_name, command, line=None):
+        """A security-sensitive platform call (e.g. ``unsubscribe``):
+        a trace step and a monitor hook."""
         self._step("message", "%s executes %s" % (app_name, command),
                    app=app_name, line=line)
         self.monitor.on_security_command(app_name, command)
 
     def fake_event(self, app_name, attribute, value, line=None):
+        """An event an app raises itself (``sendLocationEvent``,
+        ``sendEvent``): reported to the monitor and dispatched to every
+        subscriber of the attribute."""
         self._step("message", "%s raises fake event %s=%s"
                    % (app_name, attribute, value), app=app_name, line=line)
         self.monitor.on_fake_event(app_name, attribute, value)
@@ -335,16 +377,15 @@ class Cascade:
                             app=app_name))
 
     def schedule(self, app_name, handler, periodic=False):
+        """An app's ``runIn``/``runEvery*``-style call: add the
+        callback to the state's schedules."""
         self.state.add_schedule(app_name, handler, periodic=periodic)
         self._step("log", "%s scheduled %s%s"
                    % (app_name, handler, " (periodic)" if periodic else ""))
 
     def unschedule(self, app_name, handler=None):
+        """An app's ``unschedule``: drop one or all of its callbacks."""
         self.state.remove_schedule(app_name, handler)
-
-    def actuator_state_update(self, device_name, command, args, app_name):
-        """Alias matching the paper's terminology."""
-        self.actuator_command(device_name, command, args, app_name)
 
 
 def _freeze_arg(value):

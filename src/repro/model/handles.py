@@ -4,8 +4,8 @@ These model the "predefined objects or variables (e.g. ``location``) and
 APIs ... not defined in vanilla Groovy" whose definitions the paper adds
 manually (§6).  Each handle is a thin view over the cascade context (which
 owns the mutable :class:`~repro.model.state.ModelState`): reading a property
-reads model state, invoking a command goes through
-``actuator_state_update``.
+reads model state, invoking a command goes through the cascade's
+``actuator_command`` (Algorithm 1's ``actuator_state_update``).
 
 Handles implement two uniform hooks used by the interpreter:
 

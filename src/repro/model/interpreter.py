@@ -163,10 +163,9 @@ class Interpreter:
 
     def _build_globals(self):
         # "state"/"atomicState" bind lazily in _lookup: ctx.app_state()
-        # hands out the app's live persistent map, which the model state
-        # must deep-copy on every copy and rehash on every fingerprint
-        # until the cascade seals it, so stateless handlers must not pay
-        # for a handle they never touch
+        # deep-copies the app's persistent map, and the cascade stores
+        # the copy back and rehashes it when it ends, so stateless
+        # handlers must not pay for a handle they never touch
         ctx = self.ctx
         app_name = self.app.name
         env = {

@@ -147,23 +147,21 @@ class LeanRelation:
                 compiled.inherited += 1
             if leaf and not failed:
                 if base is None:
-                    # False: an app map is live, build every successor
-                    base = state.successor_base() or False
-                if base:
-                    old = old_words.get(pair)
-                    if old is None:
-                        old = old_words[pair] = state.attribute_word(*pair)
-                    dev = base[1] ^ old ^ new_word
-                    if failed is None:
-                        failed = compiled.failed_indices(
-                            (dev, state.mode), ReplacedAttribute(
-                                state, ext.device, ext.attribute, ext.value))
-                    if not failed:
-                        # at the bound, a violation-free successor is
-                        # admitted by its fingerprint alone, never built
-                        self.quiet_leaves += 1
-                        out.append(successor_fingerprint(base[0], dev))
-                        continue
+                    base = state.successor_base()
+                old = old_words.get(pair)
+                if old is None:
+                    old = old_words[pair] = state.attribute_word(*pair)
+                dev = base[1] ^ old ^ new_word
+                if failed is None:
+                    failed = compiled.failed_indices(
+                        (dev, state.mode), ReplacedAttribute(
+                            state, ext.device, ext.attribute, ext.value))
+                if not failed:
+                    # at the bound, a violation-free successor is
+                    # admitted by its fingerprint alone, never built
+                    self.quiet_leaves += 1
+                    out.append(successor_fingerprint(base[0], dev))
+                    continue
             new_state = state.copy()
             new_state.cascade_commands = ()
             new_state.time += TIME_QUANTUM_MS
@@ -172,7 +170,6 @@ class LeanRelation:
             if failed is None:
                 failed = compiled.failed_invariants(new_state)
             violations = monitor_factory().finish(new_state) if failed else []
-            new_state.seal()
             out.append((ext.label(), new_state, True, violations, steps))
         return out
 
@@ -219,11 +216,11 @@ class LeanRelation:
                 cascade = Cascade(system, view, recorder, scenario)
                 cascade.apply_external(ext)
                 cascade._drain()
+                cascade.write_back()
                 steps = cascade.steps
                 record = view.record(recorder.calls, steps)
                 if (record is not None
                         and self._replays.remember(key, view.reads, record)):
                     self.replay_leaves += 1
             violations = monitor.finish(new_state)
-            new_state.seal()
             out.append((key, new_state, True, violations, steps))

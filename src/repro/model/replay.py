@@ -34,7 +34,7 @@ insertion order kept.  A cascade that reads or writes anything else
 recorded and always runs live.
 """
 
-from repro.model.state import ModelState, _copy_value
+from repro.model.state import ModelState
 
 __all__ = [
     "RecordingMonitor",
@@ -82,39 +82,25 @@ def exact_key(value):
 _ABSENT = ("absent",)
 
 
-def _peek_app_state(state, loc):
-    mapping = state.peek_app_state(loc[1])
+def _app_state_key(state, loc):
+    mapping = state.app_state(loc[1])
     return _ABSENT if mapping is None else exact_key(mapping)
 
 
 #: location kind -> ``fn(state, loc)`` giving the location's replay key
-#: through reads that unshare and escape nothing (an app map is read by
-#: ``peek_app_state``, never by the escaping ``app_state``)
 _PEEKS = {
     "attribute": lambda state, loc: exact_key(
         state.attribute(loc[1], loc[2])),
     "history": lambda state, loc: exact_key(state.device_history(loc[1])),
     "mode": lambda state, loc: exact_key(state.mode),
-    "app_state": _peek_app_state,
+    "app_state": _app_state_key,
     "schedules": lambda state, loc: exact_key(state.schedules),
     "time": lambda state, loc: exact_key(state.time),
     "cascade_commands": lambda state, loc: exact_key(state.cascade_commands),
-    "pending": lambda state, loc: exact_key(state.pending),
 }
 
 _set_mode = ModelState.mode.fset
 _set_cascade_commands = ModelState.cascade_commands.fset
-_set_pending = ModelState.pending.fset
-
-
-def _touch_app_state(state, app_name):
-    state.app_state(app_name)
-
-
-def _restore_app_state(state, app_name, value):
-    mapping = state.app_state(app_name)
-    mapping.clear()
-    mapping.update(_copy_value(value))
 
 
 class Replay:
@@ -221,15 +207,14 @@ class RecordingState:
     real state.  Alongside, the view keeps:
 
     * ``reads``: the first read of each location, in order, with its
-      :func:`exact_key`.  An absolute write (an attribute, the mode,
-      the command log) makes later reads of that location derived
-      values, so they are not keyed.  A relative write (a history
-      append, a schedule change) depends on the old value, so a later
-      first read keys the value from before the write.  An app's
-      ``state`` map counts as read, whole, when first handed out.
+      :func:`exact_key`.  An absolute write (an attribute, an app's
+      ``state`` map, the mode, the command log) makes later reads of
+      that location derived values, so they are not keyed.  A relative
+      write (a history append, a schedule change) depends on the old
+      value, so a later first read keys the value from before the
+      write.
     * ``writes``: the mutator calls, replayable through the same
-      :class:`ModelState` methods.  App maps are mutated in place, so
-      :meth:`record` appends their final contents as one write each.
+      :class:`ModelState` methods.
 
     The clock counts as read only when something reads it through the
     view: the cascade's own tick happens on the real state before the
@@ -237,7 +222,7 @@ class RecordingState:
     """
 
     __slots__ = ("_state", "reads", "_seen", "_originals", "_writes",
-                 "_apps", "_exotic")
+                 "_exotic")
 
     def __init__(self, state):
         self._state = state
@@ -245,7 +230,6 @@ class RecordingState:
         self._seen = set()
         self._originals = {}
         self._writes = []
-        self._apps = {}
         self._exotic = False
 
     def __getattr__(self, name):
@@ -303,16 +287,10 @@ class RecordingState:
         return self._state.schedules
 
     def app_state(self, app_name):
-        """:meth:`ModelState.app_state`, keyed on the whole map."""
-        entry = self._apps.get(app_name)
-        if entry is None:
-            loc = ("app_state", app_name)
-            self._seen.add(loc)
-            key = self._key(loc)
-            self.reads.append((loc, key))
-            entry = self._apps[app_name] = (
-                self._state.app_state(app_name), key)
-        return entry[0]
+        """:meth:`ModelState.app_state`, recorded (keyed on the whole
+        map)."""
+        self._read(("app_state", app_name))
+        return self._state.app_state(app_name)
 
     # -- reads and absolute writes ---------------------------------------
 
@@ -338,22 +316,17 @@ class RecordingState:
         self._write(("cascade_commands",), _set_cascade_commands, (value,))
         self._state.cascade_commands = value
 
-    @property
-    def pending(self):
-        """:attr:`ModelState.pending`, recorded."""
-        self._read(("pending",))
-        return self._state.pending
-
-    @pending.setter
-    def pending(self, value):
-        self._write(("pending",), _set_pending, (value,))
-        self._state.pending = value
-
     def set_attribute(self, device_name, attribute, value):
         """:meth:`ModelState.set_attribute`, recorded."""
         self._write(("attribute", device_name, attribute),
                     ModelState.set_attribute, (device_name, attribute, value))
         self._state.set_attribute(device_name, attribute, value)
+
+    def set_app_state(self, app_name, mapping):
+        """:meth:`ModelState.set_app_state`, recorded."""
+        self._write(("app_state", app_name), ModelState.set_app_state,
+                    (app_name, mapping))
+        self._state.set_app_state(app_name, mapping)
 
     # -- relative writes -------------------------------------------------
 
@@ -382,14 +355,7 @@ class RecordingState:
     def record(self, calls, steps):
         """The finished cascade as a :class:`Replay`, or ``None`` when
         it read or wrote a value :func:`exact_key` cannot key."""
-        writes = self._writes
         try:
-            for app_name, (mapping, key) in self._apps.items():
-                if exact_key(mapping) == key:
-                    writes.append((_touch_app_state, (app_name,)))
-                else:
-                    writes.append((_restore_app_state,
-                                   (app_name, _copy_value(mapping))))
             for name, args in calls:
                 if name == "on_command":
                     args = args[:-1]  # the device's static command effect
@@ -398,4 +364,4 @@ class RecordingState:
             return None
         if self._exotic:
             return None
-        return Replay(tuple(writes), tuple(calls), tuple(steps))
+        return Replay(tuple(self._writes), tuple(calls), tuple(steps))

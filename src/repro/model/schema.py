@@ -79,10 +79,10 @@ class StateSchema:
     def pack(self, state):
         """The canonical packed tuple of one state (hashable).
 
-        Reads the state's containers directly, without unsharing or
-        escaping any of them (the schema lives in the same package and
-        the walk never leaks a reference), so packing a state keeps its
-        copy-on-write sharing intact.
+        Reads the state's containers directly, without unsharing any of
+        them (the schema lives in the same package and the walk never
+        leaks a reference), so packing a state keeps its copy-on-write
+        sharing intact.
         """
         devices = state._devices
         vectors, dev_overflow = self._pack_devices(devices)

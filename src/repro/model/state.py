@@ -12,25 +12,27 @@ Two properties make the exploration hot path cheap:
 * **Copy-on-write branching.**  :meth:`copy` shares the per-device
   attribute maps and per-app state maps between parent and child instead
   of deep-copying them; a branch that touches two devices copies two
-  small dicts, not the whole home.  Mutators unshare lazily.
+  small dicts, not the whole home.  A device map is unshared lazily on
+  its first write; an app map is replaced whole, never written in place.
 * **Incremental fingerprints.**  A 64-bit :meth:`fingerprint` is
-  maintained through :meth:`set_attribute`/mode/schedule mutations, so
-  visited-set lookups need no full re-canonicalization.  The exact
-  canonical form stays available behind :meth:`canonical_key` for the
-  exact visited store and for collision audits; equal canonical keys are
-  guaranteed to have equal fingerprints.  The components mix as
-  fixed-key blake2b words (:func:`word`), so a fingerprint is the same
-  in every process, and with the device hash last, so the successors
-  of one parent that each change one attribute share all but the last
-  mixing round (:meth:`successor_base`).
+  maintained through :meth:`set_attribute`, :meth:`set_app_state` and
+  the mode and schedule writes, so visited-set lookups need no full
+  re-canonicalization.  The exact canonical form stays available
+  behind :meth:`canonical_key` for the exact visited store and for
+  collision audits; equal canonical keys are guaranteed to have equal
+  fingerprints.  The components mix as fixed-key blake2b words
+  (:func:`word`), so a fingerprint is the same in every process, and
+  with the device hash last, so the successors of one parent that
+  each change one attribute share all but the last mixing round
+  (:meth:`successor_base`).
 
 The state is written only through the methods a cascade uses - the
-ones :class:`~repro.model.replay.RecordingState` records.  The one live
-reference it hands out is an app's ``state`` map (:meth:`app_state`):
-app code mutates it in place, so until :meth:`seal` that map counts as
-*escaped*: its fingerprint contribution is recomputed on every
-:meth:`fingerprint` call, and :meth:`copy` gives the child its own deep
-copy of it instead of sharing it.
+ones :class:`~repro.model.replay.RecordingState` records - and hands
+out no container a caller may mutate.  An app's ``state`` map is a
+value like any other: a cascade works on its own copy
+(:meth:`~repro.model.cascade.Cascade.app_state`) and stores it back
+through :meth:`set_app_state`, so a stored map is never mutated and
+:meth:`copy` shares it with the child.
 """
 
 try:
@@ -125,14 +127,11 @@ class ModelState:
     __slots__ = (
         "_devices", "_mode", "_app_states", "time", "_schedules", "_history",
         "_pending", "_cascade_commands",
-        # copy-on-write bookkeeping: names whose inner maps are shared
+        # copy-on-write bookkeeping: names whose device maps are shared
         # with another state and must be copied before mutation
-        "_shared_devices", "_shared_apps", "_history_shared",
-        # app maps handed out by app_state() since the last seal()
-        "_escaped_apps",
+        "_shared_devices", "_history_shared",
         # fingerprint caches
-        "_dev_hash", "_app_hashes", "_dirty_apps", "_fp_cache",
-        "_sched_hash",
+        "_dev_hash", "_app_hashes", "_fp_cache", "_sched_hash",
     )
 
     #: bounded history length per device (enough for `eventsSince` guards)
@@ -151,13 +150,11 @@ class ModelState:
         # needs this in-state; the sequential cascade keeps its own log)
         self._cascade_commands = ()
         self._shared_devices = set()
-        self._shared_apps = set()
-        self._escaped_apps = set()
         # XOR of word((device, attribute, value)) over every attribute,
         # kept current by set_attribute
         self._dev_hash = 0
+        # app name -> word((name, frozen map)), kept by set_app_state
         self._app_hashes = {}
-        self._dirty_apps = set()
         self._fp_cache = None
         self._sched_hash = None
 
@@ -211,6 +208,12 @@ class ModelState:
         oldest first."""
         return self._history.get(device_name, ())
 
+    def app_state(self, app_name):
+        """One app's persistent ``state`` map, or ``None`` when it has
+        none.  The map may be shared with other states: read it, never
+        mutate it (:meth:`set_app_state` replaces it)."""
+        return self._app_states.get(app_name)
+
     # -- writes --------------------------------------------------------------
 
     def set_attribute(self, device_name, attribute, value):
@@ -258,64 +261,24 @@ class ModelState:
         self._fp_cache = None
         self._sched_hash = None
 
-    def app_state(self, app_name):
-        """The persistent ``state`` map of one app (created on demand).
+    def set_app_state(self, app_name, mapping):
+        """Store ``mapping`` as one app's ``state`` map.
 
-        The returned dict is mutated freely by app code, so a map shared
-        with a parent/child state is deep-copied here and the reference
-        counts as escaped until :meth:`seal` (recompute-on-fingerprint,
-        deep-copy-on-branch).
-        """
-        mapping = self._app_states.get(app_name)
-        if mapping is None:
-            mapping = {}
-            self._app_states[app_name] = mapping
-        elif app_name in self._shared_apps:
-            mapping = _copy_value(mapping)
-            self._app_states[app_name] = mapping
-            self._shared_apps.discard(app_name)
-        self._escaped_apps.add(app_name)
+        The state takes the map over: it is shared with every copy from
+        now on, so the caller must not mutate it afterwards."""
+        self._app_states[app_name] = mapping
+        self._app_hashes[app_name] = word((app_name, _freeze(mapping)))
         self._fp_cache = None
-        return mapping
-
-    def peek_app_state(self, app_name):
-        """One app's ``state`` map, or ``None`` when it has none yet.
-
-        Unlike :meth:`app_state` this creates, unshares and escapes
-        nothing, so the map may be shared with other states: callers
-        must only read it.
-        """
-        return self._app_states.get(app_name)
-
-    def seal(self):
-        """Declare every app map handed out so far dropped.
-
-        The transition relation calls this once a cascade has finished:
-        the executors' ``state``/``atomicState`` views die with the
-        cascade, so the pessimistic escape treatment
-        (recompute-per-fingerprint, deep-copy-on-branch) can stop.  The
-        escaped maps are marked dirty so their hashes recompute once,
-        lazily; afterwards the state fingerprints from cache and branches
-        with copy-on-write sharing again.
-
-        Callers must guarantee no live map reference remains - a write
-        through one after sealing could leak into shared children.
-        """
-        if self._escaped_apps:
-            self._dirty_apps |= self._escaped_apps
-            self._escaped_apps = set()
-            self._fp_cache = None
-        return self
 
     # -- copy / hash -----------------------------------------------------------
 
     def copy(self):
         """A structural-sharing copy: inner maps are shared, not duplicated.
 
-        Both sides mark the shared maps, so whichever state mutates first
-        copies just the map it touches (copy-on-write in both directions).
-        Escaped app maps are deep-copied instead - an old reference must
-        keep writing into this state only, never the clone.
+        Both sides mark the shared device maps, so whichever state
+        mutates first copies just the map it touches (copy-on-write in
+        both directions).  App maps are never mutated, so they are
+        shared as they are.
         """
         clone = ModelState.__new__(ModelState)
         clone._mode = self._mode
@@ -336,52 +299,25 @@ class ModelState:
         clone._shared_devices = shared_devices
         clone._dev_hash = self._dev_hash
 
-        escaped = self._escaped_apps
-        if escaped:
-            clone._app_states = {}
-            shared_apps = set()
-            for name, mapping in self._app_states.items():
-                if name in escaped:
-                    clone._app_states[name] = _copy_value(mapping)
-                else:
-                    clone._app_states[name] = mapping
-                    shared_apps.add(name)
-            clone._dirty_apps = set(self._dirty_apps) | set(escaped)
-        else:
-            # fast path: every app map is clean, share them all
-            clone._app_states = dict(self._app_states)
-            shared_apps = set(self._app_states)
-            clone._dirty_apps = (set(self._dirty_apps)
-                                 if self._dirty_apps else set())
-        self._shared_apps |= shared_apps
-        clone._shared_apps = set(shared_apps)
-        clone._escaped_apps = set()
+        clone._app_states = dict(self._app_states)
         clone._app_hashes = dict(self._app_hashes)
-        # content is identical at copy time, so the clone inherits the
-        # whole-state fingerprint when this state's is trustworthy (no
-        # escaped app map that could mutate behind the caches)
-        if (self._fp_cache is not None and not self._escaped_apps
-                and not self._dirty_apps):
-            clone._fp_cache = self._fp_cache
-        else:
-            clone._fp_cache = None
+        # content is identical at copy time
+        clone._fp_cache = self._fp_cache
         return clone
 
     def fingerprint(self):
         """64-bit incremental hash of the canonical state.
 
-        Maintained through the mutator methods; escaped app maps are
-        recomputed on every call.  Equal canonical keys always produce
-        equal fingerprints (the reverse may fail with probability ~2^-64
-        per pair - the BITSTATE trade-off).
+        Maintained through the mutator methods.  Equal canonical keys
+        always produce equal fingerprints (the reverse may fail with
+        probability ~2^-64 per pair - the BITSTATE trade-off).
 
         Built on :func:`word`, a keyed blake2b, so a state has the same
         fingerprint in every process; only the concurrent design's
         ``pending`` queue mixes in through ``hash()``, whose events hash
         by their integer serial.
         """
-        if (self._fp_cache is not None and not self._escaped_apps
-                and not self._dirty_apps):
+        if self._fp_cache is not None:
             return self._fp_cache
         mixed = successor_fingerprint(
             self._prefix(word(self._cascade_commands)), self._dev_hash)
@@ -399,13 +335,9 @@ class ModelState:
         ``word((device, attribute, value))``; its physical key is
         ``(dev, mode)`` and its fingerprint
         ``successor_fingerprint(base[0], dev)``: exactly the keys of
-        ``copy()`` followed by those writes and :meth:`seal`.  History
-        and time are in neither key.  ``None`` while an app map is live
-        (:meth:`app_state` since the last :meth:`seal`: its hash cannot
-        be trusted); the caller then builds the successors.
+        ``copy()`` followed by those writes.  History and time are in
+        neither key.
         """
-        if self._escaped_apps:
-            return None
         return self._prefix(_NO_COMMANDS), self._dev_hash
 
     def attribute_word(self, device_name, attribute):
@@ -419,11 +351,7 @@ class ModelState:
     def _prefix(self, commands_hash):
         """FNV-1a over every component word but the device hash, which
         :func:`successor_fingerprint` mixes in last, with the command
-        log's word given; refreshes the app and schedule words first."""
-        for name in self._dirty_apps | self._escaped_apps:
-            self._app_hashes[name] = word((name,
-                                           _freeze(self._app_states[name])))
-        self._dirty_apps.clear()
+        log's word given; refreshes the schedule word first."""
         apps_hash = 0
         for value in self._app_hashes.values():
             apps_hash ^= value

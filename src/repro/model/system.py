@@ -217,27 +217,13 @@ class IoTSystem:
             for attribute, value in instance.initial_attributes().items():
                 state.set_attribute(name, attribute, value)
         for app in self.apps:
-            state.app_state(app.name)
+            state.set_app_state(app.name, {})
             # cron-style schedules registered in installed()/initialize()
             # exist from the start; runIn timers appear dynamically
             for api, handler, _line in app.smart_app.schedules:
                 if api.startswith(("schedule", "runEvery", "runDaily")):
                     state.add_schedule(app.name, handler, periodic=True)
-        return state.seal()
-
-    def digest(self, properties=None, options=None):
-        """Deterministic content digest of this bound system.
-
-        Canonical serialization of devices (full spec surface), installed
-        apps (handler sources + bindings) and deployment data, hashed with
-        SHA-256 - invariant under device/app declaration order, changed by
-        any handler body, device attribute or deployment edit.  Passing
-        ``properties``/``options`` extends the digest to a full
-        verification identity (the vetting service's cache key space);
-        see :mod:`repro.service.digest`.
-        """
-        from repro.service.digest import system_digest
-        return system_digest(self, properties=properties, options=options)
+        return state
 
     def state_schema(self):
         """The packed-state layout of this system (compiled once).
@@ -417,10 +403,6 @@ class IoTSystem:
                 monitor = monitor_factory()
                 cascade = Cascade(self, new_state, monitor, scenario=scenario)
                 violations = cascade.run_external(ext)
-                # the cascade's executors are gone: drop the pessimistic
-                # escaped-reference treatment so the state fingerprints
-                # from cache and branches with full COW sharing
-                new_state.seal()
                 suffix = scenario.label()
                 yield (ext.label() + suffix if suffix else ext.label(),
                        new_state, True, violations, cascade.steps)
@@ -434,7 +416,6 @@ class IoTSystem:
             violations = cascade.dispatch_one_pending(index)
             if not new_state.pending:
                 new_state.cascade_commands = ()
-            new_state.seal()
             yield ("dispatch %s" % state.pending[index].describe(), new_state,
                    False, violations, cascade.steps)
         # A new external event is only injected once the previous event's
@@ -450,7 +431,6 @@ class IoTSystem:
                     cascade = Cascade(self, new_state, monitor,
                                       scenario=scenario, defer_dispatch=True)
                     violations = cascade.run_external(ext)
-                    new_state.seal()
                     yield (ext.label() + scenario.label(), new_state, True,
                            violations, cascade.steps)
 

@@ -6,7 +6,7 @@ catalog, continuously, not one CLI run at a time.  This package wraps
 the exploration engine in a service layer:
 
 * :mod:`repro.service.digest` - deterministic content digests of
-  verification inputs (system + properties + options);
+  verification inputs (configuration + properties + options);
 * :mod:`repro.service.store` - a SQLite-backed content-addressed
   :class:`ResultStore` (schema-versioned, WAL) holding verdicts,
   counterexample traces and engine statistics;
@@ -17,7 +17,7 @@ the exploration engine in a service layer:
   urllib client the ``repro submit``/``results``/``gc`` CLI verbs use.
 
 The exports below load on first access (PEP 562): the engine imports
-:mod:`repro.service.digest` for every system digest, and that must not
+:mod:`repro.service.digest` for every job's cache key, and that must not
 pull in the HTTP server, urllib, ssl and sqlite3 stacks the other
 submodules need.
 """
@@ -36,7 +36,6 @@ _EXPORTS = {
     "DIGEST_SCHEMA_VERSION": "digest",
     "job_cache_key": "digest",
     "job_config_digest": "digest",
-    "system_digest": "digest",
     "ScheduledJob": "scheduler",
     "Scheduler": "scheduler",
     "estimate_cost": "scheduler",

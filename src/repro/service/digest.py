@@ -1,12 +1,14 @@
 """Deterministic content digests for verification inputs.
 
-The continuous vetting service is content-addressed: a verification's
-inputs - the bound system (devices, installed apps with their handler
-code and bindings), the property set and the engine options - are
-canonically serialized and hashed, and the resulting key addresses the
-:class:`~repro.service.store.ResultStore`.  Re-submitting an unchanged
-app/configuration pair therefore resolves to a store lookup instead of a
-state-space search.
+The continuous vetting service is content-addressed: a verification
+job's inputs - the configuration (devices, installed apps with their
+handler code and bindings), the property set and the engine options -
+are canonically serialized and hashed (:func:`job_cache_key`, which
+:meth:`VerificationJob.cache_key
+<repro.engine.batch.VerificationJob.cache_key>` calls), and the
+resulting key addresses the :class:`~repro.service.store.ResultStore`.
+Re-submitting an unchanged app/configuration pair therefore resolves
+to a store lookup instead of a state-space search.
 
 Canonicalization rules:
 
@@ -93,11 +95,6 @@ def source_digest(source):
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# bound-system canonical form (IoTSystem)
-# ---------------------------------------------------------------------------
-
-
 def _spec_surface(spec):
     """A :class:`DeviceSpec`'s full canonical surface."""
     return {
@@ -107,46 +104,6 @@ def _spec_surface(spec):
             for name, attr in spec.attributes.items()},
         "commands": sorted(spec.commands),
         "sensors": sorted(spec.sensor_attributes),
-    }
-
-
-def device_payload(instance):
-    """Canonical form of one bound device: name, type, full spec surface."""
-    payload = {"name": instance.name, "type": instance.spec.type_name,
-               "label": instance.label}
-    payload.update(_spec_surface(instance.spec))
-    return payload
-
-
-def app_payload(app):
-    """Canonical form of one installed app instance.
-
-    Binding *values* keep list order (a device list's order is the
-    :class:`~repro.model.handles.DeviceGroup` iteration order); binding
-    *keys* are canonicalized by the sorted-key JSON encoding.
-    """
-    return {
-        "instance": app.name,
-        "app": app.smart_app.name,
-        "source_sha256": source_digest(app.smart_app.source),
-        "bindings": dict(app.bindings),
-    }
-
-
-def system_payload(system):
-    """Canonical form of a bound :class:`~repro.model.system.IoTSystem`."""
-    return {
-        "devices": sorted((device_payload(d) for d in system.devices.values()),
-                          key=lambda p: p["name"]),
-        "apps": sorted((app_payload(a) for a in system.apps),
-                       key=lambda p: p["instance"]),
-        "contacts": sorted(system.contacts),
-        "modes": list(system.modes),
-        "initial_mode": system.initial_mode,
-        "association": dict(system.association),
-        "http_allowed": sorted(system.http_allowed),
-        "enable_failures": bool(system.enable_failures),
-        "user_mode_events": bool(system.user_mode_events),
     }
 
 
@@ -169,26 +126,6 @@ def options_payload(options):
     """Canonical form of the semantic engine options."""
     return {name: getattr(options, name, None)
             for name in SEMANTIC_OPTION_FIELDS}
-
-
-def system_digest(system, properties=None, options=None):
-    """The content digest of one verification input.
-
-    ``properties``/``options`` extend the digest when given; a bare
-    system digest identifies the deployment alone (useful to group
-    stored results of the same system under different run options).
-    """
-    payload = {"v": DIGEST_SCHEMA_VERSION, "system": system_payload(system)}
-    if properties is not None:
-        payload["properties"] = properties_payload(properties)
-    if options is not None:
-        payload["options"] = options_payload(options)
-    return payload_digest(payload)
-
-
-# ---------------------------------------------------------------------------
-# job canonical form (configuration level, no system build required)
-# ---------------------------------------------------------------------------
 
 
 def _type_surface(type_name):

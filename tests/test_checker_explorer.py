@@ -96,6 +96,36 @@ class TestLimits:
         assert result.truncated
         assert result.truncated_reason == "max_transitions"
 
+    @pytest.fixture(scope="class")
+    def group1(self, registry):
+        from repro.corpus.groups import GROUP_BUILDERS
+        from repro.model.generator import ModelGenerator
+        from repro.properties import select_relevant
+
+        system = ModelGenerator(registry).build(
+            GROUP_BUILDERS["group1-entry-and-mode"]())
+        return system, select_relevant(system, build_properties())
+
+    @pytest.mark.parametrize("visited", ["exact", "fingerprint", "bitstate"])
+    @pytest.mark.parametrize("max_events", [1, 3])
+    def test_integer_limits_stop_exactly(self, group1, max_events, visited):
+        """The integer limits are checked after every transition, quiet
+        leaves included: a run stops on the transition that reaches
+        one, never later."""
+        system, properties = group1
+        by_states = verify(system, properties, max_events=max_events,
+                           visited=visited, max_states=5)
+        assert (by_states.truncated_reason,
+                by_states.states_explored) == ("max_states", 5)
+        by_transitions = verify(system, properties, max_events=max_events,
+                                visited=visited, max_transitions=3)
+        assert (by_transitions.truncated_reason,
+                by_transitions.transitions) == ("max_transitions", 3)
+        root_only = verify(system, properties, max_events=max_events,
+                           visited=visited, max_states=1)
+        assert (root_only.truncated_reason, root_only.states_explored,
+                root_only.transitions) == ("max_states", 1, 0)
+
     def test_time_limit_truncates(self, alice_system):
         result = verify(alice_system, build_properties(), max_events=5,
                         time_limit=1e-9)

@@ -265,8 +265,11 @@ def _random_state(rng):
     if rng.random() < 0.5:
         state.mode = rng.choice(["Home", "Away", "Night"])
     for _ in range(rng.randrange(3)):
-        state.app_state("app%d" % rng.randrange(2))["k%d" % rng.randrange(3)] = (
-            rng.choice([1, "x", [1, 2], {"nested": True}]))
+        name = "app%d" % rng.randrange(2)
+        mapping = dict(state.app_state(name) or {})
+        mapping["k%d" % rng.randrange(3)] = rng.choice(
+            [1, "x", [1, 2], {"nested": True}])
+        state.set_app_state(name, mapping)
     for _ in range(rng.randrange(2)):
         state.add_schedule("app%d" % rng.randrange(2), "h", periodic=bool(rng.randrange(2)))
     return state
@@ -303,7 +306,7 @@ class TestFingerprintConsistency:
                 for attribute, value in attrs:
                     rebuilt.set_attribute(name, attribute, value)
             for name, _frozen in apps:
-                rebuilt.app_state(name).update(clone.peek_app_state(name))
+                rebuilt.set_app_state(name, clone.app_state(name))
             for app_name, handler, periodic in schedules:
                 rebuilt.add_schedule(app_name, handler, periodic=periodic)
             assert rebuilt.canonical_key() == clone.canonical_key()

@@ -374,7 +374,7 @@ class TestCascadeReplay:
                 counts.append((
                     after["cascades_live"] - before["cascades_live"],
                     after["cascades_replayed"] - before["cascades_replayed"]))
-                assert (transition[1].peek_app_state(app)["t"]
+                assert (transition[1].app_state(app)["t"]
                         == (state.time + TIME_QUANTUM_MS
                             if "now" in body else 1))
             outcomes[body] = counts
@@ -393,7 +393,8 @@ class TestCascadeReplay:
 
     def test_recording_view_refuses_unlisted_members(self):
         view = replay.RecordingState(ModelState())
-        for name in ("devices", "app_states", "history", "copy", "seal"):
+        for name in ("devices", "app_states", "history", "copy",
+                     "pending"):
             with pytest.raises(replay.UnrecordedAccess):
                 getattr(view, name, None)
         view.set_attribute("d", "switch", "on")
@@ -405,9 +406,9 @@ class TestCascadeReplay:
         there); the rest is the search's own fixed list.  A new raw
         accessor fails here instead of silently escaping the replay
         key."""
-        search_only = {"copy", "seal", "fingerprint", "successor_base",
-                       "attribute_word", "physical_key", "canonical_key", "peek_app_state",
-                       "HISTORY_LIMIT"}
+        search_only = {"copy", "fingerprint", "successor_base",
+                       "attribute_word", "physical_key", "canonical_key",
+                       "pending", "HISTORY_LIMIT"}
         public = {name for name in dir(ModelState)
                   if not name.startswith("_")}
         recorded = {name for name in dir(replay.RecordingState)
@@ -523,8 +524,8 @@ class TestStatelessQuietLeaves:
         """Every quiet event from every state within ``parent_depth``
         events - the parents the workload's search takes leaves from
         (expert groups at bound 3, volunteer jobs at bound 2): the
-        parent-derived ``(fingerprint, physical_key)`` equals the built,
-        sealed successor's, and the overlay's verdict equals the exact
+        parent-derived ``(fingerprint, physical_key)`` equals the built
+        successor's, and the overlay's verdict equals the exact
         one on that successor."""
         systems = (_expert_systems() if source == "expert"
                    else _volunteer_systems(source))
@@ -552,7 +553,6 @@ class TestStatelessQuietLeaves:
                                             ext.value)
                         built.record_event(ext.device, ext.attribute,
                                            ext.value)
-                        built.seal()
                         assert keys == (built.fingerprint(),
                                         built.physical_key()), (name, ext)
                         checked += 1
@@ -581,7 +581,6 @@ class TestStatelessQuietLeaves:
     def test_overlay_exposes_only_attribute_and_mode(self):
         state = ModelState(mode="Away")
         state.set_attribute("d", "switch", "off")
-        state.seal()
         overlay = ReplacedAttribute(state, "d", "switch", "on")
         assert overlay.attribute("d", "switch") == "on"
         assert overlay.attribute("d", "level") is None
@@ -589,31 +588,6 @@ class TestStatelessQuietLeaves:
         for name in ("devices", "app_state", "history"):
             with pytest.raises(AttributeError):
                 getattr(overlay, name)
-
-    def test_escaped_parent_takes_the_full_path(self):
-        """A parent with a live app map (handed out by ``app_state`` and
-        not yet sealed) has no trustworthy cached hashes: no successor
-        base, no bare-fingerprint leaves, and the successors built
-        instead equal a clean parent's."""
-        registry = _load_or_skip(load_all_apps)
-        system = ModelGenerator(registry).build(
-            GROUP_BUILDERS["group1-entry-and-mode"]())
-        relation, monitors = _relation_and_monitors(system)
-        clean = system.initial_state()
-        escaped = clean.copy()
-        # handing out the map escapes it; initial_state() already
-        # created it, so the content stays the clean parent's
-        escaped.app_state(system.apps[0].name)
-        quiet = [ext for ext in system.external_choices(escaped)
-                 if ext in relation._quiet]
-        assert quiet
-        assert escaped.successor_base() is None
-        transitions = relation.transitions(escaped, monitors, leaf=True)
-        assert relation.stats()["quiet_leaves"] == 0
-        assert all(isinstance(t[1], ModelState) for t in transitions)
-        assert ([_transition_view(system, t) for t in transitions]
-                == [_transition_view(system, t)
-                    for t in relation.transitions(clean, monitors)])
 
     def test_default_store_takes_stubs(self):
         registry = _load_or_skip(load_all_apps)
@@ -790,6 +764,35 @@ class TestGrammarGaps:
         assert app_state["last"] == "inactive"
         assert state.attribute("s2", "switch") == "on"      # fall-through
         assert state.attribute("lk", "lock") == "unlocked"  # catch ran
+
+    @pytest.mark.parametrize("engine", ["lean", "interpreted"])
+    def test_transitions_leave_the_parents_app_maps_unchanged(self, engine):
+        """App code mutates its cascade's own copy of a ``state`` map
+        (nested maps too): expanding a state, live or by replay, leaves
+        its stored maps, its fingerprint and its key as they were."""
+        system = self._system()
+        relation, monitors = _relation_and_monitors(system)
+        frontier = [system.initial_state()]
+        expanded = 0
+        for _depth in range(3):
+            successors = []
+            for parent in frontier:
+                before = (repr(parent.app_state("Gaps")),
+                          parent.fingerprint(), parent.canonical_key())
+                if engine == "lean":
+                    transitions = relation.transitions(parent, monitors)
+                else:
+                    transitions = list(system.transitions(parent, monitors))
+                assert (repr(parent.app_state("Gaps")),
+                        parent.fingerprint(), parent.canonical_key()) == before
+                expanded += 1
+                successors.extend(t[1] for t in transitions)
+            frontier = successors
+        assert expanded > 10
+        changed = {repr(state.app_state("Gaps")) for state in frontier}
+        assert len(changed) > 1
+        if engine == "lean":
+            assert relation.stats()["cascades_replayed"] > 0
 
     def test_lean_json_equals_interpreted(self):
         system = self._system()

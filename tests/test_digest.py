@@ -1,10 +1,10 @@
 """Digest stability: declaration-order invariance, content sensitivity.
 
-``IoTSystem.digest()`` / ``VerificationJob.cache_key()`` address the
-vetting service's result store, so they must be *stable* (invariant
-under app/device declaration order, binding-key order, repeated builds)
-and *sensitive* (any handler body, device attribute, property-set or
-semantic-option change produces a new digest).
+``VerificationJob.cache_key()`` addresses the vetting service's result
+store, so it must be *stable* (invariant under app/device declaration
+order, binding-key order, property order, equal configurations) and
+*sensitive* (any handler body, device type, property-set or
+semantic-option change produces a new key).
 """
 
 import pytest
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.config.schema import SystemConfiguration
 from repro.engine.batch import VerificationJob
 from repro.engine.options import EngineOptions
-from repro.model.generator import ModelGenerator
 from repro.properties import build_properties
 from repro.smartapp import load_app
 
@@ -48,11 +47,10 @@ def _config(device_order, app_order, binding_key_order=None):
     return config
 
 
-@pytest.fixture(scope="module")
-def reference_digest(generator):
-    system = generator.build(_config(range(len(_DEVICES)),
-                                     range(len(_APPS))), strict=False)
-    return system.digest()
+def _key(config, options=None, **job_kwargs):
+    """The cache key of one lenient job (the name is not part of it)."""
+    return VerificationJob("job", config, options or EngineOptions(),
+                           strict=False, **job_kwargs).cache_key()
 
 
 class TestDeclarationOrderInvariance:
@@ -61,12 +59,10 @@ class TestDeclarationOrderInvariance:
            app_order=st.permutations(range(len(_APPS))),
            binding_keys=st.permutations(["people", "awayMode", "homeMode"]))
     def test_digest_is_declaration_order_invariant(
-            self, registry, reference_digest, device_order, app_order,
-            binding_keys):
-        system = ModelGenerator(registry).build(
-            _config(device_order, app_order, binding_key_order=binding_keys),
-            strict=False)
-        assert system.digest() == reference_digest
+            self, device_order, app_order, binding_keys):
+        reference = _key(_config(range(len(_DEVICES)), range(len(_APPS))))
+        assert _key(_config(device_order, app_order,
+                            binding_key_order=binding_keys)) == reference
 
     @settings(max_examples=20, deadline=None)
     @given(device_order=st.permutations(range(len(_DEVICES))),
@@ -88,16 +84,16 @@ class TestDeclarationOrderInvariance:
             VerificationJob("b", alice_config, options,
                             strict=False).cache_key()
 
-    def test_repeated_builds_agree(self, generator, alice_config):
-        first = generator.build(alice_config, strict=False)
-        second = generator.build(alice_config, strict=False)
-        assert first.digest() == second.digest()
+    def test_repeated_builds_agree(self, alice_config):
+        copy = SystemConfiguration.from_dict(alice_config.to_dict())
+        assert _key(copy) == _key(alice_config)
 
 
 class TestContentSensitivity:
-    def test_handler_body_change_changes_digest(self, registry, generator,
+    def test_handler_body_change_changes_digest(self, registry,
                                                 alice_config):
-        baseline = generator.build(alice_config, strict=False).digest()
+        """An edited handler in the registry itself (the ``sources``
+        overlay is pinned below)."""
         source = registry["Unlock Door"].source
         assert "lock1.unlock()" in source
         patched = load_app(
@@ -107,50 +103,48 @@ class TestContentSensitivity:
         assert patched.name == "Unlock Door"
         overlay = dict(registry)
         overlay[patched.name] = patched
-        changed = ModelGenerator(overlay).build(alice_config, strict=False)
-        assert changed.digest() != baseline
+        assert _key(alice_config, registry=overlay) != _key(
+            alice_config, registry=dict(registry))
 
-    def test_device_attribute_change_changes_digest(self, generator,
-                                                    alice_config):
-        baseline = generator.build(alice_config, strict=False).digest()
+    def test_device_attribute_change_changes_digest(self, alice_config):
         changed_config = SystemConfiguration.from_dict(alice_config.to_dict())
         # a different device type carries a different attribute surface
         changed_config.devices[0].type = "smartsense-motion"
-        changed = generator.build(changed_config, strict=False)
-        assert changed.digest() != baseline
+        assert _key(changed_config) != _key(alice_config)
 
-    def test_property_set_change_changes_digest(self, alice_system):
+    def test_property_set_change_changes_digest(self, alice_config):
         catalog = build_properties()
-        assert alice_system.digest(properties=catalog) != \
-            alice_system.digest(properties=catalog[:10])
-        assert alice_system.digest(properties=catalog) != \
-            alice_system.digest()
+        assert _key(alice_config, properties=catalog) != \
+            _key(alice_config, properties=catalog[:10])
+        assert _key(alice_config, properties=catalog) != _key(alice_config)
+        assert _key(alice_config, properties=["P06", "P08"]) != \
+            _key(alice_config, properties=["P06"])
 
-    def test_property_order_does_not_change_digest(self, alice_system):
+    def test_property_order_does_not_change_digest(self, alice_config):
         catalog = build_properties()
-        assert alice_system.digest(properties=catalog) == \
-            alice_system.digest(properties=list(reversed(catalog)))
+        assert _key(alice_config, properties=catalog) == \
+            _key(alice_config, properties=list(reversed(catalog)))
+        assert _key(alice_config, properties=["P06", "P08"]) == \
+            _key(alice_config, properties=["P08", "P06"])
 
-    def test_semantic_option_change_changes_digest(self, alice_system):
-        assert alice_system.digest(options=EngineOptions(max_events=2)) != \
-            alice_system.digest(options=EngineOptions(max_events=3))
-        assert alice_system.digest(options=EngineOptions(visited="exact")) != \
-            alice_system.digest(options=EngineOptions(visited="bitstate"))
+    def test_semantic_option_change_changes_digest(self, alice_config):
+        assert _key(alice_config, EngineOptions(max_events=2)) != \
+            _key(alice_config, EngineOptions(max_events=3))
+        assert _key(alice_config, EngineOptions(visited="exact")) != \
+            _key(alice_config, EngineOptions(visited="bitstate"))
 
-    def test_performance_knobs_do_not_change_digest(self, alice_system):
-        assert alice_system.digest(options=EngineOptions(check_interval=1)) \
-            == alice_system.digest(options=EngineOptions(check_interval=7))
+    def test_performance_knobs_do_not_change_digest(self, alice_config):
+        assert _key(alice_config, EngineOptions(check_interval=1)) == \
+            _key(alice_config, EngineOptions(check_interval=7))
 
-    def test_engine_tier_does_not_change_digest(self, alice_system):
+    def test_engine_tier_does_not_change_digest(self, alice_config):
         """Both execution tiers are proven observationally identical, so
         the engine choice is a pure performance knob: stored verdicts
         stay valid across tiers."""
-        digests = {
-            alice_system.digest(options=EngineOptions(engine=engine,
-                                                      check_interval=8))
-            for engine in ("interpreted", "lean")}
-        assert len(digests) == 1
-        assert digests == {alice_system.digest(options=EngineOptions())}
+        keys = {_key(alice_config,
+                     EngineOptions(engine=engine, check_interval=8))
+                for engine in ("interpreted", "lean")}
+        assert keys == {_key(alice_config, EngineOptions())}
 
     def test_catalog_surface_change_changes_cache_key(self, alice_config,
                                                       monkeypatch):
@@ -213,11 +207,11 @@ class TestOptionClassification:
     sampling and search-order knobs are no options at all any more.
     """
 
-    def test_mode_is_semantic(self, alice_system):
-        assert (alice_system.digest(options=EngineOptions(mode="concurrent"))
-                != alice_system.digest(options=EngineOptions()))
+    def test_mode_is_semantic(self, alice_config):
+        assert (_key(alice_config, EngineOptions(mode="concurrent"))
+                != _key(alice_config, EngineOptions()))
 
-    def test_schema_version_retires_old_bitstate_verdicts(self, alice_system,
+    def test_schema_version_retires_old_bitstate_verdicts(self, alice_config,
                                                           monkeypatch):
         """The version is hashed into every digest: ``bitstate`` named a
         different hash scheme under v4, took a salt until v5, kept no
@@ -227,11 +221,11 @@ class TestOptionClassification:
         from repro.service import digest
 
         options = EngineOptions(visited="bitstate")
-        current = alice_system.digest(options=options)
+        current = _key(alice_config, options)
         assert digest.DIGEST_SCHEMA_VERSION == 9
         for retired in (4, 5, 6, 7, 8):
             monkeypatch.setattr(digest, "DIGEST_SCHEMA_VERSION", retired)
-            assert alice_system.digest(options=options) != current
+            assert _key(alice_config, options) != current
 
     def test_retired_knobs_are_not_options(self):
         from repro.service.digest import SEMANTIC_OPTION_FIELDS

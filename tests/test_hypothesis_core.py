@@ -41,7 +41,7 @@ class TestModelStateProperties:
         clone = state.copy()
         clone.set_attribute("zzz_new", "switch", "on")
         clone.mode = "Vacation"
-        clone.app_state("ZApp")["x"] = 1
+        clone.set_app_state("ZApp", {"x": 1})
         assert state.canonical_key() == key_before
 
     @given(_WRITES, _WRITES)

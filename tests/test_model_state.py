@@ -1,5 +1,6 @@
 """Unit tests for the model-checker state vector."""
 
+from repro.model.cascade import Cascade
 from repro.model.state import ModelState
 
 
@@ -14,10 +15,15 @@ class TestReadsWrites:
         assert state.attribute("d", "switch") == "on"
 
     def test_app_state_created_on_demand(self):
+        # the state has no map until one is stored; a cascade hands app
+        # code a new empty map and stores it when it ends
         state = ModelState()
-        assert state.peek_app_state("App") is None
-        state.app_state("App")["count"] = 1
-        assert state.peek_app_state("App") == {"count": 1}
+        assert state.app_state("App") is None
+        cascade = Cascade(None, state, None)
+        cascade.app_state("App")["count"] = 1
+        assert state.app_state("App") is None
+        cascade.write_back()
+        assert state.app_state("App") == {"count": 1}
 
 
 class TestHistory:
@@ -72,10 +78,14 @@ class TestCopySemantics:
 
     def test_copy_isolates_app_state(self):
         state = ModelState()
-        state.app_state("App")["x"] = [1]
+        state.set_app_state("App", {"x": [1]})
         clone = state.copy()
-        clone.app_state("App")["x"].append(2)
-        assert state.app_state("App")["x"] == [1]
+        # app code mutates the cascade's deep copy, nested lists too
+        cascade = Cascade(None, clone, None)
+        cascade.app_state("App")["x"].append(2)
+        cascade.write_back()
+        assert state.app_state("App") == {"x": [1]}
+        assert clone.app_state("App") == {"x": [1, 2]}
 
     def test_copy_preserves_mode_and_time(self):
         state = ModelState(mode="Night", time=120)
@@ -111,13 +121,14 @@ class TestKey:
 
     def test_key_hashable(self):
         state = ModelState()
-        state.app_state("App")["nested"] = {"list": [1, 2], "map": {"k": "v"}}
+        state.set_app_state("App", {"nested": {"list": [1, 2],
+                                               "map": {"k": "v"}}})
         hash(state.canonical_key())
 
     def test_key_stable_under_copy(self):
         state = ModelState()
         state.set_attribute("d", "lock", "locked")
-        state.app_state("A")["x"] = [1, {"y": 2}]
+        state.set_app_state("A", {"x": [1, {"y": 2}]})
         state.add_schedule("A", "h", periodic=True)
         assert state.copy().canonical_key() == state.canonical_key()
 

@@ -61,20 +61,18 @@ class TestSchemaShape:
 
     def test_pack_does_not_escape_containers(self, system, schema):
         state = system.initial_state()
-        state.app_state("Brighten My Path")["seen"] = 1
-        state.seal()
+        state.set_app_state("Brighten My Path", {"seen": 1})
         child = state.copy()
         schema.pack(state)
         schema.pack(child)
-        # packing escapes nothing and keeps the copy-on-write sharing
-        # of every device and app map for subsequent branches
-        assert not state._escaped_apps and not child._escaped_apps
+        # packing unshares nothing and keeps the copy-on-write sharing
+        # of every device map, and the sharing of every app map, for
+        # subsequent branches
         assert child._shared_devices == set(state._devices)
         assert all(child._devices[name] is attrs
                    for name, attrs in state._devices.items())
-        assert child._shared_apps == {"Brighten My Path"}
-        assert (child._app_states["Brighten My Path"]
-                is state._app_states["Brighten My Path"])
+        assert all(child._app_states[name] is mapping
+                   for name, mapping in state._app_states.items())
 
 
 # -- property-based separation ----------------------------------------------
@@ -112,8 +110,7 @@ def _arbitrary_states(schema):
         for name in draw(st.lists(st.sampled_from(
                 list(schema.app_names) + ["Ghost App"]),
                 max_size=3, unique=True)):
-            mapping = state.app_state(name)
-            mapping.update(draw(st.dictionaries(
+            state.set_app_state(name, draw(st.dictionaries(
                 st.text(max_size=4), _APP_VALUES, max_size=3)))
         for handler in draw(st.lists(st.sampled_from(
                 ["tick", "poll", "sunriseHandler"]), max_size=2,
@@ -150,8 +147,9 @@ class TestPackRoundTripProperty:
         elif change == "app":
             name = data.draw(st.sampled_from(
                 list(schema.app_names) + ["Ghost App"]))
-            right.app_state(name)[data.draw(st.text(max_size=4))] = (
-                data.draw(_APP_VALUES))
+            mapping = dict(right.app_state(name) or {})
+            mapping[data.draw(st.text(max_size=4))] = data.draw(_APP_VALUES)
+            right.set_app_state(name, mapping)
         elif change == "schedule":
             right.add_schedule("Ghost App", data.draw(st.sampled_from(
                 ["tick", "poll"])), periodic=data.draw(st.booleans()))
